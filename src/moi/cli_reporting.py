@@ -305,7 +305,7 @@ def _run_simulate(config: RunConfig) -> int:
     h = _single_h(config)
     cfg = _integrator_config(config, h, divergence)
     p = _check_param(system, config.p, "--p")
-    sep = find_sep(system, p)
+    sep = find_sep(system, p, stability_tol=config.stability_tol)
     traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
     print(
@@ -333,7 +333,12 @@ def _run_boundary(config: RunConfig) -> int:
     p0 = _check_param(system, config.p0, "--p0")
     direction = _resolve_direction(system, config, default_dir)
     res = ray_boundary_search(
-        system, p0, direction, cfg, param_tol=config.param_tol
+        system,
+        p0,
+        direction,
+        cfg,
+        param_tol=config.param_tol,
+        stability_tol=config.stability_tol,
     )
     print(
         f"boundary {config.model}: p_star = {_fmt_vector(res.p_star)} "

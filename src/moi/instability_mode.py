@@ -12,8 +12,6 @@ and runs step-size sweeps that expose how both converge as h shrinks.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -21,7 +19,9 @@ import numpy as np
 
 from .errors import MoiError, NeverUnstable, NotRecovered
 from .integrator import IntegratorConfig, simulate
-from .recovery_boundary import (
+# Nothing here calls find_sep any more, but perfbench/bench_tracer.py patches
+# moi.instability_mode.find_sep, so the name stays importable.
+from .recovery_boundary import (  # noqa: F401
     BoundarySearchResult,
     find_sep,
     ray_boundary_search,
@@ -202,7 +202,9 @@ def mode_at_boundary(
 
     Runs :func:`ray_boundary_search` along ``direction`` (by default all the
     way to adjacent floating-point parameter values, ``param_tol=0.0``) and
-    evaluates :func:`mode_of_instability` at the returned inside endpoint.
+    evaluates :func:`mode_of_instability` at the returned inside endpoint,
+    against the stable equilibrium the search already solved there
+    (``search.sep_star``) rather than a fresh solve from ``sep_guess``.
     The averaged Jacobian concentrates near the boundary equilibrium only
     for parameters close to the boundary, which is why the refinement is
     the default route to a mode rather than an extra step.
@@ -216,10 +218,10 @@ def mode_at_boundary(
         initial_step=initial_step,
         max_doublings=max_doublings,
         sep_guess=sep_guess,
+        stability_tol=stability_tol,
     )
-    sep = find_sep(sys, search.p_star, sep_guess)
     mode = mode_of_instability(
-        sys, search.p_star, cfg, sep, normalization, stability_tol
+        sys, search.p_star, cfg, search.sep_star, normalization, stability_tol
     )
     return BoundaryMode(mode=mode, search=search)
 
@@ -244,21 +246,6 @@ class SweepRow:
     result: Optional[BoundaryMode] = None
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("MOI_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"MOI_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"MOI_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def h_sweep(
     sys: ParameterizedSystem,
     p0,
@@ -277,9 +264,9 @@ def h_sweep(
     boundary parameter.  Error columns compare each row's averaged matrix,
     eigenvalue, and eigenvector against the row with the smallest h whose
     computation succeeded; that reference row's errors are 0 by
-    construction.  Rows run concurrently (``MOI_THREADS`` caps the pool);
-    a row's failure is recorded in its ``status`` and the sweep continues.
-    Row order always matches the input h order.
+    construction.  Rows run one after another in the input h order, each
+    with the multisection search of :func:`ray_boundary_search`; a row's
+    failure is recorded in its ``status`` and the sweep continues.
     """
     h_list = [float(h) for h in h_values]
     if not h_list:
@@ -319,13 +306,7 @@ def h_sweep(
             result=bm,
         )
 
-    workers = min(_sweep_workers(), len(h_list))
-    if workers == 1:
-        rows = [run_one(h) for h in h_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, h_list))
-
+    rows = [run_one(h) for h in h_list]
     ok_rows = [r for r in rows if r.status == "ok"]
     if not ok_rows:
         return rows

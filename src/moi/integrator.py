@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergence, NonFiniteOutput
+from .errors import DimensionMismatch, NewtonDivergence, NonFiniteOutput
 from .spectral import DEFAULT_STABILITY_TOL, is_unstable
 from .system_core import (
     ParameterizedSystem,
@@ -61,6 +61,20 @@ class IntegratorConfig:
             )
 
 
+def _norm(v: np.ndarray):
+    """Euclidean norm over the last axis, squares summed in index order.
+
+    Single states and batches share this one reduction, so a batch member's
+    norm rounds exactly as the single-state norm does (a BLAS dot product
+    may fuse or reorder the additions).
+    """
+    squares = (v * v).T
+    total = squares[0]
+    for k in range(1, len(squares)):
+        total = total + squares[k]
+    return np.sqrt(total)
+
+
 def step_trapezoidal(
     sys: ParameterizedSystem,
     x: np.ndarray,
@@ -72,7 +86,7 @@ def step_trapezoidal(
     Solves  y = x + (h/2) * (f(x) + f(y))  for y by Newton iteration seeded
     at the forward-Euler predictor. Raises ``NewtonDivergence`` if the
     residual fails to reach ``cfg.newton_tol`` within ``cfg.newton_max_iter``
-    iterations.
+    iterations or the Newton matrix is singular.
     """
     h = cfg.step
     fx = sys.field(x, p)
@@ -80,21 +94,91 @@ def step_trapezoidal(
     eye = np.eye(sys.state_dim)
     for _ in range(cfg.newton_max_iter):
         g = y - x - 0.5 * h * (fx + sys.field(y, p))
-        if np.linalg.norm(g) <= cfg.newton_tol:
+        if _norm(g) <= cfg.newton_tol:
             if not np.all(np.isfinite(y)):
                 raise NonFiniteOutput("trapezoidal step produced non-finite state")
             return y
         jac = eval_jacobian(sys, y, p)
-        y = y - np.linalg.solve(eye - 0.5 * h * jac, g)
+        try:
+            y = y - np.linalg.solve(eye - 0.5 * h * jac, g)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergence(f"singular Newton matrix at y={y}: {exc}") from exc
     g = y - x - 0.5 * h * (fx + sys.field(y, p))
-    if np.linalg.norm(g) <= cfg.newton_tol:
+    if _norm(g) <= cfg.newton_tol:
         if not np.all(np.isfinite(y)):
             raise NonFiniteOutput("trapezoidal step produced non-finite state")
         return y
     raise NewtonDivergence(
-        f"Newton iteration stalled at residual {np.linalg.norm(g):.3e} "
+        f"Newton iteration stalled at residual {_norm(g):.3e} "
         f"after {cfg.newton_max_iter} iterations (tol {cfg.newton_tol:.1e})"
     )
+
+
+def step_trapezoidal_batch(
+    sys: ParameterizedSystem,
+    x: np.ndarray,
+    p: np.ndarray,
+    cfg: IntegratorConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trapezoidal step for each row of ``x`` (K, n) at the rows of ``p``.
+
+    ``sys`` must be batched, with an analytic Jacobian.  Each member goes
+    through the floating-point operations of :func:`step_trapezoidal`; a
+    member whose residual has met the tolerance is frozen while the others
+    iterate on.  Returns the new states and a boolean mask of the members
+    whose step failed where the single step would raise (Newton stalled,
+    singular Newton matrix, non-finite Jacobian or state); their rows are
+    meaningless, and they do not hold up the other members.
+    """
+    h = cfg.step
+    n = sys.state_dim
+    fx = sys.field(x, p)
+    y = x + h * fx
+    eye = np.eye(n)
+    pending = np.ones(len(x), dtype=bool)
+    failed = np.zeros(len(x), dtype=bool)
+    for _ in range(cfg.newton_max_iter):
+        g = y - x - 0.5 * h * (fx + sys.field(y, p))
+        pending &= ~(_norm(g) <= cfg.newton_tol)
+        if not pending.any():
+            break
+        jac = np.asarray(sys.jacobian(y, p), dtype=float)
+        if jac.shape != (len(x), n, n):
+            raise DimensionMismatch(
+                f"batched jacobian returned shape {jac.shape}, expected "
+                f"{(len(x), n, n)}"
+            )
+        if not np.isfinite(jac).all():
+            failed |= pending & ~np.isfinite(jac).all(axis=(1, 2))
+            pending &= ~failed
+        matrices = eye - 0.5 * h * jac
+        try:
+            delta = np.linalg.solve(matrices, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # some matrix of the stack is singular: solve member by member
+            delta = np.zeros_like(g)
+            for k in np.flatnonzero(pending):
+                try:
+                    delta[k] = np.linalg.solve(matrices[k], g[k])
+                except np.linalg.LinAlgError:
+                    failed[k] = True
+            pending &= ~failed
+        y = np.where(pending[:, None], y - delta, y)
+    else:
+        g = y - x - 0.5 * h * (fx + sys.field(y, p))
+        failed |= pending & ~(_norm(g) <= cfg.newton_tol)
+    if not np.isfinite(y).all():
+        failed |= ~np.isfinite(y).all(axis=1)
+    return y, failed
+
+
+def _offset(sys: ParameterizedSystem, x, sep) -> np.ndarray:
+    """``x - sep`` over the last axis, angles reduced to (-pi, pi]."""
+    d = np.asarray(x, dtype=float) - np.asarray(sep, dtype=float)
+    if sys.wrap_indices is not None:
+        idx = list(sys.wrap_indices)
+        d[..., idx] = (d[..., idx] + np.pi) % (2.0 * np.pi) - np.pi
+    return d
 
 
 def sep_distance(
@@ -106,11 +190,7 @@ def sep_distance(
     difference is reduced to (-pi, pi] before taking the norm, so a state one
     full revolution away from the equilibrium counts as being at it.
     """
-    d = np.asarray(x, dtype=float) - np.asarray(sep, dtype=float)
-    if sys.wrap_indices is not None:
-        for idx in sys.wrap_indices:
-            d[idx] = (d[idx] + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.linalg.norm(d))
+    return float(_norm(_offset(sys, x, sep)))
 
 
 def simulate(
@@ -133,7 +213,7 @@ def simulate(
       mistaken for a converged one);
     - ``SOLVER_FAILURE`` if a step raises ``NewtonDivergence`` or
       ``NonFiniteOutput`` — the partial trajectory up to the last good state
-      is returned;
+      is returned (a singular Newton matrix counts as ``NewtonDivergence``);
     - ``MAX_TIME_REACHED`` after ``floor(max_time / step)`` steps without
       any of the above.
 
@@ -147,7 +227,7 @@ def simulate(
     states = [x]
     flags = [is_unstable(eval_jacobian(sys, x, p), stability_tol)] if record_flags else None
 
-    nmax = int(np.floor(cfg.max_time / cfg.step + 1e-9))
+    nmax = _step_budget(cfg)
     termination = Termination.MAX_TIME_REACHED
     consec = 0
     for _ in range(nmax):
@@ -159,10 +239,10 @@ def simulate(
         states.append(x)
         if record_flags:
             flags.append(is_unstable(eval_jacobian(sys, x, p), stability_tol))
-        if np.linalg.norm(x) > cfg.divergence_norm:
+        if _norm(x) > cfg.divergence_norm:
             termination = Termination.DIVERGED
             break
-        if sep_distance(sys, x, sep) <= cfg.sep_tol:
+        if _norm(_offset(sys, x, sep)) <= cfg.sep_tol:
             consec += 1
             if consec >= cfg.sep_dwell:
                 termination = Termination.CONVERGED_TO_SEP
@@ -177,3 +257,50 @@ def simulate(
         termination=termination,
         instability_flags=np.asarray(flags, dtype=bool) if record_flags else None,
     )
+
+
+def _step_budget(cfg: IntegratorConfig) -> int:
+    return int(np.floor(cfg.max_time / cfg.step + 1e-9))
+
+
+def simulate_batch(
+    sys: ParameterizedSystem,
+    p: np.ndarray,
+    cfg: IntegratorConfig,
+    sep: np.ndarray,
+) -> list[Termination]:
+    """Terminations of one simulation per row of ``p`` (K, m), in lockstep.
+
+    ``sys`` must be batched, with an analytic Jacobian, and ``sep`` holds
+    each member's stable equilibrium (K, n).  Every member ends exactly as
+    :func:`simulate` would end it, under the same rules in the same order,
+    but no states are kept: memory is O(K n), and members that terminate
+    leave the batch.
+    """
+    p = np.asarray(p, dtype=float)
+    sep = np.asarray(sep, dtype=float)
+    x = initial_state(sys, p)
+    ends = [Termination.MAX_TIME_REACHED] * len(x)
+    live = np.arange(len(x))
+    consec = np.zeros(len(x), dtype=int)
+    for _ in range(_step_budget(cfg)):
+        x, failed = step_trapezoidal_batch(sys, x, p, cfg)
+        beyond = _norm(x) > cfg.divergence_norm
+        consec = np.where(_norm(_offset(sys, x, sep)) <= cfg.sep_tol, consec + 1, 0)
+        done = failed | beyond | (consec >= cfg.sep_dwell)
+        if not done.any():
+            continue
+        # a failed step first, then divergence, then the dwell: simulate's order
+        diverged = beyond & ~failed
+        for mask, end in (
+            (failed, Termination.SOLVER_FAILURE),
+            (diverged, Termination.DIVERGED),
+            (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP),
+        ):
+            for k in live[mask]:
+                ends[k] = end
+        keep = ~done
+        if not keep.any():
+            break
+        live, x, p, sep, consec = live[keep], x[keep], p[keep], sep[keep], consec[keep]
+    return ends

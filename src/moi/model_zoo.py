@@ -17,8 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ParamOutOfRange
-from .integrator import IntegratorConfig, step_trapezoidal
+from .errors import DataFormatError, NewtonDivergence, ParamOutOfRange
+# step_trapezoidal is no longer called here, but perfbench/bench_tracer.py
+# patches moi.model_zoo.step_trapezoidal, so the name stays importable.
+from .integrator import (  # noqa: F401
+    IntegratorConfig,
+    step_trapezoidal,
+    step_trapezoidal_batch,
+)
 from .recovery_boundary import find_equilibrium
 from .system_core import ParameterizedSystem
 
@@ -75,9 +81,9 @@ class PendulumParams:
             raise ValueError("ic_step must be positive")
 
 
-def _sep_angle(c1: float, torque: float) -> float:
+def _sep_angle(c1: float, torque):
     ratio = torque / c1
-    if not -1.0 < ratio < 1.0:
+    if not np.all((-1.0 < ratio) & (ratio < 1.0)):
         raise ParamOutOfRange(
             f"driving torque {torque} is at or beyond the maximum restoring "
             f"torque {c1}; no equilibrium exists"
@@ -101,32 +107,51 @@ def pendulum_disturbance_ic(params: PendulumParams, p) -> np.ndarray:
     During the disturbance the restoring torque is absent and the angle
     accelerates under the drive alone: z1' = z2, z2' = -c2 z2 + torque,
     for ``disturbance_duration`` seconds from the pre-disturbance SEP.
+    ``p`` may be one parameter vector or a (K, 1) stack, giving (2,) or
+    (K, 2).
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    torque = p[0]
+    p = np.asarray(p, dtype=float)
+    torque = p[..., 0]
     c2 = params.c2
     t = params.disturbance_duration
-    start = pendulum_sep(params, torque)
+    start = np.stack([_sep_angle(params.c1, torque), np.zeros_like(torque)], axis=-1)
     if params.ic_method == "closed":
         e = np.exp(-c2 * t)
-        return np.array(
+        return np.stack(
             [
-                start[0] + (torque / c2) * t - (torque / c2**2) * (1 - e),
+                start[..., 0] + (torque / c2) * t - (torque / c2**2) * (1 - e),
                 (torque / c2) * (1 - e),
-            ]
+            ],
+            axis=-1,
         )
-    disturbance = ParameterizedSystem(
+    cfg = IntegratorConfig(step=params.ic_step)
+    disturbance = _disturbance_system(c2)
+    x, q = np.atleast_2d(start), np.atleast_2d(p)
+    for _ in range(int(round(t / params.ic_step))):
+        x, failed = step_trapezoidal_batch(disturbance, x, q, cfg)
+        if failed.any():
+            raise NewtonDivergence(
+                f"disturbance replay failed for torque {q[failed, 0]}"
+            )
+    return x.reshape(start.shape)
+
+
+def _disturbance_system(c2: float) -> ParameterizedSystem:
+    """The pendulum without its restoring torque, batched."""
+
+    def field(x, q):
+        xt = x.T
+        return np.array([xt[1], -c2 * xt[1] + q.T[0]]).T
+
+    jac = np.array([[0.0, 1.0], [0.0, -c2]])
+    return ParameterizedSystem(
         state_dim=2,
         param_dim=1,
-        field=lambda x, q: np.array([x[1], -c2 * x[1] + q[0]]),
-        jacobian=lambda x, q: np.array([[0.0, 1.0], [0.0, -c2]]),
+        field=field,
+        jacobian=lambda x, q: np.broadcast_to(jac, x.shape + (2,)),
         name="pendulum-disturbance",
+        batched=True,
     )
-    cfg = IntegratorConfig(step=params.ic_step)
-    x = start
-    for _ in range(int(round(t / params.ic_step))):
-        x = step_trapezoidal(disturbance, x, p, cfg)
-    return x
 
 
 def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSystem:
@@ -135,16 +160,23 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
     Dynamics: x1' = x2, x2' = -c1 sin(x1) - c2 x2 + p.  The angle is left
     unwrapped — recovery means returning to the same equilibrium
     representative the disturbance started from, not to a shifted copy.
+    The model is batched: every callable also takes stacks of states and
+    torques.
     """
     if params is None:
         params = PendulumParams()
     c1, c2 = params.c1, params.c2
+    constant_part = np.array([[0.0, 1.0], [0.0, -c2]])
 
     def field(x, p):
-        return np.array([x[1], -c1 * np.sin(x[0]) - c2 * x[1] + p[0]])
+        xt = x.T
+        return np.array([xt[1], -c1 * np.sin(xt[0]) - c2 * xt[1] + p.T[0]]).T
 
     def jacobian(x, p):
-        return np.array([[0.0, 1.0], [-c1 * np.cos(x[0]), -c2]])
+        jac = np.empty(x.shape + (2,))
+        jac[...] = constant_part
+        jac[..., 1, 0] = -c1 * np.cos(x[..., 0])
+        return jac
 
     return ParameterizedSystem(
         state_dim=2,
@@ -154,6 +186,7 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         initial_condition=lambda p: pendulum_disturbance_ic(params, p),
         name="pendulum",
         state_names=("angle", "velocity"),
+        batched=True,
     )
 
 
@@ -377,21 +410,33 @@ def _swing_system(
     susceptance: np.ndarray,
     name: str,
 ) -> ParameterizedSystem:
-    """Swing dynamics over given admittance matrices, without an IC hook."""
+    """Swing dynamics over given admittance matrices, without an IC hook.
+
+    Field and Jacobian are batched, and vectorised over machines.  Every
+    sum reduces one row of a freshly built array, or runs over the nodes in
+    index order, so a batch member and a single state round alike.
+    """
     n = params.n_machines
     emf_nodes = np.concatenate([[params.slack_emf], params.emf])
     damping = params.damping
     mech = params.mech_power
     base_inertia = params.inertia
+    # rows: machines 1..n; columns: nodes 0..n (node 0 is the anchor)
+    g_rows, b_rows = conductance[1:], susceptance[1:]
+    emf_pairs = emf_nodes[1:, None] * emf_nodes
+    # each machine's own column, left out of its coupling sum
+    own = np.arange(n)
+    couples = np.ones((n, n + 1), dtype=bool)
+    couples[own, own + 1] = False
 
     if params.inertia_mode == "scale":
         param_dim = 1
 
         def inertias(p: np.ndarray) -> np.ndarray:
-            m = p[0] * base_inertia
+            m = p[..., :1] * base_inertia
             if not np.all(m > 0.0):
                 raise ParamOutOfRange(
-                    f"inertia scale {p[0]} makes some inertia non-positive"
+                    f"inertia scale {p[..., 0]} makes some inertia non-positive"
                 )
             return m
 
@@ -403,43 +448,36 @@ def _swing_system(
                 raise ParamOutOfRange(f"inertia vector must be positive: {p}")
             return p
 
+    def angle_gaps(x):
+        """theta_i - theta_j for machines i (rows) and nodes j (columns)."""
+        th = x[..., :n]
+        nodes = np.concatenate([np.zeros(th.shape[:-1] + (1,)), th], axis=-1)
+        return th[..., :, None] - nodes[..., None, :]
+
     def field(x, p):
-        th = np.concatenate([[0.0], x[:n]])
-        w = x[n:]
-        pe = np.empty(n)
-        for i in range(1, n + 1):
-            d = th[i] - th
-            pe[i - 1] = emf_nodes[i] * np.sum(
-                emf_nodes * (conductance[i] * np.cos(d) + susceptance[i] * np.sin(d))
-            )
-        return np.concatenate([w, (mech - pe - damping * w) / inertias(p)])
+        d = angle_gaps(x)
+        flows = emf_nodes * (g_rows * np.cos(d) + b_rows * np.sin(d))
+        pe = emf_nodes[1:] * np.sum(flows, axis=-1)
+        w = x[..., n:]
+        return np.concatenate([w, (mech - pe - damping * w) / inertias(p)], axis=-1)
 
     def jacobian(x, p):
-        th = np.concatenate([[0.0], x[:n]])
-        # K[i,k] = d(pe_i)/d(theta_k) over machine angles; the anchor's
-        # fixed angle contributes only to the diagonal.
-        K = np.zeros((n, n))
-        for i in range(1, n + 1):
-            for jn in range(n + 1):
-                if jn == i:
-                    continue
-                d = th[i] - th[jn]
-                t = (
-                    emf_nodes[i]
-                    * emf_nodes[jn]
-                    * (
-                        -conductance[i, jn] * np.sin(d)
-                        + susceptance[i, jn] * np.cos(d)
-                    )
-                )
-                K[i - 1, i - 1] += t
-                if jn >= 1:
-                    K[i - 1, jn - 1] -= t
+        d = angle_gaps(x)
+        # t[i, j] = d(pe_i)/d(theta_i) contribution of node j
+        t = emf_pairs * (-g_rows * np.sin(d) + b_rows * np.cos(d))
+        t = np.where(couples, t, 0.0)
+        diag = t[..., 0]
+        for j in range(1, n + 1):
+            diag = diag + t[..., j]
         m = inertias(p)
-        jac = np.zeros((2 * n, 2 * n))
-        jac[:n, n:] = np.eye(n)
-        jac[n:, :n] = -K / m[:, None]
-        jac[n:, n:] = -np.diag(damping / m)
+        # -d(pe)/d(theta) divided by the inertias: off-diagonal t, diagonal
+        # minus the coupling sum
+        coupling = t[..., 1:] / m[..., :, None]
+        coupling[..., own, own] = -diag / m
+        jac = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+        jac[..., own, n + own] = 1.0
+        jac[..., n:, :n] = coupling
+        jac[..., n + own, n + own] = -(damping / m)
         return jac
 
     return ParameterizedSystem(
@@ -451,6 +489,7 @@ def _swing_system(
         state_names=tuple(f"theta_{i}" for i in range(1, n + 1))
         + tuple(f"omega_{i}" for i in range(1, n + 1)),
         wrap_indices=tuple(range(n)),
+        batched=True,
     )
 
 
@@ -463,7 +502,8 @@ def fault_scenario_ic(
     fault-on admittance matrices, integrates for ``params.fault_duration``
     (rounded to whole steps of ``cfg.step``), and returns the cleared
     state.  The inertia parameter applies during the fault as well — it is
-    a machine property, not a network one.
+    a machine property, not a network one.  ``p`` may be one parameter
+    vector or a (K, m) stack; the K fault replays then run as one batch.
     """
     if params.fault_conductance is None:
         raise DataFormatError(
@@ -479,10 +519,13 @@ def fault_scenario_ic(
         params.fault_susceptance,
         "multimachine-fault",
     )
-    x = find_equilibrium(pre, p)
+    q = np.atleast_2d(p)
+    x = np.array([find_equilibrium(pre, member) for member in q])
     for _ in range(int(round(params.fault_duration / cfg.step))):
-        x = step_trapezoidal(fault, x, p, cfg)
-    return x
+        x, failed = step_trapezoidal_batch(fault, x, q, cfg)
+        if failed.any():
+            raise NewtonDivergence(f"fault-on replay failed for p = {q[failed]}")
+    return x.reshape(p.shape[:-1] + (fault.state_dim,))
 
 
 def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:

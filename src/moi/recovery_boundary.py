@@ -4,7 +4,9 @@ Recovery is a yes/no question per parameter value: does the post-disturbance
 state settle back to the stable equilibrium?  The set of parameter values
 that recover has a boundary, and :func:`ray_boundary_search` locates the
 crossing of that boundary along a caller-supplied ray by an expansion phase
-(doubling steps until a failing point is found) followed by bisection.
+(doubling steps until a failing point is found) followed by multisection:
+each refinement round probes the bracket at evenly spaced interior points,
+as one lockstep batch when the system is batched.
 
 The search is deliberately restricted to a one-dimensional ray.  A
 closest-point search over the full parameter space is a separate
@@ -28,7 +30,7 @@ from .errors import (
     NotStable,
     UndeterminedAtBisection,
 )
-from .integrator import IntegratorConfig, sep_distance, simulate
+from .integrator import IntegratorConfig, sep_distance, simulate, simulate_batch
 from .spectral import DEFAULT_STABILITY_TOL, spectral_abscissa
 from .system_core import (
     ParameterizedSystem,
@@ -37,6 +39,13 @@ from .system_core import (
     eval_field,
     eval_jacobian,
 )
+
+
+#: sections per refinement round for batched systems: the 15 interior
+#: points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic fractions of the
+#: bracket and each round narrows it 16-fold.  Unbatched systems use 2
+#: sections, i.e. bisection.
+SECTIONS = 16
 
 
 class Verdict(enum.Enum):
@@ -70,8 +79,9 @@ class BoundarySearchResult:
     ``p_star`` is the last probed parameter that recovers (the endpoint just
     inside the recovery region); ``p_fail`` is the matching endpoint just
     outside.  ``bracket_width`` is ``norm(p_fail - p_star)``, ``iterations``
-    counts bisection probes, and ``history`` records every classified
-    parameter in evaluation order.
+    counts refinement-phase probes, and ``history`` records every classified
+    parameter in evaluation order (within a refinement round: ray order).
+    ``sep_star`` is the stable equilibrium the search solved at ``p_star``.
     """
 
     p_star: np.ndarray
@@ -79,6 +89,7 @@ class BoundarySearchResult:
     bracket_width: float
     iterations: int
     history: tuple[tuple[np.ndarray, Verdict], ...]
+    sep_star: np.ndarray
 
 
 def find_equilibrium(
@@ -146,6 +157,14 @@ def find_sep(
     return x
 
 
+def _verdict(termination: Termination) -> Verdict:
+    if termination is Termination.CONVERGED_TO_SEP:
+        return Verdict.RECOVERS
+    if termination is Termination.DIVERGED:
+        return Verdict.FAILS_TO_RECOVER
+    return Verdict.UNDETERMINED
+
+
 def classify_recovery(
     sys: ParameterizedSystem,
     p,
@@ -158,14 +177,8 @@ def classify_recovery(
     with the parameter, so re-solve per parameter value).
     """
     traj = simulate(sys, p, cfg, sep)
-    if traj.termination is Termination.CONVERGED_TO_SEP:
-        verdict = Verdict.RECOVERS
-    elif traj.termination is Termination.DIVERGED:
-        verdict = Verdict.FAILS_TO_RECOVER
-    else:
-        verdict = Verdict.UNDETERMINED
     return RecoveryVerdict(
-        verdict=verdict,
+        verdict=_verdict(traj.termination),
         termination=traj.termination,
         final_distance=sep_distance(sys, traj.states[-1], sep),
         elapsed_time=traj.elapsed,
@@ -181,23 +194,34 @@ def ray_boundary_search(
     initial_step: float = 0.1,
     max_doublings: int = 40,
     sep_guess=None,
+    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> BoundarySearchResult:
     """Bracket the recovery boundary along ``p0 + s * direction``, s > 0.
 
     Expansion phase: probe s = initial_step, doubling until a probe fails to
-    recover (raises ``NoBracket`` if the budget runs out first).  Bisection
-    phase: midpoints are computed directly in parameter space,
-    ``p_lo + (p_hi - p_lo)/2``, halving the bracket until its width in
-    parameter norm is at most ``param_tol``.  With ``param_tol = 0.0`` the
-    bisection continues until the midpoint is no longer representable
-    between the endpoints, i.e. the returned bracket endpoints are adjacent
-    floating-point parameter values.
+    recover (raises ``NoBracket`` if the budget runs out first).
 
-    The stable equilibrium is re-solved at every probed parameter value,
-    warm-started from the previous solution.  A probe that classifies
-    ``UNDETERMINED`` aborts the search (``UndeterminedAtBisection``) rather
-    than being coerced to either side; raising ``cfg.max_time`` is the
-    honest remedy, since dwell times diverge near the boundary.
+    Refinement phase (multisection): each round probes the interior points
+    ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1, computed directly in
+    parameter space, with k = ``SECTIONS`` for a batched system with an
+    analytic Jacobian (one lockstep batch per round) and k = 2 otherwise
+    (bisection, one probe per round).  Walking the round's verdicts in ray
+    order, the last recovering point before the first failing one becomes
+    ``p_lo`` and that failing point ``p_hi``; points past it are kept in
+    ``history`` but do not move the bracket.  Rounds repeat until the bracket's width in parameter norm
+    is at most ``param_tol``.  Coinciding points are probed once, and
+    points equal to an endpoint not at all, so with ``param_tol = 0.0`` the
+    search ends when no representable parameter is left strictly between
+    the endpoints, i.e. the returned endpoints are adjacent floating-point
+    parameter values.
+
+    The stable equilibrium is re-solved at every probed parameter value
+    (``find_sep`` with ``stability_tol``), warm-started from the solution
+    at the previously probed one.  A probe that classifies ``UNDETERMINED``
+    where it would move the bracket aborts the search
+    (``UndeterminedAtBisection``) rather than being coerced to either side;
+    raising ``cfg.max_time`` is the honest remedy, since dwell times
+    diverge near the boundary.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")
@@ -213,21 +237,21 @@ def ray_boundary_search(
         history.append((p, v))
         return v
 
-    sep = find_sep(sys, p0, sep_guess)
+    sep = find_sep(sys, p0, sep_guess, stability_tol=stability_tol)
     if probe(p0, sep) is not Verdict.RECOVERS:
         raise NotRecovered(
             f"search origin p0={p0} does not recover; boundary search "
             "requires a recovering starting point"
         )
 
-    p_lo, p_hi = p0, None
+    p_lo, p_hi, sep_lo = p0, None, sep
     s = initial_step
     for _ in range(max_doublings):
         p_probe = p0 + s * direction
-        sep = find_sep(sys, p_probe, sep)
+        sep = find_sep(sys, p_probe, sep, stability_tol=stability_tol)
         v = probe(p_probe, sep)
         if v is Verdict.RECOVERS:
-            p_lo = p_probe
+            p_lo, sep_lo = p_probe, sep
         elif v is Verdict.FAILS_TO_RECOVER:
             p_hi = p_probe
             break
@@ -243,25 +267,43 @@ def ray_boundary_search(
             f"step {initial_step} along {direction} from {p0}"
         )
 
+    # the lockstep Newton needs the batched analytic Jacobian
+    batched = sys.batched and sys.jacobian is not None
+    sections = SECTIONS if batched else 2
     iterations = 0
     while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        p_mid = p_lo + (p_hi - p_lo) / 2.0
-        if np.array_equal(p_mid, p_lo) or np.array_equal(p_mid, p_hi):
+        points = []
+        for i in range(1, sections):
+            p_i = p_lo + (p_hi - p_lo) * (i / sections)
+            previous = points[-1] if points else p_lo
+            if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
+                points.append(p_i)
+        if not points:
             # No representable parameter strictly between the endpoints:
             # the bracket is down to adjacent doubles.
             break
-        sep = find_sep(sys, p_mid, sep)
-        v = probe(p_mid, sep)
-        iterations += 1
-        if v is Verdict.RECOVERS:
-            p_lo = p_mid
-        elif v is Verdict.FAILS_TO_RECOVER:
-            p_hi = p_mid
+        seps = []
+        for p_i in points:
+            sep = find_sep(sys, p_i, sep, stability_tol=stability_tol)
+            seps.append(sep)
+        if batched:
+            ends = simulate_batch(sys, np.array(points), cfg, np.array(seps))
+            verdicts = [_verdict(end) for end in ends]
         else:
-            raise UndeterminedAtBisection(
-                f"bisection probe at p={p_mid} was undetermined "
-                "(raise max_time to resolve)"
-            )
+            verdicts = [classify_recovery(sys, points[0], cfg, seps[0]).verdict]
+        history.extend(zip(points, verdicts))
+        iterations += len(points)
+        for p_i, sep_i, v in zip(points, seps, verdicts):
+            if v is Verdict.RECOVERS:
+                p_lo, sep_lo = p_i, sep_i
+            elif v is Verdict.FAILS_TO_RECOVER:
+                p_hi = p_i
+                break
+            else:
+                raise UndeterminedAtBisection(
+                    f"refinement probe at p={p_i} was undetermined "
+                    "(raise max_time to resolve)"
+                )
 
     return BoundarySearchResult(
         p_star=p_lo,
@@ -269,4 +311,5 @@ def ray_boundary_search(
         bracket_width=float(np.linalg.norm(p_hi - p_lo)),
         iterations=iterations,
         history=tuple(history),
+        sep_star=sep_lo,
     )

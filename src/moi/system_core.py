@@ -49,6 +49,13 @@ class ParameterizedSystem:
         Indices of angle-like coordinates that convergence tests should
         compare modulo 2*pi.  The field itself is always evaluated on the
         unwrapped state.
+    batched
+        True when ``field``, ``jacobian`` and ``initial_condition`` (where
+        present) also accept a leading batch axis, evaluating each member
+        with the same floating-point operations as a single call: x of shape
+        (K, n) and p of shape (K, m) give fields (K, n), Jacobians (K, n, n)
+        and initial conditions (K, n).  Recovery probes of a batched system
+        with an analytic Jacobian run in lockstep batches.
     """
 
     state_dim: int
@@ -59,6 +66,7 @@ class ParameterizedSystem:
     name: str = ""
     state_names: Optional[tuple[str, ...]] = None
     wrap_indices: Optional[tuple[int, ...]] = None
+    batched: bool = False
 
 
 class Termination(enum.Enum):
@@ -152,12 +160,25 @@ def eval_jacobian(sys: ParameterizedSystem, x, p) -> Array:
 
 
 def initial_state(sys: ParameterizedSystem, p) -> Array:
-    """Return x0(p), the post-disturbance initial condition."""
+    """Return x0(p), the post-disturbance initial condition.
+
+    A batched system also takes a (K, m) stack of parameters and returns
+    the (K, n) stack of initial conditions.
+    """
     if sys.initial_condition is None:
         raise ValueError(f"system {sys.name!r} has no initial_condition")
-    p = _check_vector(p, sys.param_dim, "parameter")
+    p = np.asarray(p, dtype=float)
+    batch = p.shape[:-1] if sys.batched and p.ndim == 2 else ()
+    if p.shape != batch + (sys.param_dim,):
+        raise DimensionMismatch(
+            f"parameter has shape {p.shape}, expected {batch + (sys.param_dim,)}"
+        )
     x0 = np.asarray(sys.initial_condition(p), dtype=float)
-    x0 = _check_vector(x0, sys.state_dim, "initial condition")
+    if x0.shape != batch + (sys.state_dim,):
+        raise DimensionMismatch(
+            f"initial condition has shape {x0.shape}, expected "
+            f"{batch + (sys.state_dim,)}"
+        )
     if not np.all(np.isfinite(x0)):
         raise NonFiniteOutput(f"initial_condition({p}) produced NaN/Inf")
     return x0

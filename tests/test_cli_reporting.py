@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moi import (
+    ParameterizedSystem,
     find_sep,
     h_sweep,
     mode_of_instability,
@@ -183,6 +184,46 @@ class TestSimulateCommand:
         assert "Diverged" in capsys.readouterr().out
 
 
+    def test_singular_newton_matrix_is_a_solver_failure(self, capsys, monkeypatch):
+        import moi.cli_reporting as cli
+
+        # x' = 100 x: the Newton matrix is singular at h = 0.02
+        linear = ParameterizedSystem(
+            state_dim=1,
+            param_dim=1,
+            field=lambda x, p: 100.0 * x if x[0] > 0.5 else -x,
+            jacobian=lambda x, p: np.array([[100.0 if x[0] > 0.5 else -1.0]]),
+            initial_condition=lambda p: np.array([p[0]]),
+        )
+        monkeypatch.setattr(cli, "_build_model", lambda config: (linear, 10.0, (1.0,)))
+        code = run_cli(["simulate", "--model", "pendulum", "--p", "1.0", "--h", "0.02"])
+        assert code == 0
+        assert "SolverFailure" in capsys.readouterr().out
+
+    def test_stability_tol_reaches_find_sep(self, capsys, monkeypatch):
+        import moi.cli_reporting as cli
+        import moi.recovery_boundary as rb
+
+        seen = []
+
+        def spy(real):
+            def find_sep(*args, **kwargs):
+                seen.append(kwargs.get("stability_tol"))
+                return real(*args, **kwargs)
+
+            return find_sep
+
+        monkeypatch.setattr(cli, "find_sep", spy(cli.find_sep))
+        monkeypatch.setattr(rb, "find_sep", spy(rb.find_sep))
+        tail = ["--model", "pendulum", "--h", "0.2", "--stability-tol", "1e-7"]
+        assert run_cli(["simulate", "--p", "1.5"] + tail) == 0
+        assert run_cli(["boundary", "--p0", "1.5", "--tol", "1e-2"] + tail) == 0
+        assert run_cli(["mode", "--p", "1.5", "--tol", "1e-2"] + tail) == 0
+        capsys.readouterr()
+        assert len(seen) > 3
+        assert set(seen) == {1e-7}
+
+
 class TestBoundaryCommand:
     def test_reports_bracket(self, capsys, tmp_path):
         out = tmp_path / "boundary.json"
@@ -249,12 +290,3 @@ class TestSweepCommand:
         assert lines[1].startswith("0.2,")
         assert lines[2].endswith(",ok")
         capsys.readouterr()
-
-    def test_bad_thread_env_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOI_THREADS", "many")
-        code = run_cli(
-            ["sweep", "--model", "pendulum", "--p0", "1.5", "--dir", "1",
-             "--h", "0.2", "--tol", "1e-2"]
-        )
-        assert code == 2
-        assert "config error" in capsys.readouterr().err

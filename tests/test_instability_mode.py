@@ -162,6 +162,20 @@ class TestModeAtBoundary:
         assert bm.mode.averaged.last_unstable_index == 2176
         assert np.nextafter(bm.search.p_star[0], np.inf) == bm.search.p_fail[0]
 
+    def test_mode_reuses_the_search_sep(self, pendulum):
+        """The mode is computed against the SEP the search solved at p_star;
+        it equals the mode against a cold solve from the default guess."""
+        cfg = IntegratorConfig(step=0.1, divergence_norm=50.0)
+        bm = mode_at_boundary(pendulum, [1.5], [1.0], cfg, param_tol=1e-6)
+        sep = bm.search.sep_star
+        assert np.array_equal(sep, find_sep(pendulum, bm.search.p_star, sep))
+        cold = mode_of_instability(
+            pendulum, bm.search.p_star, cfg, find_sep(pendulum, bm.search.p_star)
+        )
+        assert cold.eigenvalue == bm.mode.eigenvalue
+        assert np.array_equal(cold.eigenvector, bm.mode.eigenvector)
+        assert np.array_equal(cold.averaged.matrix, bm.mode.averaged.matrix)
+
     def test_search_and_mode_agree(self, tent_toy, toy_cfg):
         bm = mode_at_boundary(tent_toy, [0.5], [1.0], toy_cfg, param_tol=1e-4)
         sep = find_sep(tent_toy, bm.search.p_star)
@@ -198,27 +212,28 @@ class TestHSweep:
         assert [r.status for r in rows] == ["NoBracket", "NoBracket"]
         assert all(r.result is None for r in rows)
 
-    def test_thread_count_does_not_change_results(
-        self, tent_toy, toy_cfg, monkeypatch
-    ):
-        monkeypatch.setenv("MOI_THREADS", "1")
-        serial = h_sweep(tent_toy, [0.5], [1.0], [0.1, 0.05], toy_cfg, param_tol=1e-4)
-        monkeypatch.setenv("MOI_THREADS", "2")
-        threaded = h_sweep(tent_toy, [0.5], [1.0], [0.1, 0.05], toy_cfg, param_tol=1e-4)
-        for a, b in zip(serial, threaded):
-            assert a.h == b.h
-            assert np.array_equal(a.p_star, b.p_star)
-            assert a.frob_err == b.frob_err
-            assert a.eig_err == b.eig_err
-            assert a.vec_err == b.vec_err
 
-    def test_bad_thread_env_rejected(self, tent_toy, toy_cfg, monkeypatch):
-        monkeypatch.setenv("MOI_THREADS", "abc")
-        with pytest.raises(ValueError):
-            h_sweep(tent_toy, [0.5], [1.0], [0.1], toy_cfg, param_tol=1e-2)
-        monkeypatch.setenv("MOI_THREADS", "0")
-        with pytest.raises(ValueError):
-            h_sweep(tent_toy, [0.5], [1.0], [0.1], toy_cfg, param_tol=1e-2)
+    def test_singular_newton_row_fails_alone(self):
+        """A row whose Newton matrix turns singular reports the error, and
+        the other rows still run."""
+
+        # x' = x (x - 1), saddle at 1; past 1.5 the analytic Jacobian is
+        # replaced by 20, which Newton tolerates at h = 0.02 but which makes
+        # the Newton matrix 1 - (h/2) 20 exactly singular at h = 0.1
+        def jac(x, p):
+            return np.array([[2.0 * x[0] - 1.0 if x[0] <= 1.5 else 20.0]])
+
+        sys_ = ParameterizedSystem(
+            state_dim=1,
+            param_dim=1,
+            field=lambda x, p: x * (x - 1.0),
+            jacobian=jac,
+            initial_condition=lambda p: np.array([p[0]]),
+        )
+        cfg = IntegratorConfig(step=0.1, max_time=60.0, divergence_norm=10.0)
+        rows = h_sweep(sys_, [0.4321], [1.0], [0.1, 0.02], cfg, param_tol=1e-3)
+        assert [r.status for r in rows] == ["UndeterminedAtBisection", "ok"]
+        assert rows[1].vec_err == 0.0
 
 
 def test_mode_error_decays_with_step(pendulum_sweep, pendulum, pendulum_params):

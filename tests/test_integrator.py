@@ -128,6 +128,19 @@ def test_newton_divergence_when_no_real_solution():
         step_trapezoidal(sys_, np.array([3.0]), P0, IntegratorConfig(step=1.0))
 
 
+def test_singular_newton_matrix_is_newton_divergence():
+    # x' = 100 x at h = 0.02: the Newton matrix 1 - (h/2) 100 is exactly 0
+    sys_ = scalar_system(
+        lambda x, p: 100.0 * x, jac=lambda x, p: np.array([[100.0]]), x0=[1.0]
+    )
+    cfg = IntegratorConfig(step=0.02, max_time=1.0)
+    with pytest.raises(NewtonDivergence, match="singular"):
+        step_trapezoidal(sys_, np.array([1.0]), P0, cfg)
+    traj = simulate(sys_, P0, cfg, np.array([0.0]))
+    assert traj.termination is Termination.SOLVER_FAILURE
+    assert np.array_equal(traj.states, [[1.0]])
+
+
 def test_sep_distance_wraps_angles():
     wrapped = ParameterizedSystem(
         state_dim=2,
