@@ -263,13 +263,27 @@ def _step_budget(cfg: IntegratorConfig) -> int:
     return int(np.floor(cfg.max_time / cfg.step + 1e-9))
 
 
+@dataclass(frozen=True)
+class RunEnd:
+    """How one simulation ended, without its states.
+
+    ``final_state`` and ``elapsed`` are those of the last stored state, i.e.
+    ``traj.states[-1]`` and ``traj.elapsed`` of the matching
+    :func:`simulate` trajectory.
+    """
+
+    termination: Termination
+    final_state: np.ndarray
+    elapsed: float
+
+
 def simulate_batch(
     sys: ParameterizedSystem,
     p: np.ndarray,
     cfg: IntegratorConfig,
     sep: np.ndarray,
-) -> list[Termination]:
-    """Terminations of one simulation per row of ``p`` (K, m), in lockstep.
+) -> list[RunEnd]:
+    """Ends of one simulation per row of ``p`` (K, m), in lockstep.
 
     ``sys`` must be batched, with an analytic Jacobian, and ``sep`` holds
     each member's stable equilibrium (K, n).  Every member ends exactly as
@@ -280,10 +294,12 @@ def simulate_batch(
     p = np.asarray(p, dtype=float)
     sep = np.asarray(sep, dtype=float)
     x = initial_state(sys, p)
-    ends = [Termination.MAX_TIME_REACHED] * len(x)
+    ends: dict[int, RunEnd] = {}
     live = np.arange(len(x))
     consec = np.zeros(len(x), dtype=int)
-    for _ in range(_step_budget(cfg)):
+    n = 0
+    for n in range(1, _step_budget(cfg) + 1):
+        x_prev = x
         x, failed = step_trapezoidal_batch(sys, x, p, cfg)
         beyond = _norm(x) > cfg.divergence_norm
         consec = np.where(_norm(_offset(sys, x, sep)) <= cfg.sep_tol, consec + 1, 0)
@@ -297,10 +313,14 @@ def simulate_batch(
             (diverged, Termination.DIVERGED),
             (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP),
         ):
-            for k in live[mask]:
-                ends[k] = end
+            # a failed step stores nothing: the member ends on its last state
+            states, steps = (x_prev, n - 1) if end is Termination.SOLVER_FAILURE else (x, n)
+            for k, state in zip(live[mask], states[mask]):
+                ends[k] = RunEnd(end, state, steps * cfg.step)
         keep = ~done
-        if not keep.any():
-            break
         live, x, p, sep, consec = live[keep], x[keep], p[keep], sep[keep], consec[keep]
-    return ends
+        if not len(live):
+            break
+    for k, state in zip(live, x):
+        ends[k] = RunEnd(Termination.MAX_TIME_REACHED, state, n * cfg.step)
+    return [ends[k] for k in range(len(ends))]

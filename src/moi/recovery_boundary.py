@@ -30,7 +30,13 @@ from .errors import (
     NotStable,
     UndeterminedAtBisection,
 )
-from .integrator import IntegratorConfig, sep_distance, simulate, simulate_batch
+from .integrator import (
+    IntegratorConfig,
+    RunEnd,
+    sep_distance,
+    simulate,
+    simulate_batch,
+)
 from .spectral import DEFAULT_STABILITY_TOL, spectral_abscissa
 from .system_core import (
     ParameterizedSystem,
@@ -170,18 +176,24 @@ def classify_recovery(
     p,
     cfg: IntegratorConfig,
     sep: np.ndarray,
+    run: RunEnd | None = None,
 ) -> RecoveryVerdict:
     """Simulate from x0(p) and report whether the state returns to ``sep``.
 
     ``sep`` must be the stable equilibrium for this same ``p`` (it moves
-    with the parameter, so re-solve per parameter value).
+    with the parameter, so re-solve per parameter value).  ``run`` is the
+    end of a simulation of ``p`` already made, e.g. by
+    :func:`~moi.integrator.simulate_batch`; without it ``p`` is simulated
+    here.  Either way the verdict is the same.
     """
-    traj = simulate(sys, p, cfg, sep)
+    if run is None:
+        traj = simulate(sys, p, cfg, sep)
+        run = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
     return RecoveryVerdict(
-        verdict=_verdict(traj.termination),
-        termination=traj.termination,
-        final_distance=sep_distance(sys, traj.states[-1], sep),
-        elapsed_time=traj.elapsed,
+        verdict=_verdict(run.termination),
+        termination=run.termination,
+        final_distance=sep_distance(sys, run.final_state, sep),
+        elapsed_time=run.elapsed,
     )
 
 
@@ -287,10 +299,13 @@ def ray_boundary_search(
             sep = find_sep(sys, p_i, sep, stability_tol=stability_tol)
             seps.append(sep)
         if batched:
-            ends = simulate_batch(sys, np.array(points), cfg, np.array(seps))
-            verdicts = [_verdict(end) for end in ends]
+            runs = simulate_batch(sys, np.array(points), cfg, np.array(seps))
         else:
-            verdicts = [classify_recovery(sys, points[0], cfg, seps[0]).verdict]
+            runs = [None]
+        verdicts = [
+            classify_recovery(sys, p_i, cfg, sep_i, run).verdict
+            for p_i, sep_i, run in zip(points, seps, runs)
+        ]
         history.extend(zip(points, verdicts))
         iterations += len(points)
         for p_i, sep_i, v in zip(points, seps, verdicts):

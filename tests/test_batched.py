@@ -21,6 +21,7 @@ from moi import (
     find_sep,
     multimachine_system,
     ray_boundary_search,
+    simulate,
     step_trapezoidal,
 )
 from moi.integrator import simulate_batch, step_trapezoidal_batch
@@ -94,20 +95,26 @@ def test_batched_step_matches_single_step_on_nine_bus(nine_bus, scale, spread, m
     assert_batch_steps_match(grid, x, p, IntegratorConfig(step=1.0 / 60.0), 20)
 
 
-def test_singular_member_fails_alone():
-    """x' = r x with r = 100 makes I - (h/2) r singular at h = 0.02; that
-    member fails, the others step on as the single step would."""
+def linear_system():
+    """x' = r x from x0 = 1, with the rate r as the parameter."""
 
     def rates(p):
         return p[..., :1]
 
-    sys_ = ParameterizedSystem(
+    return ParameterizedSystem(
         state_dim=1,
         param_dim=1,
         field=lambda x, p: rates(p) * x,
         jacobian=lambda x, p: rates(p)[..., None] * np.ones(x.shape + (1,)),
+        initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
         batched=True,
     )
+
+
+def test_singular_member_fails_alone():
+    """x' = r x with r = 100 makes I - (h/2) r singular at h = 0.02; that
+    member fails, the others step on as the single step would."""
+    sys_ = linear_system()
     cfg = IntegratorConfig(step=0.02)
     x = np.array([[1.0], [1.0], [2.0]])
     p = np.array([[-1.0], [100.0], [3.0]])
@@ -121,19 +128,16 @@ def test_singular_member_fails_alone():
 
 def scalar_verdicts(sys_, points, cfg):
     return [
-        classify_recovery(sys_, p, cfg, find_sep(sys_, p)).verdict for p in points
+        classify_recovery(sys_, p, cfg, find_sep(sys_, p)) for p in points
     ]
 
 
 def batch_verdicts(sys_, points, cfg):
     seps = np.array([find_sep(sys_, p) for p in points])
-    ends = simulate_batch(sys_, points, cfg, seps)
+    runs = simulate_batch(sys_, points, cfg, seps)
     return [
-        {
-            Termination.CONVERGED_TO_SEP: Verdict.RECOVERS,
-            Termination.DIVERGED: Verdict.FAILS_TO_RECOVER,
-        }.get(end, Verdict.UNDETERMINED)
-        for end in ends
+        classify_recovery(sys_, p, cfg, sep, run)
+        for p, sep, run in zip(points, seps, runs)
     ]
 
 
@@ -148,10 +152,33 @@ def test_batched_verdicts_match_classify_recovery(pendulum, pend_cfg, torques):
 
 def test_straddling_set_splits_at_the_boundary(pendulum, pend_cfg):
     points = np.array([[PEND_P_STAR], [np.nextafter(PEND_P_STAR, np.inf)]])
-    assert batch_verdicts(pendulum, points, pend_cfg) == [
+    assert [v.verdict for v in batch_verdicts(pendulum, points, pend_cfg)] == [
         Verdict.RECOVERS,
         Verdict.FAILS_TO_RECOVER,
     ]
+
+
+def test_batched_runs_end_as_simulate_ends_them():
+    """One member per termination: decay converges, r = 100 is singular at
+    h = 0.02, r = 3 diverges and slow decay runs out of time."""
+    sys_ = linear_system()
+    cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
+    points = np.array([[-1.0], [100.0], [3.0], [-1e-3]])
+    sep = np.zeros(1)
+    runs = simulate_batch(sys_, points, cfg, np.zeros((len(points), 1)))
+    assert [run.termination for run in runs] == [
+        Termination.CONVERGED_TO_SEP,
+        Termination.SOLVER_FAILURE,
+        Termination.DIVERGED,
+        Termination.MAX_TIME_REACHED,
+    ]
+    for p, run in zip(points, runs):
+        traj = simulate(sys_, p, cfg, sep)
+        assert np.array_equal(run.final_state, traj.states[-1])
+        assert run.elapsed == traj.elapsed
+        assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
+            sys_, p, cfg, sep
+        )
 
 
 def test_batched_verdicts_match_on_nine_bus(nine_bus):
@@ -162,7 +189,7 @@ def test_batched_verdicts_match_on_nine_bus(nine_bus):
     # recovers, fails (0.2-0.4 band), straddles the crossing near 0.4797
     points = np.array([[1.0], [0.3], [0.4797], [0.4798]])
     expected = scalar_verdicts(grid, points, cfg)
-    assert set(expected) == {Verdict.RECOVERS, Verdict.FAILS_TO_RECOVER}
+    assert {v.verdict for v in expected} == {Verdict.RECOVERS, Verdict.FAILS_TO_RECOVER}
     assert batch_verdicts(grid, points, cfg) == expected
 
 
