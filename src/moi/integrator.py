@@ -5,6 +5,13 @@ near saddle points and through strongly contracting regions where explicit
 schemes at practical step sizes either blow up or demand tiny steps. Each
 step solves the trapezoidal fixed-point equation with a Newton iteration
 seeded at the forward-Euler predictor.
+
+:func:`simulate` integrates one trajectory and keeps its states.
+:class:`Lockstep` advances many trajectories of a batched system together,
+one batched step for all live members, and keeps only how each one ended.
+Members join and leave between steps, so a caller can start new probes
+while older ones are still running, and each member still ends exactly as
+:func:`simulate` would end it.
 """
 
 from __future__ import annotations
@@ -277,35 +284,88 @@ class RunEnd:
     elapsed: float
 
 
-def simulate_batch(
-    sys: ParameterizedSystem,
-    p: np.ndarray,
-    cfg: IntegratorConfig,
-    sep: np.ndarray,
-) -> list[RunEnd]:
-    """Ends of one simulation per row of ``p`` (K, m), in lockstep.
+class Lockstep:
+    """Simulations of one batched system that advance together.
 
-    ``sys`` must be batched, with an analytic Jacobian, and ``sep`` holds
-    each member's stable equilibrium (K, n).  Every member ends exactly as
-    :func:`simulate` would end it, under the same rules in the same order,
-    but no states are kept: memory is O(K n), and members that terminate
-    leave the batch.
+    ``sys`` must be batched, with an analytic Jacobian.  :meth:`add` starts
+    members between steps, :meth:`step` advances every live member by one
+    trapezoidal step and :meth:`drop` removes members.  Each member counts
+    its own steps against the budget ``floor(max_time / step)`` and ends
+    exactly as :func:`simulate` would end it, under the same rules in the
+    same order; no states are kept, so memory is O(K n) for K live members.
     """
-    p = np.asarray(p, dtype=float)
-    sep = np.asarray(sep, dtype=float)
-    x = initial_state(sys, p)
-    ends: dict[int, RunEnd] = {}
-    live = np.arange(len(x))
-    consec = np.zeros(len(x), dtype=int)
-    n = 0
-    for n in range(1, _step_budget(cfg) + 1):
-        x_prev = x
-        x, failed = step_trapezoidal_batch(sys, x, p, cfg)
+
+    def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
+        self.sys, self.cfg = sys, cfg
+        self.budget = _step_budget(cfg)
+        #: steps the batch has taken since it was made
+        self.steps = 0
+        self._next_id = 0
+        self._ids = np.zeros(0, dtype=int)
+        self._x = np.zeros((0, sys.state_dim))
+        self._p = np.zeros((0, sys.param_dim))
+        self._sep = np.zeros((0, sys.state_dim))
+        self._consec = np.zeros(0, dtype=int)
+        self._start = np.zeros(0, dtype=int)
+        self._deadline = np.inf
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def add(self, p, sep) -> np.ndarray:
+        """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
+        each member's stable equilibrium.  The initial conditions are
+        computed as one batch.  Returns the members' ids."""
+        p = np.asarray(p, dtype=float)
+        x = initial_state(self.sys, p)
+        ids = np.arange(self._next_id, self._next_id + len(p))
+        self._next_id += len(p)
+        self._ids = np.concatenate([self._ids, ids])
+        self._x = np.concatenate([self._x, x])
+        self._p = np.concatenate([self._p, p])
+        self._sep = np.concatenate([self._sep, np.asarray(sep, dtype=float)])
+        self._consec = np.concatenate([self._consec, np.zeros(len(p), dtype=int)])
+        self._start = np.concatenate([self._start, np.full(len(p), self.steps)])
+        self._deadline = min(self._deadline, self.steps + self.budget)
+        return ids
+
+    def drop(self, ids) -> None:
+        """Remove the given members; they are never reported."""
+        self._keep(~np.isin(self._ids, ids))
+
+    def _keep(self, keep: np.ndarray) -> None:
+        self._ids, self._x, self._p = self._ids[keep], self._x[keep], self._p[keep]
+        self._sep, self._consec = self._sep[keep], self._consec[keep]
+        self._start = self._start[keep]
+        self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
+
+    def step(self) -> dict[int, RunEnd]:
+        """Advance the live members one step; return the ends of those that
+        ended, by id.  Members whose step budget is spent end first, with
+        ``MAX_TIME_REACHED`` and without a step."""
+        cfg = self.cfg
+        ends: dict[int, RunEnd] = {}
+        if self.steps >= self._deadline:
+            spent = self.steps - self._start >= self.budget
+            for k, state in zip(self._ids[spent].tolist(), self._x[spent]):
+                ends[k] = RunEnd(
+                    Termination.MAX_TIME_REACHED, state, self.budget * cfg.step
+                )
+            self._keep(~spent)
+        if not len(self._ids):
+            return ends
+        x_prev = self._x
+        x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
+        self.steps += 1
+        self._x = x
         beyond = _norm(x) > cfg.divergence_norm
-        consec = np.where(_norm(_offset(sys, x, sep)) <= cfg.sep_tol, consec + 1, 0)
-        done = failed | beyond | (consec >= cfg.sep_dwell)
+        self._consec = np.where(
+            _norm(_offset(self.sys, x, self._sep)) <= cfg.sep_tol, self._consec + 1, 0
+        )
+        done = failed | beyond | (self._consec >= cfg.sep_dwell)
         if not done.any():
-            continue
+            return ends
+        steps = self.steps - self._start
         # a failed step first, then divergence, then the dwell: simulate's order
         diverged = beyond & ~failed
         for mask, end in (
@@ -314,13 +374,8 @@ def simulate_batch(
             (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP),
         ):
             # a failed step stores nothing: the member ends on its last state
-            states, steps = (x_prev, n - 1) if end is Termination.SOLVER_FAILURE else (x, n)
-            for k, state in zip(live[mask], states[mask]):
-                ends[k] = RunEnd(end, state, steps * cfg.step)
-        keep = ~done
-        live, x, p, sep, consec = live[keep], x[keep], p[keep], sep[keep], consec[keep]
-        if not len(live):
-            break
-    for k, state in zip(live, x):
-        ends[k] = RunEnd(Termination.MAX_TIME_REACHED, state, n * cfg.step)
-    return [ends[k] for k in range(len(ends))]
+            states, n = (x_prev, steps - 1) if end is Termination.SOLVER_FAILURE else (x, steps)
+            for k, state, n_k in zip(self._ids[mask].tolist(), states[mask], n[mask]):
+                ends[k] = RunEnd(end, state, float(n_k * cfg.step))
+        self._keep(~done)
+        return ends

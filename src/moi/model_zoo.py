@@ -493,6 +493,41 @@ def _swing_system(
     )
 
 
+def _fault_replay(params: MultiMachineParams):
+    """x0(p, cfg) of the terminal-fault scenario, with the pre-fault and
+    fault-on networks built once (see :func:`fault_scenario_ic`)."""
+    if params.fault_conductance is None:
+        def missing(p, cfg):
+            raise DataFormatError(
+                "network data has no fault-on admittance block (YFAULT)"
+            )
+
+        return missing
+    pre = _swing_system(
+        params, params.conductance, params.susceptance, "multimachine-prefault"
+    )
+    fault = _swing_system(
+        params,
+        params.fault_conductance,
+        params.fault_susceptance,
+        "multimachine-fault",
+    )
+
+    def replay(p, cfg: IntegratorConfig) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        q = np.atleast_2d(p)
+        # One solve per member: the field divides by the inertia, so the
+        # pre-fault equilibria of different members differ in the last bits.
+        x = np.array([find_equilibrium(pre, member) for member in q])
+        for _ in range(int(round(params.fault_duration / cfg.step))):
+            x, failed = step_trapezoidal_batch(fault, x, q, cfg)
+            if failed.any():
+                raise NewtonDivergence(f"fault-on replay failed for p = {q[failed]}")
+        return x.reshape(p.shape[:-1] + (fault.state_dim,))
+
+    return replay
+
+
 def fault_scenario_ic(
     params: MultiMachineParams, p, cfg: IntegratorConfig
 ) -> np.ndarray:
@@ -505,27 +540,7 @@ def fault_scenario_ic(
     a machine property, not a network one.  ``p`` may be one parameter
     vector or a (K, m) stack; the K fault replays then run as one batch.
     """
-    if params.fault_conductance is None:
-        raise DataFormatError(
-            "network data has no fault-on admittance block (YFAULT)"
-        )
-    p = np.asarray(p, dtype=float)
-    pre = _swing_system(
-        params, params.conductance, params.susceptance, "multimachine-prefault"
-    )
-    fault = _swing_system(
-        params,
-        params.fault_conductance,
-        params.fault_susceptance,
-        "multimachine-fault",
-    )
-    q = np.atleast_2d(p)
-    x = np.array([find_equilibrium(pre, member) for member in q])
-    for _ in range(int(round(params.fault_duration / cfg.step))):
-        x, failed = step_trapezoidal_batch(fault, x, q, cfg)
-        if failed.any():
-            raise NewtonDivergence(f"fault-on replay failed for p = {q[failed]}")
-    return x.reshape(p.shape[:-1] + (fault.state_dim,))
+    return _fault_replay(params)(p, cfg)
 
 
 def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
@@ -547,7 +562,5 @@ def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
         params, params.conductance, params.susceptance, "multimachine"
     )
     ic_cfg = IntegratorConfig(step=params.fault_step)
-    return replace(
-        base,
-        initial_condition=lambda p: fault_scenario_ic(params, p, ic_cfg),
-    )
+    replay = _fault_replay(params)
+    return replace(base, initial_condition=lambda p: replay(p, ic_cfg))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MoiError,
     NewtonDivergence,
     NoBracket,
     NonFiniteOutput,
@@ -32,10 +33,10 @@ from .errors import (
 )
 from .integrator import (
     IntegratorConfig,
+    Lockstep,
     RunEnd,
     sep_distance,
     simulate,
-    simulate_batch,
 )
 from .spectral import DEFAULT_STABILITY_TOL, spectral_abscissa
 from .system_core import (
@@ -183,7 +184,7 @@ def classify_recovery(
     ``sep`` must be the stable equilibrium for this same ``p`` (it moves
     with the parameter, so re-solve per parameter value).  ``run`` is the
     end of a simulation of ``p`` already made, e.g. by
-    :func:`~moi.integrator.simulate_batch`; without it ``p`` is simulated
+    a :class:`~moi.integrator.Lockstep`; without it ``p`` is simulated
     here.  Either way the verdict is the same.
     """
     if run is None:
@@ -194,6 +195,38 @@ def classify_recovery(
         termination=run.termination,
         final_distance=sep_distance(sys, run.final_state, sep),
         elapsed_time=run.elapsed,
+    )
+
+
+def _round_points(p_lo: np.ndarray, p_hi: np.ndarray, sections: int) -> list:
+    """The points p_lo + (p_hi - p_lo) * (i / sections), i = 1..sections-1,
+    each once, leaving out points equal to an endpoint."""
+    points: list = []
+    for i in range(1, sections):
+        p_i = p_lo + (p_hi - p_lo) * (i / sections)
+        previous = points[-1] if points else p_lo
+        if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
+            points.append(p_i)
+    return points
+
+
+def _undetermined(phase: str, p) -> UndeterminedAtBisection:
+    return UndeterminedAtBisection(
+        f"{phase} probe at p={p} was undetermined (raise max_time to resolve)"
+    )
+
+
+def _not_recovered(p0) -> NotRecovered:
+    return NotRecovered(
+        f"search origin p0={p0} does not recover; boundary search "
+        "requires a recovering starting point"
+    )
+
+
+def _no_bracket(p0, direction, initial_step, max_doublings) -> NoBracket:
+    return NoBracket(
+        f"no failing parameter within {max_doublings} doublings of "
+        f"step {initial_step} along {direction} from {p0}"
     )
 
 
@@ -216,15 +249,15 @@ def ray_boundary_search(
     Refinement phase (multisection): each round probes the interior points
     ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1, computed directly in
     parameter space, with k = ``SECTIONS`` for a batched system with an
-    analytic Jacobian (one lockstep batch per round) and k = 2 otherwise
-    (bisection, one probe per round).  Walking the round's verdicts in ray
-    order, the last recovering point before the first failing one becomes
-    ``p_lo`` and that failing point ``p_hi``; points past it are kept in
-    ``history`` but do not move the bracket.  Rounds repeat until the bracket's width in parameter norm
-    is at most ``param_tol``.  Coinciding points are probed once, and
-    points equal to an endpoint not at all, so with ``param_tol = 0.0`` the
-    search ends when no representable parameter is left strictly between
-    the endpoints, i.e. the returned endpoints are adjacent floating-point
+    analytic Jacobian and k = 2 otherwise (bisection, one probe per round).
+    Walking the round's verdicts in ray order, the last recovering point
+    before the first failing one becomes ``p_lo`` and that failing point
+    ``p_hi``; points past it are kept in ``history`` but do not move the
+    bracket.  Rounds repeat until the bracket's width in parameter norm is
+    at most ``param_tol``.  Coinciding points are probed once, and points
+    equal to an endpoint not at all, so with ``param_tol = 0.0`` the search
+    ends when no representable parameter is left strictly between the
+    endpoints, i.e. the returned endpoints are adjacent floating-point
     parameter values.
 
     The stable equilibrium is re-solved at every probed parameter value
@@ -234,6 +267,20 @@ def ray_boundary_search(
     (``UndeterminedAtBisection``) rather than being coerced to either side;
     raising ``cfg.max_time`` is the honest remedy, since dwell times
     diverge near the boundary.
+
+    A batched system runs the whole search on one
+    :class:`~moi.integrator.Lockstep` batch.  The origin and up to
+    ``SECTIONS - 1`` doublings start together as one expansion group, and
+    a round's successor starts as soon as the round's bracket is final, or
+    earlier on a provisional bracket: its first failing member in ray order
+    has ended, so have all members after it, and that has held for
+    ``elapsed // SECTIONS`` of the round's steps (members still running
+    before it are assumed to recover).  Verdicts are still committed in
+    the order above, so the result, ``history`` included, is the serial
+    search's: work started on a bracket that turns out wrong is dropped
+    unclassified and restarted, expansion members past the first failing
+    one are dropped unclassified, and an error of ``find_sep`` (or of the
+    initial conditions) in a group is raised only if the commit reaches it.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")
@@ -241,6 +288,13 @@ def ray_boundary_search(
         raise ValueError("direction must be nonzero")
     if param_tol < 0.0:
         raise ValueError(f"param_tol must be >= 0, got {param_tol}")
+    # the lockstep Newton needs the batched analytic Jacobian
+    if sys.batched and sys.jacobian is not None:
+        search = _PipelinedSearch(
+            sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
+            stability_tol,
+        )
+        return search.run(sep_guess)
 
     history: list[tuple[np.ndarray, Verdict]] = []
 
@@ -251,10 +305,7 @@ def ray_boundary_search(
 
     sep = find_sep(sys, p0, sep_guess, stability_tol=stability_tol)
     if probe(p0, sep) is not Verdict.RECOVERS:
-        raise NotRecovered(
-            f"search origin p0={p0} does not recover; boundary search "
-            "requires a recovering starting point"
-        )
+        raise _not_recovered(p0)
 
     p_lo, p_hi, sep_lo = p0, None, sep
     s = initial_step
@@ -268,57 +319,28 @@ def ray_boundary_search(
             p_hi = p_probe
             break
         else:
-            raise UndeterminedAtBisection(
-                f"expansion probe at p={p_probe} was undetermined "
-                "(raise max_time to resolve)"
-            )
+            raise _undetermined("expansion", p_probe)
         s *= 2.0
     if p_hi is None:
-        raise NoBracket(
-            f"no failing parameter within {max_doublings} doublings of "
-            f"step {initial_step} along {direction} from {p0}"
-        )
+        raise _no_bracket(p0, direction, initial_step, max_doublings)
 
-    # the lockstep Newton needs the batched analytic Jacobian
-    batched = sys.batched and sys.jacobian is not None
-    sections = SECTIONS if batched else 2
     iterations = 0
     while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        points = []
-        for i in range(1, sections):
-            p_i = p_lo + (p_hi - p_lo) * (i / sections)
-            previous = points[-1] if points else p_lo
-            if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
-                points.append(p_i)
+        points = _round_points(p_lo, p_hi, 2)
         if not points:
             # No representable parameter strictly between the endpoints:
             # the bracket is down to adjacent doubles.
             break
-        seps = []
-        for p_i in points:
-            sep = find_sep(sys, p_i, sep, stability_tol=stability_tol)
-            seps.append(sep)
-        if batched:
-            runs = simulate_batch(sys, np.array(points), cfg, np.array(seps))
+        (p_mid,) = points
+        sep = find_sep(sys, p_mid, sep, stability_tol=stability_tol)
+        v = probe(p_mid, sep)
+        iterations += 1
+        if v is Verdict.RECOVERS:
+            p_lo, sep_lo = p_mid, sep
+        elif v is Verdict.FAILS_TO_RECOVER:
+            p_hi = p_mid
         else:
-            runs = [None]
-        verdicts = [
-            classify_recovery(sys, p_i, cfg, sep_i, run).verdict
-            for p_i, sep_i, run in zip(points, seps, runs)
-        ]
-        history.extend(zip(points, verdicts))
-        iterations += len(points)
-        for p_i, sep_i, v in zip(points, seps, verdicts):
-            if v is Verdict.RECOVERS:
-                p_lo, sep_lo = p_i, sep_i
-            elif v is Verdict.FAILS_TO_RECOVER:
-                p_hi = p_i
-                break
-            else:
-                raise UndeterminedAtBisection(
-                    f"refinement probe at p={p_i} was undetermined "
-                    "(raise max_time to resolve)"
-                )
+            raise _undetermined("refinement", p_mid)
 
     return BoundarySearchResult(
         p_star=p_lo,
@@ -328,3 +350,243 @@ def ray_boundary_search(
         history=tuple(history),
         sep_star=sep_lo,
     )
+
+
+def _hold_end(since: int) -> int:
+    """The smallest round step e with e - since >= e // SECTIONS."""
+    return since + max(since - 1, 0) // (SECTIONS - 1)
+
+
+class _Round:
+    """One group of probes of the pipelined search, started together.
+
+    An expansion group (``hi`` None) probes doublings along the ray, the
+    first group the origin too (``lo`` None); a refinement round probes the
+    interior points of the bracket (``lo``, ``hi``), ``lo`` being a
+    (parameter, SEP) pair.  Its members have the Lockstep ids ``first``,
+    ``first + 1``, ...  A round's walk in ray order stops at ``key``: its
+    first non-recovering member, or ``len(points)`` if all recover.
+    ``held`` is an error of find_sep or of the initial conditions met
+    past ``points``; ``from_key`` is the predecessor's key this round was
+    started for, at batch step ``start``.
+    """
+
+    def __init__(self, lo, hi, points, seps, held, first, start, from_key):
+        self.lo, self.hi, self.points, self.seps = lo, hi, points, seps
+        self.held, self.first, self.start, self.from_key = held, first, start, from_key
+        self.ends: list = [None] * len(points)
+        self.key = None
+        #: provisional key, and the round step since which it has held
+        self.guess, self.since = None, 0
+
+    def drop(self, lock: Lockstep, after: int = -1) -> None:
+        """Remove the members past index ``after`` from ``lock``."""
+        lock.drop(range(self.first + after + 1, self.first + len(self.ends)))
+
+
+def _walk(ends: list) -> tuple:
+    """(final key, provisional key) of a round from its members' ends.
+
+    The key is final once every member up to its first non-recovering one
+    has ended (or all have ended, recovering).  Until then the provisional
+    key is the first ended non-recovering member, if it diverged and every
+    member after it has ended; else None.
+    """
+    for i, end in enumerate(ends):
+        if end is None:
+            break
+        if end.termination is not Termination.CONVERGED_TO_SEP:
+            return i, None
+    else:
+        return len(ends), None
+    for j in range(i + 1, len(ends)):
+        end = ends[j]
+        if end is not None and end.termination is not Termination.CONVERGED_TO_SEP:
+            diverged = end.termination is Termination.DIVERGED
+            return None, j if diverged and None not in ends[j + 1 :] else None
+    return None, None
+
+
+def _raise_held(r: _Round):
+    """Raise the round's held error and keep no reference to it, which
+    its traceback would tie into a cycle with the frames it passes."""
+    held, r.held = r.held, None
+    try:
+        raise held
+    finally:
+        del held
+
+
+class _PipelinedSearch:
+    """:func:`ray_boundary_search` of a batched system on one Lockstep.
+
+    ``chain`` holds the started rounds whose verdicts are not committed
+    yet, each the successor of the one before it.
+    """
+
+    def __init__(
+        self, sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
+        stability_tol,
+    ):
+        self.sys, self.cfg, self.p0, self.direction = sys, cfg, p0, direction
+        self.param_tol, self.stability_tol = param_tol, stability_tol
+        self.initial_step, self.max_doublings = initial_step, max_doublings
+        self.s, self.doublings_left = initial_step, max_doublings
+        self.lock = Lockstep(sys, cfg)
+        self.chain: list[_Round] = []
+        self.history: list[tuple[np.ndarray, Verdict]] = []
+        self.iterations = 0
+
+    def run(self, sep_guess) -> BoundarySearchResult:
+        self._expand(None, sep_guess, None)
+        due = np.inf
+        while True:
+            r = self.chain[0]
+            # a round commits once its walk is final and, for a refinement
+            # round, every member has ended; a round left without members
+            # by a held error commits at once
+            if not r.ends or r.key is not None and (r.hi is None or None not in r.ends):
+                result = self._commit(self.chain.pop(0))
+                if result is not None:
+                    return result
+                continue
+            ends = self.lock.step()
+            for k, end in ends.items():
+                for r in self.chain:
+                    if 0 <= k - r.first < len(r.ends):
+                        r.ends[k - r.first] = end
+            if ends or self.lock.steps >= due:
+                due = self._review()
+
+    def _expand(self, lo, warm, from_key) -> None:
+        """Start the next expansion group: up to SECTIONS - 1 doublings,
+        after the origin if ``lo`` is None."""
+        points = [] if lo is not None else [self.p0]
+        for _ in range(min(SECTIONS - 1, self.doublings_left)):
+            points.append(self.p0 + self.s * self.direction)
+            self.s *= 2.0
+            self.doublings_left -= 1
+        self._start(lo, None, points, warm, from_key)
+
+    def _start(self, lo, hi, points, warm, from_key) -> None:
+        """Solve the members' SEPs in order, warm-started from ``warm``, and
+        start the round.  A refinement round whose solve or initial
+        conditions fail probes nothing; an expansion group stops before
+        the failing solve."""
+        # A held error is raised only if the commit gets to it.  Its
+        # traceback would tie this frame, and the search, into a cycle.
+        seps, held, first = [], None, 0
+        for p in points:
+            try:
+                warm = find_sep(self.sys, p, warm, stability_tol=self.stability_tol)
+            except MoiError as exc:
+                held = exc.with_traceback(None)
+                break
+            seps.append(warm)
+        if held is not None and hi is not None:
+            seps = []  # a refinement round solves every SEP before it probes
+        points = points[: len(seps)]
+        if points:
+            try:
+                first = int(self.lock.add(np.array(points), np.array(seps))[0])
+            except MoiError as exc:
+                held, points, seps = exc.with_traceback(None), [], []
+        r = _Round(lo, hi, points, seps, held, first, self.lock.steps, from_key)
+        self.chain.append(r)
+
+    def _launch(self, r: _Round, key: int) -> None:
+        """Start the successor of ``r`` for a walk that stops at ``key``,
+        if there is anything left to probe."""
+        if r.hi is None and key == len(r.points):
+            if r.held is None and self.doublings_left:
+                self._expand((r.points[-1], r.seps[-1]), r.seps[-1], key)
+            return
+        lo, hi, warm = self._bracket(r, key)
+        if float(np.linalg.norm(hi - lo[0])) > self.param_tol:
+            points = _round_points(lo[0], hi, SECTIONS)
+            if points:
+                self._start(lo, hi, points, warm, key)
+
+    def _bracket(self, r: _Round, key: int) -> tuple:
+        """(p_lo, sep_lo), p_hi and the next warm start after ``r``'s walk."""
+        lo = (r.points[key - 1], r.seps[key - 1]) if key else r.lo
+        hi = r.points[key] if key < len(r.points) else r.hi
+        warm = r.seps[-1] if r.hi is not None else r.seps[key]
+        return lo, hi, warm
+
+    def _review(self) -> float:
+        """Walk the rounds whose key is not final, discard successors started
+        for another key and start due ones.  Returns the batch step at which
+        the next provisional key has held long enough."""
+        due = np.inf
+        lock, chain = self.lock, self.chain
+        for i, r in enumerate(chain):
+            if r.key is not None or not r.ends:
+                continue
+            final, guess = _walk(r.ends)
+            key = guess if final is None else final
+            if i + 1 < len(chain) and chain[i + 1].from_key != key:
+                for dropped in chain[i + 1 :]:
+                    dropped.drop(lock)
+                del chain[i + 1 :]
+            started = i + 1 < len(chain)
+            if final is not None:
+                r.key = final
+                if r.hi is None:
+                    # expansion members past the first failure go unclassified
+                    r.drop(lock, final)
+                # an undetermined member or a failing origin ends the search
+                goes_on = final == len(r.ends) or (
+                    r.ends[final].termination is Termination.DIVERGED
+                    and (final > 0 or r.lo is not None)
+                )
+                if goes_on and not started:
+                    self._launch(r, final)
+                continue
+            if guess != r.guess:
+                r.guess, r.since = guess, lock.steps - r.start
+            if guess is not None and not started:
+                ready = r.start + _hold_end(r.since)
+                if lock.steps >= ready:
+                    self._launch(r, guess)
+                else:
+                    due = min(due, ready)
+        return due
+
+    def _commit(self, r: _Round):
+        """Classify ``r``'s members in ray order (an expansion group's up to
+        its key) and settle its walk.  Returns the result once the search
+        is done."""
+        if r.key is None:
+            _raise_held(r)
+        n = len(r.points)
+        count = n if r.hi is not None else min(r.key + 1, n)
+        verdicts = [
+            classify_recovery(self.sys, p, self.cfg, sep, run).verdict
+            for p, sep, run in zip(r.points[:count], r.seps, r.ends)
+        ]
+        self.history.extend(zip(r.points, verdicts))
+        if r.hi is not None:
+            self.iterations += count
+        if r.lo is None and r.key == 0:
+            raise _not_recovered(self.p0)
+        if r.key < n and verdicts[r.key] is not Verdict.FAILS_TO_RECOVER:
+            phase = "expansion" if r.hi is None else "refinement"
+            raise _undetermined(phase, r.points[r.key])
+        if self.chain:
+            return None
+        if r.hi is None and r.key == n:
+            if r.held is not None:
+                _raise_held(r)
+            raise _no_bracket(
+                self.p0, self.direction, self.initial_step, self.max_doublings
+            )
+        (p_lo, sep_lo), p_hi, _ = self._bracket(r, r.key)
+        return BoundarySearchResult(
+            p_star=p_lo,
+            p_fail=p_hi,
+            bracket_width=float(np.linalg.norm(p_hi - p_lo)),
+            iterations=self.iterations,
+            history=tuple(self.history),
+            sep_star=sep_lo,
+        )

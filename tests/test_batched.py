@@ -1,5 +1,5 @@
-"""Lockstep batches against the single-state path, and the multisection
-search that runs on them."""
+"""Lockstep batches against the single-state path, and the pipelined
+multisection search that runs on them."""
 
 from __future__ import annotations
 
@@ -8,11 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import moi.recovery_boundary
 from moi import (
+    BoundarySearchResult,
     IntegratorConfig,
     MULTIMACHINE_DIVERGENCE_NORM,
+    MoiError,
     NewtonDivergence,
     NonFiniteOutput,
+    NotStable,
     ParameterizedSystem,
     Termination,
     UndeterminedAtBisection,
@@ -24,7 +28,7 @@ from moi import (
     simulate,
     step_trapezoidal,
 )
-from moi.integrator import simulate_batch, step_trapezoidal_batch
+from moi.integrator import Lockstep, step_trapezoidal_batch
 from moi.recovery_boundary import SECTIONS
 
 from test_recovery_boundary import gated_decay_system
@@ -132,9 +136,19 @@ def scalar_verdicts(sys_, points, cfg):
     ]
 
 
+def run_lockstep(sys_, points, cfg, seps):
+    """Run ends of the members started together in one Lockstep, in order."""
+    lock = Lockstep(sys_, cfg)
+    ids = lock.add(points, seps)
+    ends = {}
+    while len(lock):
+        ends.update(lock.step())
+    return [ends[k] for k in ids.tolist()]
+
+
 def batch_verdicts(sys_, points, cfg):
     seps = np.array([find_sep(sys_, p) for p in points])
-    runs = simulate_batch(sys_, points, cfg, seps)
+    runs = run_lockstep(sys_, points, cfg, seps)
     return [
         classify_recovery(sys_, p, cfg, sep, run)
         for p, sep, run in zip(points, seps, runs)
@@ -165,7 +179,7 @@ def test_batched_runs_end_as_simulate_ends_them():
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
     points = np.array([[-1.0], [100.0], [3.0], [-1e-3]])
     sep = np.zeros(1)
-    runs = simulate_batch(sys_, points, cfg, np.zeros((len(points), 1)))
+    runs = run_lockstep(sys_, points, cfg, np.zeros((len(points), 1)))
     assert [run.termination for run in runs] == [
         Termination.CONVERGED_TO_SEP,
         Termination.SOLVER_FAILURE,
@@ -179,6 +193,57 @@ def test_batched_runs_end_as_simulate_ends_them():
         assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
             sys_, p, cfg, sep
         )
+
+
+def test_member_added_later_ends_as_simulate_ends_it_alone(pendulum):
+    cfg = IntegratorConfig(step=0.05, divergence_norm=50.0)
+    first, later = np.array([1.5]), np.array([1.7])
+    lock = Lockstep(pendulum, cfg)
+    ends = {}
+    (a,) = lock.add(first[None], find_sep(pendulum, first)[None]).tolist()
+    for _ in range(37):
+        ends.update(lock.step())
+    (b,) = lock.add(later[None], find_sep(pendulum, later)[None]).tolist()
+    while len(lock):
+        ends.update(lock.step())
+    for k, p in ((a, first), (b, later)):
+        traj = simulate(pendulum, p, cfg, find_sep(pendulum, p))
+        assert ends[k].termination is traj.termination
+        assert np.array_equal(ends[k].final_state, traj.states[-1])
+        assert ends[k].elapsed == traj.elapsed
+
+
+def test_dropped_members_are_never_reported():
+    sys_ = linear_system()
+    cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
+    lock = Lockstep(sys_, cfg)
+    ids = lock.add(np.array([[-1.0], [3.0], [-2.0]]), np.zeros((3, 1))).tolist()
+    ends = {}
+    for _ in range(5):
+        ends.update(lock.step())
+    lock.drop([ids[1]])
+    assert len(lock) == 2
+    while len(lock):
+        ends.update(lock.step())
+    assert sorted(ends) == [ids[0], ids[2]]
+
+
+def test_zero_budget_ends_every_member_without_a_step():
+    """max_time < step leaves a budget of no steps: each member ends where
+    it starts, after no time, as simulate ends it."""
+    sys_ = linear_system()
+    cfg = IntegratorConfig(step=0.5, max_time=0.3)
+    points = np.array([[-1.0], [3.0]])
+    lock = Lockstep(sys_, cfg)
+    ids = lock.add(points, np.zeros((2, 1))).tolist()
+    ends = lock.step()
+    assert lock.steps == 0 and not len(lock)
+    for k, p in zip(ids, points):
+        traj = simulate(sys_, p, cfg, np.zeros(1))
+        assert traj.termination is Termination.MAX_TIME_REACHED and len(traj) == 1
+        assert ends[k].termination is Termination.MAX_TIME_REACHED
+        assert np.array_equal(ends[k].final_state, traj.states[-1])
+        assert ends[k].elapsed == traj.elapsed == 0.0
 
 
 def test_batched_verdicts_match_on_nine_bus(nine_bus):
@@ -251,17 +316,29 @@ def test_pendulum_multisection_ends_on_adjacent_doubles(pendulum, start):
     assert verdicts[float(res.p_fail[0])] is Verdict.FAILS_TO_RECOVER
 
 
-def banded_system(bands):
-    """Batched 1-D decay whose behaviour depends on the band p[0] falls in.
+#: (target, rate) of x' = -rate (x - target) per band kind, from x0 = 1
+BAND_KINDS = {
+    "recover": (0.0, 1.0),
+    # escapes the divergence norm of 10 on its way to 100 within 2 steps
+    "fail": (100.0, 1.0),
+    # times out
+    "slow": (0.0, 1e-3),
+    # escapes like "fail", but only after about 95 steps
+    "late": (100.0, 0.02),
+    # its equilibrium is a source: find_sep raises NotStable
+    "unstable": (0.0, -1.0),
+}
 
-    ``bands`` is a list of (upper_edge, kind) in increasing order, kind one
-    of "recover" (x' = -x), "fail" (x' = -(x - 100), escaping the
-    divergence norm of 10) or "slow" (x' = -1e-3 x, timing out).
+
+def banded_system(bands):
+    """Batched 1-D system whose behaviour depends on the band p[0] falls in.
+
+    ``bands`` is a list of (upper_edge, kind) in increasing order, kind a
+    key of ``BAND_KINDS``.
     """
     edges = np.array([edge for edge, _ in bands])
-    kinds = [kind for _, kind in bands]
-    target = np.array([100.0 if k == "fail" else 0.0 for k in kinds])
-    rate = np.array([1e-3 if k == "slow" else 1.0 for k in kinds])
+    target = np.array([BAND_KINDS[kind][0] for _, kind in bands])
+    rate = np.array([BAND_KINDS[kind][1] for _, kind in bands])
 
     def band(p):
         return np.searchsorted(edges, p[..., 0])
@@ -322,3 +399,170 @@ def test_undetermined_first_failure_raises_and_names_it():
         ray_boundary_search(
             sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
         )
+
+
+def reference_search(sys_, p0, direction, cfg, param_tol, initial_step=0.1):
+    """The search of a batched system as it ran before pipelining: a serial
+    expansion, then one lockstep batch per refinement round, each round
+    started once the one before it had ended."""
+    p0, direction = np.array(p0, dtype=float), np.array(direction, dtype=float)
+    history = []
+
+    def probe(p, sep):
+        v = classify_recovery(sys_, p, cfg, sep).verdict
+        history.append((p, v))
+        return v
+
+    sep = find_sep(sys_, p0)
+    assert probe(p0, sep) is Verdict.RECOVERS
+    p_lo, p_hi, sep_lo, s = p0, None, sep, initial_step
+    while p_hi is None:
+        p = p0 + s * direction
+        sep = find_sep(sys_, p, sep)
+        v = probe(p, sep)
+        if v is Verdict.RECOVERS:
+            p_lo, sep_lo = p, sep
+        elif v is Verdict.FAILS_TO_RECOVER:
+            p_hi = p
+        else:
+            raise UndeterminedAtBisection(f"expansion probe at p={p}")
+        s *= 2.0
+    iterations = 0
+    while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
+        points = []
+        for i in range(1, SECTIONS):
+            p_i = p_lo + (p_hi - p_lo) * (i / SECTIONS)
+            previous = points[-1] if points else p_lo
+            if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
+                points.append(p_i)
+        if not points:
+            break
+        seps = []
+        for p_i in points:
+            sep = find_sep(sys_, p_i, sep)
+            seps.append(sep)
+        runs = run_lockstep(sys_, np.array(points), cfg, np.array(seps))
+        verdicts = [
+            classify_recovery(sys_, p_i, cfg, sep_i, run).verdict
+            for p_i, sep_i, run in zip(points, seps, runs)
+        ]
+        history.extend(zip(points, verdicts))
+        iterations += len(points)
+        for p_i, sep_i, v in zip(points, seps, verdicts):
+            if v is Verdict.RECOVERS:
+                p_lo, sep_lo = p_i, sep_i
+            elif v is Verdict.FAILS_TO_RECOVER:
+                p_hi = p_i
+                break
+            else:
+                raise UndeterminedAtBisection(f"refinement probe at p={p_i}")
+    return BoundarySearchResult(
+        p_star=p_lo,
+        p_fail=p_hi,
+        bracket_width=float(np.linalg.norm(p_hi - p_lo)),
+        iterations=iterations,
+        history=tuple(history),
+        sep_star=sep_lo,
+    )
+
+
+def assert_same_search(res, ref):
+    for name in ("p_star", "p_fail", "sep_star"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert res.iterations == ref.iterations
+    assert len(res.history) == len(ref.history)
+    for (p, v), (q, w) in zip(res.history, ref.history):
+        assert np.array_equal(p, q) and v is w
+
+
+@settings(max_examples=6, deadline=None)
+@given(start=st.floats(1.45, 1.53), param_tol=st.sampled_from([0.0, 1e-4]))
+def test_pipelined_search_matches_round_by_round_search_on_pendulum(
+    pendulum, start, param_tol
+):
+    cfg = IntegratorConfig(step=0.2, divergence_norm=50.0)
+    res = ray_boundary_search(pendulum, [start], [1.0], cfg, param_tol=param_tol)
+    assert_same_search(res, reference_search(pendulum, [start], [1.0], cfg, param_tol))
+
+
+@pytest.mark.parametrize("start", [1.0, 1.15])
+def test_pipelined_search_matches_round_by_round_search_on_nine_bus(nine_bus, start):
+    grid = multimachine_system(nine_bus)
+    cfg = IntegratorConfig(
+        step=1.0 / 60.0, divergence_norm=MULTIMACHINE_DIVERGENCE_NORM
+    )
+    res = ray_boundary_search(grid, [start], [-1.0], cfg, param_tol=1e-3)
+    assert_same_search(res, reference_search(grid, [start], [-1.0], cfg, 1e-3))
+
+
+def test_wrong_provisional_bracket_is_discarded(monkeypatch):
+    """0.3 sits in a band that fails only after about 95 steps while 0.325
+    and beyond fail within 2: round one's provisional bracket
+    (0.3, 0.325) is wrong, and the work started on it is thrown away."""
+    sys_ = banded_system([(0.29, "recover"), (0.31, "late"), (np.inf, "fail")])
+    started = []
+
+    class Spy(Lockstep):
+        def add(self, p, sep):
+            started.extend(float(q[0]) for q in p)
+            return super().add(p, sep)
+
+    monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
+    res = ray_boundary_search(
+        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-6, initial_step=0.4
+    )
+    ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-6, initial_step=0.4)
+    assert_same_search(res, ref)
+    probed = {float(p[0]) for p, _ in res.history}
+    discarded = [q for q in started if 0.0 < q < 0.4 and q not in probed]
+    # round two on (0.3, 0.325) started and was dropped unclassified
+    assert any(0.3 < q < 0.325 for q in discarded)
+
+
+def test_doublings_past_the_first_failure_raise_nothing(pendulum):
+    """From 1.45 the group's doublings reach torque 2.25 >= c1 = 2, where
+    no equilibrium exists; the probe at 1.65 fails first, so the search
+    goes on as the serial expansion does."""
+    cfg = IntegratorConfig(step=0.2, divergence_norm=50.0)
+    with pytest.raises(MoiError):
+        find_sep(pendulum, [2.25])
+    res = ray_boundary_search(pendulum, [1.45], [1.0], cfg, param_tol=1e-4)
+    assert_same_search(res, reference_search(pendulum, [1.45], [1.0], cfg, 1e-4))
+    assert max(float(p[0]) for p, _ in res.history) == 1.65
+
+
+def test_sep_failure_before_any_failing_point_is_raised():
+    sys_ = banded_system([(0.25, "recover"), (np.inf, "unstable")])
+    with pytest.raises(NotStable) as expected:
+        reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-3)
+    with pytest.raises(NotStable) as raised:
+        ray_boundary_search(sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_sep_failure_inside_a_round_is_raised_where_the_round_starts():
+    # 0.3, in round one, has no stable equilibrium
+    sys_ = banded_system([(0.29, "recover"), (0.31, "unstable"), (np.inf, "fail")])
+    with pytest.raises(NotStable) as expected:
+        reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-3, initial_step=0.4)
+    with pytest.raises(NotStable) as raised:
+        ray_boundary_search(
+            sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+        )
+    assert str(raised.value) == str(expected.value)
+
+
+def test_sep_failure_in_a_discarded_round_is_not_raised():
+    """As in the discard test, round two is first started on the wrong
+    bracket (0.3, 0.325); only that round meets the unstable band."""
+    sys_ = banded_system(
+        [(0.29, "recover"), (0.305, "late"), (0.31, "fail"), (0.32, "unstable"),
+         (np.inf, "fail")]
+    )
+    with pytest.raises(NotStable):
+        find_sep(sys_, [0.315])
+    res = ray_boundary_search(
+        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-6, initial_step=0.4
+    )
+    ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-6, initial_step=0.4)
+    assert_same_search(res, ref)

@@ -143,6 +143,17 @@ class TestExitCodes:
         assert code == 1
         assert "NotRecovered" in capsys.readouterr().err
 
+    def test_expansion_into_negative_inertia_exits_one(self, capsys):
+        """From 0.95 the doublings recover down to 0.15 and the next one
+        steps over the failing 0.2-0.4 band to inertia -0.65; the batched
+        expansion raises that SEP error where the serial one did."""
+        code = run_cli(
+            ["mode", "--model", "multimachine", "--p", "0.95",
+             "--h", "0.016666666666666666", "--tol", "1e-6"]
+        )
+        assert code == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+
     def test_io_error_exits_two(self, capsys, tmp_path):
         code = run_cli(
             ["simulate", "--model", "pendulum", "--p", "1.5", "--h", "0.02",
