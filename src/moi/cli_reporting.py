@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,25 +42,6 @@ from .system_core import ParameterizedSystem
 #: step used to replay the pendulum disturbance when building x0(p) for CLI
 #: runs; fixed so that x0 is a function of p alone, not of the analysis h.
 _PENDULUM_IC_STEP = 0.02
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a CLI invocation resolved to; the unit of reproducibility."""
-
-    command: str
-    model: str
-    model_file: Optional[str]
-    h_values: tuple[float, ...]
-    p: Optional[tuple[float, ...]]
-    p0: Optional[tuple[float, ...]]
-    direction: Optional[tuple[float, ...]]
-    param_tol: float
-    max_time: float
-    newton_tol: float
-    stability_tol: float
-    normalization: str
-    out: Optional[str]
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -145,52 +125,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model=args.model,
-        model_file=args.model_file,
-        h_values=args.h,
-        p=getattr(args, "p", None),
-        p0=getattr(args, "p0", None),
-        direction=getattr(args, "dir", None),
-        param_tol=getattr(args, "tol", 1e-4),
-        max_time=args.max_time,
-        newton_tol=args.newton_tol,
-        stability_tol=args.stability_tol,
-        normalization=args.normalization,
-        out=args.out,
-    )
-
-
 def _build_model(
-    config: RunConfig,
+    args: argparse.Namespace,
 ) -> tuple[ParameterizedSystem, float, Optional[tuple[float, ...]]]:
     """System, recommended divergence norm, and default ray direction."""
-    if config.model == "pendulum":
+    if args.model == "pendulum":
         params = PendulumParams(ic_method="integrated", ic_step=_PENDULUM_IC_STEP)
         return pendulum_system(params), PENDULUM_DIVERGENCE_NORM, (1.0,)
-    path = config.model_file if config.model_file else bundled_network_path()
+    path = args.model_file if args.model_file else bundled_network_path()
     net = load_network(path)
     system = multimachine_system(net)
     default_dir = (-1.0,) if net.inertia_mode == "scale" else None
     return system, MULTIMACHINE_DIVERGENCE_NORM, default_dir
 
 
-def _single_h(config: RunConfig) -> float:
-    if len(config.h_values) != 1:
+def _single_h(args: argparse.Namespace) -> float:
+    if len(args.h) != 1:
         raise ValueError(
-            f"--h expects exactly one value for '{config.command}', "
-            f"got {list(config.h_values)}"
+            f"--h expects exactly one value for '{args.command}', "
+            f"got {list(args.h)}"
         )
-    return config.h_values[0]
+    return args.h[0]
 
 
-def _integrator_config(config: RunConfig, h: float, divergence: float) -> IntegratorConfig:
+def _integrator_config(
+    args: argparse.Namespace, h: float, divergence: float
+) -> IntegratorConfig:
     return IntegratorConfig(
         step=h,
-        newton_tol=config.newton_tol,
-        max_time=config.max_time,
+        newton_tol=args.newton_tol,
+        max_time=args.max_time,
         divergence_norm=divergence,
     )
 
@@ -202,16 +166,18 @@ def _check_param(system: ParameterizedSystem, values, label: str) -> np.ndarray:
             f"{label} must have {system.param_dim} component(s) for model "
             f"{system.name!r}, got {arr.size}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{label} must be finite, got {list(values)}")
     return arr
 
 
 def _resolve_direction(
     system: ParameterizedSystem,
-    config: RunConfig,
+    args: argparse.Namespace,
     default_dir: Optional[tuple[float, ...]],
 ) -> np.ndarray:
-    if config.direction is not None:
-        return _check_param(system, config.direction, "--dir")
+    if args.dir is not None:
+        return _check_param(system, args.dir, "--dir")
     if default_dir is None or len(default_dir) != system.param_dim:
         raise ValueError(
             f"model {system.name!r} has no default ray direction; pass --dir"
@@ -300,20 +266,20 @@ def write_sweep_csv(table: Sequence[SweepRow], path) -> None:
 # subcommand drivers
 
 
-def _run_simulate(config: RunConfig) -> int:
-    system, divergence, _ = _build_model(config)
-    h = _single_h(config)
-    cfg = _integrator_config(config, h, divergence)
-    p = _check_param(system, config.p, "--p")
-    sep = find_sep(system, p, stability_tol=config.stability_tol)
+def _run_simulate(args: argparse.Namespace) -> int:
+    system, divergence, _ = _build_model(args)
+    h = _single_h(args)
+    cfg = _integrator_config(args, h, divergence)
+    p = _check_param(system, args.p, "--p")
+    sep = find_sep(system, p, stability_tol=args.stability_tol)
     traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
     print(
-        f"simulate {config.model}: {traj.termination.value} after "
+        f"simulate {args.model}: {traj.termination.value} after "
         f"{len(traj) - 1} steps ({traj.elapsed:.6g} s), final distance "
         f"{final_distance:.6g}"
     )
-    if config.out is not None:
+    if args.out is not None:
         record = {
             "termination": traj.termination.value,
             "steps": len(traj) - 1,
@@ -322,30 +288,30 @@ def _run_simulate(config: RunConfig) -> int:
             "h": h,
             "p": [float(v) for v in p],
         }
-        Path(config.out).write_text(json.dumps(record, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
-def _run_boundary(config: RunConfig) -> int:
-    system, divergence, default_dir = _build_model(config)
-    h = _single_h(config)
-    cfg = _integrator_config(config, h, divergence)
-    p0 = _check_param(system, config.p0, "--p0")
-    direction = _resolve_direction(system, config, default_dir)
+def _run_boundary(args: argparse.Namespace) -> int:
+    system, divergence, default_dir = _build_model(args)
+    h = _single_h(args)
+    cfg = _integrator_config(args, h, divergence)
+    p0 = _check_param(system, args.p0, "--p0")
+    direction = _resolve_direction(system, args, default_dir)
     res = ray_boundary_search(
         system,
         p0,
         direction,
         cfg,
-        param_tol=config.param_tol,
-        stability_tol=config.stability_tol,
+        param_tol=args.tol,
+        stability_tol=args.stability_tol,
     )
     print(
-        f"boundary {config.model}: p_star = {_fmt_vector(res.p_star)} "
+        f"boundary {args.model}: p_star = {_fmt_vector(res.p_star)} "
         f"bracket_width = {res.bracket_width:.6g} "
         f"iterations = {res.iterations}"
     )
-    if config.out is not None:
+    if args.out is not None:
         record = {
             "p_star": [float(v) for v in res.p_star],
             "p_fail": [float(v) for v in res.p_fail],
@@ -354,53 +320,53 @@ def _run_boundary(config: RunConfig) -> int:
             "h": h,
             "direction": [float(v) for v in direction],
         }
-        Path(config.out).write_text(json.dumps(record, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
-def _run_mode(config: RunConfig) -> int:
-    system, divergence, default_dir = _build_model(config)
-    h = _single_h(config)
-    cfg = _integrator_config(config, h, divergence)
-    p0 = _check_param(system, config.p, "--p")
-    direction = _resolve_direction(system, config, default_dir)
+def _run_mode(args: argparse.Namespace) -> int:
+    system, divergence, default_dir = _build_model(args)
+    h = _single_h(args)
+    cfg = _integrator_config(args, h, divergence)
+    p0 = _check_param(system, args.p, "--p")
+    direction = _resolve_direction(system, args, default_dir)
     bm = mode_at_boundary(
         system,
         p0,
         direction,
         cfg,
-        param_tol=config.param_tol,
-        normalization=Normalization(config.normalization),
-        stability_tol=config.stability_tol,
+        param_tol=args.tol,
+        normalization=Normalization(args.normalization),
+        stability_tol=args.stability_tol,
     )
     text = mode_json_text(bm.mode, state_names=system.state_names)
     summary = (
-        f"mode {config.model}: eigenvalue = {bm.mode.eigenvalue:.6g} at "
+        f"mode {args.model}: eigenvalue = {bm.mode.eigenvalue:.6g} at "
         f"p = {_fmt_vector(bm.search.p_star)} "
         f"(j = {bm.mode.averaged.last_unstable_index})"
     )
-    _write_or_print(text, config.out, summary)
+    _write_or_print(text, args.out, summary)
     return 0
 
 
-def _run_sweep(config: RunConfig) -> int:
-    system, divergence, default_dir = _build_model(config)
-    cfg = _integrator_config(config, config.h_values[0], divergence)
-    p0 = _check_param(system, config.p0, "--p0")
-    direction = _resolve_direction(system, config, default_dir)
+def _run_sweep(args: argparse.Namespace) -> int:
+    system, divergence, default_dir = _build_model(args)
+    cfg = _integrator_config(args, args.h[0], divergence)
+    p0 = _check_param(system, args.p0, "--p0")
+    direction = _resolve_direction(system, args, default_dir)
     rows = h_sweep(
         system,
         p0,
         direction,
-        config.h_values,
+        args.h,
         cfg,
-        param_tol=config.param_tol,
-        normalization=Normalization(config.normalization),
-        stability_tol=config.stability_tol,
+        param_tol=args.tol,
+        normalization=Normalization(args.normalization),
+        stability_tol=args.stability_tol,
     )
     ok = sum(1 for r in rows if r.status == "ok")
-    summary = f"sweep {config.model}: {ok}/{len(rows)} rows ok"
-    _write_or_print(sweep_csv_text(rows), config.out, summary)
+    summary = f"sweep {args.model}: {ok}/{len(rows)} rows ok"
+    _write_or_print(sweep_csv_text(rows), args.out, summary)
     return 0
 
 
@@ -423,9 +389,12 @@ def run_cli(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    config = _config_from_args(args)
     try:
-        return _DRIVERS[config.command](config)
+        if not args.stability_tol >= 0.0:
+            raise ValueError(
+                f"--stability-tol must be >= 0, got {args.stability_tol}"
+            )
+        return _DRIVERS[args.command](args)
     except MoiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -7,11 +7,13 @@ step solves the trapezoidal fixed-point equation with a Newton iteration
 seeded at the forward-Euler predictor.
 
 :func:`simulate` integrates one trajectory and keeps its states.
-:class:`Lockstep` advances many trajectories of a batched system together,
-one batched step for all live members, and keeps only how each one ended.
-Members join and leave between steps, so a caller can start new probes
-while older ones are still running, and each member still ends exactly as
-:func:`simulate` would end it.
+:class:`Lockstep` runs many trajectories of one system and keeps only how
+each one ended.  On a batched system with an analytic Jacobian it advances
+them together, one batched step for all live members; members join and
+leave between steps, so a caller can start new probes while older ones are
+still running, and each member still ends exactly as :func:`simulate` would
+end it.  On any other system each member runs to its end with
+:func:`simulate` when it joins.
 """
 
 from __future__ import annotations
@@ -48,16 +50,18 @@ class IntegratorConfig:
     divergence_norm: float = 1e6
 
     def __post_init__(self) -> None:
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if not self.newton_tol > 0.0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}"
             )
-        if not self.max_time > 0.0:
-            raise ValueError(f"max_time must be positive, got {self.max_time}")
+        if not 0.0 < self.max_time < np.inf:
+            raise ValueError(
+                f"max_time must be positive and finite, got {self.max_time}"
+            )
         if not self.sep_tol > 0.0:
             raise ValueError(f"sep_tol must be positive, got {self.sep_tol}")
         if self.sep_dwell < 1:
@@ -285,19 +289,30 @@ class RunEnd:
 
 
 class Lockstep:
-    """Simulations of one batched system that advance together.
+    """Simulations of one system, started between steps and reported as
+    they end.
 
-    ``sys`` must be batched, with an analytic Jacobian.  :meth:`add` starts
-    members between steps, :meth:`step` advances every live member by one
-    trapezoidal step and :meth:`drop` removes members.  Each member counts
-    its own steps against the budget ``floor(max_time / step)`` and ends
-    exactly as :func:`simulate` would end it, under the same rules in the
-    same order; no states are kept, so memory is O(K n) for K live members.
+    :meth:`add` starts members, :meth:`step` advances every live member by
+    one trapezoidal step and reports the members that ended, and
+    :meth:`drop` removes members.  Each member ends exactly as
+    :func:`simulate` would end it, under the same rules in the same order.
+
+    Members step in lockstep (``lockstep`` true) on a batched system with
+    an analytic Jacobian: each counts its own steps against the budget
+    ``floor(max_time / step)``, and no states are kept, so memory is
+    O(K n) for K live members.  On any other system :meth:`add` runs each
+    member to its end with :func:`simulate`, and the next :meth:`step`
+    reports those ends without stepping.
     """
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
         self.sys, self.cfg = sys, cfg
+        #: whether members advance together, one batched step for all; the
+        #: batched Newton step needs the batched analytic Jacobian
+        self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
+        #: ends of members run to their end by add, not reported yet
+        self._ended: dict[int, RunEnd] = {}
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
@@ -310,15 +325,25 @@ class Lockstep:
         self._deadline = np.inf
 
     def __len__(self) -> int:
-        return len(self._ids)
+        """Members started and not reported or dropped yet."""
+        return len(self._ids) + len(self._ended)
 
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
-        each member's stable equilibrium.  The initial conditions are
-        computed as one batch.  Returns the members' ids."""
+        each member's stable equilibrium.  In lockstep the initial
+        conditions are computed as one batch.  Either every member starts
+        or, if that raises, none does.  Returns the members' ids."""
         p = np.asarray(p, dtype=float)
-        x = initial_state(self.sys, p)
         ids = np.arange(self._next_id, self._next_id + len(p))
+        if not self.lockstep:
+            ended = {}
+            for k, p_k, sep_k in zip(ids.tolist(), p, sep):
+                traj = simulate(self.sys, p_k, self.cfg, sep_k)
+                ended[k] = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
+            self._ended.update(ended)
+            self._next_id += len(p)
+            return ids
+        x = initial_state(self.sys, p)
         self._next_id += len(p)
         self._ids = np.concatenate([self._ids, ids])
         self._x = np.concatenate([self._x, x])
@@ -331,6 +356,8 @@ class Lockstep:
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
+        for k in ids:
+            self._ended.pop(k, None)
         self._keep(~np.isin(self._ids, ids))
 
     def _keep(self, keep: np.ndarray) -> None:
@@ -344,7 +371,7 @@ class Lockstep:
         ended, by id.  Members whose step budget is spent end first, with
         ``MAX_TIME_REACHED`` and without a step."""
         cfg = self.cfg
-        ends: dict[int, RunEnd] = {}
+        ends, self._ended = self._ended, {}
         if self.steps >= self._deadline:
             spent = self.steps - self._start >= self.budget
             for k, state in zip(self._ids[spent].tolist(), self._x[spent]):

@@ -5,8 +5,10 @@ state settle back to the stable equilibrium?  The set of parameter values
 that recover has a boundary, and :func:`ray_boundary_search` locates the
 crossing of that boundary along a caller-supplied ray by an expansion phase
 (doubling steps until a failing point is found) followed by multisection:
-each refinement round probes the bracket at evenly spaced interior points,
-as one lockstep batch when the system is batched.
+each refinement round probes the bracket at evenly spaced interior points.
+Every system is searched the same way, on one
+:class:`~moi.integrator.Lockstep`; whether its probes step in lockstep
+sets only how many points a round probes.
 
 The search is deliberately restricted to a one-dimensional ray.  A
 closest-point search over the full parameter space is a separate
@@ -48,10 +50,11 @@ from .system_core import (
 )
 
 
-#: sections per refinement round for batched systems: the 15 interior
-#: points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic fractions of the
-#: bracket and each round narrows it 16-fold.  Unbatched systems use 2
-#: sections, i.e. bisection.
+#: sections per refinement round when the probes step in lockstep: the 15
+#: interior points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic
+#: fractions of the bracket and each round narrows it 16-fold.  Other
+#: systems use 2 sections, i.e. bisection: their probes run one after
+#: another, and one probe per halving is the fewest per bit.
 SECTIONS = 16
 
 
@@ -210,26 +213,6 @@ def _round_points(p_lo: np.ndarray, p_hi: np.ndarray, sections: int) -> list:
     return points
 
 
-def _undetermined(phase: str, p) -> UndeterminedAtBisection:
-    return UndeterminedAtBisection(
-        f"{phase} probe at p={p} was undetermined (raise max_time to resolve)"
-    )
-
-
-def _not_recovered(p0) -> NotRecovered:
-    return NotRecovered(
-        f"search origin p0={p0} does not recover; boundary search "
-        "requires a recovering starting point"
-    )
-
-
-def _no_bracket(p0, direction, initial_step, max_doublings) -> NoBracket:
-    return NoBracket(
-        f"no failing parameter within {max_doublings} doublings of "
-        f"step {initial_step} along {direction} from {p0}"
-    )
-
-
 def ray_boundary_search(
     sys: ParameterizedSystem,
     p0,
@@ -248,8 +231,9 @@ def ray_boundary_search(
 
     Refinement phase (multisection): each round probes the interior points
     ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1, computed directly in
-    parameter space, with k = ``SECTIONS`` for a batched system with an
-    analytic Jacobian and k = 2 otherwise (bisection, one probe per round).
+    parameter space, with k = ``SECTIONS`` when the system's probes step in
+    lockstep (``Lockstep.lockstep``: batched, with an analytic Jacobian)
+    and k = 2 otherwise (bisection, one probe per round).
     Walking the round's verdicts in ray order, the last recovering point
     before the first failing one becomes ``p_lo`` and that failing point
     ``p_hi``; points past it are kept in ``history`` but do not move the
@@ -268,93 +252,38 @@ def ray_boundary_search(
     raising ``cfg.max_time`` is the honest remedy, since dwell times
     diverge near the boundary.
 
-    A batched system runs the whole search on one
-    :class:`~moi.integrator.Lockstep` batch.  The origin and up to
-    ``SECTIONS - 1`` doublings start together as one expansion group, and
-    a round's successor starts as soon as the round's bracket is final, or
-    earlier on a provisional bracket: its first failing member in ray order
-    has ended, so have all members after it, and that has held for
-    ``elapsed // SECTIONS`` of the round's steps (members still running
-    before it are assumed to recover).  Verdicts are still committed in
-    the order above, so the result, ``history`` included, is the serial
-    search's: work started on a bracket that turns out wrong is dropped
-    unclassified and restarted, expansion members past the first failing
-    one are dropped unclassified, and an error of ``find_sep`` (or of the
-    initial conditions) in a group is raised only if the commit reaches it.
+    The whole search runs on one :class:`~moi.integrator.Lockstep`.  The
+    origin and up to k - 1 doublings start together as one expansion
+    group, and a round's successor starts as soon as the round's bracket
+    is final, or earlier on a provisional bracket: its first failing member
+    in ray order has ended, so have all members after it, and that has held
+    for ``elapsed // k`` of the round's steps (members still running before
+    it are assumed to recover).  Verdicts are still committed in the order
+    above, so the result, ``history`` included, is that of a search that
+    starts each group only after committing the one before: work started on a bracket that turns out wrong is dropped unclassified
+    and restarted, expansion members past the first failing one are
+    dropped unclassified, and an error of ``find_sep`` (or of the initial
+    conditions) in a group is raised only if the commit reaches it.  When
+    the probes do not step in lockstep, each runs to its end as it starts,
+    so every bracket is final when its successor starts and the search is
+    plain expansion and bisection, probe for probe.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
-    if param_tol < 0.0:
+    if not param_tol >= 0.0:
         raise ValueError(f"param_tol must be >= 0, got {param_tol}")
-    # the lockstep Newton needs the batched analytic Jacobian
-    if sys.batched and sys.jacobian is not None:
-        search = _PipelinedSearch(
-            sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
-            stability_tol,
-        )
-        return search.run(sep_guess)
-
-    history: list[tuple[np.ndarray, Verdict]] = []
-
-    def probe(p: np.ndarray, sep: np.ndarray) -> Verdict:
-        v = classify_recovery(sys, p, cfg, sep).verdict
-        history.append((p, v))
-        return v
-
-    sep = find_sep(sys, p0, sep_guess, stability_tol=stability_tol)
-    if probe(p0, sep) is not Verdict.RECOVERS:
-        raise _not_recovered(p0)
-
-    p_lo, p_hi, sep_lo = p0, None, sep
-    s = initial_step
-    for _ in range(max_doublings):
-        p_probe = p0 + s * direction
-        sep = find_sep(sys, p_probe, sep, stability_tol=stability_tol)
-        v = probe(p_probe, sep)
-        if v is Verdict.RECOVERS:
-            p_lo, sep_lo = p_probe, sep
-        elif v is Verdict.FAILS_TO_RECOVER:
-            p_hi = p_probe
-            break
-        else:
-            raise _undetermined("expansion", p_probe)
-        s *= 2.0
-    if p_hi is None:
-        raise _no_bracket(p0, direction, initial_step, max_doublings)
-
-    iterations = 0
-    while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        points = _round_points(p_lo, p_hi, 2)
-        if not points:
-            # No representable parameter strictly between the endpoints:
-            # the bracket is down to adjacent doubles.
-            break
-        (p_mid,) = points
-        sep = find_sep(sys, p_mid, sep, stability_tol=stability_tol)
-        v = probe(p_mid, sep)
-        iterations += 1
-        if v is Verdict.RECOVERS:
-            p_lo, sep_lo = p_mid, sep
-        elif v is Verdict.FAILS_TO_RECOVER:
-            p_hi = p_mid
-        else:
-            raise _undetermined("refinement", p_mid)
-
-    return BoundarySearchResult(
-        p_star=p_lo,
-        p_fail=p_hi,
-        bracket_width=float(np.linalg.norm(p_hi - p_lo)),
-        iterations=iterations,
-        history=tuple(history),
-        sep_star=sep_lo,
+    search = _PipelinedSearch(
+        sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
+        stability_tol,
     )
+    return search.run(sep_guess)
 
 
-def _hold_end(since: int) -> int:
-    """The smallest round step e with e - since >= e // SECTIONS."""
-    return since + max(since - 1, 0) // (SECTIONS - 1)
+def _hold_end(since: int, sections: int) -> int:
+    """The smallest round step e with e - since >= e // sections."""
+    return since + max(since - 1, 0) // (sections - 1)
 
 
 class _Round:
@@ -418,9 +347,9 @@ def _raise_held(r: _Round):
 
 
 class _PipelinedSearch:
-    """:func:`ray_boundary_search` of a batched system on one Lockstep.
+    """:func:`ray_boundary_search` on one Lockstep.
 
-    ``chain`` holds the started rounds whose verdicts are not committed
+    ``sections`` is k of the docstring there.  ``chain`` holds the started rounds whose verdicts are not committed
     yet, each the successor of the one before it.
     """
 
@@ -433,6 +362,7 @@ class _PipelinedSearch:
         self.initial_step, self.max_doublings = initial_step, max_doublings
         self.s, self.doublings_left = initial_step, max_doublings
         self.lock = Lockstep(sys, cfg)
+        self.sections = SECTIONS if self.lock.lockstep else 2
         self.chain: list[_Round] = []
         self.history: list[tuple[np.ndarray, Verdict]] = []
         self.iterations = 0
@@ -459,10 +389,10 @@ class _PipelinedSearch:
                 due = self._review()
 
     def _expand(self, lo, warm, from_key) -> None:
-        """Start the next expansion group: up to SECTIONS - 1 doublings,
+        """Start the next expansion group: up to sections - 1 doublings,
         after the origin if ``lo`` is None."""
         points = [] if lo is not None else [self.p0]
-        for _ in range(min(SECTIONS - 1, self.doublings_left)):
+        for _ in range(min(self.sections - 1, self.doublings_left)):
             points.append(self.p0 + self.s * self.direction)
             self.s *= 2.0
             self.doublings_left -= 1
@@ -503,7 +433,7 @@ class _PipelinedSearch:
             return
         lo, hi, warm = self._bracket(r, key)
         if float(np.linalg.norm(hi - lo[0])) > self.param_tol:
-            points = _round_points(lo[0], hi, SECTIONS)
+            points = _round_points(lo[0], hi, self.sections)
             if points:
                 self._start(lo, hi, points, warm, key)
 
@@ -546,7 +476,7 @@ class _PipelinedSearch:
             if guess != r.guess:
                 r.guess, r.since = guess, lock.steps - r.start
             if guess is not None and not started:
-                ready = r.start + _hold_end(r.since)
+                ready = r.start + _hold_end(r.since, self.sections)
                 if lock.steps >= ready:
                     self._launch(r, guess)
                 else:
@@ -569,17 +499,24 @@ class _PipelinedSearch:
         if r.hi is not None:
             self.iterations += count
         if r.lo is None and r.key == 0:
-            raise _not_recovered(self.p0)
+            raise NotRecovered(
+                f"search origin p0={self.p0} does not recover; boundary search "
+                "requires a recovering starting point"
+            )
         if r.key < n and verdicts[r.key] is not Verdict.FAILS_TO_RECOVER:
             phase = "expansion" if r.hi is None else "refinement"
-            raise _undetermined(phase, r.points[r.key])
+            raise UndeterminedAtBisection(
+                f"{phase} probe at p={r.points[r.key]} was undetermined "
+                "(raise max_time to resolve)"
+            )
         if self.chain:
             return None
         if r.hi is None and r.key == n:
             if r.held is not None:
                 _raise_held(r)
-            raise _no_bracket(
-                self.p0, self.direction, self.initial_step, self.max_doublings
+            raise NoBracket(
+                f"no failing parameter within {self.max_doublings} doublings of "
+                f"step {self.initial_step} along {self.direction} from {self.p0}"
             )
         (p_lo, sep_lo), p_hi, _ = self._bracket(r, r.key)
         return BoundarySearchResult(

@@ -40,15 +40,6 @@ class EigenPair:
     residual: float
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Spectral abscissa plus instability classification of one matrix."""
-
-    abscissa: float
-    unstable: bool
-    unstable_count: int
-
-
 def _eig(A: np.ndarray):
     A = np.asarray(A, dtype=float)
     try:
@@ -101,17 +92,6 @@ def is_unstable(A, stability_tol: float = DEFAULT_STABILITY_TOL) -> bool:
 def unstable_count(A, stability_tol: float = DEFAULT_STABILITY_TOL) -> int:
     """Number of eigenvalues with real part above ``stability_tol``."""
     return int(np.sum(_eigvals(A).real > stability_tol))
-
-
-def stability_verdict(
-    A, stability_tol: float = DEFAULT_STABILITY_TOL
-) -> StabilityVerdict:
-    values = _eigvals(A)
-    absc = float(np.max(values.real))
-    count = int(np.sum(values.real > stability_tol))
-    return StabilityVerdict(
-        abscissa=absc, unstable=absc > stability_tol, unstable_count=count
-    )
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:

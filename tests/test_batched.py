@@ -3,6 +3,8 @@ multisection search that runs on them."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -174,25 +176,28 @@ def test_straddling_set_splits_at_the_boundary(pendulum, pend_cfg):
 
 def test_batched_runs_end_as_simulate_ends_them():
     """One member per termination: decay converges, r = 100 is singular at
-    h = 0.02, r = 3 diverges and slow decay runs out of time."""
-    sys_ = linear_system()
+    h = 0.02, r = 3 diverges and slow decay runs out of time.  Members of
+    an unbatched system, which do not step in lockstep, end the same way."""
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
     points = np.array([[-1.0], [100.0], [3.0], [-1e-3]])
     sep = np.zeros(1)
-    runs = run_lockstep(sys_, points, cfg, np.zeros((len(points), 1)))
-    assert [run.termination for run in runs] == [
-        Termination.CONVERGED_TO_SEP,
-        Termination.SOLVER_FAILURE,
-        Termination.DIVERGED,
-        Termination.MAX_TIME_REACHED,
-    ]
-    for p, run in zip(points, runs):
-        traj = simulate(sys_, p, cfg, sep)
-        assert np.array_equal(run.final_state, traj.states[-1])
-        assert run.elapsed == traj.elapsed
-        assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
-            sys_, p, cfg, sep
-        )
+    for sys_, lockstep in ((linear_system(), True),
+                           (replace(linear_system(), batched=False), False)):
+        assert Lockstep(sys_, cfg).lockstep is lockstep
+        runs = run_lockstep(sys_, points, cfg, np.zeros((len(points), 1)))
+        assert [run.termination for run in runs] == [
+            Termination.CONVERGED_TO_SEP,
+            Termination.SOLVER_FAILURE,
+            Termination.DIVERGED,
+            Termination.MAX_TIME_REACHED,
+        ]
+        for p, run in zip(points, runs):
+            traj = simulate(sys_, p, cfg, sep)
+            assert np.array_equal(run.final_state, traj.states[-1])
+            assert run.elapsed == traj.elapsed
+            assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
+                sys_, p, cfg, sep
+            )
 
 
 def test_member_added_later_ends_as_simulate_ends_it_alone(pendulum):
@@ -226,6 +231,29 @@ def test_dropped_members_are_never_reported():
     while len(lock):
         ends.update(lock.step())
     assert sorted(ends) == [ids[0], ids[2]]
+
+
+def test_unbatched_members_end_when_added_and_are_reported_by_the_next_step():
+    """Without lockstep, add runs each member to its end; the next step
+    reports those ends without stepping, drop discards them, and an add
+    that raises starts no member."""
+    cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
+    sys_ = replace(
+        linear_system(),
+        batched=False,
+        initial_condition=lambda p: np.full(1, np.nan if p[0] > 50.0 else 1.0),
+    )
+    lock = Lockstep(sys_, cfg)
+    assert not lock.lockstep
+    with pytest.raises(NonFiniteOutput):
+        lock.add(np.array([[-1.0], [100.0]]), np.zeros((2, 1)))
+    assert not len(lock) and lock.step() == {}
+    ids = lock.add(np.array([[-1.0], [3.0], [-2.0]]), np.zeros((3, 1))).tolist()
+    assert ids == [0, 1, 2] and len(lock) == 3
+    lock.drop([ids[1]])
+    ends = lock.step()
+    assert sorted(ends) == [ids[0], ids[2]] and lock.steps == 0 and not len(lock)
+    assert lock.step() == {}
 
 
 def test_zero_budget_ends_every_member_without_a_step():
@@ -290,9 +318,13 @@ def reference_bisection(threshold, param_tol, initial_step=0.1):
 @given(
     threshold=st.floats(0.05, 2.0),
     param_tol=st.sampled_from([0.0, 1e-9, 1e-4]),
+    batched=st.booleans(),
 )
-def test_unbatched_search_reproduces_bisection(threshold, param_tol):
-    sys_ = gated_decay_system(threshold)
+@example(threshold=0.3, param_tol=0.0, batched=True)
+def test_unbatched_search_reproduces_bisection(threshold, param_tol, batched):
+    """Systems whose probes do not step in lockstep, including a batched
+    one without an analytic Jacobian, are searched by plain bisection."""
+    sys_ = replace(gated_decay_system(threshold), batched=batched)
     cfg = IntegratorConfig(step=0.05, max_time=60.0, divergence_norm=10.0)
     res = ray_boundary_search(sys_, [0.0], [1.0], cfg, param_tol=param_tol)
     expected, bisection_probes = reference_bisection(threshold, param_tol)
@@ -303,6 +335,26 @@ def test_unbatched_search_reproduces_bisection(threshold, param_tol):
         assert verdict is (
             Verdict.RECOVERS if q[0] <= threshold else Verdict.FAILS_TO_RECOVER
         )
+
+
+def test_unbatched_search_simulates_each_probe_once(monkeypatch):
+    """From a recovering origin, every simulation of an unbatched search is
+    a probe in its history: none is started and then thrown away."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return simulate(*args, **kwargs)
+
+    for module in (moi.integrator, moi.recovery_boundary):
+        monkeypatch.setattr(module, "simulate", counting)
+    cfg = IntegratorConfig(step=0.05, max_time=60.0, divergence_norm=10.0)
+    res = ray_boundary_search(
+        gated_decay_system(0.3), [0.0], [1.0], cfg, param_tol=1e-6
+    )
+    assert len(calls) == len(res.history) > 2
+    for p, (q, _) in zip(calls, res.history):
+        assert np.array_equal(p, q)
 
 
 @settings(max_examples=3, deadline=None)

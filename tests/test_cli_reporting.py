@@ -135,6 +135,25 @@ class TestExitCodes:
         assert run_cli(["simulate", "--model", "pendulum", "--p", "abc", "--h", "0.02"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--p0", "1.5", "--h", "0.1", "--tol", "nan"],
+            ["sweep", "--p0", "1.5", "--h", "0.4,0.2", "--tol", "nan"],
+            ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "nan"],
+            ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "-0.5"],
+            ["mode", "--p", "nan", "--h", "0.02"],
+            ["boundary", "--p0", "1.5", "--dir", "inf", "--h", "0.02"],
+            ["simulate", "--p", "1.5", "--h", "inf"],
+            ["simulate", "--p", "1.5", "--h", "0.02", "--max-time", "inf"],
+        ],
+        ids=["tol", "sweep-tol", "stability-tol-nan", "stability-tol-negative",
+             "p", "dir", "h", "max-time"],
+    )
+    def test_non_finite_or_negative_value_is_a_config_error(self, capsys, argv):
+        assert run_cli(argv + ["--model", "pendulum"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_analysis_error_exits_one(self, capsys):
         code = run_cli(
             ["boundary", "--model", "pendulum", "--p0", "1.7", "--dir", "1",

@@ -37,6 +37,8 @@ class TestConfigValidation:
             IntegratorConfig(step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=-0.1)
+        with pytest.raises(ValueError):
+            IntegratorConfig(step=np.inf)
 
     def test_rejects_bad_newton(self):
         with pytest.raises(ValueError):
@@ -47,6 +49,8 @@ class TestConfigValidation:
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, max_time=0.0)
+        with pytest.raises(ValueError):
+            IntegratorConfig(step=0.1, max_time=np.inf)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, sep_dwell=0)
         with pytest.raises(ValueError):

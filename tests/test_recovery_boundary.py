@@ -214,6 +214,8 @@ class TestRayBoundarySearch:
             ray_boundary_search(pendulum, [1.5], [0.0], pend_cfg)
         with pytest.raises(ValueError):
             ray_boundary_search(pendulum, [1.5], [1.0], pend_cfg, param_tol=-1.0)
+        with pytest.raises(ValueError):
+            ray_boundary_search(pendulum, [1.5], [1.0], pend_cfg, param_tol=np.nan)
 
     def test_deterministic_repeat(self):
         sys_ = gated_decay_system(0.3)

@@ -16,7 +16,6 @@ from moi import (
     eigendecompose,
     is_unstable,
     spectral_abscissa,
-    stability_verdict,
     unstable_count,
     unstable_eigenpair,
 )
@@ -63,13 +62,6 @@ def test_stability_tolerance_margin():
     assert not is_unstable(A, stability_tol=1e-9)
     assert unstable_count(A, stability_tol=1e-9) == 0
     assert is_unstable(A, stability_tol=1e-10)
-
-
-def test_stability_verdict_fields():
-    v = stability_verdict(np.diag([2.0, 0.5, -1.0]))
-    assert v.abscissa == pytest.approx(2.0)
-    assert v.unstable
-    assert v.unstable_count == 2
 
 
 def test_saddle_escape_direction_closed_form():
