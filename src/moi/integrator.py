@@ -18,6 +18,7 @@ end it.  On any other system each member runs to its end with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.step < np.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError(
+                f"newton_tol must be positive and finite, got {self.newton_tol}"
+            )
         if self.newton_max_iter < 1:
             raise ValueError(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}"
@@ -62,8 +65,8 @@ class IntegratorConfig:
             raise ValueError(
                 f"max_time must be positive and finite, got {self.max_time}"
             )
-        if not self.sep_tol > 0.0:
-            raise ValueError(f"sep_tol must be positive, got {self.sep_tol}")
+        if not 0.0 < self.sep_tol < np.inf:
+            raise ValueError(f"sep_tol must be positive and finite, got {self.sep_tol}")
         if self.sep_dwell < 1:
             raise ValueError(f"sep_dwell must be at least 1, got {self.sep_dwell}")
         if not self.divergence_norm > 0.0:
@@ -86,6 +89,19 @@ def _norm(v: np.ndarray):
     return np.sqrt(total)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, with less call overhead."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n-by-n identity, made once and shared read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def step_trapezoidal(
     sys: ParameterizedSystem,
     x: np.ndarray,
@@ -100,29 +116,27 @@ def step_trapezoidal(
     iterations or the Newton matrix is singular.
     """
     h = cfg.step
+    half_h = 0.5 * h
+    eye = _identity(sys.state_dim)
     fx = sys.field(x, p)
     y = x + h * fx
-    eye = np.eye(sys.state_dim)
-    for _ in range(cfg.newton_max_iter):
-        g = y - x - 0.5 * h * (fx + sys.field(y, p))
-        if _norm(g) <= cfg.newton_tol:
-            if not np.all(np.isfinite(y)):
+    for it in range(cfg.newton_max_iter + 1):
+        g = y - x - half_h * (fx + sys.field(y, p))
+        residual = _norm(g)
+        if residual <= cfg.newton_tol:
+            if not _all_finite(y):
                 raise NonFiniteOutput("trapezoidal step produced non-finite state")
             return y
+        if it == cfg.newton_max_iter:
+            raise NewtonDivergence(
+                f"Newton iteration stalled at residual {residual:.3e} "
+                f"after {it} iterations (tol {cfg.newton_tol:.1e})"
+            )
         jac = eval_jacobian(sys, y, p)
         try:
-            y = y - np.linalg.solve(eye - 0.5 * h * jac, g)
+            y = y - np.linalg.solve(eye - half_h * jac, g)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence(f"singular Newton matrix at y={y}: {exc}") from exc
-    g = y - x - 0.5 * h * (fx + sys.field(y, p))
-    if _norm(g) <= cfg.newton_tol:
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteOutput("trapezoidal step produced non-finite state")
-        return y
-    raise NewtonDivergence(
-        f"Newton iteration stalled at residual {_norm(g):.3e} "
-        f"after {cfg.newton_max_iter} iterations (tol {cfg.newton_tol:.1e})"
-    )
 
 
 def step_trapezoidal_batch(
@@ -135,60 +149,67 @@ def step_trapezoidal_batch(
 
     ``sys`` must be batched, with an analytic Jacobian.  Each member goes
     through the floating-point operations of :func:`step_trapezoidal`; a
-    member whose residual has met the tolerance is frozen while the others
-    iterate on.  Returns the new states and a boolean mask of the members
-    whose step failed where the single step would raise (Newton stalled,
-    singular Newton matrix, non-finite Jacobian or state); their rows are
-    meaningless, and they do not hold up the other members.
+    member whose residual has met the tolerance is frozen (the Newton
+    update skips its row) while the others iterate on.  Returns the new
+    states and a boolean mask of the members whose step failed where the
+    single step would raise (Newton stalled, singular Newton matrix,
+    non-finite Jacobian or state); their rows are meaningless, and they do
+    not hold up the other members.
     """
     h = cfg.step
-    n = sys.state_dim
+    half_h = 0.5 * h
+    k, n = x.shape
+    eye = _identity(n)
     fx = sys.field(x, p)
     y = x + h * fx
-    eye = np.eye(n)
-    pending = np.ones(len(x), dtype=bool)
-    failed = np.zeros(len(x), dtype=bool)
-    for _ in range(cfg.newton_max_iter):
-        g = y - x - 0.5 * h * (fx + sys.field(y, p))
+    failed = np.zeros(k, dtype=bool)
+    pending = ~failed
+    for it in range(cfg.newton_max_iter + 1):
+        g = y - x - half_h * (fx + sys.field(y, p))
         pending &= ~(_norm(g) <= cfg.newton_tol)
-        if not pending.any():
+        if not np.count_nonzero(pending):
+            break
+        if it == cfg.newton_max_iter:
+            failed |= pending
             break
         jac = np.asarray(sys.jacobian(y, p), dtype=float)
-        if jac.shape != (len(x), n, n):
+        if jac.shape != (k, n, n):
             raise DimensionMismatch(
-                f"batched jacobian returned shape {jac.shape}, expected "
-                f"{(len(x), n, n)}"
+                f"batched jacobian returned shape {jac.shape}, expected {(k, n, n)}"
             )
-        if not np.isfinite(jac).all():
+        if not _all_finite(jac):
             failed |= pending & ~np.isfinite(jac).all(axis=(1, 2))
             pending &= ~failed
-        matrices = eye - 0.5 * h * jac
+        matrices = eye - half_h * jac
         try:
             delta = np.linalg.solve(matrices, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # some matrix of the stack is singular: solve member by member
             delta = np.zeros_like(g)
-            for k in np.flatnonzero(pending):
+            for j in np.flatnonzero(pending):
                 try:
-                    delta[k] = np.linalg.solve(matrices[k], g[k])
+                    delta[j] = np.linalg.solve(matrices[j], g[j])
                 except np.linalg.LinAlgError:
-                    failed[k] = True
+                    failed[j] = True
             pending &= ~failed
-        y = np.where(pending[:, None], y - delta, y)
-    else:
-        g = y - x - 0.5 * h * (fx + sys.field(y, p))
-        failed |= pending & ~(_norm(g) <= cfg.newton_tol)
-    if not np.isfinite(y).all():
+        np.subtract(y, delta, out=y, where=pending[:, None])
+    if not _all_finite(y):
         failed |= ~np.isfinite(y).all(axis=1)
     return y, failed
 
 
-def _offset(sys: ParameterizedSystem, x, sep) -> np.ndarray:
-    """``x - sep`` over the last axis, angles reduced to (-pi, pi]."""
-    d = np.asarray(x, dtype=float) - np.asarray(sep, dtype=float)
-    if sys.wrap_indices is not None:
-        idx = list(sys.wrap_indices)
-        d[..., idx] = (d[..., idx] + np.pi) % (2.0 * np.pi) - np.pi
+def _wrap_index(sys: ParameterizedSystem):
+    """``sys.wrap_indices`` as an index array, or None."""
+    wrap = sys.wrap_indices
+    return None if wrap is None else np.array(wrap, dtype=np.intp)
+
+
+def _offset(x: np.ndarray, sep: np.ndarray, wrap) -> np.ndarray:
+    """``x - sep`` over the last axis, the coordinates ``wrap`` (an index
+    array from :func:`_wrap_index`, or None) reduced to (-pi, pi]."""
+    d = x - sep
+    if wrap is not None:
+        d[..., wrap] = (d[..., wrap] + np.pi) % (2.0 * np.pi) - np.pi
     return d
 
 
@@ -201,7 +222,8 @@ def sep_distance(
     difference is reduced to (-pi, pi] before taking the norm, so a state one
     full revolution away from the equilibrium counts as being at it.
     """
-    return float(_norm(_offset(sys, x, sep)))
+    x, sep = np.asarray(x, dtype=float), np.asarray(sep, dtype=float)
+    return float(_norm(_offset(x, sep, _wrap_index(sys))))
 
 
 def simulate(
@@ -233,6 +255,7 @@ def simulate(
     real part above ``stability_tol``.
     """
     p = np.asarray(p, dtype=float)
+    sep, wrap = np.asarray(sep, dtype=float), _wrap_index(sys)
     x = initial_state(sys, p)
 
     states = [x]
@@ -253,7 +276,7 @@ def simulate(
         if _norm(x) > cfg.divergence_norm:
             termination = Termination.DIVERGED
             break
-        if _norm(_offset(sys, x, sep)) <= cfg.sep_tol:
+        if _norm(_offset(x, sep, wrap)) <= cfg.sep_tol:
             consec += 1
             if consec >= cfg.sep_dwell:
                 termination = Termination.CONVERGED_TO_SEP
@@ -311,6 +334,7 @@ class Lockstep:
         #: batched Newton step needs the batched analytic Jacobian
         self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
+        self._wrap = _wrap_index(sys)
         #: ends of members run to their end by add, not reported yet
         self._ended: dict[int, RunEnd] = {}
         #: steps the batch has taken since it was made
@@ -386,11 +410,11 @@ class Lockstep:
         self.steps += 1
         self._x = x
         beyond = _norm(x) > cfg.divergence_norm
-        self._consec = np.where(
-            _norm(_offset(self.sys, x, self._sep)) <= cfg.sep_tol, self._consec + 1, 0
-        )
+        # the dwell counts consecutive states near the SEP and restarts at 0
+        self._consec += 1
+        self._consec *= _norm(_offset(x, self._sep, self._wrap)) <= cfg.sep_tol
         done = failed | beyond | (self._consec >= cfg.sep_dwell)
-        if not done.any():
+        if not np.count_nonzero(done):
             return ends
         steps = self.steps - self._start
         # a failed step first, then divergence, then the dwell: simulate's order

@@ -140,8 +140,10 @@ def _disturbance_system(c2: float) -> ParameterizedSystem:
     """The pendulum without its restoring torque, batched."""
 
     def field(x, q):
-        xt = x.T
-        return np.array([xt[1], -c2 * xt[1] + q.T[0]]).T
+        xt, out = x.T, np.empty(x.shape)
+        out.T[0] = xt[1]
+        out.T[1] = -c2 * xt[1] + q.T[0]
+        return out
 
     jac = np.array([[0.0, 1.0], [0.0, -c2]])
     return ParameterizedSystem(
@@ -168,14 +170,20 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
     c1, c2 = params.c1, params.c2
     constant_part = np.array([[0.0, 1.0], [0.0, -c2]])
 
+    # Both callables index the transposed state, whose rows are numpy
+    # scalars for a single state (cheap scalar arithmetic) and component
+    # views for a batch; the field fills a C-ordered array, which the
+    # integrator's array arithmetic runs through fastest.
     def field(x, p):
-        xt = x.T
-        return np.array([xt[1], -c1 * np.sin(xt[0]) - c2 * xt[1] + p.T[0]]).T
+        xt, out = x.T, np.empty(x.shape)
+        out.T[0] = xt[1]
+        out.T[1] = -c1 * np.sin(xt[0]) - c2 * xt[1] + p.T[0]
+        return out
 
     def jacobian(x, p):
         jac = np.empty(x.shape + (2,))
         jac[...] = constant_part
-        jac[..., 1, 0] = -c1 * np.cos(x[..., 0])
+        jac[..., 1, 0] = -c1 * np.cos(x.T[0])
         return jac
 
     return ParameterizedSystem(
@@ -418,23 +426,23 @@ def _swing_system(
     """
     n = params.n_machines
     emf_nodes = np.concatenate([[params.slack_emf], params.emf])
+    emf_machines = emf_nodes[1:]
     damping = params.damping
     mech = params.mech_power
     base_inertia = params.inertia
     # rows: machines 1..n; columns: nodes 0..n (node 0 is the anchor)
     g_rows, b_rows = conductance[1:], susceptance[1:]
-    emf_pairs = emf_nodes[1:, None] * emf_nodes
-    # each machine's own column, left out of its coupling sum
+    minus_g_rows = -g_rows
+    emf_pairs = emf_machines[:, None] * emf_nodes
     own = np.arange(n)
-    couples = np.ones((n, n + 1), dtype=bool)
-    couples[own, own + 1] = False
+    own_node, speed = own + 1, n + own
 
     if params.inertia_mode == "scale":
         param_dim = 1
 
         def inertias(p: np.ndarray) -> np.ndarray:
             m = p[..., :1] * base_inertia
-            if not np.all(m > 0.0):
+            if not np.logical_and.reduce(m > 0.0, axis=None):
                 raise ParamOutOfRange(
                     f"inertia scale {p[..., 0]} makes some inertia non-positive"
                 )
@@ -444,40 +452,40 @@ def _swing_system(
         param_dim = n
 
         def inertias(p: np.ndarray) -> np.ndarray:
-            if not np.all(p > 0.0):
+            if not np.logical_and.reduce(p > 0.0, axis=None):
                 raise ParamOutOfRange(f"inertia vector must be positive: {p}")
             return p
 
     def angle_gaps(x):
         """theta_i - theta_j for machines i (rows) and nodes j (columns)."""
         th = x[..., :n]
-        nodes = np.concatenate([np.zeros(th.shape[:-1] + (1,)), th], axis=-1)
+        nodes = np.zeros(th.shape[:-1] + (n + 1,))
+        nodes[..., 1:] = th
         return th[..., :, None] - nodes[..., None, :]
 
     def field(x, p):
         d = angle_gaps(x)
         flows = emf_nodes * (g_rows * np.cos(d) + b_rows * np.sin(d))
-        pe = emf_nodes[1:] * np.sum(flows, axis=-1)
+        pe = emf_machines * np.add.reduce(flows, axis=-1)
         w = x[..., n:]
         return np.concatenate([w, (mech - pe - damping * w) / inertias(p)], axis=-1)
 
     def jacobian(x, p):
         d = angle_gaps(x)
         # t[i, j] = d(pe_i)/d(theta_i) contribution of node j
-        t = emf_pairs * (-g_rows * np.sin(d) + b_rows * np.cos(d))
-        t = np.where(couples, t, 0.0)
-        diag = t[..., 0]
-        for j in range(1, n + 1):
-            diag = diag + t[..., j]
+        t = emf_pairs * (minus_g_rows * np.sin(d) + b_rows * np.cos(d))
+        # each machine's own column is left out of its coupling sum
+        t[..., own, own_node] = 0.0
+        # the coupling sum, node by node in index order
+        diag = np.add.accumulate(t, axis=-1)[..., -1]
         m = inertias(p)
         # -d(pe)/d(theta) divided by the inertias: off-diagonal t, diagonal
         # minus the coupling sum
-        coupling = t[..., 1:] / m[..., :, None]
-        coupling[..., own, own] = -diag / m
         jac = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
-        jac[..., own, n + own] = 1.0
-        jac[..., n:, :n] = coupling
-        jac[..., n + own, n + own] = -(damping / m)
+        jac[..., own, speed] = 1.0
+        np.divide(t[..., 1:], m[..., :, None], out=jac[..., n:, :n])
+        jac[..., speed, own] = -diag / m
+        jac[..., speed, speed] = -(damping / m)
         return jac
 
     return ParameterizedSystem(

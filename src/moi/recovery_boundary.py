@@ -260,13 +260,15 @@ def ray_boundary_search(
     for ``elapsed // k`` of the round's steps (members still running before
     it are assumed to recover).  Verdicts are still committed in the order
     above, so the result, ``history`` included, is that of a search that
-    starts each group only after committing the one before: work started on a bracket that turns out wrong is dropped unclassified
-    and restarted, expansion members past the first failing one are
-    dropped unclassified, and an error of ``find_sep`` (or of the initial
-    conditions) in a group is raised only if the commit reaches it.  When
-    the probes do not step in lockstep, each runs to its end as it starts,
-    so every bracket is final when its successor starts and the search is
-    plain expansion and bisection, probe for probe.
+    starts each group only after committing the one before: work started
+    on a bracket that turns out wrong is dropped unclassified and
+    restarted, expansion members past the first failing one are dropped
+    unclassified, and an error of ``find_sep`` (or of the initial
+    conditions) in a group is raised only if the commit reaches it.
+
+    When the probes do not step in lockstep, each runs to its end as it
+    starts, so every bracket is final when its successor starts and the
+    search is plain expansion and bisection, probe for probe.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")
@@ -349,7 +351,9 @@ def _raise_held(r: _Round):
 class _PipelinedSearch:
     """:func:`ray_boundary_search` on one Lockstep.
 
-    ``sections`` is k of the docstring there.  ``chain`` holds the started rounds whose verdicts are not committed
+    ``sections`` is k of the docstring there.
+
+    ``chain`` holds the started rounds whose verdicts are not committed
     yet, each the successor of the one before it.
     """
 

@@ -132,6 +132,126 @@ def test_singular_member_fails_alone():
         step_trapezoidal(sys_, x[1], p[1], cfg)
 
 
+#: member kinds of ``mixed_system``, picked by p[0]
+ORDINARY, NAN_JACOBIAN, STALLS, STILL, CURVED = range(5)
+
+
+def mixed_system():
+    """Batched x' = f(x) whose form each member picks with p[0]: -x
+    (ordinary), -x with a NaN Jacobian, the stiff -100 x^3 (its Newton
+    iteration needs about ten steps from x = 1 at h = 0.1), no field at
+    all (the step converges on the predictor), and -sin(x)."""
+
+    def kind(p):
+        return p[..., :1]
+
+    def field(x, p):
+        k = kind(p)
+        return np.where(
+            k == STALLS, -100.0 * x**3,
+            np.where(k == STILL, 0.0, np.where(k == CURVED, -np.sin(x), -x)),
+        )
+
+    def jacobian(x, p):
+        k = kind(p)
+        d = np.where(
+            k == NAN_JACOBIAN, np.nan,
+            np.where(
+                k == STALLS, -300.0 * x**2,
+                np.where(k == STILL, 0.0, np.where(k == CURVED, -np.cos(x), -1.0)),
+            ),
+        )
+        return d[..., None]
+
+    return ParameterizedSystem(
+        state_dim=1, param_dim=1, field=field, jacobian=jacobian, batched=True
+    )
+
+
+def test_failing_members_fail_alone_and_converged_members_stay_frozen():
+    """Members that fail do so where the single step raises, and only
+    they; the others equal the single step bitwise, and a member that has
+    converged is not moved while the others iterate on."""
+    kinds = [ORDINARY, NAN_JACOBIAN, STALLS, STILL, CURVED, ORDINARY]
+    p = np.array(kinds, dtype=float)[:, None]
+    x = np.array([[1.0], [1.0], [1.0], [0.7], [1.0], [-2.5]])
+    cfg = IntegratorConfig(step=0.1, newton_max_iter=4)
+    seen = []
+
+    def spy(y, q):
+        seen.append(y.copy())
+        return mixed_system().jacobian(y, q)
+
+    y, failed = step_trapezoidal_batch(replace(mixed_system(), jacobian=spy), x, p, cfg)
+    assert failed.tolist() == [False, True, True, False, False, False]
+    with pytest.raises(NonFiniteOutput):
+        step_trapezoidal(mixed_system(), x[1], p[1], cfg)
+    with pytest.raises(NewtonDivergence, match="stalled"):
+        step_trapezoidal(mixed_system(), x[2], p[2], cfg)
+    for k in np.flatnonzero(~failed):
+        assert np.array_equal(y[k], step_trapezoidal(mixed_system(), x[k], p[k], cfg))
+    # one Jacobian per Newton update: the stalling member ran them all
+    assert len(seen) == cfg.newton_max_iter
+    # the still member converged on its predictor x, the linear ones after
+    # one update, and the member with the NaN Jacobian failed before its
+    # first update; none of them moved while the others went on
+    assert np.array_equal(y[3], x[3])
+    for y_seen in seen:
+        assert np.array_equal(y_seen[[1, 3]], seen[0][[1, 3]])
+        assert np.array_equal(y_seen[3], x[3])
+    for y_seen in seen[1:]:
+        assert np.array_equal(y_seen[[0, 5]], y[[0, 5]])
+
+
+def damped_oscillator():
+    """x'' = -x / 4 - c x' with the damping c as the parameter, from (1, 0).
+    Its distance to the origin swings between the amplitude and half of
+    it, so the run enters a ball about the origin, leaves it and comes back
+    several times before it stays."""
+
+    def field(x, p):
+        xt, out = x.T, np.empty(x.shape)
+        out.T[0] = xt[1]
+        out.T[1] = -0.25 * xt[0] - p.T[0] * xt[1]
+        return out
+
+    def jacobian(x, p):
+        jac = np.zeros(x.shape + (2,))
+        jac[..., 0, 1] = 1.0
+        jac[..., 1, 0] = -0.25
+        jac[..., 1, 1] = -p[..., 0]
+        return jac
+
+    return ParameterizedSystem(
+        state_dim=2,
+        param_dim=1,
+        field=field,
+        jacobian=jacobian,
+        initial_condition=lambda p: np.stack(
+            [np.ones(p.shape[:-1]), np.zeros(p.shape[:-1])], axis=-1
+        ),
+        batched=True,
+    )
+
+
+def test_dwell_restarts_when_a_member_leaves_the_sep_ball():
+    sys_ = damped_oscillator()
+    cfg = IntegratorConfig(step=0.1, max_time=300.0, sep_tol=0.1, sep_dwell=30)
+    points = np.array([[0.05], [0.08]])
+    sep = np.zeros(2)
+    runs = run_lockstep(sys_, points, cfg, np.zeros((2, 2)))
+    for p, run in zip(points, runs):
+        traj = simulate(sys_, p, cfg, sep)
+        assert traj.termination is Termination.CONVERGED_TO_SEP
+        # a dwell count that did not restart when the run left the ball
+        # would have reached sep_dwell, and ended the run, earlier
+        inside = np.linalg.norm(traj.states, axis=1) <= cfg.sep_tol
+        assert np.flatnonzero(np.cumsum(inside) >= cfg.sep_dwell)[0] < len(traj) - 1
+        assert run.termination is traj.termination
+        assert np.array_equal(run.final_state, traj.states[-1])
+        assert run.elapsed == traj.elapsed
+
+
 def scalar_verdicts(sys_, points, cfg):
     return [
         classify_recovery(sys_, p, cfg, find_sep(sys_, p)) for p in points

@@ -146,9 +146,11 @@ class TestExitCodes:
             ["boundary", "--p0", "1.5", "--dir", "inf", "--h", "0.02"],
             ["simulate", "--p", "1.5", "--h", "inf"],
             ["simulate", "--p", "1.5", "--h", "0.02", "--max-time", "inf"],
+            ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "inf"],
+            ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "nan"],
         ],
         ids=["tol", "sweep-tol", "stability-tol-nan", "stability-tol-negative",
-             "p", "dir", "h", "max-time"],
+             "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan"],
     )
     def test_non_finite_or_negative_value_is_a_config_error(self, capsys, argv):
         assert run_cli(argv + ["--model", "pendulum"]) == 2

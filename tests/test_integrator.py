@@ -45,12 +45,18 @@ class TestConfigValidation:
             IntegratorConfig(step=0.1, newton_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, newton_max_iter=0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=0.1, newton_tol=bad)
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, max_time=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, max_time=np.inf)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=0.1, sep_tol=bad)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, sep_dwell=0)
         with pytest.raises(ValueError):
