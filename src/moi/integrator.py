@@ -29,6 +29,7 @@ from .system_core import (
     ParameterizedSystem,
     Termination,
     Trajectory,
+    _all_finite,
     eval_jacobian,
     initial_state,
 )
@@ -87,11 +88,6 @@ def _norm(v: np.ndarray):
     for k in range(1, len(squares)):
         total = total + squares[k]
     return np.sqrt(total)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, with less call overhead."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 @functools.cache

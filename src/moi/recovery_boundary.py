@@ -5,10 +5,11 @@ state settle back to the stable equilibrium?  The set of parameter values
 that recover has a boundary, and :func:`ray_boundary_search` locates the
 crossing of that boundary along a caller-supplied ray by an expansion phase
 (doubling steps until a failing point is found) followed by multisection:
-each refinement round probes the bracket at evenly spaced interior points.
-Every system is searched the same way, on one
-:class:`~moi.integrator.Lockstep`; whether its probes step in lockstep
-sets only how many points a round probes.
+each refinement round probes the bracket at interior points, placed around
+the crossing that the escape times of the previous round's failing probes
+predict, or evenly spaced when they predict none.  Every system is searched
+the same way, on one :class:`~moi.integrator.Lockstep`; whether its probes
+step in lockstep sets only how many points a round probes.
 
 The search is deliberately restricted to a one-dimensional ray.  A
 closest-point search over the full parameter space is a separate
@@ -51,10 +52,11 @@ from .system_core import (
 
 
 #: sections per refinement round when the probes step in lockstep: the 15
-#: interior points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic
-#: fractions of the bracket and each round narrows it 16-fold.  Other
-#: systems use 2 sections, i.e. bisection: their probes run one after
-#: another, and one probe per halving is the fewest per bit.
+#: uniform interior points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic
+#: fractions of the bracket and each round narrows it 16-fold, a guided
+#: round probes as many.  Other systems use 2 sections, i.e. bisection:
+#: their probes run one after another, and one probe per halving is the
+#: fewest per bit.
 SECTIONS = 16
 
 
@@ -201,16 +203,124 @@ def classify_recovery(
     )
 
 
+def _points_at(p_lo: np.ndarray, p_hi: np.ndarray, fractions) -> list:
+    """The points p_lo + (p_hi - p_lo) * t for the increasing fractions t,
+    each once, leaving out points equal to an endpoint."""
+    points: list = []
+    for t in fractions:
+        p_t = p_lo + (p_hi - p_lo) * t
+        previous = points[-1] if points else p_lo
+        if not (np.array_equal(p_t, previous) or np.array_equal(p_t, p_hi)):
+            points.append(p_t)
+    return points
+
+
 def _round_points(p_lo: np.ndarray, p_hi: np.ndarray, sections: int) -> list:
     """The points p_lo + (p_hi - p_lo) * (i / sections), i = 1..sections-1,
     each once, leaving out points equal to an endpoint."""
-    points: list = []
-    for i in range(1, sections):
-        p_i = p_lo + (p_hi - p_lo) * (i / sections)
-        previous = points[-1] if points else p_lo
-        if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
-            points.append(p_i)
-    return points
+    return _points_at(p_lo, p_hi, [i / sections for i in range(1, sections)])
+
+
+#: fewest diverged members that :func:`_fit_crossing` fits
+FIT_MIN_MEMBERS = 4
+#: largest RMS residual, in steps, of a fit that places a round
+FIT_MAX_RMS = 1.0
+#: offsets 1 - c searched by :func:`_fit_crossing` first, in bracket
+#: widths; a best offset at either end of the grid is no prediction
+_FIT_GRID = np.logspace(-12.0, 2.0, 37)
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: brackets at most this many units in the last place wide are split
+#: uniformly: a guided round could not place its points apart there
+GUIDE_MIN_ULPS = 16
+
+
+def _line_fits(s: np.ndarray, n: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Least-squares lines n = a - b ln(s + offset), one per offset: their
+    slopes b and residual sums of squares."""
+    x = np.log(s + offsets[:, None])
+    x = x - x.mean(axis=1, keepdims=True)
+    dn = n - n.mean()
+    # positions that coincide in log leave x all zero: a flat line, b = 0
+    sxx, sxn = np.maximum((x * x).sum(axis=1), np.finfo(float).tiny), x @ dn
+    return -sxn / sxx, np.maximum(dn @ dn - sxn * sxn / sxx, 0.0)
+
+
+def _fit_crossing(t, n):
+    """The crossing c in (0, 1) that escape steps ``n`` of diverged members
+    at bracket positions ``t`` >= 1 predict, or None.
+
+    Near a saddle's stable manifold a trajectory lingers for a time that
+    grows like -ln|p - p*| / lambda_u, so the steps fit n = a - b ln(t - c)
+    with b > 0, t measured in bracket widths from p_lo.  For each offset
+    1 - c the best a and b are closed form; the offset is searched over a
+    log grid, then by golden section between the best grid point's
+    neighbours.  Fewer than ``FIT_MIN_MEMBERS`` members, a slope b <= 0,
+    an RMS residual above ``FIT_MAX_RMS`` steps or a crossing outside
+    (0, 1) give None.
+    """
+    t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
+    if len(t) < FIT_MIN_MEMBERS:
+        return None
+    s = t - 1.0
+    _, rss = _line_fits(s, n, _FIT_GRID)
+    best = int(np.argmin(rss))
+    if best in (0, len(_FIT_GRID) - 1):
+        return None
+    lo, hi = np.log(_FIT_GRID[best - 1]), np.log(_FIT_GRID[best + 1])
+    for _ in range(40):
+        left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        _, (rss_left, rss_right) = _line_fits(s, n, np.exp([left, right]))
+        if rss_left <= rss_right:
+            hi = right
+        else:
+            lo = left
+    offset = float(np.exp((lo + hi) / 2.0))
+    (slope,), (rss,) = _line_fits(s, n, np.array([offset]))
+    c = 1.0 - offset
+    if not (slope > 0.0 and rss <= FIT_MAX_RMS**2 * len(n) and 0.0 < c < 1.0):
+        return None
+    return c
+
+
+def _guided_fractions(c: float) -> list:
+    """Bracket fractions of a round placed around the predicted crossing
+    ``c``: the midpoint and c +- eps 3^k, k = 0..6, eps = 1e-3 (1 - c),
+    those strictly inside (0, 1), in increasing order."""
+    eps = 1e-3 * (1.0 - c)
+    around = [c + sign * eps * 3.0**k for k in range(7) for sign in (-1.0, 1.0)]
+    return sorted({t for t in [0.5] + around if 0.0 < t < 1.0})
+
+
+def _ulps(p_lo: np.ndarray, p_hi: np.ndarray) -> float:
+    """The bracket's widest coordinate span in units in the last place of
+    that coordinate's larger end."""
+    span = np.abs(p_hi - p_lo) / np.spacing(np.maximum(np.abs(p_lo), np.abs(p_hi)))
+    return float(span.max())
+
+
+def _next_points(p_lo, p_hi, sections: int, step: float, tail_points, tail_ends) -> list:
+    """Interior points of the round that refines the bracket (p_lo, p_hi).
+
+    ``tail_points`` and ``tail_ends`` are the members of the round just
+    walked from its key on (the first of them is ``p_hi``), with their
+    :class:`~moi.integrator.RunEnd`; after an expansion group they are
+    empty.  When their diverged members' end steps fit the saddle law
+    (:func:`_fit_crossing`), the round is placed around the predicted
+    crossing (:func:`_guided_fractions`); otherwise, and on bisection
+    systems (2 sections) or brackets of at most ``GUIDE_MIN_ULPS`` units in
+    the last place, it takes the ``sections`` uniform points.
+    """
+    if sections > 2 and _ulps(p_lo, p_hi) > GUIDE_MIN_ULPS:
+        width = float(np.linalg.norm(p_hi - p_lo))
+        failing = [
+            (float(np.linalg.norm(p - p_lo)) / width, end.elapsed / step)
+            for p, end in zip(tail_points, tail_ends)
+            if end.termination is Termination.DIVERGED
+        ]
+        c = _fit_crossing(*zip(*failing)) if failing else None
+        if c is not None:
+            return _points_at(p_lo, p_hi, _guided_fractions(c))
+    return _round_points(p_lo, p_hi, sections)
 
 
 def ray_boundary_search(
@@ -229,11 +339,27 @@ def ray_boundary_search(
     Expansion phase: probe s = initial_step, doubling until a probe fails to
     recover (raises ``NoBracket`` if the budget runs out first).
 
-    Refinement phase (multisection): each round probes the interior points
-    ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1, computed directly in
-    parameter space, with k = ``SECTIONS`` when the system's probes step in
-    lockstep (``Lockstep.lockstep``: batched, with an analytic Jacobian)
-    and k = 2 otherwise (bisection, one probe per round).
+    Refinement phase (multisection): each round probes up to k - 1 interior
+    points of the bracket, computed directly in parameter space, with
+    k = ``SECTIONS`` when the system's probes step in lockstep
+    (``Lockstep.lockstep``: batched, with an analytic Jacobian) and k = 2
+    otherwise (bisection, one probe per round).  By default a round takes
+    the uniform points ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1.  A
+    refinement round that follows another one is guided instead when the
+    members of that round from its key on (the key being the new ``p_hi``)
+    include at least ``FIT_MIN_MEMBERS`` that diverged: near the boundary a
+    failing trajectory lingers by the controlling saddle for a time that
+    grows like -ln|p - p*| / lambda_u, so their end steps n are fitted to
+    n = a - b ln(t - c), t the position in the new bracket in bracket
+    widths.  The round then probes the midpoint and c +- eps 3^j,
+    j = 0..6, eps = 1e-3 (1 - c), those strictly inside the bracket.  The
+    guard falls back to the uniform points when the fit has b <= 0, an
+    RMS residual above ``FIT_MAX_RMS`` steps or c outside (0, 1), on
+    bisection systems, and once the bracket is at most ``GUIDE_MIN_ULPS``
+    units in the last place wide, where one uniform round reaches adjacent
+    doubles.  The placement is a function of the round's points and those
+    members' ends alone, so a round's successor starts only after they
+    have all ended.
     Walking the round's verdicts in ray order, the last recovering point
     before the first failing one becomes ``p_lo`` and that failing point
     ``p_hi``; points past it are kept in ``history`` but do not move the
@@ -309,6 +435,8 @@ class _Round:
         self.key = None
         #: provisional key, and the round step since which it has held
         self.guess, self.since = None, 0
+        #: whether the successor for the final key is still to be started
+        self.pending = False
 
     def drop(self, lock: Lockstep, after: int = -1) -> None:
         """Remove the members past index ``after`` from ``lock``."""
@@ -437,7 +565,10 @@ class _PipelinedSearch:
             return
         lo, hi, warm = self._bracket(r, key)
         if float(np.linalg.norm(hi - lo[0])) > self.param_tol:
-            points = _round_points(lo[0], hi, self.sections)
+            # an expansion group's members past its key are dropped: it
+            # leaves the next round no escape times to fit
+            tail = (r.points[key:], r.ends[key:]) if r.hi is not None else ((), ())
+            points = _next_points(lo[0], hi, self.sections, self.cfg.step, *tail)
             if points:
                 self._start(lo, hi, points, warm, key)
 
@@ -455,36 +586,39 @@ class _PipelinedSearch:
         due = np.inf
         lock, chain = self.lock, self.chain
         for i, r in enumerate(chain):
-            if r.key is not None or not r.ends:
-                continue
-            final, guess = _walk(r.ends)
-            key = guess if final is None else final
-            if i + 1 < len(chain) and chain[i + 1].from_key != key:
-                for dropped in chain[i + 1 :]:
-                    dropped.drop(lock)
-                del chain[i + 1 :]
-            started = i + 1 < len(chain)
-            if final is not None:
+            if r.key is None and r.ends:
+                final, guess = _walk(r.ends)
+                key = guess if final is None else final
+                if i + 1 < len(chain) and chain[i + 1].from_key != key:
+                    for dropped in chain[i + 1 :]:
+                        dropped.drop(lock)
+                    del chain[i + 1 :]
+                started = i + 1 < len(chain)
+                if final is None:
+                    if guess != r.guess:
+                        r.guess, r.since = guess, lock.steps - r.start
+                    if guess is not None and not started:
+                        ready = r.start + _hold_end(r.since, self.sections)
+                        if lock.steps >= ready:
+                            self._launch(r, guess)
+                        else:
+                            due = min(due, ready)
+                    continue
                 r.key = final
                 if r.hi is None:
                     # expansion members past the first failure go unclassified
                     r.drop(lock, final)
                 # an undetermined member or a failing origin ends the search
-                goes_on = final == len(r.ends) or (
-                    r.ends[final].termination is Termination.DIVERGED
+                r.pending = not started and (
+                    final == len(r.ends)
+                    or r.ends[final].termination is Termination.DIVERGED
                     and (final > 0 or r.lo is not None)
                 )
-                if goes_on and not started:
-                    self._launch(r, final)
-                continue
-            if guess != r.guess:
-                r.guess, r.since = guess, lock.steps - r.start
-            if guess is not None and not started:
-                ready = r.start + _hold_end(r.since, self.sections)
-                if lock.steps >= ready:
-                    self._launch(r, guess)
-                else:
-                    due = min(due, ready)
+            # a refinement round's successor is placed from the ends of its
+            # members from the key on, so it waits for all of them
+            if r.pending and (r.hi is None or None not in r.ends[r.key :]):
+                r.pending = False
+                self._launch(r, r.key)
         return due
 
     def _commit(self, r: _Round):

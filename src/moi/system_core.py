@@ -103,7 +103,15 @@ class Trajectory:
         return (len(self.states) - 1) * self.step
 
 
+def _all_finite(a: Array) -> bool:
+    """``np.isfinite(a).all()``, with less call overhead."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _check_vector(v, dim: int, label: str) -> Array:
+    # a float vector of the right shape is what np.asarray would return
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (dim,):
+        return v
     arr = np.asarray(v, dtype=float)
     if arr.shape != (dim,):
         raise DimensionMismatch(
@@ -154,7 +162,7 @@ def eval_jacobian(sys: ParameterizedSystem, x, p) -> Array:
             f"jacobian returned shape {J.shape}, expected square of dim "
             f"{sys.state_dim}"
         )
-    if not np.all(np.isfinite(J)):
+    if not _all_finite(J):
         raise NonFiniteOutput(f"jacobian at ({x}, {p}) produced NaN/Inf")
     return J
 

@@ -30,8 +30,15 @@ from moi import (
     simulate,
     step_trapezoidal,
 )
-from moi.integrator import Lockstep, step_trapezoidal_batch
-from moi.recovery_boundary import SECTIONS
+from moi.integrator import Lockstep, RunEnd, step_trapezoidal_batch
+from moi.recovery_boundary import (
+    GUIDE_MIN_ULPS,
+    SECTIONS,
+    _fit_crossing,
+    _next_points,
+    _round_points,
+    _ulps,
+)
 
 from test_recovery_boundary import gated_decay_system
 
@@ -573,10 +580,119 @@ def test_undetermined_first_failure_raises_and_names_it():
         )
 
 
-def reference_search(sys_, p0, direction, cfg, param_tol, initial_step=0.1):
+def saddle_law_tail(p_lo, p_hi, t, c, b, step=0.02):
+    """Tail members at bracket positions ``t`` whose end steps follow the
+    saddle law n = round(3000 - b ln(t - c)), with their run ends."""
+    n = np.round(3000.0 - b * np.log(np.asarray(t) - c))
+    points = [p_lo + (p_hi - p_lo) * t_i for t_i in t]
+    ends = [RunEnd(Termination.DIVERGED, np.zeros(1), n_i * step) for n_i in n]
+    return points, ends
+
+
+@pytest.mark.parametrize("b", [20.0, 56.0, 400.0])
+@pytest.mark.parametrize("c", [0.01, 0.3, 0.9, 0.999, 1.0 - 1e-6])
+@pytest.mark.parametrize(
+    "t", [np.arange(1.0, 16.0), 1.0 + np.array([0.0, 2.0, 8.0, 26.0, 80.0, 242.0])],
+    ids=["uniform-round", "guided-round"],
+)
+def test_fit_recovers_the_crossing_from_quantised_escape_steps(t, c, b):
+    """Whole steps quantise ln(t - c) to 1/b, so the offset 1 - c is
+    recovered to within a factor e^(3/b)."""
+    n = np.round(3000.0 - b * np.log(t - c))
+    fit = _fit_crossing(t, n)
+    assert fit is not None
+    assert abs(np.log((1.0 - fit) / (1.0 - c))) <= 3.0 / b
+
+
+def test_fit_rejects_too_few_members_a_wrong_slope_and_noise():
+    t = np.arange(1.0, 16.0)
+    law = np.round(3000.0 - 56.0 * np.log(t - 0.5))
+    assert _fit_crossing(t[:3], law[:3]) is None
+    assert _fit_crossing(t[:4], law[:4]) is not None
+    # ends that grow away from the bracket: slope b < 0
+    assert _fit_crossing(t, 3000.0 + 56.0 * np.log(t + 0.5)) is None
+    # ends that zigzag by 6 steps about the law: RMS residual above a step
+    assert _fit_crossing(t, law + 6.0 * (-1.0) ** np.arange(15)) is None
+
+
+def test_degenerate_tails_place_the_round_uniformly():
+    p_lo, p_hi = np.array([0.25]), np.array([0.3])
+    uniform = _round_points(p_lo, p_hi, SECTIONS)
+
+    def placed(points, ends, sections=SECTIONS):
+        return _next_points(p_lo, p_hi, sections, BAND_CFG.step, points, ends)
+
+    # flat: members of one band escape after the same number of steps
+    for kind in ("fail", "late"):
+        sys_ = banded_system([(0.28, "recover"), (np.inf, kind)])
+        points = np.linspace(0.3, 0.4, 8)[:, None]
+        runs = run_lockstep(sys_, points, BAND_CFG, np.zeros((8, 1)))
+        assert {run.termination for run in runs} == {Termination.DIVERGED}
+        assert len({run.elapsed for run in runs}) == 1
+        assert np.array_equal(placed(list(points), runs), uniform)
+    points, ends = saddle_law_tail(p_lo, p_hi, np.arange(1.0, 16.0), 0.5, 56.0)
+    assert not np.array_equal(placed(points, ends), uniform)
+    # fewer than 4 diverged members: three, or four with one timed out
+    assert np.array_equal(placed(points[:3], ends[:3]), uniform)
+    timed_out = replace(ends[2], termination=Termination.MAX_TIME_REACHED)
+    assert np.array_equal(placed(points[:4], ends[:2] + [timed_out] + ends[3:4]), uniform)
+    # ends that grow away from the bracket, and bisection
+    assert np.array_equal(placed(points, ends[::-1]), uniform)
+    assert np.array_equal(
+        placed(points, ends, sections=2), _round_points(p_lo, p_hi, 2)
+    )
+
+
+def test_guided_round_surrounds_the_predicted_crossing():
+    p_lo, p_hi = np.array([1.0]), np.array([1.5])
+    points, ends = saddle_law_tail(p_lo, p_hi, np.arange(1.0, 16.0), 0.6, 56.0)
+    placed = np.array(_next_points(p_lo, p_hi, SECTIONS, 0.02, points, ends))[:, 0]
+    assert len(placed) == 15 and 1.25 in placed
+    crossing = 1.0 + 0.5 * 0.6
+    below, above = placed[placed < crossing], placed[placed > crossing]
+    # the points next to the crossing are a tenth of a uniform section apart
+    assert above.min() - below.max() < 0.5 / SECTIONS / 10.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3),
+    ulps=st.integers(1, 40) | st.integers(1, 2**50),
+    sign=st.sampled_from([1.0, -1.0]),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    b=st.floats(5.0, 500.0),
+    members=st.integers(0, 15),
+    stride=st.floats(1e-6, 1.0),
+)
+@example(lo=1.5, ulps=16, sign=1.0, c=0.5, b=56.0, members=15, stride=1.0)
+@example(lo=1.5, ulps=17, sign=-1.0, c=0.5, b=56.0, members=15, stride=1.0)
+def test_round_points_are_ordered_inside_the_bracket(
+    lo, ulps, sign, c, b, members, stride
+):
+    p_lo = np.array([lo])
+    p_hi = p_lo + sign * ulps * np.spacing(abs(p_lo))
+    t = 1.0 + stride * np.arange(members)
+    points, ends = saddle_law_tail(p_lo, p_hi, t, c, b)
+    placed = _next_points(p_lo, p_hi, SECTIONS, 0.02, points, ends)
+    along = [sign * float(p[0]) for p in [p_lo] + placed + [p_hi]]
+    assert len(placed) <= SECTIONS - 1
+    assert all(u < v for u, v in zip(along, along[1:]))
+    if _ulps(p_lo, p_hi) <= GUIDE_MIN_ULPS:
+        assert np.array_equal(placed, _round_points(p_lo, p_hi, SECTIONS))
+
+
+def uniform_points(p_lo, p_hi, sections, step, tail_points, tail_ends):
+    """Round placement without the escape-time guide: always uniform."""
+    return _round_points(p_lo, p_hi, sections)
+
+
+def reference_search(
+    sys_, p0, direction, cfg, param_tol, initial_step=0.1, place=_next_points
+):
     """The search of a batched system as it ran before pipelining: a serial
     expansion, then one lockstep batch per refinement round, each round
-    started once the one before it had ended."""
+    started once the one before it had ended and placed by ``place`` from
+    the members of that round from its key on."""
     p0, direction = np.array(p0, dtype=float), np.array(direction, dtype=float)
     history = []
 
@@ -600,13 +716,9 @@ def reference_search(sys_, p0, direction, cfg, param_tol, initial_step=0.1):
             raise UndeterminedAtBisection(f"expansion probe at p={p}")
         s *= 2.0
     iterations = 0
+    tail_points, tail_runs = [], []
     while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        points = []
-        for i in range(1, SECTIONS):
-            p_i = p_lo + (p_hi - p_lo) * (i / SECTIONS)
-            previous = points[-1] if points else p_lo
-            if not (np.array_equal(p_i, previous) or np.array_equal(p_i, p_hi)):
-                points.append(p_i)
+        points = place(p_lo, p_hi, SECTIONS, cfg.step, tail_points, tail_runs)
         if not points:
             break
         seps = []
@@ -620,14 +732,16 @@ def reference_search(sys_, p0, direction, cfg, param_tol, initial_step=0.1):
         ]
         history.extend(zip(points, verdicts))
         iterations += len(points)
-        for p_i, sep_i, v in zip(points, seps, verdicts):
+        key = len(points)
+        for i, (p_i, sep_i, v) in enumerate(zip(points, seps, verdicts)):
             if v is Verdict.RECOVERS:
                 p_lo, sep_lo = p_i, sep_i
             elif v is Verdict.FAILS_TO_RECOVER:
-                p_hi = p_i
+                p_hi, key = p_i, i
                 break
             else:
                 raise UndeterminedAtBisection(f"refinement probe at p={p_i}")
+        tail_points, tail_runs = points[key:], runs[key:]
     return BoundarySearchResult(
         p_star=p_lo,
         p_fail=p_hi,
@@ -665,6 +779,11 @@ def test_pipelined_search_matches_round_by_round_search_on_nine_bus(nine_bus, st
     )
     res = ray_boundary_search(grid, [start], [-1.0], cfg, param_tol=1e-3)
     assert_same_search(res, reference_search(grid, [start], [-1.0], cfg, 1e-3))
+    if start == 1.0:
+        # the network's escape steps do not follow the saddle law closely
+        # enough to fit, so every round keeps the uniform placement
+        uniform = reference_search(grid, [start], [-1.0], cfg, 1e-3, place=uniform_points)
+        assert_same_search(res, uniform)
 
 
 def test_wrong_provisional_bracket_is_discarded(monkeypatch):
@@ -689,6 +808,32 @@ def test_wrong_provisional_bracket_is_discarded(monkeypatch):
     discarded = [q for q in started if 0.0 < q < 0.4 and q not in probed]
     # round two on (0.3, 0.325) started and was dropped unclassified
     assert any(0.3 < q < 0.325 for q in discarded)
+
+
+def test_successor_on_a_final_key_waits_for_the_members_past_it(monkeypatch):
+    """Round one's key, 0.3, fails at once and is final when the recovering
+    members before it end, after about 280 steps; the slow members past it
+    time out only after the whole budget of 600.  The next round is placed
+    from their ends, so it starts after them."""
+    sys_ = banded_system(
+        [(0.29, "recover"), (0.31, "fail"), (0.39, "slow"), (np.inf, "fail")]
+    )
+    adds = []
+
+    class Spy(Lockstep):
+        def add(self, p, sep):
+            adds.append(self.steps)
+            return super().add(p, sep)
+
+    monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
+    res = ray_boundary_search(
+        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+    )
+    ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-3, initial_step=0.4)
+    assert_same_search(res, ref)
+    # the expansion group, round one, then round two
+    budget = int(BAND_CFG.max_time / BAND_CFG.step + 1e-9)
+    assert adds[2] >= adds[1] + budget
 
 
 def test_doublings_past_the_first_failure_raise_nothing(pendulum):
