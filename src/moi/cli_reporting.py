@@ -272,7 +272,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     cfg = _integrator_config(args, h, divergence)
     p = _check_param(system, args.p, "--p")
     sep = find_sep(system, p, stability_tol=args.stability_tol)
-    traj = simulate(system, p, cfg, sep)
+    traj = simulate(system, p, cfg, sep, stability_tol=args.stability_tol)
     final_distance = sep_distance(system, traj.states[-1], sep)
     print(
         f"simulate {args.model}: {traj.termination.value} after "

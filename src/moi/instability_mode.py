@@ -266,13 +266,15 @@ def h_sweep(
     computation succeeded; that reference row's errors are 0 by
     construction.  Rows run one after another in the input h order, each
     with the multisection search of :func:`ray_boundary_search`; a row's
-    failure is recorded in its ``status`` and the sweep continues.
+    failure is recorded in its ``status`` and the sweep continues.  A step
+    size that is not positive and finite raises ``ValueError`` before any
+    row runs.
     """
     h_list = [float(h) for h in h_values]
     if not h_list:
         return []
-    if any(h <= 0.0 for h in h_list):
-        raise ValueError(f"step sizes must be positive, got {h_list}")
+    if not all(0.0 < h < np.inf for h in h_list):
+        raise ValueError(f"step must be positive and finite, got {h_list}")
 
     def run_one(h: float) -> SweepRow:
         row_cfg = replace(cfg, step=h)

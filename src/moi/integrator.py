@@ -14,6 +14,15 @@ leave between steps, so a caller can start new probes while older ones are
 still running, and each member still ends exactly as :func:`simulate` would
 end it.  On any other system each member runs to its end with
 :func:`simulate` when it joins.
+
+A recovering trajectory ends as soon as it is known to recover.  For a
+system that bounds the variation of its Jacobian
+(``ParameterizedSystem.jacobian_lipschitz``), :func:`recovery_certificate`
+turns a quadratic Lyapunov function at the stable equilibrium into a level
+set that the iterated trapezoidal map never leaves, that it contracts to the
+equilibrium, and on which every Jacobian is stable; entering it ends the
+trajectory.  Other systems wait until the state has stayed near the
+equilibrium for a while.
 """
 
 from __future__ import annotations
@@ -40,7 +49,12 @@ class IntegratorConfig:
     """Fixed-step integration settings.
 
     ``step`` is the only field without a default; everything else carries a
-    conservative default suitable for the bundled models.
+    conservative default suitable for the bundled models.  A recovering
+    trajectory ends once it enters its certified level set (see
+    :func:`recovery_certificate`, which allows for ``newton_tol`` and
+    ``step``); ``sep_tol`` and ``sep_dwell`` set the fallback rule for a
+    system without a certificate, or a trajectory that reaches the
+    equilibrium without entering the set.
     """
 
     step: float
@@ -96,6 +110,151 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
+
+
+def _quadratic(form: np.ndarray, d: np.ndarray):
+    """d^T form d over the last axis of ``d``.
+
+    Both sums reduce the last axis of a fresh C-ordered array, so a batch
+    member and a single state round alike.
+    """
+    return np.add.reduce(np.add.reduce(form * d[..., None, :], axis=-1) * d, axis=-1)
+
+
+#: the Newton residual allowed for in a certificate, in units of
+#: ``newton_tol``, plus an absolute floor for the rounding of the residual
+#: itself
+_NEWTON_MARGIN, _RESIDUAL_ROUNDING = 2.0, 1e-12
+
+
+def recovery_certificate(
+    jac,
+    residual,
+    weights,
+    lipschitz,
+    cfg: IntegratorConfig,
+    stability_tol: float = DEFAULT_STABILITY_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level sets {d : d^T P d <= c} of offsets d from stable equilibria x*
+    that the iterated trapezoidal map never leaves, as (P, c).
+
+    ``jac`` is the field Jacobian A at x* and ``residual`` the field f(x*)
+    (x* is a Newton solution, not an exact zero); ``weights`` w and
+    ``lipschitz`` L come from ``ParameterizedSystem.jacobian_lipschitz``.
+    All four may carry a leading axis of K equilibria, certified one by
+    one with the same floating-point operations.
+
+    In the weighted offsets z = W d, W = diag(w), the Lyapunov equation
+    A_w^T P + P A_w = -I for A_w = W A W^-1 is solved on its Kronecker form,
+    and V(z) = z^T P z.  With mu, lam the extreme eigenvalues of P, q the
+    smallest of -(A_w^T P + P A_w) as computed, a = ||A_w|| and h the step,
+    a radius r is halved from 99% of (q - 2 lam stability_tol) / (2 lam L)
+    until, with beta = h (a + L r / 2) / (2 - h L r / 2):
+
+    - h L r < 4 and kappa = q - lam L r (1 + beta) > 0;
+    - nu <= (1 - sqrt(1 - theta)) sqrt(c), with sqrt(c) = sqrt(mu) r - nu,
+      theta = min(1, h kappa / (lam (1 + beta)^2)) and
+      nu = sqrt(lam) (max(w) (2 newton_tol + 1e-12) + h ||W f(x*)||).
+
+    Every state of the set then lies in the ball ||z|| <= r, where
+    (Khalil, *Nonlinear Systems*, 3rd ed., section 8.2, with
+    ||J_w(z) - A_w|| <= L ||z||):
+
+    - J_w^T P + P J_w <= -2 lam stability_tol I, so every Jacobian has
+      spectral abscissa below -stability_tol and V decreases along the flow
+      (outside a ball of the size of f(x*));
+    - one exact trapezoidal step from z to u satisfies
+      V(u) - V(z) <= -h kappa ||(z + u) / 2||^2 <= -theta V(z), on the
+      branch of solutions that starts at u = z for h = 0;
+    - a Newton solution within 2 newton_tol of the residual, and the shift
+      to the exact equilibrium, move sqrt(V) by at most nu, since
+      I - (h/2) J_w is contractive in the P-norm on the ball.
+
+    So a state in the set stays in it, no later state is flagged unstable,
+    and sqrt(V) contracts by sqrt(1 - theta) per step down to
+    nu / (1 - sqrt(1 - theta)).  Returns P in the unweighted offsets
+    (W P W) and c.  Where A_w is not stable, an input is not finite or no
+    radius passes, c is -1: no offset enters that set.
+    """
+    jac = np.asarray(jac, dtype=float)
+    single = jac.ndim == 2
+    jac = jac.reshape((-1,) + jac.shape[-2:])
+    k, n = jac.shape[:2]
+    weights = np.asarray(weights, dtype=float).reshape(k, n)
+    residual = np.asarray(residual, dtype=float).reshape(k, n)
+    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (k,))
+    valid = (
+        np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
+        & np.isfinite(weights).all(axis=1) & (weights > 0.0).all(axis=1)
+        & (lipschitz > 0.0) & (lipschitz < np.inf)
+    )
+    eye = _identity(n)
+    # an uncertifiable member solves a harmless system instead
+    w = np.where(valid[:, None], weights, 1.0)
+    a_w = np.where(valid[:, None, None], w[:, :, None] * jac / w[:, None, :], -eye)
+    a_t = a_w.transpose(0, 2, 1)
+    # row-major vec(A^T P + P A) = (A^T kron I + I kron A^T) vec(P)
+    lyap = a_t[:, :, None, :, None] * eye[:, None, :]
+    lyap = lyap + eye[:, None, :, None] * a_t[:, None, :, None, :]
+    rhs = np.broadcast_to(-eye.reshape(n * n, 1), (k, n * n, 1))
+    try:
+        p_w = np.linalg.solve(lyap.reshape(k, n * n, n * n), rhs).reshape(k, n, n)
+    except np.linalg.LinAlgError:
+        if k > 1:
+            # some member's Lyapunov operator is singular: one by one
+            parts = [
+                recovery_certificate(
+                    jac[i], residual[i], weights[i], lipschitz[i], cfg, stability_tol
+                )
+                for i in range(k)
+            ]
+            return np.array([f for f, _ in parts]), np.array([c for _, c in parts])
+        valid[:], p_w = False, np.zeros((1, n, n))
+    p_w = 0.5 * (p_w + p_w.transpose(0, 2, 1))
+    valid &= np.isfinite(p_w).all(axis=(1, 2))
+    p_w[~valid] = eye
+    decay = -(a_t @ p_w + p_w @ a_w)
+    spectrum = np.linalg.eigvalsh(p_w)
+    q_all = np.linalg.eigvalsh(0.5 * (decay + decay.transpose(0, 2, 1)))[:, 0]
+    norm_all = np.linalg.norm(a_w, 2, axis=(1, 2))
+    h = cfg.step
+    nu_all = np.sqrt(spectrum[:, -1]) * (
+        w.max(axis=1) * (_NEWTON_MARGIN * cfg.newton_tol + _RESIDUAL_ROUNDING)
+        + h * _norm(w * residual)
+    )
+    levels = np.full(k, -1.0)
+    for i in np.flatnonzero(valid).tolist():
+        levels[i] = _certified_level(
+            float(spectrum[i, 0]), float(spectrum[i, -1]), float(q_all[i]),
+            float(norm_all[i]), float(nu_all[i]), float(lipschitz[i]), h,
+            stability_tol,
+        )
+    forms = w[:, :, None] * p_w * w[:, None, :]
+    forms[levels < 0.0] = 0.0
+    if single:
+        return forms[0], levels[0]
+    return forms, levels
+
+
+def _certified_level(mu, lam, q, a, nu, L, h, stability_tol) -> float:
+    """The level c of :func:`recovery_certificate` for one equilibrium, or
+    -1 if no radius passes."""
+    if not (mu > 0.0 and q > 0.0):
+        return -1.0
+    r = 0.99 * (q - 2.0 * lam * stability_tol) / (2.0 * lam * L)
+    for _ in range(64):
+        if not r > 0.0:
+            break
+        if h * L * r < 4.0:
+            beta = h * (a + L * r / 2.0) / (2.0 - h * L * r / 2.0)
+            kappa = q - lam * L * r * (1.0 + beta)
+            root_c = np.sqrt(mu) * r - nu
+            if kappa > 0.0 and root_c > 0.0:
+                theta = min(1.0, h * kappa / (lam * (1.0 + beta) ** 2))
+                if nu <= (1.0 - np.sqrt(1.0 - theta)) * root_c:
+                    return float(root_c**2)
+        r *= 0.5
+    return -1.0
 
 
 def step_trapezoidal(
@@ -234,12 +393,17 @@ def simulate(
 
     The trajectory terminates with:
 
-    - ``CONVERGED_TO_SEP`` once the state has stayed within ``cfg.sep_tol``
-      of ``sep`` (angle-aware) for ``cfg.sep_dwell`` consecutive stored
-      states;
+    - ``CONVERGED_TO_SEP`` as soon as the offset from ``sep`` (angle-aware)
+      enters the level set of :func:`recovery_certificate`, computed once
+      here at ``sep`` with ``stability_tol``: from there the trajectory
+      provably converges to ``sep`` and no later state would be flagged
+      unstable.  Without a certificate (the system has no
+      ``jacobian_lipschitz``, or no radius passes), and as a fallback,
+      once the state has stayed within ``cfg.sep_tol`` of ``sep`` for
+      ``cfg.sep_dwell`` consecutive stored states;
     - ``DIVERGED`` as soon as the state norm exceeds ``cfg.divergence_norm``
-      (checked before the proximity test, so a divergent state can never be
-      mistaken for a converged one);
+      (checked before the proximity tests, so a divergent state can never
+      be mistaken for a converged one);
     - ``SOLVER_FAILURE`` if a step raises ``NewtonDivergence`` or
       ``NonFiniteOutput`` — the partial trajectory up to the last good state
       is returned (a singular Newton matrix counts as ``NewtonDivergence``);
@@ -253,6 +417,12 @@ def simulate(
     p = np.asarray(p, dtype=float)
     sep, wrap = np.asarray(sep, dtype=float), _wrap_index(sys)
     x = initial_state(sys, p)
+    form = level = None
+    if sys.jacobian_lipschitz is not None:
+        form, level = recovery_certificate(
+            eval_jacobian(sys, sep, p), sys.field(sep, p),
+            *sys.jacobian_lipschitz(p), cfg, stability_tol,
+        )
 
     states = [x]
     flags = [is_unstable(eval_jacobian(sys, x, p), stability_tol)] if record_flags else None
@@ -272,7 +442,11 @@ def simulate(
         if _norm(x) > cfg.divergence_norm:
             termination = Termination.DIVERGED
             break
-        if _norm(_offset(x, sep, wrap)) <= cfg.sep_tol:
+        d = _offset(x, sep, wrap)
+        if form is not None and _quadratic(form, d) <= level:
+            termination = Termination.CONVERGED_TO_SEP
+            break
+        if _norm(d) <= cfg.sep_tol:
             consec += 1
             if consec >= cfg.sep_dwell:
                 termination = Termination.CONVERGED_TO_SEP
@@ -314,18 +488,28 @@ class Lockstep:
     :meth:`add` starts members, :meth:`step` advances every live member by
     one trapezoidal step and reports the members that ended, and
     :meth:`drop` removes members.  Each member ends exactly as
-    :func:`simulate` would end it, under the same rules in the same order.
+    :func:`simulate` (with ``stability_tol``) would end it, under the same
+    rules in the same order: a failed step, divergence, then entry into the
+    member's certified level set (:func:`recovery_certificate`, computed
+    once per member by :meth:`add`) or, without a certificate, the
+    ``sep_tol``/``sep_dwell`` rule.
 
     Members step in lockstep (``lockstep`` true) on a batched system with
     an analytic Jacobian: each counts its own steps against the budget
     ``floor(max_time / step)``, and no states are kept, so memory is
-    O(K n) for K live members.  On any other system :meth:`add` runs each
-    member to its end with :func:`simulate`, and the next :meth:`step`
-    reports those ends without stepping.
+    O(K n^2) for K live members (a certificate's form is n by n).  On any
+    other system :meth:`add` runs each member to its end with
+    :func:`simulate`, and the next :meth:`step` reports those ends without
+    stepping.
     """
 
-    def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
-        self.sys, self.cfg = sys, cfg
+    def __init__(
+        self,
+        sys: ParameterizedSystem,
+        cfg: IntegratorConfig,
+        stability_tol: float = DEFAULT_STABILITY_TOL,
+    ) -> None:
+        self.sys, self.cfg, self.stability_tol = sys, cfg, stability_tol
         #: whether members advance together, one batched step for all; the
         #: batched Newton step needs the batched analytic Jacobian
         self.lockstep = sys.batched and sys.jacobian is not None
@@ -336,12 +520,19 @@ class Lockstep:
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
+        n = sys.state_dim
         self._ids = np.zeros(0, dtype=int)
-        self._x = np.zeros((0, sys.state_dim))
+        self._x = np.zeros((0, n))
         self._p = np.zeros((0, sys.param_dim))
-        self._sep = np.zeros((0, sys.state_dim))
+        self._sep = np.zeros((0, n))
         self._consec = np.zeros(0, dtype=int)
         self._start = np.zeros(0, dtype=int)
+        #: each member's certified set {d : d^T form d <= level}, inside the
+        #: ball ||d|| <= reach; a member without a certificate has level and
+        #: reach -1, which no offset meets
+        self._form = np.zeros((0, n, n))
+        self._level = np.zeros(0)
+        self._reach = np.zeros(0)
         self._deadline = np.inf
 
     def __len__(self) -> int:
@@ -351,28 +542,57 @@ class Lockstep:
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
         each member's stable equilibrium.  In lockstep the initial
-        conditions are computed as one batch.  Either every member starts
+        conditions, and the Jacobians and fields at the equilibria for the
+        certificates, are computed as one batch.  Either every member starts
         or, if that raises, none does.  Returns the members' ids."""
         p = np.asarray(p, dtype=float)
         ids = np.arange(self._next_id, self._next_id + len(p))
         if not self.lockstep:
             ended = {}
             for k, p_k, sep_k in zip(ids.tolist(), p, sep):
-                traj = simulate(self.sys, p_k, self.cfg, sep_k)
+                traj = simulate(
+                    self.sys, p_k, self.cfg, sep_k, stability_tol=self.stability_tol
+                )
                 ended[k] = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
             self._ended.update(ended)
             self._next_id += len(p)
             return ids
         x = initial_state(self.sys, p)
+        sep = np.asarray(sep, dtype=float)
+        form, level, reach = self._certificates(p, sep)
         self._next_id += len(p)
         self._ids = np.concatenate([self._ids, ids])
         self._x = np.concatenate([self._x, x])
         self._p = np.concatenate([self._p, p])
-        self._sep = np.concatenate([self._sep, np.asarray(sep, dtype=float)])
+        self._sep = np.concatenate([self._sep, sep])
         self._consec = np.concatenate([self._consec, np.zeros(len(p), dtype=int)])
         self._start = np.concatenate([self._start, np.full(len(p), self.steps)])
+        self._form = np.concatenate([self._form, form])
+        self._level = np.concatenate([self._level, level])
+        self._reach = np.concatenate([self._reach, reach])
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
+
+    def _certificates(self, p: np.ndarray, sep: np.ndarray) -> tuple:
+        """Forms (K, n, n), levels (K,) and reaches (K,) of the members'
+        certificates."""
+        sys, n = self.sys, self.sys.state_dim
+        if sys.jacobian_lipschitz is None or not len(p):
+            return np.zeros((len(p), n, n)), np.full(len(p), -1.0), np.full(len(p), -1.0)
+        bounds = [sys.jacobian_lipschitz(p_k) for p_k in p]
+        form, level = recovery_certificate(
+            sys.jacobian(sep, p), sys.field(sep, p), [w for w, _ in bounds],
+            [L for _, L in bounds], self.cfg, self.stability_tol,
+        )
+        # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
+        # sqrt(level / lowest); 1% wider, rounding cannot put a certified
+        # offset outside it
+        reach, lowest = np.full(len(p), -1.0), np.linalg.eigvalsh(form)[:, 0]
+        ok = level > 0.0
+        reach[ok] = np.where(
+            lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
+        )
+        return form, level, reach
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
@@ -384,6 +604,8 @@ class Lockstep:
         self._ids, self._x, self._p = self._ids[keep], self._x[keep], self._p[keep]
         self._sep, self._consec = self._sep[keep], self._consec[keep]
         self._start = self._start[keep]
+        self._form, self._level = self._form[keep], self._level[keep]
+        self._reach = self._reach[keep]
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
 
     def step(self) -> dict[int, RunEnd]:
@@ -406,14 +628,20 @@ class Lockstep:
         self.steps += 1
         self._x = x
         beyond = _norm(x) > cfg.divergence_norm
+        d = _offset(x, self._sep, self._wrap)
+        distance = _norm(d)
         # the dwell counts consecutive states near the SEP and restarts at 0
         self._consec += 1
-        self._consec *= _norm(_offset(x, self._sep, self._wrap)) <= cfg.sep_tol
+        self._consec *= distance <= cfg.sep_tol
         done = failed | beyond | (self._consec >= cfg.sep_dwell)
+        # V is evaluated only on steps where some member may be in its set
+        if np.count_nonzero(distance <= self._reach):
+            done |= _quadratic(self._form, d) <= self._level
         if not np.count_nonzero(done):
             return ends
         steps = self.steps - self._start
-        # a failed step first, then divergence, then the dwell: simulate's order
+        # a failed step first, then divergence, then the certified set or
+        # the dwell: simulate's order
         diverged = beyond & ~failed
         for mask, end in (
             (failed, Termination.SOLVER_FAILURE),

@@ -186,6 +186,9 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         jac[..., 1, 0] = -c1 * np.cos(x.T[0])
         return jac
 
+    # only the entry -c1 cos(x1) varies, by at most c1 |x1 - y1|
+    unit_weights = np.ones(2)
+
     return ParameterizedSystem(
         state_dim=2,
         param_dim=1,
@@ -195,6 +198,7 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         name="pendulum",
         state_names=("angle", "velocity"),
         batched=True,
+        jacobian_lipschitz=lambda p: (unit_weights, c1),
     )
 
 
@@ -436,6 +440,7 @@ def _swing_system(
     emf_pairs = emf_machines[:, None] * emf_nodes
     own = np.arange(n)
     own_node, speed = own + 1, n + own
+    lipschitz = _swing_lipschitz(params, conductance, susceptance)
 
     if params.inertia_mode == "scale":
         param_dim = 1
@@ -498,7 +503,36 @@ def _swing_system(
         + tuple(f"omega_{i}" for i in range(1, n + 1)),
         wrap_indices=tuple(range(n)),
         batched=True,
+        jacobian_lipschitz=lambda p: (
+            np.concatenate([np.ones(n), inertias(p)]),
+            lipschitz,
+        ),
     )
+
+
+def _swing_lipschitz(
+    params: MultiMachineParams, conductance: np.ndarray, susceptance: np.ndarray
+) -> float:
+    """Bound L on the swing Jacobian's variation in the weights (1, M).
+
+    With z = (theta, M omega) the weighted Jacobian is
+    [[0, M^-1], [-K(theta), -D M^-1]], K = d(pe)/d(theta), so only K
+    varies.  Its entry for machines i != j changes by at most
+    E_i E_j |Y_ij| |d(theta_i - theta_j)| <= sqrt(2) E_i E_j |Y_ij| |d theta|,
+    and its diagonal by the sum of those over the machines plus
+    E_i E_0 |Y_i0| |d theta| for the anchor node; L bounds the Frobenius
+    norm of K(theta) - K(theta') by these entry bounds.
+    """
+    n = params.n_machines
+    emf_nodes = np.concatenate([[params.slack_emf], params.emf])
+    # rows: machines 1..n; columns: nodes 0..n
+    coupling = (params.emf[:, None] * emf_nodes) * np.hypot(
+        conductance[1:], susceptance[1:]
+    )
+    coupling[np.arange(n), np.arange(n) + 1] = 0.0
+    pairs = np.sqrt(2.0) * coupling[:, 1:]
+    diagonal = pairs.sum(axis=1) + coupling[:, 0]
+    return float(np.sqrt((pairs**2).sum() + (diagonal**2).sum()))
 
 
 def _fault_replay(params: MultiMachineParams):

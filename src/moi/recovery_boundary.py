@@ -493,7 +493,7 @@ class _PipelinedSearch:
         self.param_tol, self.stability_tol = param_tol, stability_tol
         self.initial_step, self.max_doublings = initial_step, max_doublings
         self.s, self.doublings_left = initial_step, max_doublings
-        self.lock = Lockstep(sys, cfg)
+        self.lock = Lockstep(sys, cfg, stability_tol)
         self.sections = SECTIONS if self.lock.lockstep else 2
         self.chain: list[_Round] = []
         self.history: list[tuple[np.ndarray, Verdict]] = []

@@ -56,6 +56,14 @@ class ParameterizedSystem:
         (K, n) and p of shape (K, m) give fields (K, n), Jacobians (K, n, n)
         and initial conditions (K, n).  Recovery probes of a batched system
         with an analytic Jacobian run in lockstep batches.
+    jacobian_lipschitz
+        Optional callable p -> (w, L), filled in by the model constructors:
+        positive diagonal state weights w (length n) and a bound L with
+        ``||W (J(x) - J(y)) W^-1|| <= L ||W (x - y)||`` for all states x, y,
+        W = diag(w), norms the Euclidean ones.  With it the integrator
+        certifies a level set around each stable equilibrium that lies in
+        its basin (:func:`moi.integrator.recovery_certificate`) and ends a
+        trajectory that enters it.
     """
 
     state_dim: int
@@ -67,6 +75,7 @@ class ParameterizedSystem:
     state_names: Optional[tuple[str, ...]] = None
     wrap_indices: Optional[tuple[int, ...]] = None
     batched: bool = False
+    jacobian_lipschitz: Optional[Callable[[Array], tuple[Array, float]]] = None
 
 
 class Termination(enum.Enum):

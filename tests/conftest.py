@@ -17,10 +17,41 @@ from moi import (
     PENDULUM_DIVERGENCE_NORM,
     bundled_network_path,
     canonical_sign,
+    eval_jacobian,
     h_sweep,
     load_network,
     pendulum_system,
 )
+from moi.integrator import _norm, _offset, _quadratic, _wrap_index, recovery_certificate
+from moi.spectral import DEFAULT_STABILITY_TOL
+
+
+def certificate_of(sys_, p, cfg, sep, stability_tol=DEFAULT_STABILITY_TOL):
+    """The (form, level) certificate ``simulate`` uses for ``sys_`` at
+    parameter ``p`` and equilibrium ``sep``."""
+    p = np.asarray(p, dtype=float)
+    return recovery_certificate(
+        eval_jacobian(sys_, sep, p), sys_.field(sep, p),
+        *sys_.jacobian_lipschitz(p), cfg, stability_tol,
+    )
+
+
+def assert_recovery_end(sys_, p, cfg, sep, states, stability_tol=DEFAULT_STABILITY_TOL):
+    """``states`` (initial state first) end where the recovery rule ends
+    them: at the first later state inside the certified set of ``sep``, or
+    at the first one that completes ``cfg.sep_dwell`` consecutive states
+    within ``cfg.sep_tol`` of it, whichever comes first."""
+    d = _offset(np.asarray(states[1:], dtype=float), sep, _wrap_index(sys_))
+    ends = np.zeros(len(d), dtype=bool)
+    if sys_.jacobian_lipschitz is not None:
+        form, level = certificate_of(sys_, p, cfg, sep, stability_tol)
+        ends |= _quadratic(form, d) <= level
+    run = 0
+    for k, near in enumerate(_norm(d) <= cfg.sep_tol):
+        run = run + 1 if near else 0
+        ends[k] |= run >= cfg.sep_dwell
+    assert np.flatnonzero(ends).tolist()[:1] == [len(d) - 1]
+
 
 # step size used throughout as the "fine" pendulum resolution
 PEND_H = 0.02

@@ -13,11 +13,15 @@ from moi import (
     h_sweep,
     mode_of_instability,
     run_cli,
+    sep_distance,
+    simulate,
     write_mode_json,
     write_sweep_csv,
 )
 from moi.cli_reporting import mode_json_text, sweep_csv_text
 from moi.instability_mode import SweepRow
+
+from conftest import assert_recovery_end
 
 
 @pytest.fixture(scope="session")
@@ -140,6 +144,7 @@ class TestExitCodes:
         [
             ["boundary", "--p0", "1.5", "--h", "0.1", "--tol", "nan"],
             ["sweep", "--p0", "1.5", "--h", "0.4,0.2", "--tol", "nan"],
+            ["sweep", "--p0", "1.5", "--dir", "1", "--h", "0.1,nan", "--tol", "0"],
             ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "nan"],
             ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "-0.5"],
             ["mode", "--p", "nan", "--h", "0.02"],
@@ -149,7 +154,7 @@ class TestExitCodes:
             ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "inf"],
             ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "nan"],
         ],
-        ids=["tol", "sweep-tol", "stability-tol-nan", "stability-tol-negative",
+        ids=["tol", "sweep-tol", "sweep-h", "stability-tol-nan", "stability-tol-negative",
              "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan"],
     )
     def test_non_finite_or_negative_value_is_a_config_error(self, capsys, argv):
@@ -195,7 +200,7 @@ class TestExitCodes:
 
 
 class TestSimulateCommand:
-    def test_writes_summary_json(self, capsys, tmp_path):
+    def test_writes_summary_json(self, capsys, tmp_path, pendulum, pend_cfg):
         out = tmp_path / "run.json"
         code = run_cli(
             ["simulate", "--model", "pendulum", "--p", "1.5", "--h", "0.02",
@@ -206,7 +211,13 @@ class TestSimulateCommand:
         assert record["termination"] == "ConvergedToSEP"
         assert record["h"] == 0.02
         assert record["p"] == [1.5]
-        assert record["final_distance"] <= 1e-6
+        # the CLI's pendulum and settings are the pendulum and pend_cfg
+        # fixtures; the run ends on the recovery rule
+        sep = find_sep(pendulum, [1.5])
+        traj = simulate(pendulum, [1.5], pend_cfg, sep)
+        assert_recovery_end(pendulum, [1.5], pend_cfg, sep, traj.states)
+        assert record["steps"] == len(traj) - 1
+        assert record["final_distance"] == sep_distance(pendulum, traj.states[-1], sep)
         captured = capsys.readouterr()
         assert "ConvergedToSEP" in captured.out
 

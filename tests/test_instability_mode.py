@@ -20,6 +20,7 @@ from moi import (
     mode_of_instability,
     simulate,
 )
+from moi.integrator import Lockstep
 
 
 class TestLastUnstableIndex:
@@ -211,6 +212,17 @@ class TestHSweep:
         rows = h_sweep(sys_, [0.0], [1.0], [0.2, 0.1], cfg, param_tol=1e-3)
         assert [r.status for r in rows] == ["NoBracket", "NoBracket"]
         assert all(r.result is None for r in rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+    def test_every_step_is_checked_before_any_row_runs(
+        self, pendulum, pend_cfg, monkeypatch, bad
+    ):
+        steps = []
+        step = Lockstep.step
+        monkeypatch.setattr(Lockstep, "step", lambda lock: steps.append(1) or step(lock))
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            h_sweep(pendulum, [1.5], [1.0], [0.1, bad], pend_cfg)
+        assert not steps
 
 
     def test_singular_newton_row_fails_alone(self):

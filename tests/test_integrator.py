@@ -18,6 +18,8 @@ from moi import (
     step_trapezoidal,
 )
 
+from conftest import assert_recovery_end
+
 P0 = np.array([0.0])
 
 
@@ -178,7 +180,8 @@ class TestSimulate:
         sep = find_sep(pendulum, [1.5])
         traj = simulate(pendulum, [1.5], pend_cfg, sep)
         assert traj.termination is Termination.CONVERGED_TO_SEP
-        assert sep_distance(pendulum, traj.states[-1], sep) <= pend_cfg.sep_tol
+        # the run ends on its first state inside the certified set of sep
+        assert_recovery_end(pendulum, [1.5], pend_cfg, sep, traj.states)
         assert traj.instability_flags is None
 
     def test_diverges_past_boundary(self, pendulum, pend_cfg):

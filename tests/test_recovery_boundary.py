@@ -20,7 +20,11 @@ from moi import (
     pendulum_sep,
     pendulum_uep,
     ray_boundary_search,
+    sep_distance,
+    simulate,
 )
+
+from conftest import assert_recovery_end
 
 
 def affine_system(A, b, x0=None):
@@ -85,7 +89,11 @@ class TestClassifyRecovery:
         rv = classify_recovery(pendulum, [1.5], pend_cfg, sep)
         assert rv.verdict is Verdict.RECOVERS
         assert rv.termination is Termination.CONVERGED_TO_SEP
-        assert rv.final_distance <= pend_cfg.sep_tol
+        # the summary is that of a run ending on the recovery rule
+        traj = simulate(pendulum, [1.5], pend_cfg, sep)
+        assert_recovery_end(pendulum, [1.5], pend_cfg, sep, traj.states)
+        assert rv.final_distance == sep_distance(pendulum, traj.states[-1], sep)
+        assert rv.elapsed_time == traj.elapsed
 
     def test_fails_to_recover(self, pendulum, pend_cfg):
         sep = find_sep(pendulum, [1.7])

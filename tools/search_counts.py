@@ -14,14 +14,22 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   trajectory, and probes of systems that do not step in lockstep);
 - ``started``: members started by ``Lockstep.add``;
 - ``dropped``: started members that no search classified;
+- ``certified`` / ``dwell``: lockstep members that ended ``CONVERGED_TO_SEP``
+  inside their certified level set, or by the ``sep_tol``/``sep_dwell``
+  rule (a package without certificates has only dwell ends);
+- ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
+  (they ended ``MAX_TIME_REACHED`` or ``SOLVER_FAILURE``);
 - ``guided`` / ``uniform``: committed refinement rounds whose points are,
   or are not, other than the uniform ``_round_points`` of their bracket.
 
 The counts are exact and repeat from run to run; ``cpu_s`` is the run's
 CPU time, for orientation only.  With ``--against`` the other package is
 imported under another name, runs the same command lines, and the output
-files of the two packages are compared byte for byte.  The last line of
-output is one JSON object with every count.
+files of the two packages are compared byte for byte, as are the verdicts
+of the classified probes in order: ``now_recover`` counts the probes that
+are ``UNDETERMINED`` there and ``RECOVERS`` here, ``verdicts_differ`` any
+other change.  The last line of output is one JSON object with every
+count.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from step_timings import load_package  # noqa: E402
@@ -58,14 +68,16 @@ WORKLOADS = {
 }
 
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "started", "dropped",
-           "guided", "uniform", "cpu_s")
+           "certified", "dwell", "undetermined", "guided", "uniform", "cpu_s")
 
 
 @contextlib.contextmanager
-def counting(moi, counts: Counter):
+def counting(moi, counts: Counter, verdicts: list):
     """Wrap the package's stepping and search entry points to add to
-    ``counts`` while the block runs."""
+    ``counts``, and the verdicts of classified probes to ``verdicts``, while
+    the block runs."""
     integ, rb = moi.integrator, moi.recovery_boundary
+    converged = moi.Termination.CONVERGED_TO_SEP
     lock_cls, search_cls = integ.Lockstep, rb._PipelinedSearch
     saved = [
         (integ, "step_trapezoidal_batch", integ.step_trapezoidal_batch),
@@ -86,7 +98,20 @@ def counting(moi, counts: Counter):
 
     def counted_step(self):
         counts["batch_steps"] += 1
-        return step(self)
+        # the member arrays are replaced, not changed, by a step
+        ids, sep, form, level = (getattr(self, name, None)
+                                 for name in ("_ids", "_sep", "_form", "_level"))
+        ends = step(self)
+        for k, end in ends.items():
+            at = np.flatnonzero(ids == k)
+            if end.termination is not converged or not len(at):
+                continue
+            i = at[0]
+            certified = level is not None and integ._quadratic(
+                form[i], integ._offset(end.final_state, sep[i], self._wrap)
+            ) <= level[i]
+            counts["certified" if certified else "dwell"] += 1
+        return ends
 
     def counted_add(self, p, sep):
         ids = add(self, p, sep)
@@ -104,7 +129,10 @@ def counting(moi, counts: Counter):
         try:
             return commit(self, r)
         finally:
-            counts["classified"] += len(self.history) - before
+            new = [verdict.value for _, verdict in self.history[before:]]
+            counts["classified"] += len(new)
+            counts["undetermined"] += new.count("Undetermined")
+            verdicts.extend(new)
 
     replacements = [counted_batch, counted_scalar, counted_step, counted_add,
                     counted_commit]
@@ -117,11 +145,13 @@ def counting(moi, counts: Counter):
             setattr(owner, name, fn)
 
 
-def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes]:
-    """Counts of one command line and the bytes of its output file."""
+def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, list]:
+    """Counts of one command line, the bytes of its output file and the
+    verdicts of its classified probes."""
     counts: Counter = Counter()
+    verdicts: list = []
     t0 = time.process_time()
-    with counting(moi, counts), contextlib.redirect_stdout(io.StringIO()):
+    with counting(moi, counts, verdicts), contextlib.redirect_stdout(io.StringIO()):
         code = moi.run_cli(argv + ["--out", str(out)])
     cpu = time.process_time() - t0
     if code != 0:
@@ -129,7 +159,15 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes]:
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
     row["cpu_s"] = round(cpu, 3)
-    return row, out.read_bytes()
+    return row, out.read_bytes(), verdicts
+
+
+def verdict_changes(this: list, against: list) -> dict:
+    """``now_recover`` and ``verdicts_differ`` of two verdict sequences."""
+    pairs = list(zip(this, against))
+    now_recover = pairs.count(("Recovers", "Undetermined"))
+    differ = sum(a != b for a, b in pairs) - now_recover + abs(len(this) - len(against))
+    return {"now_recover": now_recover, "verdicts_differ": differ}
 
 
 def main(argv=None) -> int:
@@ -148,14 +186,19 @@ def main(argv=None) -> int:
         for name in args.workload or WORKLOADS:
             starts, command = WORKLOADS[name]
             for start in starts:
-                outputs = {}
+                outputs, verdicts = {}, {}
                 for side, package in sides.items():
-                    row, outputs[side] = run_once(
+                    row, outputs[side], verdicts[side] = run_once(
                         package, command(start), Path(tmp) / f"{side}.out"
                     )
                     result.setdefault(name, {}).setdefault(start, {})[side] = row
                     cells = "  ".join(f"{k} {row[k]}" for k in COLUMNS)
                     print(f"{name:22s} {start:7s} {side:8s} {cells}", flush=True)
+                if len(sides) > 1:
+                    changes = verdict_changes(verdicts["this"], verdicts["against"])
+                    result[name][start]["changes"] = changes
+                    cells = "  ".join(f"{k} {v}" for k, v in changes.items())
+                    print(f"{name:22s} {start:7s} {'changes':8s} {cells}", flush=True)
                 if len(set(outputs.values())) > 1:
                     differ.append(f"{name} {start}")
     for name in differ:

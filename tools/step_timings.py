@@ -75,12 +75,21 @@ def synthetic_network(moi, n: int, seed: int):
     return moi.multimachine_system(replace(params, mech_power=pe)), eq
 
 
+def dwell_rule(sys_):
+    """``sys_`` without its certified recovery (where the package has it),
+    so both packages' ``simulate`` runs to the dwell rule and the timed
+    states picked from its trajectory are the same."""
+    if getattr(sys_, "jacobian_lipschitz", None) is None:
+        return sys_
+    return replace(sys_, jacobian_lipschitz=None)
+
+
 def pendulum_states(moi, k: int) -> tuple:
     """K states spread over a trajectory that dwells near the saddle."""
     sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     sep = moi.find_sep(sys_, [PEND_P])
-    states = moi.simulate(sys_, [PEND_P], cfg, sep).states
+    states = moi.simulate(dwell_rule(sys_), [PEND_P], cfg, sep).states
     pick = np.linspace(0, len(states) - 1, k).astype(int)
     p = PEND_P + np.linspace(0.0, 1e-6, k)[:, None]
     return sys_, cfg, states[pick], p
@@ -90,7 +99,7 @@ def ninebus_states(moi, k: int) -> tuple:
     sys_ = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
     cfg = moi.IntegratorConfig(step=1.0 / 60.0, divergence_norm=200.0)
     p = np.array([0.48])
-    states = moi.simulate(sys_, p, cfg, moi.find_sep(sys_, p)).states
+    states = moi.simulate(dwell_rule(sys_), p, cfg, moi.find_sep(sys_, p)).states
     pick = np.linspace(0, len(states) - 1, k).astype(int)
     return sys_, cfg, states[pick], 0.48 + np.linspace(0.0, 0.02, k)[:, None]
 
