@@ -156,6 +156,7 @@ def _integrator_config(
         newton_tol=args.newton_tol,
         max_time=args.max_time,
         divergence_norm=divergence,
+        stability_tol=args.stability_tol,
     )
 
 
@@ -221,14 +222,6 @@ def mode_json_text(result: ModeResult, state_names=None) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
-def write_mode_json(result: ModeResult, path, state_names=None) -> None:
-    """Write :func:`mode_json_text` to ``path``."""
-    try:
-        Path(path).write_text(mode_json_text(result, state_names))
-    except OSError as exc:
-        raise OSError(f"cannot write mode JSON to {path}: {exc}") from exc
-
-
 def sweep_csv_text(table: Sequence[SweepRow]) -> str:
     """CSV for a sweep table: 10-significant-digit floats, input row order.
 
@@ -254,14 +247,6 @@ def sweep_csv_text(table: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(table: Sequence[SweepRow], path) -> None:
-    """Write :func:`sweep_csv_text` to ``path``."""
-    try:
-        Path(path).write_text(sweep_csv_text(table))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
@@ -271,8 +256,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
     h = _single_h(args)
     cfg = _integrator_config(args, h, divergence)
     p = _check_param(system, args.p, "--p")
-    sep = find_sep(system, p, stability_tol=args.stability_tol)
-    traj = simulate(system, p, cfg, sep, stability_tol=args.stability_tol)
+    sep = find_sep(system, p, stability_tol=cfg.stability_tol)
+    traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
     print(
         f"simulate {args.model}: {traj.termination.value} after "
@@ -298,14 +283,7 @@ def _run_boundary(args: argparse.Namespace) -> int:
     cfg = _integrator_config(args, h, divergence)
     p0 = _check_param(system, args.p0, "--p0")
     direction = _resolve_direction(system, args, default_dir)
-    res = ray_boundary_search(
-        system,
-        p0,
-        direction,
-        cfg,
-        param_tol=args.tol,
-        stability_tol=args.stability_tol,
-    )
+    res = ray_boundary_search(system, p0, direction, cfg, param_tol=args.tol)
     print(
         f"boundary {args.model}: p_star = {_fmt_vector(res.p_star)} "
         f"bracket_width = {res.bracket_width:.6g} "
@@ -337,7 +315,6 @@ def _run_mode(args: argparse.Namespace) -> int:
         cfg,
         param_tol=args.tol,
         normalization=Normalization(args.normalization),
-        stability_tol=args.stability_tol,
     )
     text = mode_json_text(bm.mode, state_names=system.state_names)
     summary = (
@@ -362,7 +339,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         cfg,
         param_tol=args.tol,
         normalization=Normalization(args.normalization),
-        stability_tol=args.stability_tol,
     )
     ok = sum(1 for r in rows if r.status == "ok")
     summary = f"sweep {args.model}: {ok}/{len(rows)} rows ok"
@@ -390,10 +366,6 @@ def run_cli(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if not args.stability_tol >= 0.0:
-            raise ValueError(
-                f"--stability-tol must be >= 0, got {args.stability_tol}"
-            )
         return _DRIVERS[args.command](args)
     except MoiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .recovery_boundary import (  # noqa: F401
     find_sep,
     ray_boundary_search,
 )
-from .spectral import DEFAULT_STABILITY_TOL, unstable_count, unstable_eigenpair
+from .spectral import unstable_count, unstable_eigenpair
 from .system_core import (
     ParameterizedSystem,
     Termination,
@@ -123,18 +123,16 @@ def average_jacobian(
     cfg: IntegratorConfig,
     sep: np.ndarray,
     normalization: Normalization = Normalization.FINAL_INDEX,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> AveragedJacobian:
     """Simulate from x0(p) and average the Jacobians over states 0..j.
 
     The trajectory must converge to ``sep`` (otherwise ``NotRecovered``);
-    j is the last index with an unstable Jacobian.  Terms are accumulated
-    in index order so repeated runs are bitwise identical.
+    j is the last index with a Jacobian unstable beyond
+    ``cfg.stability_tol``.  Terms are accumulated in index order so
+    repeated runs are bitwise identical.
     """
     p = _check_vector(p, sys.param_dim, "parameter")
-    traj = simulate(
-        sys, p, cfg, sep, record_flags=True, stability_tol=stability_tol
-    )
+    traj = simulate(sys, p, cfg, sep, record_flags=True)
     if traj.termination is not Termination.CONVERGED_TO_SEP:
         raise NotRecovered(
             f"trajectory terminated with {traj.termination.value} after "
@@ -165,7 +163,6 @@ def mode_of_instability(
     cfg: IntegratorConfig,
     sep: np.ndarray,
     normalization: Normalization = Normalization.FINAL_INDEX,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> ModeResult:
     """Unstable eigenpair of the averaged Jacobian at the given parameter.
 
@@ -175,14 +172,14 @@ def mode_of_instability(
     single unstable direction.  Use :func:`mode_at_boundary` to refine a
     starting parameter to the boundary first.
     """
-    avg = average_jacobian(sys, p, cfg, sep, normalization, stability_tol)
-    pair = unstable_eigenpair(avg.matrix, stability_tol)
+    avg = average_jacobian(sys, p, cfg, sep, normalization)
+    pair = unstable_eigenpair(avg.matrix, cfg.stability_tol)
     return ModeResult(
         eigenvalue=float(pair.value.real),
         eigenvector=pair.vector,
         averaged=avg,
         residual=pair.residual,
-        unstable_count=unstable_count(avg.matrix, stability_tol),
+        unstable_count=unstable_count(avg.matrix, cfg.stability_tol),
     )
 
 
@@ -193,7 +190,6 @@ def mode_at_boundary(
     cfg: IntegratorConfig,
     param_tol: float = 0.0,
     normalization: Normalization = Normalization.FINAL_INDEX,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
     sep_guess=None,
     initial_step: float = 0.1,
     max_doublings: int = 40,
@@ -218,11 +214,8 @@ def mode_at_boundary(
         initial_step=initial_step,
         max_doublings=max_doublings,
         sep_guess=sep_guess,
-        stability_tol=stability_tol,
     )
-    mode = mode_of_instability(
-        sys, search.p_star, cfg, search.sep_star, normalization, stability_tol
-    )
+    mode = mode_of_instability(sys, search.p_star, cfg, search.sep_star, normalization)
     return BoundaryMode(mode=mode, search=search)
 
 
@@ -255,7 +248,6 @@ def h_sweep(
     sep_guess=None,
     param_tol: float = 0.0,
     normalization: Normalization = Normalization.FINAL_INDEX,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> list[SweepRow]:
     """Boundary + mode per step size, with errors against the smallest h.
 
@@ -271,68 +263,31 @@ def h_sweep(
     row runs.
     """
     h_list = [float(h) for h in h_values]
-    if not h_list:
-        return []
     if not all(0.0 < h < np.inf for h in h_list):
         raise ValueError(f"step must be positive and finite, got {h_list}")
-
-    def run_one(h: float) -> SweepRow:
-        row_cfg = replace(cfg, step=h)
+    rows = []
+    for h in h_list:
         try:
             bm = mode_at_boundary(
-                sys,
-                p0,
-                direction,
-                row_cfg,
-                param_tol=param_tol,
-                normalization=normalization,
-                stability_tol=stability_tol,
-                sep_guess=sep_guess,
+                sys, p0, direction, replace(cfg, step=h), param_tol=param_tol,
+                normalization=normalization, sep_guess=sep_guess,
             )
         except MoiError as exc:
-            return SweepRow(
-                h=h,
-                p_star=None,
-                frob_err=None,
-                eig_err=None,
-                vec_err=None,
-                status=type(exc).__name__,
-            )
-        return SweepRow(
-            h=h,
-            p_star=bm.search.p_star,
-            frob_err=None,
-            eig_err=None,
-            vec_err=None,
-            status="ok",
-            result=bm,
+            rows.append(SweepRow(h, None, None, None, None, type(exc).__name__))
+        else:
+            rows.append(SweepRow(h, bm.search.p_star, None, None, None, "ok", bm))
+    ok = [r for r in rows if r.status == "ok"]
+    if not ok:
+        return rows
+    ref = min(ok, key=lambda r: r.h).result.mode
+
+    def with_errors(r: SweepRow) -> SweepRow:
+        m = r.result.mode
+        return replace(
+            r,
+            frob_err=float(np.linalg.norm(m.averaged.matrix - ref.averaged.matrix)),
+            eig_err=abs(m.eigenvalue - ref.eigenvalue),
+            vec_err=float(np.linalg.norm(m.eigenvector - ref.eigenvector)),
         )
 
-    rows = [run_one(h) for h in h_list]
-    ok_rows = [r for r in rows if r.status == "ok"]
-    if not ok_rows:
-        return rows
-    ref = min(ok_rows, key=lambda r: r.h)
-    ref_mode = ref.result.mode
-    out: list[SweepRow] = []
-    for r in rows:
-        if r.status != "ok":
-            out.append(r)
-            continue
-        m = r.result.mode
-        out.append(
-            SweepRow(
-                h=r.h,
-                p_star=r.p_star,
-                frob_err=float(
-                    np.linalg.norm(m.averaged.matrix - ref_mode.averaged.matrix)
-                ),
-                eig_err=abs(m.eigenvalue - ref_mode.eigenvalue),
-                vec_err=float(
-                    np.linalg.norm(m.eigenvector - ref_mode.eigenvector)
-                ),
-                status="ok",
-                result=r.result,
-            )
-        )
-    return out
+    return [with_errors(r) if r.status == "ok" else r for r in rows]

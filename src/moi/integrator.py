@@ -54,7 +54,9 @@ class IntegratorConfig:
     :func:`recovery_certificate`, which allows for ``newton_tol`` and
     ``step``); ``sep_tol`` and ``sep_dwell`` set the fallback rule for a
     system without a certificate, or a trajectory that reaches the
-    equilibrium without entering the set.
+    equilibrium without entering the set.  ``stability_tol`` is the margin
+    by which a Jacobian counts as unstable (spectral abscissa above it): it
+    flags the states of the averaging window and sizes the certified set.
     """
 
     step: float
@@ -64,6 +66,7 @@ class IntegratorConfig:
     sep_tol: float = 1e-6
     sep_dwell: int = 10
     divergence_norm: float = 1e6
+    stability_tol: float = DEFAULT_STABILITY_TOL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.step < np.inf:
@@ -87,6 +90,10 @@ class IntegratorConfig:
         if not self.divergence_norm > 0.0:
             raise ValueError(
                 f"divergence_norm must be positive, got {self.divergence_norm}"
+            )
+        if not 0.0 <= self.stability_tol < np.inf:
+            raise ValueError(
+                f"stability_tol must be >= 0 and finite, got {self.stability_tol}"
             )
 
 
@@ -133,7 +140,6 @@ def recovery_certificate(
     weights,
     lipschitz,
     cfg: IntegratorConfig,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level sets {d : d^T P d <= c} of offsets d from stable equilibria x*
     that the iterated trapezoidal map never leaves, as (P, c).
@@ -147,9 +153,9 @@ def recovery_certificate(
     In the weighted offsets z = W d, W = diag(w), the Lyapunov equation
     A_w^T P + P A_w = -I for A_w = W A W^-1 is solved on its Kronecker form,
     and V(z) = z^T P z.  With mu, lam the extreme eigenvalues of P, q the
-    smallest of -(A_w^T P + P A_w) as computed, a = ||A_w|| and h the step,
-    a radius r is halved from 99% of (q - 2 lam stability_tol) / (2 lam L)
-    until, with beta = h (a + L r / 2) / (2 - h L r / 2):
+    smallest of -(A_w^T P + P A_w) as computed, a = ||A_w||, h the step and
+    tol = ``cfg.stability_tol``, a radius r is halved from 99% of
+    (q - 2 lam tol) / (2 lam L) until, with beta = h (a + L r / 2) / (2 - h L r / 2):
 
     - h L r < 4 and kappa = q - lam L r (1 + beta) > 0;
     - nu <= (1 - sqrt(1 - theta)) sqrt(c), with sqrt(c) = sqrt(mu) r - nu,
@@ -160,8 +166,8 @@ def recovery_certificate(
     (Khalil, *Nonlinear Systems*, 3rd ed., section 8.2, with
     ||J_w(z) - A_w|| <= L ||z||):
 
-    - J_w^T P + P J_w <= -2 lam stability_tol I, so every Jacobian has
-      spectral abscissa below -stability_tol and V decreases along the flow
+    - J_w^T P + P J_w <= -2 lam tol I, so every Jacobian has spectral
+      abscissa below -tol and V decreases along the flow
       (outside a ball of the size of f(x*));
     - one exact trapezoidal step from z to u satisfies
       V(u) - V(z) <= -h kappa ||(z + u) / 2||^2 <= -theta V(z), on the
@@ -203,9 +209,7 @@ def recovery_certificate(
         if k > 1:
             # some member's Lyapunov operator is singular: one by one
             parts = [
-                recovery_certificate(
-                    jac[i], residual[i], weights[i], lipschitz[i], cfg, stability_tol
-                )
+                recovery_certificate(jac[i], residual[i], weights[i], lipschitz[i], cfg)
                 for i in range(k)
             ]
             return np.array([f for f, _ in parts]), np.array([c for _, c in parts])
@@ -217,17 +221,15 @@ def recovery_certificate(
     spectrum = np.linalg.eigvalsh(p_w)
     q_all = np.linalg.eigvalsh(0.5 * (decay + decay.transpose(0, 2, 1)))[:, 0]
     norm_all = np.linalg.norm(a_w, 2, axis=(1, 2))
-    h = cfg.step
     nu_all = np.sqrt(spectrum[:, -1]) * (
         w.max(axis=1) * (_NEWTON_MARGIN * cfg.newton_tol + _RESIDUAL_ROUNDING)
-        + h * _norm(w * residual)
+        + cfg.step * _norm(w * residual)
     )
     levels = np.full(k, -1.0)
     for i in np.flatnonzero(valid).tolist():
         levels[i] = _certified_level(
             float(spectrum[i, 0]), float(spectrum[i, -1]), float(q_all[i]),
-            float(norm_all[i]), float(nu_all[i]), float(lipschitz[i]), h,
-            stability_tol,
+            float(norm_all[i]), float(nu_all[i]), float(lipschitz[i]), cfg,
         )
     forms = w[:, :, None] * p_w * w[:, None, :]
     forms[levels < 0.0] = 0.0
@@ -236,12 +238,13 @@ def recovery_certificate(
     return forms, levels
 
 
-def _certified_level(mu, lam, q, a, nu, L, h, stability_tol) -> float:
+def _certified_level(mu, lam, q, a, nu, L, cfg: IntegratorConfig) -> float:
     """The level c of :func:`recovery_certificate` for one equilibrium, or
     -1 if no radius passes."""
     if not (mu > 0.0 and q > 0.0):
         return -1.0
-    r = 0.99 * (q - 2.0 * lam * stability_tol) / (2.0 * lam * L)
+    h = cfg.step
+    r = 0.99 * (q - 2.0 * lam * cfg.stability_tol) / (2.0 * lam * L)
     for _ in range(64):
         if not r > 0.0:
             break
@@ -381,51 +384,103 @@ def sep_distance(
     return float(_norm(_offset(x, sep, _wrap_index(sys))))
 
 
+def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> tuple:
+    """The certified sets of K runs of ``sys``, at the rows of ``p`` (K, m)
+    around the stable equilibria in the rows of ``sep`` (K, n).
+
+    Returns forms (K, n, n), levels (K,) and reaches (K,): the set
+    {d : d^T form d <= level} of offsets from the equilibrium
+    (:func:`recovery_certificate`) lies in the ball ||d|| <= reach.  A run
+    without a certificate (the system has no ``jacobian_lipschitz``, or no
+    radius passes) has level and reach -1, which no offset meets.  A system
+    whose runs step in lockstep has its Jacobians and fields at the
+    equilibria evaluated as one batch.
+    """
+    k, n = len(p), sys.state_dim
+    if sys.jacobian_lipschitz is None or not k:
+        return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0)
+    if sys.batched and sys.jacobian is not None:
+        jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
+    else:
+        jac = [eval_jacobian(sys, s, q) for s, q in zip(sep, p)]
+        residual = [sys.field(s, q) for s, q in zip(sep, p)]
+    bounds = [sys.jacobian_lipschitz(q) for q in p]
+    form, level = recovery_certificate(
+        jac, residual, [w for w, _ in bounds], [L for _, L in bounds], cfg
+    )
+    # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
+    # sqrt(level / lowest); 1% wider, rounding cannot put a certified
+    # offset outside it
+    reach, lowest = np.full(k, -1.0), np.linalg.eigvalsh(form)[:, 0]
+    ok = level > 0.0
+    reach[ok] = np.where(
+        lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
+    )
+    return form, level, reach
+
+
+def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
+    """Whether a run's new state ``x`` (n,), or K runs' states (K, n), has
+    diverged, lies in its certified set and lies near its equilibrium.
+
+    ``sep`` holds the equilibria and ``form``, ``level`` and ``reach`` the
+    sets of :func:`_recovery_sets`; offsets are angle-aware (``wrap`` from
+    :func:`_wrap_index`).  A state diverged when its norm exceeds
+    ``cfg.divergence_norm``, and is near when its offset is at most
+    ``cfg.sep_tol``.  V is evaluated only when some state lies within its
+    set's reach.
+
+    A run ends on the first of these, in this order: a failed step
+    (``SOLVER_FAILURE``, on the last good state), divergence (``DIVERGED``),
+    then entry into the certified set or ``cfg.sep_dwell`` consecutive near
+    states (``CONVERGED_TO_SEP``).
+    """
+    d = _offset(x, sep, wrap)
+    distance = _norm(d)
+    certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
+    return _norm(x) > cfg.divergence_norm, certified, distance <= cfg.sep_tol
+
+
 def simulate(
     sys: ParameterizedSystem,
     p: np.ndarray,
     cfg: IntegratorConfig,
     sep: np.ndarray,
     record_flags: bool = False,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> Trajectory:
     """Integrate from the system's initial condition and classify the outcome.
 
-    The trajectory terminates with:
+    The trajectory terminates (in the order of :func:`_end_test`) with:
 
-    - ``CONVERGED_TO_SEP`` as soon as the offset from ``sep`` (angle-aware)
-      enters the level set of :func:`recovery_certificate`, computed once
-      here at ``sep`` with ``stability_tol``: from there the trajectory
-      provably converges to ``sep`` and no later state would be flagged
-      unstable.  Without a certificate (the system has no
-      ``jacobian_lipschitz``, or no radius passes), and as a fallback,
-      once the state has stayed within ``cfg.sep_tol`` of ``sep`` for
-      ``cfg.sep_dwell`` consecutive stored states;
-    - ``DIVERGED`` as soon as the state norm exceeds ``cfg.divergence_norm``
-      (checked before the proximity tests, so a divergent state can never
-      be mistaken for a converged one);
     - ``SOLVER_FAILURE`` if a step raises ``NewtonDivergence`` or
       ``NonFiniteOutput`` — the partial trajectory up to the last good state
       is returned (a singular Newton matrix counts as ``NewtonDivergence``);
+    - ``DIVERGED`` as soon as the state norm exceeds ``cfg.divergence_norm``
+      (checked before the proximity tests, so a divergent state can never
+      be mistaken for a converged one);
+    - ``CONVERGED_TO_SEP`` as soon as the offset from ``sep`` (angle-aware)
+      enters the level set of :func:`recovery_certificate`, computed once
+      here at ``sep`` with ``cfg``: from there the trajectory provably
+      converges to ``sep`` and no later state would be flagged unstable.
+      Without a certificate (the system has no ``jacobian_lipschitz``, or
+      no radius passes), and as a fallback, once the state has stayed
+      within ``cfg.sep_tol`` of ``sep`` for ``cfg.sep_dwell`` consecutive
+      stored states;
     - ``MAX_TIME_REACHED`` after ``floor(max_time / step)`` steps without
       any of the above.
 
     With ``record_flags=True`` every stored state (including the initial one)
     gets a boolean marking whether the Jacobian there has an eigenvalue with
-    real part above ``stability_tol``.
+    real part above ``cfg.stability_tol``.
     """
     p = np.asarray(p, dtype=float)
     sep, wrap = np.asarray(sep, dtype=float), _wrap_index(sys)
     x = initial_state(sys, p)
-    form = level = None
-    if sys.jacobian_lipschitz is not None:
-        form, level = recovery_certificate(
-            eval_jacobian(sys, sep, p), sys.field(sep, p),
-            *sys.jacobian_lipschitz(p), cfg, stability_tol,
-        )
+    form, level, reach = (a[0] for a in _recovery_sets(sys, p[None], sep[None], cfg))
 
     states = [x]
-    flags = [is_unstable(eval_jacobian(sys, x, p), stability_tol)] if record_flags else None
+    tol = cfg.stability_tol
+    flags = [is_unstable(eval_jacobian(sys, x, p), tol)] if record_flags else None
 
     nmax = _step_budget(cfg)
     termination = Termination.MAX_TIME_REACHED
@@ -438,21 +493,15 @@ def simulate(
             break
         states.append(x)
         if record_flags:
-            flags.append(is_unstable(eval_jacobian(sys, x, p), stability_tol))
-        if _norm(x) > cfg.divergence_norm:
+            flags.append(is_unstable(eval_jacobian(sys, x, p), tol))
+        diverged, certified, near = _end_test(x, sep, wrap, form, level, reach, cfg)
+        consec = consec + 1 if near else 0
+        if diverged:
             termination = Termination.DIVERGED
             break
-        d = _offset(x, sep, wrap)
-        if form is not None and _quadratic(form, d) <= level:
+        if certified or consec >= cfg.sep_dwell:
             termination = Termination.CONVERGED_TO_SEP
             break
-        if _norm(d) <= cfg.sep_tol:
-            consec += 1
-            if consec >= cfg.sep_dwell:
-                termination = Termination.CONVERGED_TO_SEP
-                break
-        else:
-            consec = 0
 
     return Trajectory(
         states=np.asarray(states),
@@ -488,11 +537,9 @@ class Lockstep:
     :meth:`add` starts members, :meth:`step` advances every live member by
     one trapezoidal step and reports the members that ended, and
     :meth:`drop` removes members.  Each member ends exactly as
-    :func:`simulate` (with ``stability_tol``) would end it, under the same
-    rules in the same order: a failed step, divergence, then entry into the
-    member's certified level set (:func:`recovery_certificate`, computed
-    once per member by :meth:`add`) or, without a certificate, the
-    ``sep_tol``/``sep_dwell`` rule.
+    :func:`simulate` would end it, by the same test (:func:`_end_test`)
+    against the same certified set (:func:`_recovery_sets`, computed once
+    per member by :meth:`add`).
 
     Members step in lockstep (``lockstep`` true) on a batched system with
     an analytic Jacobian: each counts its own steps against the budget
@@ -503,13 +550,8 @@ class Lockstep:
     stepping.
     """
 
-    def __init__(
-        self,
-        sys: ParameterizedSystem,
-        cfg: IntegratorConfig,
-        stability_tol: float = DEFAULT_STABILITY_TOL,
-    ) -> None:
-        self.sys, self.cfg, self.stability_tol = sys, cfg, stability_tol
+    def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
+        self.sys, self.cfg = sys, cfg
         #: whether members advance together, one batched step for all; the
         #: batched Newton step needs the batched analytic Jacobian
         self.lockstep = sys.batched and sys.jacobian is not None
@@ -550,16 +592,14 @@ class Lockstep:
         if not self.lockstep:
             ended = {}
             for k, p_k, sep_k in zip(ids.tolist(), p, sep):
-                traj = simulate(
-                    self.sys, p_k, self.cfg, sep_k, stability_tol=self.stability_tol
-                )
+                traj = simulate(self.sys, p_k, self.cfg, sep_k)
                 ended[k] = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
             self._ended.update(ended)
             self._next_id += len(p)
             return ids
         x = initial_state(self.sys, p)
         sep = np.asarray(sep, dtype=float)
-        form, level, reach = self._certificates(p, sep)
+        form, level, reach = _recovery_sets(self.sys, p, sep, self.cfg)
         self._next_id += len(p)
         self._ids = np.concatenate([self._ids, ids])
         self._x = np.concatenate([self._x, x])
@@ -572,27 +612,6 @@ class Lockstep:
         self._reach = np.concatenate([self._reach, reach])
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
-
-    def _certificates(self, p: np.ndarray, sep: np.ndarray) -> tuple:
-        """Forms (K, n, n), levels (K,) and reaches (K,) of the members'
-        certificates."""
-        sys, n = self.sys, self.sys.state_dim
-        if sys.jacobian_lipschitz is None or not len(p):
-            return np.zeros((len(p), n, n)), np.full(len(p), -1.0), np.full(len(p), -1.0)
-        bounds = [sys.jacobian_lipschitz(p_k) for p_k in p]
-        form, level = recovery_certificate(
-            sys.jacobian(sep, p), sys.field(sep, p), [w for w, _ in bounds],
-            [L for _, L in bounds], self.cfg, self.stability_tol,
-        )
-        # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
-        # sqrt(level / lowest); 1% wider, rounding cannot put a certified
-        # offset outside it
-        reach, lowest = np.full(len(p), -1.0), np.linalg.eigvalsh(form)[:, 0]
-        ok = level > 0.0
-        reach[ok] = np.where(
-            lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
-        )
-        return form, level, reach
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
@@ -627,21 +646,17 @@ class Lockstep:
         x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
         self.steps += 1
         self._x = x
-        beyond = _norm(x) > cfg.divergence_norm
-        d = _offset(x, self._sep, self._wrap)
-        distance = _norm(d)
+        beyond, certified, near = _end_test(
+            x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
+        )
         # the dwell counts consecutive states near the SEP and restarts at 0
         self._consec += 1
-        self._consec *= distance <= cfg.sep_tol
-        done = failed | beyond | (self._consec >= cfg.sep_dwell)
-        # V is evaluated only on steps where some member may be in its set
-        if np.count_nonzero(distance <= self._reach):
-            done |= _quadratic(self._form, d) <= self._level
+        self._consec *= near
+        done = failed | beyond | certified | (self._consec >= cfg.sep_dwell)
         if not np.count_nonzero(done):
             return ends
         steps = self.steps - self._start
-        # a failed step first, then divergence, then the certified set or
-        # the dwell: simulate's order
+        # the order of _end_test
         diverged = beyond & ~failed
         for mask, end in (
             (failed, Termination.SOLVER_FAILURE),

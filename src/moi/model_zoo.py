@@ -124,16 +124,24 @@ def pendulum_disturbance_ic(params: PendulumParams, p) -> np.ndarray:
             ],
             axis=-1,
         )
-    cfg = IntegratorConfig(step=params.ic_step)
-    disturbance = _disturbance_system(c2)
-    x, q = np.atleast_2d(start), np.atleast_2d(p)
-    for _ in range(int(round(t / params.ic_step))):
-        x, failed = step_trapezoidal_batch(disturbance, x, q, cfg)
-        if failed.any():
-            raise NewtonDivergence(
-                f"disturbance replay failed for torque {q[failed, 0]}"
-            )
+    x = _replay(
+        _disturbance_system(c2), np.atleast_2d(start), np.atleast_2d(p), t,
+        IntegratorConfig(step=params.ic_step),
+    )
     return x.reshape(start.shape)
+
+
+def _replay(
+    sys: ParameterizedSystem, x, q, duration: float, cfg: IntegratorConfig
+) -> np.ndarray:
+    """The states (K, n) that the batched ``sys`` reaches from ``x`` (K, n)
+    at parameters ``q`` (K, m) after ``duration``, rounded to whole steps of
+    ``cfg.step``."""
+    for _ in range(int(round(duration / cfg.step))):
+        x, failed = step_trapezoidal_batch(sys, x, q, cfg)
+        if failed.any():
+            raise NewtonDivergence(f"{sys.name} replay failed for p = {q[failed]}")
+    return x
 
 
 def _disturbance_system(c2: float) -> ParameterizedSystem:
@@ -561,10 +569,7 @@ def _fault_replay(params: MultiMachineParams):
         # One solve per member: the field divides by the inertia, so the
         # pre-fault equilibria of different members differ in the last bits.
         x = np.array([find_equilibrium(pre, member) for member in q])
-        for _ in range(int(round(params.fault_duration / cfg.step))):
-            x, failed = step_trapezoidal_batch(fault, x, q, cfg)
-            if failed.any():
-                raise NewtonDivergence(f"fault-on replay failed for p = {q[failed]}")
+        x = _replay(fault, x, q, params.fault_duration, cfg)
         return x.reshape(p.shape[:-1] + (fault.state_dim,))
 
     return replay

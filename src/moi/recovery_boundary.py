@@ -122,13 +122,17 @@ def find_equilibrium(
     else:
         x = _check_vector(x_guess, sys.state_dim, "equilibrium guess").copy()
     try:
-        for _ in range(max_iter):
+        for it in range(max_iter + 1):
             fx = eval_field(sys, x, p)
-            if np.linalg.norm(fx) <= tol:
+            residual = np.linalg.norm(fx)
+            if residual <= tol:
                 return x
-            jac = eval_jacobian(sys, x, p)
-            x = x - np.linalg.solve(jac, fx)
-        fx = eval_field(sys, x, p)
+            if it == max_iter:
+                raise NewtonDivergence(
+                    f"equilibrium solve stalled at residual {residual:.3e} "
+                    f"after {max_iter} iterations (tol {tol:.1e})"
+                )
+            x = x - np.linalg.solve(eval_jacobian(sys, x, p), fx)
     except NonFiniteOutput as exc:
         raise NewtonDivergence(
             f"equilibrium iteration left the finite domain: {exc}"
@@ -137,12 +141,6 @@ def find_equilibrium(
         raise NewtonDivergence(
             f"singular Jacobian in equilibrium solve: {exc}"
         ) from exc
-    if np.linalg.norm(fx) <= tol:
-        return x
-    raise NewtonDivergence(
-        f"equilibrium solve stalled at residual {np.linalg.norm(fx):.3e} "
-        f"after {max_iter} iterations (tol {tol:.1e})"
-    )
 
 
 def find_sep(
@@ -332,7 +330,6 @@ def ray_boundary_search(
     initial_step: float = 0.1,
     max_doublings: int = 40,
     sep_guess=None,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> BoundarySearchResult:
     """Bracket the recovery boundary along ``p0 + s * direction``, s > 0.
 
@@ -371,7 +368,7 @@ def ray_boundary_search(
     parameter values.
 
     The stable equilibrium is re-solved at every probed parameter value
-    (``find_sep`` with ``stability_tol``), warm-started from the solution
+    (``find_sep`` with ``cfg.stability_tol``), warm-started from the solution
     at the previously probed one.  A probe that classifies ``UNDETERMINED``
     where it would move the bracket aborts the search
     (``UndeterminedAtBisection``) rather than being coerced to either side;
@@ -403,8 +400,7 @@ def ray_boundary_search(
     if not param_tol >= 0.0:
         raise ValueError(f"param_tol must be >= 0, got {param_tol}")
     search = _PipelinedSearch(
-        sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
-        stability_tol,
+        sys, cfg, p0, direction, param_tol, initial_step, max_doublings
     )
     return search.run(sep_guess)
 
@@ -485,15 +481,12 @@ class _PipelinedSearch:
     yet, each the successor of the one before it.
     """
 
-    def __init__(
-        self, sys, cfg, p0, direction, param_tol, initial_step, max_doublings,
-        stability_tol,
-    ):
+    def __init__(self, sys, cfg, p0, direction, param_tol, initial_step, max_doublings):
         self.sys, self.cfg, self.p0, self.direction = sys, cfg, p0, direction
-        self.param_tol, self.stability_tol = param_tol, stability_tol
+        self.param_tol = param_tol
         self.initial_step, self.max_doublings = initial_step, max_doublings
         self.s, self.doublings_left = initial_step, max_doublings
-        self.lock = Lockstep(sys, cfg, stability_tol)
+        self.lock = Lockstep(sys, cfg)
         self.sections = SECTIONS if self.lock.lockstep else 2
         self.chain: list[_Round] = []
         self.history: list[tuple[np.ndarray, Verdict]] = []
@@ -540,7 +533,7 @@ class _PipelinedSearch:
         seps, held, first = [], None, 0
         for p in points:
             try:
-                warm = find_sep(self.sys, p, warm, stability_tol=self.stability_tol)
+                warm = find_sep(self.sys, p, warm, stability_tol=self.cfg.stability_tol)
             except MoiError as exc:
                 held = exc.with_traceback(None)
                 break

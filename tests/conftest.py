@@ -17,26 +17,22 @@ from moi import (
     PENDULUM_DIVERGENCE_NORM,
     bundled_network_path,
     canonical_sign,
-    eval_jacobian,
     h_sweep,
     load_network,
     pendulum_system,
 )
-from moi.integrator import _norm, _offset, _quadratic, _wrap_index, recovery_certificate
-from moi.spectral import DEFAULT_STABILITY_TOL
+from moi.integrator import _norm, _offset, _quadratic, _recovery_sets, _wrap_index
 
 
-def certificate_of(sys_, p, cfg, sep, stability_tol=DEFAULT_STABILITY_TOL):
+def certificate_of(sys_, p, cfg, sep):
     """The (form, level) certificate ``simulate`` uses for ``sys_`` at
     parameter ``p`` and equilibrium ``sep``."""
-    p = np.asarray(p, dtype=float)
-    return recovery_certificate(
-        eval_jacobian(sys_, sep, p), sys_.field(sep, p),
-        *sys_.jacobian_lipschitz(p), cfg, stability_tol,
-    )
+    p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
+    form, level, _ = _recovery_sets(sys_, p[None], sep[None], cfg)
+    return form[0], level[0]
 
 
-def assert_recovery_end(sys_, p, cfg, sep, states, stability_tol=DEFAULT_STABILITY_TOL):
+def assert_recovery_end(sys_, p, cfg, sep, states):
     """``states`` (initial state first) end where the recovery rule ends
     them: at the first later state inside the certified set of ``sep``, or
     at the first one that completes ``cfg.sep_dwell`` consecutive states
@@ -44,7 +40,7 @@ def assert_recovery_end(sys_, p, cfg, sep, states, stability_tol=DEFAULT_STABILI
     d = _offset(np.asarray(states[1:], dtype=float), sep, _wrap_index(sys_))
     ends = np.zeros(len(d), dtype=bool)
     if sys_.jacobian_lipschitz is not None:
-        form, level = certificate_of(sys_, p, cfg, sep, stability_tol)
+        form, level = certificate_of(sys_, p, cfg, sep)
         ends |= _quadratic(form, d) <= level
     run = 0
     for k, near in enumerate(_norm(d) <= cfg.sep_tol):

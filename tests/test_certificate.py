@@ -16,9 +16,11 @@ from moi import (
     IntegratorConfig,
     MULTIMACHINE_DIVERGENCE_NORM,
     Termination,
+    classify_recovery,
     eval_jacobian,
     find_sep,
     multimachine_system,
+    sep_distance,
     simulate,
     spectral_abscissa,
     step_trapezoidal,
@@ -146,7 +148,8 @@ def test_no_certificate_without_a_stable_finite_linearisation():
     form, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, cfg)
     assert level > 0.0 and levels[-1] == level and np.array_equal(forms[-1], form)
     # a stability margin no linearisation meets leaves nothing to certify
-    _, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, cfg, 1.0)
+    margin = replace(cfg, stability_tol=1.0)
+    _, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, margin)
     assert level == -1.0
 
 
@@ -201,6 +204,32 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, pend_cfg, grid, gr
                 d = _offset(traj.states[-1], sep, _wrap_index(sys_))
                 certified += _quadratic(form, d) <= level
         assert certified >= 1
+
+
+def test_one_config_gives_one_end(pendulum, pend_cfg):
+    """A stability margin of 0.1 in the config shrinks the pendulum's
+    certified set, so the run ends later; simulate, a Lockstep member and
+    classify_recovery without a run all end it at the same state and time."""
+    p = np.array([1.5])
+    sep = find_sep(pendulum, p)
+    cfg = replace(pend_cfg, stability_tol=0.1)
+    _, level = certificate_of(pendulum, p, cfg, sep)
+    assert 0.0 < level < certificate_of(pendulum, p, pend_cfg, sep)[1]
+    traj = simulate(pendulum, p, cfg, sep)
+    assert traj.termination is Termination.CONVERGED_TO_SEP
+    assert len(traj) > len(simulate(pendulum, p, pend_cfg, sep))
+    assert_recovery_end(pendulum, p, cfg, sep, traj.states)
+    lock = Lockstep(pendulum, cfg)
+    (k,) = lock.add(p[None], sep[None]).tolist()
+    ends = {}
+    while len(lock):
+        ends.update(lock.step())
+    assert ends[k].termination is traj.termination
+    assert np.array_equal(ends[k].final_state, traj.states[-1])
+    verdict = classify_recovery(pendulum, p, cfg, sep)
+    assert verdict.termination is traj.termination
+    assert ends[k].elapsed == verdict.elapsed_time == traj.elapsed
+    assert verdict.final_distance == sep_distance(pendulum, traj.states[-1], sep)
 
 
 @pytest.mark.parametrize(

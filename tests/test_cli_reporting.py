@@ -15,8 +15,6 @@ from moi import (
     run_cli,
     sep_distance,
     simulate,
-    write_mode_json,
-    write_sweep_csv,
 )
 from moi.cli_reporting import mode_json_text, sweep_csv_text
 from moi.instability_mode import SweepRow
@@ -60,15 +58,6 @@ class TestModeJson:
         record = json.loads(mode_json_text(toy_mode, state_names=("a", "b")))
         assert list(record)[-1] == "state_names"
         assert record["state_names"] == ["a", "b"]
-
-    def test_write_round_trip(self, toy_mode, tmp_path):
-        path = tmp_path / "mode.json"
-        write_mode_json(toy_mode, path)
-        assert json.loads(path.read_text())["eigenvalue"] == toy_mode.eigenvalue
-
-    def test_write_failure_is_oserror(self, toy_mode, tmp_path):
-        with pytest.raises(OSError):
-            write_mode_json(toy_mode, tmp_path / "missing" / "mode.json")
 
 
 class TestSweepCsv:
@@ -117,12 +106,6 @@ class TestSweepCsv:
         line = sweep_csv_text([fat]).splitlines()[1]
         assert line.split(",")[1] == "1;2.5"
 
-    def test_write_byte_identical(self, toy_sweep, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(toy_sweep, a)
-        write_sweep_csv(toy_sweep, b)
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -147,6 +130,7 @@ class TestExitCodes:
             ["sweep", "--p0", "1.5", "--dir", "1", "--h", "0.1,nan", "--tol", "0"],
             ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "nan"],
             ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "-0.5"],
+            ["mode", "--p", "1.5", "--h", "0.02", "--stability-tol", "inf"],
             ["mode", "--p", "nan", "--h", "0.02"],
             ["boundary", "--p0", "1.5", "--dir", "inf", "--h", "0.02"],
             ["simulate", "--p", "1.5", "--h", "inf"],
@@ -155,7 +139,7 @@ class TestExitCodes:
             ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "nan"],
         ],
         ids=["tol", "sweep-tol", "sweep-h", "stability-tol-nan", "stability-tol-negative",
-             "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan"],
+             "stability-tol-inf", "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan"],
     )
     def test_non_finite_or_negative_value_is_a_config_error(self, capsys, argv):
         assert run_cli(argv + ["--model", "pendulum"]) == 2

@@ -17,6 +17,7 @@ from moi import (
     simulate,
     step_trapezoidal,
 )
+from moi.spectral import DEFAULT_STABILITY_TOL
 
 from conftest import assert_recovery_end
 
@@ -63,6 +64,13 @@ class TestConfigValidation:
             IntegratorConfig(step=0.1, sep_dwell=0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, divergence_norm=-1.0)
+
+    def test_stability_tol_is_non_negative_and_finite(self):
+        assert IntegratorConfig(step=0.1).stability_tol == DEFAULT_STABILITY_TOL
+        assert IntegratorConfig(step=0.1, stability_tol=0.0).stability_tol == 0.0
+        for bad in (-1e-9, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=0.1, stability_tol=bad)
 
 
 def test_zero_field_is_identity():
