@@ -39,10 +39,6 @@ from .model_zoo import (
 from .recovery_boundary import find_sep, ray_boundary_search
 from .system_core import ParameterizedSystem
 
-#: step used to replay the pendulum disturbance when building x0(p) for CLI
-#: runs; fixed so that x0 is a function of p alone, not of the analysis h.
-_PENDULUM_IC_STEP = 0.02
-
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
@@ -79,9 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="integration step size(s), comma separated",
         )
-        sp.add_argument("--max-time", type=float, default=200.0)
-        sp.add_argument("--newton-tol", type=float, default=1e-12)
-        sp.add_argument("--stability-tol", type=float, default=1e-9)
+        defaults = IntegratorConfig  # its field defaults, read as class attributes
+        sp.add_argument("--max-time", type=float, default=defaults.max_time)
+        sp.add_argument("--newton-tol", type=float, default=defaults.newton_tol)
+        sp.add_argument("--stability-tol", type=float, default=defaults.stability_tol)
         sp.add_argument(
             "--normalization", choices=("paper", "samples"), default="paper"
         )
@@ -130,7 +127,9 @@ def _build_model(
 ) -> tuple[ParameterizedSystem, float, Optional[tuple[float, ...]]]:
     """System, recommended divergence norm, and default ray direction."""
     if args.model == "pendulum":
-        params = PendulumParams(ic_method="integrated", ic_step=_PENDULUM_IC_STEP)
+        # x0 replays the disturbance at the default ic_step, not at the
+        # analysis h, so that it is a function of p alone
+        params = PendulumParams(ic_method="integrated")
         return pendulum_system(params), PENDULUM_DIVERGENCE_NORM, (1.0,)
     path = args.model_file if args.model_file else bundled_network_path()
     net = load_network(path)

@@ -190,9 +190,6 @@ def mode_at_boundary(
     cfg: IntegratorConfig,
     param_tol: float = 0.0,
     normalization: Normalization = Normalization.FINAL_INDEX,
-    sep_guess=None,
-    initial_step: float = 0.1,
-    max_doublings: int = 40,
 ) -> BoundaryMode:
     """Refine ``p0`` to the recovery boundary, then compute the mode there.
 
@@ -200,21 +197,12 @@ def mode_at_boundary(
     way to adjacent floating-point parameter values, ``param_tol=0.0``) and
     evaluates :func:`mode_of_instability` at the returned inside endpoint,
     against the stable equilibrium the search already solved there
-    (``search.sep_star``) rather than a fresh solve from ``sep_guess``.
+    (``search.sep_star``) rather than a fresh solve.
     The averaged Jacobian concentrates near the boundary equilibrium only
     for parameters close to the boundary, which is why the refinement is
     the default route to a mode rather than an extra step.
     """
-    search = ray_boundary_search(
-        sys,
-        p0,
-        direction,
-        cfg,
-        param_tol=param_tol,
-        initial_step=initial_step,
-        max_doublings=max_doublings,
-        sep_guess=sep_guess,
-    )
+    search = ray_boundary_search(sys, p0, direction, cfg, param_tol=param_tol)
     mode = mode_of_instability(sys, search.p_star, cfg, search.sep_star, normalization)
     return BoundaryMode(mode=mode, search=search)
 
@@ -245,7 +233,6 @@ def h_sweep(
     direction,
     h_values: Sequence[float],
     cfg: IntegratorConfig,
-    sep_guess=None,
     param_tol: float = 0.0,
     normalization: Normalization = Normalization.FINAL_INDEX,
 ) -> list[SweepRow]:
@@ -270,7 +257,7 @@ def h_sweep(
         try:
             bm = mode_at_boundary(
                 sys, p0, direction, replace(cfg, step=h), param_tol=param_tol,
-                normalization=normalization, sep_guess=sep_guess,
+                normalization=normalization,
             )
         except MoiError as exc:
             rows.append(SweepRow(h, None, None, None, None, type(exc).__name__))

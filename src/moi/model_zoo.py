@@ -44,32 +44,23 @@ MULTIMACHINE_DIVERGENCE_NORM = 200.0
 class PendulumParams:
     """Damped driven pendulum constants and disturbance settings.
 
-    The driving torque is the run-time parameter p; ``c3`` is its nominal
-    value.  ``ic_method`` selects how the post-disturbance state is
-    produced: ``"closed"`` evaluates the exact solution of the linear
-    disturbance dynamics, ``"integrated"`` replays them with the fixed-step
-    trapezoidal integrator at ``ic_step`` (the two agree to ~1e-4; the
-    integrated path is what a simulation-only workflow would see).
+    The driving torque is the run-time parameter p.  ``ic_method`` selects
+    how the post-disturbance state is produced: ``"closed"`` evaluates the
+    exact solution of the linear disturbance dynamics, ``"integrated"``
+    replays them with the fixed-step trapezoidal integrator at ``ic_step``
+    (the two agree to ~1e-4; the integrated path is what a simulation-only
+    workflow would see).
     """
 
     c1: float = 2.0
     c2: float = 0.5
-    c3: float = 1.5
     disturbance_duration: float = 0.8
     ic_method: str = "closed"
     ic_step: float = 0.02
 
     def __post_init__(self) -> None:
-        if min(self.c1, self.c2, self.c3) <= 0.0:
-            raise ValueError(
-                f"c1, c2, c3 must be positive, got "
-                f"({self.c1}, {self.c2}, {self.c3})"
-            )
-        if self.c3 / self.c1 >= 1.0:
-            raise ParamOutOfRange(
-                f"c3/c1 = {self.c3 / self.c1} >= 1: torque exceeds the "
-                "maximum restoring torque, no equilibria exist"
-            )
+        if min(self.c1, self.c2) <= 0.0:
+            raise ValueError(f"c1, c2 must be positive, got ({self.c1}, {self.c2})")
         if self.disturbance_duration < 0.0:
             raise ValueError("disturbance_duration must be non-negative")
         if self.ic_method not in ("closed", "integrated"):
@@ -543,53 +534,6 @@ def _swing_lipschitz(
     return float(np.sqrt((pairs**2).sum() + (diagonal**2).sum()))
 
 
-def _fault_replay(params: MultiMachineParams):
-    """x0(p, cfg) of the terminal-fault scenario, with the pre-fault and
-    fault-on networks built once (see :func:`fault_scenario_ic`)."""
-    if params.fault_conductance is None:
-        def missing(p, cfg):
-            raise DataFormatError(
-                "network data has no fault-on admittance block (YFAULT)"
-            )
-
-        return missing
-    pre = _swing_system(
-        params, params.conductance, params.susceptance, "multimachine-prefault"
-    )
-    fault = _swing_system(
-        params,
-        params.fault_conductance,
-        params.fault_susceptance,
-        "multimachine-fault",
-    )
-
-    def replay(p, cfg: IntegratorConfig) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        q = np.atleast_2d(p)
-        # One solve per member: the field divides by the inertia, so the
-        # pre-fault equilibria of different members differ in the last bits.
-        x = np.array([find_equilibrium(pre, member) for member in q])
-        x = _replay(fault, x, q, params.fault_duration, cfg)
-        return x.reshape(p.shape[:-1] + (fault.state_dim,))
-
-    return replay
-
-
-def fault_scenario_ic(
-    params: MultiMachineParams, p, cfg: IntegratorConfig
-) -> np.ndarray:
-    """State at fault clearing, used as the network's x0(p).
-
-    Solves the pre-fault equilibrium from a flat start, substitutes the
-    fault-on admittance matrices, integrates for ``params.fault_duration``
-    (rounded to whole steps of ``cfg.step``), and returns the cleared
-    state.  The inertia parameter applies during the fault as well — it is
-    a machine property, not a network one.  ``p`` may be one parameter
-    vector or a (K, m) stack; the K fault replays then run as one batch.
-    """
-    return _fault_replay(params)(p, cfg)
-
-
 def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
     """Swing network as a parameterized system over its inertia hook.
 
@@ -600,14 +544,44 @@ def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
         M_i omega_i' = Pm_i - sum_j E_i E_j (G_ij cos(theta_i - theta_j)
                        + B_ij sin(theta_i - theta_j)) - D_i omega_i
 
-    The initial condition replays the terminal-fault scenario via
-    :func:`fault_scenario_ic` at ``params.fault_step``.  Angle states are
-    flagged for wrap-aware distance: a machine one revolution ahead is
-    electrically back at the equilibrium.
+    The initial condition x0(p) is the state at fault clearing: the
+    pre-fault equilibrium, solved from a flat start, is replayed on the
+    fault-on admittance matrices for ``params.fault_duration`` (rounded to
+    whole steps of ``params.fault_step``).  The inertia parameter applies
+    during the fault as well — it is a machine property, not a network
+    one.  ``p`` may be one parameter vector or a (K, m) stack; the K fault
+    replays then run as one batch.  Without a fault-on block, asking for
+    x0 raises ``DataFormatError``.  Angle states are flagged for wrap-aware
+    distance: a machine one revolution ahead is electrically back at the
+    equilibrium.
     """
     base = _swing_system(
         params, params.conductance, params.susceptance, "multimachine"
     )
-    ic_cfg = IntegratorConfig(step=params.fault_step)
-    replay = _fault_replay(params)
-    return replace(base, initial_condition=lambda p: replay(p, ic_cfg))
+    if params.fault_conductance is None:
+
+        def initial_condition(p):
+            raise DataFormatError(
+                "network data has no fault-on admittance block (YFAULT)"
+            )
+
+    else:
+        fault = _swing_system(
+            params,
+            params.fault_conductance,
+            params.fault_susceptance,
+            "multimachine-fault",
+        )
+        cfg = IntegratorConfig(step=params.fault_step)
+
+        def initial_condition(p) -> np.ndarray:
+            p = np.asarray(p, dtype=float)
+            q = np.atleast_2d(p)
+            # One solve per member on the pre-fault network: the field
+            # divides by the inertia, so the equilibria of different
+            # members differ in the last bits.
+            x = np.array([find_equilibrium(base, member) for member in q])
+            x = _replay(fault, x, q, params.fault_duration, cfg)
+            return x.reshape(p.shape[:-1] + (fault.state_dim,))
+
+    return replace(base, initial_condition=initial_condition)

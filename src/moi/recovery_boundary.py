@@ -59,6 +59,11 @@ from .system_core import (
 #: fewest per bit.
 SECTIONS = 16
 
+#: residual norm at which :func:`find_equilibrium` stops, and its budget of
+#: Newton updates
+_EQUILIBRIUM_TOL = 1e-12
+_EQUILIBRIUM_MAX_ITER = 50
+
 
 class Verdict(enum.Enum):
     """Outcome of a single recovery experiment."""
@@ -104,17 +109,13 @@ class BoundarySearchResult:
     sep_star: np.ndarray
 
 
-def find_equilibrium(
-    sys: ParameterizedSystem,
-    p,
-    x_guess=None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> np.ndarray:
+def find_equilibrium(sys: ParameterizedSystem, p, x_guess=None) -> np.ndarray:
     """Newton-solve f(x, p) = 0 starting from ``x_guess`` (default: origin).
 
-    The residual is checked before each update, so a guess that already
-    satisfies the tolerance is returned unchanged.
+    The residual norm is checked against ``_EQUILIBRIUM_TOL`` before each
+    update, so a guess that already satisfies it is returned unchanged;
+    ``_EQUILIBRIUM_MAX_ITER`` updates that do not reach it raise
+    ``NewtonDivergence``.
     """
     p = _check_vector(p, sys.param_dim, "parameter")
     if x_guess is None:
@@ -122,15 +123,15 @@ def find_equilibrium(
     else:
         x = _check_vector(x_guess, sys.state_dim, "equilibrium guess").copy()
     try:
-        for it in range(max_iter + 1):
+        for it in range(_EQUILIBRIUM_MAX_ITER + 1):
             fx = eval_field(sys, x, p)
             residual = np.linalg.norm(fx)
-            if residual <= tol:
+            if residual <= _EQUILIBRIUM_TOL:
                 return x
-            if it == max_iter:
+            if it == _EQUILIBRIUM_MAX_ITER:
                 raise NewtonDivergence(
                     f"equilibrium solve stalled at residual {residual:.3e} "
-                    f"after {max_iter} iterations (tol {tol:.1e})"
+                    f"after {it} iterations (tol {_EQUILIBRIUM_TOL:.1e})"
                 )
             x = x - np.linalg.solve(eval_jacobian(sys, x, p), fx)
     except NonFiniteOutput as exc:
@@ -147,17 +148,18 @@ def find_sep(
     sys: ParameterizedSystem,
     p,
     x_guess=None,
-    tol: float = 1e-12,
+    *,
     stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> np.ndarray:
     """Locate a stable equilibrium near ``x_guess``.
 
-    Newton-solves the field to ``tol`` and then requires the Jacobian's
-    spectral abscissa to be strictly below ``-stability_tol``; an
-    equilibrium that is merely marginal (or an unstable one, e.g. a saddle
-    the guess happened to fall toward) raises ``NotStable``.
+    Newton-solves the field (:func:`find_equilibrium`) and then requires
+    the Jacobian's spectral abscissa to be strictly below
+    ``-stability_tol``; an equilibrium that is merely marginal (or an
+    unstable one, e.g. a saddle the guess happened to fall toward) raises
+    ``NotStable``.
     """
-    x = find_equilibrium(sys, p, x_guess, tol)
+    x = find_equilibrium(sys, p, x_guess)
     absc = spectral_abscissa(eval_jacobian(sys, x, np.asarray(p, dtype=float)))
     if not absc < -stability_tol:
         raise NotStable(
@@ -329,7 +331,6 @@ def ray_boundary_search(
     param_tol: float = 1e-4,
     initial_step: float = 0.1,
     max_doublings: int = 40,
-    sep_guess=None,
 ) -> BoundarySearchResult:
     """Bracket the recovery boundary along ``p0 + s * direction``, s > 0.
 
@@ -368,9 +369,10 @@ def ray_boundary_search(
     parameter values.
 
     The stable equilibrium is re-solved at every probed parameter value
-    (``find_sep`` with ``cfg.stability_tol``), warm-started from the solution
-    at the previously probed one.  A probe that classifies ``UNDETERMINED``
-    where it would move the bracket aborts the search
+    (``find_sep`` with ``cfg.stability_tol``): from the zero state at
+    ``p0``, then warm-started from the solution at the previously probed
+    one.  A probe that classifies ``UNDETERMINED`` where it would move the
+    bracket, the origin included, aborts the search
     (``UndeterminedAtBisection``) rather than being coerced to either side;
     raising ``cfg.max_time`` is the honest remedy, since dwell times
     diverge near the boundary.
@@ -402,7 +404,7 @@ def ray_boundary_search(
     search = _PipelinedSearch(
         sys, cfg, p0, direction, param_tol, initial_step, max_doublings
     )
-    return search.run(sep_guess)
+    return search.run()
 
 
 def _hold_end(since: int, sections: int) -> int:
@@ -492,8 +494,8 @@ class _PipelinedSearch:
         self.history: list[tuple[np.ndarray, Verdict]] = []
         self.iterations = 0
 
-    def run(self, sep_guess) -> BoundarySearchResult:
-        self._expand(None, sep_guess, None)
+    def run(self) -> BoundarySearchResult:
+        self._expand(None, None, None)
         due = np.inf
         while True:
             r = self.chain[0]
@@ -629,16 +631,17 @@ class _PipelinedSearch:
         self.history.extend(zip(r.points, verdicts))
         if r.hi is not None:
             self.iterations += count
-        if r.lo is None and r.key == 0:
-            raise NotRecovered(
-                f"search origin p0={self.p0} does not recover; boundary search "
-                "requires a recovering starting point"
-            )
+        # an undetermined origin is reported as such, not as a failing one
         if r.key < n and verdicts[r.key] is not Verdict.FAILS_TO_RECOVER:
             phase = "expansion" if r.hi is None else "refinement"
             raise UndeterminedAtBisection(
                 f"{phase} probe at p={r.points[r.key]} was undetermined "
                 "(raise max_time to resolve)"
+            )
+        if r.lo is None and r.key == 0:
+            raise NotRecovered(
+                f"search origin p0={self.p0} does not recover; boundary search "
+                "requires a recovering starting point"
             )
         if self.chain:
             return None

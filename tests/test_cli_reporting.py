@@ -153,6 +153,15 @@ class TestExitCodes:
         assert code == 1
         assert "NotRecovered" in capsys.readouterr().err
 
+    def test_undetermined_origin_exits_one(self, capsys):
+        """At h 0.2 the origin 1.5 has not settled after one second."""
+        code = run_cli(
+            ["mode", "--model", "pendulum", "--p", "1.5", "--h", "0.2",
+             "--max-time", "1"]
+        )
+        assert code == 1
+        assert "UndeterminedAtBisection" in capsys.readouterr().err
+
     def test_expansion_into_negative_inertia_exits_one(self, capsys):
         """From 0.95 the doublings recover down to 0.15 and the next one
         steps over the failing 0.2-0.4 band to inertia -0.65; the batched

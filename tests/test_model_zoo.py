@@ -11,6 +11,7 @@ from moi import (
     DataFormatError,
     IntegratorConfig,
     MultiMachineParams,
+    NewtonDivergence,
     ParamOutOfRange,
     PendulumParams,
     Termination,
@@ -18,7 +19,6 @@ from moi import (
     classify_recovery,
     eval_field,
     eval_jacobian,
-    fault_scenario_ic,
     find_equilibrium,
     find_sep,
     initial_state,
@@ -64,8 +64,16 @@ class TestPendulumEquilibria:
             PendulumParams(c1=-1.0)
         with pytest.raises(ValueError):
             PendulumParams(ic_method="guess")
+
+    def test_torque_beyond_pullout_has_no_equilibrium(self):
+        """The torque is the run-time parameter, so its bound c1 is checked
+        where a torque is used: the disturbance replay starts from
+        asin(torque / c1), and the equilibrium solve finds no zero."""
+        sys_ = pendulum_system(PendulumParams(ic_method="integrated"))
         with pytest.raises(ParamOutOfRange):
-            PendulumParams(c3=2.5)  # rest torque beyond pull-out
+            initial_state(sys_, np.array([2.5]))
+        with pytest.raises(NewtonDivergence, match="equilibrium solve stalled"):
+            find_sep(sys_, [2.5])
 
 
 class TestPendulumDisturbanceIC:
@@ -244,15 +252,15 @@ class TestBundledNetwork:
 class TestFaultScenario:
     def test_zero_duration_returns_pre_fault_equilibrium(self, nine_bus):
         params = replace(nine_bus, fault_duration=0.0)
-        ic = fault_scenario_ic(params, np.array([1.0]), IntegratorConfig(step=1 / 60))
-        sys_ = multimachine_system(nine_bus)
-        sep = find_sep(sys_, [1.0])
-        assert np.allclose(ic, sep, atol=1e-9)
+        ic = multimachine_system(params).initial_condition(np.array([1.0]))
+        # both solve the pre-fault field from the origin
+        sep = find_sep(multimachine_system(nine_bus), [1.0])
+        assert np.array_equal(ic, sep)
 
     def test_faulted_machine_most_perturbed(self, nine_bus):
         sys_ = multimachine_system(nine_bus)
         sep = find_sep(sys_, [1.0])
-        ic = fault_scenario_ic(nine_bus, np.array([1.0]), IntegratorConfig(step=1 / 60))
+        ic = sys_.initial_condition(np.array([1.0]))
         dth = np.abs(ic[:3] - sep[:3])
         dom = np.abs(ic[3:] - sep[3:])
         assert np.argmax(dth) == 2
@@ -262,8 +270,9 @@ class TestFaultScenario:
         no_fault = replace(
             nine_bus, fault_conductance=None, fault_susceptance=None
         )
+        sys_ = multimachine_system(no_fault)
         with pytest.raises(DataFormatError):
-            fault_scenario_ic(no_fault, np.array([1.0]), IntegratorConfig(step=1 / 60))
+            sys_.initial_condition(np.array([1.0]))
 
     def test_recovers_at_nominal_inertia(self, nine_bus):
         sys_ = multimachine_system(nine_bus)
@@ -280,9 +289,8 @@ class TestFaultScenario:
         assert rv.verdict is Verdict.FAILS_TO_RECOVER
 
     def test_deterministic_ic(self, nine_bus):
-        cfg = IntegratorConfig(step=1 / 60)
-        a = fault_scenario_ic(nine_bus, np.array([1.0]), cfg)
-        b = fault_scenario_ic(nine_bus, np.array([1.0]), cfg)
+        a = multimachine_system(nine_bus).initial_condition(np.array([1.0]))
+        b = multimachine_system(nine_bus).initial_condition(np.array([1.0]))
         assert np.array_equal(a, b)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,27 @@ class TestRayBoundarySearch:
         cfg = IntegratorConfig(step=0.05, max_time=5.0, divergence_norm=10.0)
         with pytest.raises(UndeterminedAtBisection):
             ray_boundary_search(sys_, [0.0], [1.0], cfg, param_tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "system, start, cfg",
+        [
+            # steps in lockstep
+            ("pendulum", 1.5, IntegratorConfig(0.2, divergence_norm=50.0, max_time=1.0)),
+            # does not: bisection, one probe at a time
+            ("tent_toy", 0.5, IntegratorConfig(0.02, divergence_norm=100.0, max_time=0.5)),
+        ],
+    )
+    def test_undetermined_origin_is_not_reported_as_failing(
+        self, request, system, start, cfg
+    ):
+        """An origin that runs out of time neither recovers nor fails: the
+        search reports it as undetermined, as any other probe."""
+        sys_ = request.getfixturevalue(system)
+        origin = classify_recovery(sys_, [start], cfg, find_sep(sys_, [start]))
+        assert origin.termination is Termination.MAX_TIME_REACHED
+        message = f"expansion probe at p=[{start}] was undetermined"
+        with pytest.raises(UndeterminedAtBisection, match=re.escape(message)):
+            ray_boundary_search(sys_, [start], [1.0], cfg)
 
     def test_rejects_bad_arguments(self, pendulum, pend_cfg):
         with pytest.raises(ValueError):

@@ -14,6 +14,10 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   trajectory, and probes of systems that do not step in lockstep);
 - ``started``: members started by ``Lockstep.add``;
 - ``dropped``: started members that no search classified;
+- ``reported`` / ``dropped_live``: members whose end ``Lockstep.step``
+  returned, and members that ``Lockstep.drop`` removed before they were
+  reported.  Every started member is one or the other, and none is live
+  when the command ends; a run where that does not hold fails;
 - ``certified`` / ``dwell``: lockstep members that ended ``CONVERGED_TO_SEP``
   inside their certified level set, or by the ``sep_tol``/``sep_dwell``
   rule (a package without certificates has only dwell ends);
@@ -68,14 +72,16 @@ WORKLOADS = {
 }
 
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "started", "dropped",
-           "certified", "dwell", "undetermined", "guided", "uniform", "cpu_s")
+           "reported", "dropped_live", "certified", "dwell", "undetermined",
+           "guided", "uniform", "cpu_s")
 
 
 @contextlib.contextmanager
 def counting(moi, counts: Counter, verdicts: list):
     """Wrap the package's stepping and search entry points to add to
     ``counts``, and the verdicts of classified probes to ``verdicts``, while
-    the block runs."""
+    the block runs.  On leaving it, ``counts["live"]`` holds the members
+    still live in the Locksteps started during the block."""
     integ, rb = moi.integrator, moi.recovery_boundary
     converged = moi.Termination.CONVERGED_TO_SEP
     lock_cls, search_cls = integ.Lockstep, rb._PipelinedSearch
@@ -84,9 +90,11 @@ def counting(moi, counts: Counter, verdicts: list):
         (integ, "step_trapezoidal", integ.step_trapezoidal),
         (lock_cls, "step", lock_cls.step),
         (lock_cls, "add", lock_cls.add),
+        (lock_cls, "drop", lock_cls.drop),
         (search_cls, "_commit", search_cls._commit),
     ]
-    batch, scalar, step, add, commit = (fn for _, _, fn in saved)
+    batch, scalar, step, add, drop, commit = (fn for _, _, fn in saved)
+    locks: dict = {}
 
     def counted_batch(sys_, x, p, cfg):
         counts["member_steps"] += len(x)
@@ -102,6 +110,7 @@ def counting(moi, counts: Counter, verdicts: list):
         ids, sep, form, level = (getattr(self, name, None)
                                  for name in ("_ids", "_sep", "_form", "_level"))
         ends = step(self)
+        counts["reported"] += len(ends)
         for k, end in ends.items():
             at = np.flatnonzero(ids == k)
             if end.termination is not converged or not len(at):
@@ -116,7 +125,13 @@ def counting(moi, counts: Counter, verdicts: list):
     def counted_add(self, p, sep):
         ids = add(self, p, sep)
         counts["started"] += len(ids)
+        locks[id(self)] = self
         return ids
+
+    def counted_drop(self, ids):
+        before = len(self)
+        drop(self, ids)
+        counts["dropped_live"] += before - len(self)
 
     def counted_commit(self, r):
         before = len(self.history)
@@ -135,12 +150,13 @@ def counting(moi, counts: Counter, verdicts: list):
             verdicts.extend(new)
 
     replacements = [counted_batch, counted_scalar, counted_step, counted_add,
-                    counted_commit]
+                    counted_drop, counted_commit]
     for (owner, name, _), new in zip(saved, replacements):
         setattr(owner, name, new)
     try:
         yield
     finally:
+        counts["live"] = sum(len(lock) for lock in locks.values())
         for owner, name, fn in saved:
             setattr(owner, name, fn)
 
@@ -156,6 +172,13 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, list]:
     cpu = time.process_time() - t0
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
+    accounted = counts["reported"] + counts["dropped_live"]
+    if counts["started"] != accounted or counts["live"]:
+        raise SystemExit(
+            f"{' '.join(argv)}: {counts['started']} members started, "
+            f"{counts['reported']} reported, {counts['dropped_live']} dropped, "
+            f"{counts['live']} still live"
+        )
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
     row["cpu_s"] = round(cpu, 3)

@@ -14,8 +14,8 @@ Times, in CPU microseconds per call:
 - the batched swing step at K = 16 on seeded synthetic n-machine networks,
   n = 3, 10 and 30, built here (no data file).
 
-Each case runs the same inputs for ``--rounds`` rounds; a round times a
-block of calls.  With ``--against`` the other package is imported under
+Each case runs the same inputs for ``--rounds`` rounds (at least 2); a
+round times a block of calls.  With ``--against`` the other package is imported under
 another name and every round times both packages back to back, alternating
 which goes first, so a drift in host speed hits both alike.  Before timing,
 the two packages' outputs are compared bitwise on the timed inputs.  The
@@ -184,9 +184,17 @@ def quartiles(runs: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def rounds(text: str) -> int:
+    """``--rounds``: the quartiles need at least two runs per case."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 rounds are needed, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--rounds", type=rounds, default=30)
     parser.add_argument("--against", type=Path, default=None)
     args = parser.parse_args(argv)
     import moi
