@@ -34,6 +34,7 @@ from .model_zoo import (
     bundled_network_path,
     load_network,
     multimachine_system,
+    pendulum_sep,
     pendulum_system,
 )
 from .recovery_boundary import find_sep, ray_boundary_search
@@ -122,20 +123,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_model(
-    args: argparse.Namespace,
-) -> tuple[ParameterizedSystem, float, Optional[tuple[float, ...]]]:
-    """System, recommended divergence norm, and default ray direction."""
+def _build_model(args: argparse.Namespace) -> tuple:
+    """System, recommended divergence norm, default ray direction, and a
+    check of a starting parameter that raises ``ParamOutOfRange`` before
+    any Newton solve where the model has no equilibrium (a pendulum torque
+    at or beyond c1; the network's field checks its inertias itself)."""
     if args.model == "pendulum":
         # x0 replays the disturbance at the default ic_step, not at the
         # analysis h, so that it is a function of p alone
         params = PendulumParams(ic_method="integrated")
-        return pendulum_system(params), PENDULUM_DIVERGENCE_NORM, (1.0,)
+        check = lambda p: pendulum_sep(params, p[0])  # noqa: E731
+        return pendulum_system(params), PENDULUM_DIVERGENCE_NORM, (1.0,), check
     path = args.model_file if args.model_file else bundled_network_path()
     net = load_network(path)
     system = multimachine_system(net)
     default_dir = (-1.0,) if net.inertia_mode == "scale" else None
-    return system, MULTIMACHINE_DIVERGENCE_NORM, default_dir
+    return system, MULTIMACHINE_DIVERGENCE_NORM, default_dir, lambda p: None
 
 
 def _single_h(args: argparse.Namespace) -> float:
@@ -251,10 +254,11 @@ def sweep_csv_text(table: Sequence[SweepRow]) -> str:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    system, divergence, _ = _build_model(args)
+    system, divergence, _, check = _build_model(args)
     h = _single_h(args)
     cfg = _integrator_config(args, h, divergence)
     p = _check_param(system, args.p, "--p")
+    check(p)
     sep = find_sep(system, p, stability_tol=cfg.stability_tol)
     traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
@@ -277,10 +281,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_boundary(args: argparse.Namespace) -> int:
-    system, divergence, default_dir = _build_model(args)
+    system, divergence, default_dir, check = _build_model(args)
     h = _single_h(args)
     cfg = _integrator_config(args, h, divergence)
     p0 = _check_param(system, args.p0, "--p0")
+    check(p0)
     direction = _resolve_direction(system, args, default_dir)
     res = ray_boundary_search(system, p0, direction, cfg, param_tol=args.tol)
     print(
@@ -302,10 +307,11 @@ def _run_boundary(args: argparse.Namespace) -> int:
 
 
 def _run_mode(args: argparse.Namespace) -> int:
-    system, divergence, default_dir = _build_model(args)
+    system, divergence, default_dir, check = _build_model(args)
     h = _single_h(args)
     cfg = _integrator_config(args, h, divergence)
     p0 = _check_param(system, args.p, "--p")
+    check(p0)
     direction = _resolve_direction(system, args, default_dir)
     bm = mode_at_boundary(
         system,
@@ -326,7 +332,7 @@ def _run_mode(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    system, divergence, default_dir = _build_model(args)
+    system, divergence, default_dir, _ = _build_model(args)
     cfg = _integrator_config(args, args.h[0], divergence)
     p0 = _check_param(system, args.p0, "--p0")
     direction = _resolve_direction(system, args, default_dir)

@@ -22,7 +22,10 @@ turns a quadratic Lyapunov function at the stable equilibrium into a level
 set that the iterated trapezoidal map never leaves, that it contracts to the
 equilibrium, and on which every Jacobian is stable; entering it ends the
 trajectory.  Other systems wait until the state has stayed near the
-equilibrium for a while.
+equilibrium for a while.  Likewise a failing trajectory ends as soon as it
+is known to fail: past the norm ``divergence_norm`` or, for a system with
+an energy function (``ParameterizedSystem.escape_energy``), in a set from
+which the energy proves it never returns.
 """
 
 from __future__ import annotations
@@ -388,17 +391,22 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     """The certified sets of K runs of ``sys``, at the rows of ``p`` (K, m)
     around the stable equilibria in the rows of ``sep`` (K, n).
 
-    Returns forms (K, n, n), levels (K,) and reaches (K,): the set
-    {d : d^T form d <= level} of offsets from the equilibrium
+    Returns forms (K, n, n), levels (K,), reaches (K,) and escapes (K, 3).
+    The set {d : d^T form d <= level} of offsets from the equilibrium
     (:func:`recovery_certificate`) lies in the ball ||d|| <= reach.  A run
     without a certificate (the system has no ``jacobian_lipschitz``, or no
-    radius passes) has level and reach -1, which no offset meets.  A system
-    whose runs step in lockstep has its Jacobians and fields at the
-    equilibria evaluated as one batch.
+    radius passes) has level and reach -1, which no offset meets.  An
+    escape row (saddle, speed, level) is the system's
+    ``escape_energy`` bound; without one the saddle is inf, which no state
+    passes.  A system whose runs step in lockstep has its Jacobians and
+    fields at the equilibria evaluated as one batch.
     """
     k, n = len(p), sys.state_dim
+    escape = np.full((k, 3), np.inf)
+    if sys.escape_energy is not None and k:
+        escape = sys.escape_energy[1](p, sep, cfg)
     if sys.jacobian_lipschitz is None or not k:
-        return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0)
+        return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0), escape
     if sys.batched and sys.jacobian is not None:
         jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
     else:
@@ -416,29 +424,39 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     reach[ok] = np.where(
         lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
     )
-    return form, level, reach
+    return form, level, reach, escape
 
 
-def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
-    """Whether a run's new state ``x`` (n,), or K runs' states (K, n), has
-    diverged, lies in its certified set and lies near its equilibrium.
+def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
+    """Whether a run's new state ``x`` (n,), or K runs' states (K, n) at the
+    parameters ``p``, has diverged, lies in its certified set and lies near
+    its equilibrium.
 
-    ``sep`` holds the equilibria and ``form``, ``level`` and ``reach`` the
-    sets of :func:`_recovery_sets`; offsets are angle-aware (``wrap`` from
+    ``sep`` holds the equilibria and ``sets`` the forms, levels, reaches and
+    escape rows of :func:`_recovery_sets`; ``energy`` is the system's
+    escape energy, or None.  Offsets are angle-aware (``wrap`` from
     :func:`_wrap_index`).  A state diverged when its norm exceeds
-    ``cfg.divergence_norm``, and is near when its offset is at most
-    ``cfg.sep_tol``.  V is evaluated only when some state lies within its
-    set's reach.
+    ``cfg.divergence_norm`` or it lies in its escape set, and is near when
+    its offset is at most ``cfg.sep_tol``.  V is evaluated only when some
+    state lies within its set's reach, and E only when some state is past
+    its saddle.
 
     A run ends on the first of these, in this order: a failed step
     (``SOLVER_FAILURE``, on the last good state), divergence (``DIVERGED``),
     then entry into the certified set or ``cfg.sep_dwell`` consecutive near
     states (``CONVERGED_TO_SEP``).
     """
+    form, level, reach, escape = sets
     d = _offset(x, sep, wrap)
     distance = _norm(d)
     certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
-    return _norm(x) > cfg.divergence_norm, certified, distance <= cfg.sep_tol
+    diverged = _norm(x) > cfg.divergence_norm
+    past = x[..., 0] > escape[..., 0]
+    if np.count_nonzero(past):
+        with np.errstate(invalid="ignore"):  # the rows of failed steps
+            escaped = (np.abs(x[..., 1]) <= escape[..., 1]) & (energy(x, p) < escape[..., 2])
+        diverged = diverged | past & escaped
+    return diverged, certified, distance <= cfg.sep_tol
 
 
 def simulate(
@@ -456,8 +474,11 @@ def simulate(
       ``NonFiniteOutput`` — the partial trajectory up to the last good state
       is returned (a singular Newton matrix counts as ``NewtonDivergence``);
     - ``DIVERGED`` as soon as the state norm exceeds ``cfg.divergence_norm``
-      (checked before the proximity tests, so a divergent state can never
-      be mistaken for a converged one);
+      or, for a system with ``escape_energy``, the state enters its escape
+      set, computed once here at ``sep`` with ``cfg``: from there the
+      trajectory provably never returns to ``sep`` (checked before the
+      proximity tests, so a divergent state can never be mistaken for a
+      converged one);
     - ``CONVERGED_TO_SEP`` as soon as the offset from ``sep`` (angle-aware)
       enters the level set of :func:`recovery_certificate`, computed once
       here at ``sep`` with ``cfg``: from there the trajectory provably
@@ -476,7 +497,8 @@ def simulate(
     p = np.asarray(p, dtype=float)
     sep, wrap = np.asarray(sep, dtype=float), _wrap_index(sys)
     x = initial_state(sys, p)
-    form, level, reach = (a[0] for a in _recovery_sets(sys, p[None], sep[None], cfg))
+    sets = tuple(a[0] for a in _recovery_sets(sys, p[None], sep[None], cfg))
+    energy = sys.escape_energy and sys.escape_energy[0]
 
     states = [x]
     tol = cfg.stability_tol
@@ -494,7 +516,7 @@ def simulate(
         states.append(x)
         if record_flags:
             flags.append(is_unstable(eval_jacobian(sys, x, p), tol))
-        diverged, certified, near = _end_test(x, sep, wrap, form, level, reach, cfg)
+        diverged, certified, near = _end_test(x, p, sep, wrap, sets, energy, cfg)
         consec = consec + 1 if near else 0
         if diverged:
             termination = Termination.DIVERGED
@@ -538,8 +560,8 @@ class Lockstep:
     one trapezoidal step and reports the members that ended, and
     :meth:`drop` removes members.  Each member ends exactly as
     :func:`simulate` would end it, by the same test (:func:`_end_test`)
-    against the same certified set (:func:`_recovery_sets`, computed once
-    per member by :meth:`add`).
+    against the same certified and escape sets (:func:`_recovery_sets`,
+    computed once per member by :meth:`add`).
 
     Members step in lockstep (``lockstep`` true) on a batched system with
     an analytic Jacobian: each counts its own steps against the budget
@@ -557,6 +579,7 @@ class Lockstep:
         self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
+        self._energy = sys.escape_energy and sys.escape_energy[0]
         #: ends of members run to their end by add, not reported yet
         self._ended: dict[int, RunEnd] = {}
         #: steps the batch has taken since it was made
@@ -571,10 +594,12 @@ class Lockstep:
         self._start = np.zeros(0, dtype=int)
         #: each member's certified set {d : d^T form d <= level}, inside the
         #: ball ||d|| <= reach; a member without a certificate has level and
-        #: reach -1, which no offset meets
+        #: reach -1, which no offset meets; and its escape row (saddle,
+        #: speed, level), saddle inf without one
         self._form = np.zeros((0, n, n))
         self._level = np.zeros(0)
         self._reach = np.zeros(0)
+        self._escape = np.zeros((0, 3))
         self._deadline = np.inf
 
     def __len__(self) -> int:
@@ -584,9 +609,10 @@ class Lockstep:
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
         each member's stable equilibrium.  In lockstep the initial
-        conditions, and the Jacobians and fields at the equilibria for the
-        certificates, are computed as one batch.  Either every member starts
-        or, if that raises, none does.  Returns the members' ids."""
+        conditions, the Jacobians and fields at the equilibria for the
+        certificates, and the escape rows are computed as one batch.
+        Either every member starts or, if that raises, none does.  Returns
+        the members' ids."""
         p = np.asarray(p, dtype=float)
         ids = np.arange(self._next_id, self._next_id + len(p))
         if not self.lockstep:
@@ -599,7 +625,7 @@ class Lockstep:
             return ids
         x = initial_state(self.sys, p)
         sep = np.asarray(sep, dtype=float)
-        form, level, reach = _recovery_sets(self.sys, p, sep, self.cfg)
+        form, level, reach, escape = _recovery_sets(self.sys, p, sep, self.cfg)
         self._next_id += len(p)
         self._ids = np.concatenate([self._ids, ids])
         self._x = np.concatenate([self._x, x])
@@ -610,6 +636,7 @@ class Lockstep:
         self._form = np.concatenate([self._form, form])
         self._level = np.concatenate([self._level, level])
         self._reach = np.concatenate([self._reach, reach])
+        self._escape = np.concatenate([self._escape, escape])
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
 
@@ -624,7 +651,7 @@ class Lockstep:
         self._sep, self._consec = self._sep[keep], self._consec[keep]
         self._start = self._start[keep]
         self._form, self._level = self._form[keep], self._level[keep]
-        self._reach = self._reach[keep]
+        self._reach, self._escape = self._reach[keep], self._escape[keep]
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
 
     def step(self) -> dict[int, RunEnd]:
@@ -646,8 +673,9 @@ class Lockstep:
         x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
         self.steps += 1
         self._x = x
+        sets = (self._form, self._level, self._reach, self._escape)
         beyond, certified, near = _end_test(
-            x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
+            x, self._p, self._sep, self._wrap, sets, self._energy, cfg
         )
         # the dwell counts consecutive states near the SEP and restarts at 0
         self._consec += 1

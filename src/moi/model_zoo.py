@@ -21,7 +21,10 @@ from .errors import DataFormatError, NewtonDivergence, ParamOutOfRange
 # step_trapezoidal is no longer called here, but perfbench/bench_tracer.py
 # patches moi.model_zoo.step_trapezoidal, so the name stays importable.
 from .integrator import (  # noqa: F401
+    _NEWTON_MARGIN,
+    _RESIDUAL_ROUNDING,
     IntegratorConfig,
+    _step_budget,
     step_trapezoidal,
     step_trapezoidal_batch,
 )
@@ -198,6 +201,77 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         state_names=("angle", "velocity"),
         batched=True,
         jacobian_lipschitz=lambda p: (unit_weights, c1),
+        escape_energy=(
+            lambda x, p: 0.5 * x.T[1] * x.T[1] - c1 * np.cos(x.T[0]) - p.T[0] * x.T[0],
+            lambda p, sep, cfg: _pendulum_escape(c1, c2, p, sep, cfg),
+        ),
+    )
+
+
+_EPS = np.finfo(float).eps
+
+
+def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.ndarray:
+    """Escape rows (saddle, speed, level) (K, 3) of pendulum runs at the
+    torques in ``p`` (K, 1) around the SEPs in ``sep`` (K, 2).
+
+    With E = w^2/2 + U(t), U(t) = -c1 cos t - p t, the saddle of the SEP
+    representative t_s is t_u = t_s + pi - 2 asin(p/c1), a local maximum of
+    U, and E_u = U(t_u).  Take h the step, R the divergence norm, N the
+    step budget and rho = 2 newton_tol + 1e-12 + 8 eps R, which bounds the
+    residual g = y - x - (h/2)(f(x) + f(y)) of every computed step x -> y
+    of norm at most R (a state beyond R ends the run ``DIVERGED`` anyway).
+    Then, with w_bar = (w + w')/2, t' - t = h w_bar + g1 and
+    (1 + a) w' = (1 - a) w + h (p - c1 s_bar) + g2, a = h c2 / 2:
+
+    - speed: |w| <= B = (c1 + |p| + rho/h) / c2 implies |w'| <= B while
+      h c2 < 2, so every later state keeps |w| <= B;
+    - energy: E' - E = -c2 h w_bar^2 - c1 (T - I) + g1 (c1 s_bar - p)
+      + w_bar g2, with T - I the trapezoid error of the integral of sin
+      over [t, t'], |T - I| <= |t' - t|^3 / 12.  So, with u = h |w_bar|,
+      c = c2 / h and k = c1 (h B + rho) / 12, E' - E <= -c u^2 + k (u + rho)^2
+      + rho (c1 + |p| + B), and while k < c (i.e. c1 h (h B + rho) < 12 c2)
+      that is at most e = rho (c1 + |p| + B + rho c k / (c - k));
+    - no jump: two states on either side of t_u, both with E below
+      E_u - d, satisfy |w| < sqrt(c1) (distance to t_u), since U'' >= -c1,
+      and lie at least sqrt(2 d / c1) from it.  A step between them would
+      cover their distance D with D <= h sqrt(c1) D / 2 + rho, which fails
+      while h sqrt(c1) < 2 and d >= c1 rho^2 / (2 - h sqrt(c1))^2.
+
+    The level is E_u - delta with delta = N e + c1 rho^2 / (2 - h sqrt(c1))^2
+    + c1 s^2 / 2 + 16 eps M.  The s term covers the distance s of the
+    computed t_u from the exact saddle (the SEP's own error included), the
+    M term the rounding of E and E_u at magnitude M = R^2 + 2 c1 +
+    |p| (R + |t_u|).  So a state with t > t_u, |w| <= B and E < level has
+    an exact energy below that of the exact saddle by more than N e plus
+    the jump margin; its energy rises by at most e per step over the at
+    most N steps left, and no step jumps back over the saddle: the run
+    never returns to t <= t_u, nor to its SEP.
+
+    A run at a torque p <= 0 or with no SEP (p >= c1), a step outside the
+    three conditions above, or a non-finite input gets saddle inf: no
+    state passes it.
+    """
+    torque, theta_s = p[:, 0], sep[:, 0]
+    h, reach, budget = cfg.step, cfg.divergence_norm, _step_budget(cfg)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        half_gap = np.arcsin(torque / c1)
+        saddle = theta_s + np.pi - 2.0 * half_gap
+        energy_u = -c1 * np.cos(saddle) - torque * saddle
+        rho = _NEWTON_MARGIN * cfg.newton_tol + _RESIDUAL_ROUNDING + 8.0 * _EPS * reach
+        speed = (c1 + torque + rho / h) / c2
+        c, k = c2 / h, c1 * (h * speed + rho) / 12.0
+        rise = rho * (c1 + torque + speed + rho * c * k / (c - k))
+        jump = 2.0 - h * np.sqrt(c1)
+        off = np.abs(np.remainder(theta_s - half_gap + np.pi, 2.0 * np.pi) - np.pi)
+        off += 8.0 * _EPS * (np.abs(theta_s) + 4.0)
+        magnitude = reach**2 + 2.0 * c1 + torque * (reach + np.abs(saddle))
+        delta = (budget * rise + c1 * rho**2 / jump**2 + c1 * off**2 / 2.0
+                 + 16.0 * _EPS * magnitude)
+        ok = (torque > 0.0) & (torque < c1) & (h * c2 < 2.0) & (k < c) & (jump > 0.0)
+        ok &= np.isfinite(delta) & np.isfinite(energy_u)
+    return np.where(
+        ok[:, None], np.stack([saddle, speed, energy_u - delta], axis=-1), np.inf
     )
 
 

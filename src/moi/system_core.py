@@ -64,6 +64,17 @@ class ParameterizedSystem:
         certifies a level set around each stable equilibrium that lies in
         its basin (:func:`moi.integrator.recovery_certificate`) and ends a
         trajectory that enters it.
+    escape_energy
+        Optional pair (energy, bounds), filled in by the model constructors
+        where an exact energy function exists (the pendulum; the swing
+        network's transfer conductances admit none).  ``energy(x, p)`` is E
+        at states x (n,) or (K, n); ``bounds(p, sep, cfg)`` gives, for K
+        runs at the rows of p (K, m) around the stable equilibria in the
+        rows of sep (K, n), rows (saddle, speed, level) (K, 3): a state of
+        the computed trapezoidal map with ``x[0] > saddle``,
+        ``|x[1]| <= speed`` and ``energy < level`` never returns to
+        ``x[0] <= saddle``, nor to its equilibrium, and the integrator ends
+        its run ``DIVERGED``.  A run without a certificate has saddle inf.
     """
 
     state_dim: int
@@ -76,6 +87,7 @@ class ParameterizedSystem:
     wrap_indices: Optional[tuple[int, ...]] = None
     batched: bool = False
     jacobian_lipschitz: Optional[Callable[[Array], tuple[Array, float]]] = None
+    escape_energy: Optional[tuple[Callable[[Array, Array], Array], Callable[..., Array]]] = None
 
 
 class Termination(enum.Enum):

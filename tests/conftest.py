@@ -28,8 +28,29 @@ def certificate_of(sys_, p, cfg, sep):
     """The (form, level) certificate ``simulate`` uses for ``sys_`` at
     parameter ``p`` and equilibrium ``sep``."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
-    form, level, _ = _recovery_sets(sys_, p[None], sep[None], cfg)
+    form, level, _, _ = _recovery_sets(sys_, p[None], sep[None], cfg)
     return form[0], level[0]
+
+
+def escape_row(sys_, p, cfg, sep):
+    """The escape row (saddle, speed, level) ``simulate`` uses for ``sys_``
+    at parameter ``p`` and equilibrium ``sep``."""
+    p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
+    return _recovery_sets(sys_, p[None], sep[None], cfg)[3][0]
+
+
+def assert_escape_end(sys_, p, cfg, sep, states):
+    """``states`` (initial state first) end where the divergence rule ends
+    them: at the first later state in the escape set of ``sep``
+    (x[0] > saddle, |x[1]| <= speed, energy below the level) or beyond
+    ``cfg.divergence_norm``, whichever comes first."""
+    x = np.asarray(states[1:], dtype=float)
+    ends = _norm(x) > cfg.divergence_norm
+    if sys_.escape_energy is not None:
+        saddle, speed, level = escape_row(sys_, p, cfg, sep)
+        energy = sys_.escape_energy[0](x, np.broadcast_to(p, (len(x), len(p))))
+        ends |= (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (energy < level)
+    assert np.flatnonzero(ends).tolist()[:1] == [len(x) - 1]
 
 
 def assert_recovery_end(sys_, p, cfg, sep, states):

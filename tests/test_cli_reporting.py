@@ -153,6 +153,24 @@ class TestExitCodes:
         assert code == 1
         assert "NotRecovered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "mode", "boundary"])
+    @pytest.mark.parametrize("torque", ["2.5", "-2.0"])
+    def test_torque_beyond_pullout_exits_one_before_any_solve(
+        self, capsys, monkeypatch, command, torque
+    ):
+        """No equilibrium exists at |p| >= c1 = 2: ParamOutOfRange, not a
+        stalled Newton solve."""
+        import moi.recovery_boundary as rb
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("find_equilibrium called")
+
+        monkeypatch.setattr(rb, "find_equilibrium", no_solve)
+        flag = "--p0" if command == "boundary" else "--p"
+        code = run_cli([command, "--model", "pendulum", flag, torque, "--h", "0.02"])
+        assert code == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+
     def test_undetermined_origin_exits_one(self, capsys):
         """At h 0.2 the origin 1.5 has not settled after one second."""
         code = run_cli(
@@ -231,7 +249,9 @@ class TestSimulateCommand:
             jacobian=lambda x, p: np.array([[100.0 if x[0] > 0.5 else -1.0]]),
             initial_condition=lambda p: np.array([p[0]]),
         )
-        monkeypatch.setattr(cli, "_build_model", lambda config: (linear, 10.0, (1.0,)))
+        monkeypatch.setattr(
+            cli, "_build_model", lambda config: (linear, 10.0, (1.0,), lambda p: None)
+        )
         code = run_cli(["simulate", "--model", "pendulum", "--p", "1.0", "--h", "0.02"])
         assert code == 0
         assert "SolverFailure" in capsys.readouterr().out

@@ -19,7 +19,7 @@ from moi import (
 )
 from moi.spectral import DEFAULT_STABILITY_TOL
 
-from conftest import assert_recovery_end
+from conftest import assert_escape_end, assert_recovery_end
 
 P0 = np.array([0.0])
 
@@ -193,10 +193,19 @@ class TestSimulate:
         assert traj.instability_flags is None
 
     def test_diverges_past_boundary(self, pendulum, pend_cfg):
+        """The run ends at its first state in the escape set or beyond the
+        norm, and is, state for state, the start of the run without the
+        escape certificate, which ends beyond the norm."""
         sep = find_sep(pendulum, [1.7])
         traj = simulate(pendulum, [1.7], pend_cfg, sep)
-        assert traj.termination is Termination.DIVERGED
-        assert np.linalg.norm(traj.states[-1]) > pend_cfg.divergence_norm
+        bare = replace(pendulum, escape_energy=None)
+        plain = simulate(bare, [1.7], pend_cfg, sep)
+        assert traj.termination is plain.termination is Termination.DIVERGED
+        assert_escape_end(pendulum, [1.7], pend_cfg, sep, traj.states)
+        assert len(traj) < len(plain)
+        assert np.array_equal(traj.states, plain.states[: len(traj)])
+        assert np.linalg.norm(plain.states[-1]) > pend_cfg.divergence_norm
+        assert_escape_end(bare, [1.7], pend_cfg, sep, plain.states)
 
     def test_max_time_reached_counts_steps(self):
         # pure rotation never settles and never diverges

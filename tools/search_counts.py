@@ -21,6 +21,9 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 - ``certified`` / ``dwell``: lockstep members that ended ``CONVERGED_TO_SEP``
   inside their certified level set, or by the ``sep_tol``/``sep_dwell``
   rule (a package without certificates has only dwell ends);
+- ``escaped`` / ``beyond_norm``: lockstep members that ended ``DIVERGED``
+  on a state within the divergence norm (in their escape set), or beyond it
+  (a package without escape certificates has only ends beyond the norm);
 - ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
   (they ended ``MAX_TIME_REACHED`` or ``SOLVER_FAILURE``);
 - ``guided`` / ``uniform``: committed refinement rounds whose points are,
@@ -29,11 +32,14 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 The counts are exact and repeat from run to run; ``cpu_s`` is the run's
 CPU time, for orientation only.  With ``--against`` the other package is
 imported under another name, runs the same command lines, and the output
-files of the two packages are compared byte for byte, as are the verdicts
-of the classified probes in order: ``now_recover`` counts the probes that
-are ``UNDETERMINED`` there and ``RECOVERS`` here, ``verdicts_differ`` any
-other change.  The last line of output is one JSON object with every
-count.
+files of the two packages are compared byte for byte.  The verdicts are
+compared point by point: the probes of each search (one per ``mode``, one
+per ``sweep`` row) that one package classified and the other did not probe
+are classified with the other package too, at the same SEP, so every point
+either package probed has a verdict from both.  ``now_recover`` counts the
+points that are ``UNDETERMINED`` there and ``RECOVERS`` here,
+``verdicts_differ`` any other change, and ``points`` the points compared.
+The last line of output is one JSON object with every count.
 """
 
 from __future__ import annotations
@@ -72,18 +78,20 @@ WORKLOADS = {
 }
 
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "started", "dropped",
-           "reported", "dropped_live", "certified", "dwell", "undetermined",
-           "guided", "uniform", "cpu_s")
+           "reported", "dropped_live", "certified", "dwell", "escaped",
+           "beyond_norm", "undetermined", "guided", "uniform", "cpu_s")
 
 
 @contextlib.contextmanager
-def counting(moi, counts: Counter, verdicts: list):
+def counting(moi, counts: Counter, searches: dict):
     """Wrap the package's stepping and search entry points to add to
-    ``counts``, and the verdicts of classified probes to ``verdicts``, while
-    the block runs.  On leaving it, ``counts["live"]`` holds the members
-    still live in the Locksteps started during the block."""
+    ``counts`` while the block runs, and record in ``searches`` each search,
+    in the order of its first commit, with the points, SEPs and verdicts of
+    its classified probes.  On leaving it, ``counts["live"]`` holds the
+    members still live in the Locksteps started during the block."""
     integ, rb = moi.integrator, moi.recovery_boundary
     converged = moi.Termination.CONVERGED_TO_SEP
+    diverged = moi.Termination.DIVERGED
     lock_cls, search_cls = integ.Lockstep, rb._PipelinedSearch
     saved = [
         (integ, "step_trapezoidal_batch", integ.step_trapezoidal_batch),
@@ -113,6 +121,9 @@ def counting(moi, counts: Counter, verdicts: list):
         counts["reported"] += len(ends)
         for k, end in ends.items():
             at = np.flatnonzero(ids == k)
+            if end.termination is diverged:
+                beyond = np.linalg.norm(end.final_state) > self.cfg.divergence_norm
+                counts["beyond_norm" if beyond else "escaped"] += 1
             if end.termination is not converged or not len(at):
                 continue
             i = at[0]
@@ -147,7 +158,9 @@ def counting(moi, counts: Counter, verdicts: list):
             new = [verdict.value for _, verdict in self.history[before:]]
             counts["classified"] += len(new)
             counts["undetermined"] += new.count("Undetermined")
-            verdicts.extend(new)
+            probes = searches.setdefault(self, {})
+            for p, sep, verdict in zip(r.points, r.seps, new):
+                probes[p.tobytes()] = (p, sep, verdict)
 
     replacements = [counted_batch, counted_scalar, counted_step, counted_add,
                     counted_drop, counted_commit]
@@ -161,13 +174,13 @@ def counting(moi, counts: Counter, verdicts: list):
             setattr(owner, name, fn)
 
 
-def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, list]:
-    """Counts of one command line, the bytes of its output file and the
-    verdicts of its classified probes."""
+def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, dict]:
+    """Counts of one command line, the bytes of its output file and its
+    searches with their classified probes (see :func:`counting`)."""
     counts: Counter = Counter()
-    verdicts: list = []
+    searches: dict = {}
     t0 = time.process_time()
-    with counting(moi, counts, verdicts), contextlib.redirect_stdout(io.StringIO()):
+    with counting(moi, counts, searches), contextlib.redirect_stdout(io.StringIO()):
         code = moi.run_cli(argv + ["--out", str(out)])
     cpu = time.process_time() - t0
     if code != 0:
@@ -182,15 +195,50 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, list]:
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
     row["cpu_s"] = round(cpu, 3)
-    return row, out.read_bytes(), verdicts
+    return row, out.read_bytes(), searches
 
 
-def verdict_changes(this: list, against: list) -> dict:
-    """``now_recover`` and ``verdicts_differ`` of two verdict sequences."""
-    pairs = list(zip(this, against))
+def classify(moi, search, probes: list) -> list:
+    """The verdicts that package ``moi`` gives the (point, SEP) pairs of
+    ``probes`` on the system and configuration of its own ``search``."""
+    if not probes:
+        return []
+    lock = moi.integrator.Lockstep(search.sys, search.cfg)
+    first = int(lock.add(np.array([p for p, _ in probes]),
+                         np.array([sep for _, sep in probes]))[0])
+    ends: dict = {}
+    while len(lock):
+        ends.update(lock.step())
+    return [
+        moi.recovery_boundary.classify_recovery(
+            search.sys, p, search.cfg, sep, ends[first + i]
+        ).verdict.value
+        for i, (p, sep) in enumerate(probes)
+    ]
+
+
+def verdict_changes(sides: dict, searches: dict) -> dict:
+    """Point-wise verdict changes between the packages ``sides["this"]``
+    and ``sides["against"]``, whose runs of one command line made the
+    searches ``searches["this"]`` and ``searches["against"]``."""
+    if len(searches["this"]) != len(searches["against"]):
+        raise SystemExit("the two packages made different numbers of searches")
+    pairs: list = []
+    for pair in zip(searches["this"], searches["against"]):
+        found = dict(zip(("this", "against"), pair))
+        probes = {side: searches[side][search] for side, search in found.items()}
+        # every point either side probed, each with both packages' verdicts
+        points = {key: (p, sep) for side in found for key, (p, sep, _) in probes[side].items()}
+        verdicts = {side: {key: v for key, (_, _, v) in probes[side].items()}
+                    for side in found}
+        for side, search in found.items():
+            missing = [key for key in points if key not in verdicts[side]]
+            fresh = classify(sides[side], search, [points[key] for key in missing])
+            verdicts[side].update(zip(missing, fresh))
+        pairs += [(verdicts["this"][key], verdicts["against"][key]) for key in points]
     now_recover = pairs.count(("Recovers", "Undetermined"))
-    differ = sum(a != b for a, b in pairs) - now_recover + abs(len(this) - len(against))
-    return {"now_recover": now_recover, "verdicts_differ": differ}
+    differ = sum(a != b for a, b in pairs) - now_recover
+    return {"now_recover": now_recover, "verdicts_differ": differ, "points": len(pairs)}
 
 
 def main(argv=None) -> int:
@@ -209,16 +257,16 @@ def main(argv=None) -> int:
         for name in args.workload or WORKLOADS:
             starts, command = WORKLOADS[name]
             for start in starts:
-                outputs, verdicts = {}, {}
+                outputs, searches = {}, {}
                 for side, package in sides.items():
-                    row, outputs[side], verdicts[side] = run_once(
+                    row, outputs[side], searches[side] = run_once(
                         package, command(start), Path(tmp) / f"{side}.out"
                     )
                     result.setdefault(name, {}).setdefault(start, {})[side] = row
                     cells = "  ".join(f"{k} {row[k]}" for k in COLUMNS)
                     print(f"{name:22s} {start:7s} {side:8s} {cells}", flush=True)
                 if len(sides) > 1:
-                    changes = verdict_changes(verdicts["this"], verdicts["against"])
+                    changes = verdict_changes(sides, searches)
                     result[name][start]["changes"] = changes
                     cells = "  ".join(f"{k} {v}" for k, v in changes.items())
                     print(f"{name:22s} {start:7s} {'changes':8s} {cells}", flush=True)
