@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(sp: argparse.ArgumentParser, averages: bool = False) -> None:
         sp.add_argument(
             "--model", choices=("pendulum", "multimachine"), required=True
         )
@@ -80,9 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-time", type=float, default=defaults.max_time)
         sp.add_argument("--newton-tol", type=float, default=defaults.newton_tol)
         sp.add_argument("--stability-tol", type=float, default=defaults.stability_tol)
-        sp.add_argument(
-            "--normalization", choices=("paper", "samples"), default="paper"
-        )
+        if averages:  # only mode and sweep average Jacobians
+            sp.add_argument(
+                "--normalization", choices=("paper", "samples"), default="paper"
+            )
         sp.add_argument("--out", default=None, help="output file path")
 
     sp = sub.add_parser("simulate", help="classify one recovery experiment")
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "mode", help="instability direction at the recovery boundary"
     )
-    common(sp)
+    common(sp, averages=True)
     sp.add_argument(
         "--p",
         type=_csv_floats,
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("sweep", help="boundary + mode per step size (CSV)")
-    common(sp)
+    common(sp, averages=True)
     sp.add_argument("--p0", type=_csv_floats, required=True)
     sp.add_argument("--dir", type=_csv_floats, default=None)
     sp.add_argument("--tol", type=float, default=0.0)
@@ -127,8 +128,11 @@ def _build_model(args: argparse.Namespace) -> tuple:
     """System, recommended divergence norm, default ray direction, and a
     check of a starting parameter that raises ``ParamOutOfRange`` before
     any Newton solve where the model has no equilibrium (a pendulum torque
-    at or beyond c1; the network's field checks its inertias itself)."""
+    at or beyond c1; the network's field checks its inertias itself).  A
+    network file given for the pendulum is a configuration error."""
     if args.model == "pendulum":
+        if args.model_file:
+            raise ValueError("--model-file applies to --model multimachine only")
         # x0 replays the disturbance at the default ic_step, not at the
         # analysis h, so that it is a function of p alone
         params = PendulumParams(ic_method="integrated")

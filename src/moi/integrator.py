@@ -6,14 +6,14 @@ schemes at practical step sizes either blow up or demand tiny steps. Each
 step solves the trapezoidal fixed-point equation with a Newton iteration
 seeded at the forward-Euler predictor.
 
-:func:`simulate` integrates one trajectory and keeps its states.
-:class:`Lockstep` runs many trajectories of one system and keeps only how
-each one ended.  On a batched system with an analytic Jacobian it advances
-them together, one batched step for all live members; members join and
-leave between steps, so a caller can start new probes while older ones are
-still running, and each member still ends exactly as :func:`simulate` would
-end it.  On any other system each member runs to its end with
-:func:`simulate` when it joins.
+:class:`Lockstep` is the one place where runs advance and end: it runs
+many trajectories of one system, started and dropped between steps, and
+keeps only how each one ended.  :func:`simulate` records the states of a
+Lockstep's lone member.  On a batched system with an analytic Jacobian
+several members advance together, one batched step for all; a lone member,
+or a member of any other system, takes the single-state step.  Both
+steppers go through the same floating-point operations, so a run ends
+bitwise alike however it is batched.
 
 A recovering trajectory ends as soon as it is known to recover.  For a
 system that bounds the variation of its Jacobian
@@ -428,9 +428,9 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
 
 
 def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
-    """Whether a run's new state ``x`` (n,), or K runs' states (K, n) at the
-    parameters ``p``, has diverged, lies in its certified set and lies near
-    its equilibrium.
+    """Whether K runs' new states ``x`` (K, n) at the parameters ``p``
+    (K, m) have diverged, lie in their certified sets and lie near their
+    equilibria, as three (K,) masks.
 
     ``sep`` holds the equilibria and ``sets`` the forms, levels, reaches and
     escape rows of :func:`_recovery_sets`; ``energy`` is the system's
@@ -440,98 +440,18 @@ def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
     its offset is at most ``cfg.sep_tol``.  V is evaluated only when some
     state lies within its set's reach, and E only when some state is past
     its saddle.
-
-    A run ends on the first of these, in this order: a failed step
-    (``SOLVER_FAILURE``, on the last good state), divergence (``DIVERGED``),
-    then entry into the certified set or ``cfg.sep_dwell`` consecutive near
-    states (``CONVERGED_TO_SEP``).
     """
     form, level, reach, escape = sets
     d = _offset(x, sep, wrap)
     distance = _norm(d)
     certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
     diverged = _norm(x) > cfg.divergence_norm
-    past = x[..., 0] > escape[..., 0]
+    past = x[:, 0] > escape[:, 0]
     if np.count_nonzero(past):
         with np.errstate(invalid="ignore"):  # the rows of failed steps
-            escaped = (np.abs(x[..., 1]) <= escape[..., 1]) & (energy(x, p) < escape[..., 2])
+            escaped = (np.abs(x[:, 1]) <= escape[:, 1]) & (energy(x, p) < escape[:, 2])
         diverged = diverged | past & escaped
     return diverged, certified, distance <= cfg.sep_tol
-
-
-def simulate(
-    sys: ParameterizedSystem,
-    p: np.ndarray,
-    cfg: IntegratorConfig,
-    sep: np.ndarray,
-    record_flags: bool = False,
-) -> Trajectory:
-    """Integrate from the system's initial condition and classify the outcome.
-
-    The trajectory terminates (in the order of :func:`_end_test`) with:
-
-    - ``SOLVER_FAILURE`` if a step raises ``NewtonDivergence`` or
-      ``NonFiniteOutput`` — the partial trajectory up to the last good state
-      is returned (a singular Newton matrix counts as ``NewtonDivergence``);
-    - ``DIVERGED`` as soon as the state norm exceeds ``cfg.divergence_norm``
-      or, for a system with ``escape_energy``, the state enters its escape
-      set, computed once here at ``sep`` with ``cfg``: from there the
-      trajectory provably never returns to ``sep`` (checked before the
-      proximity tests, so a divergent state can never be mistaken for a
-      converged one);
-    - ``CONVERGED_TO_SEP`` as soon as the offset from ``sep`` (angle-aware)
-      enters the level set of :func:`recovery_certificate`, computed once
-      here at ``sep`` with ``cfg``: from there the trajectory provably
-      converges to ``sep`` and no later state would be flagged unstable.
-      Without a certificate (the system has no ``jacobian_lipschitz``, or
-      no radius passes), and as a fallback, once the state has stayed
-      within ``cfg.sep_tol`` of ``sep`` for ``cfg.sep_dwell`` consecutive
-      stored states;
-    - ``MAX_TIME_REACHED`` after ``floor(max_time / step)`` steps without
-      any of the above.
-
-    With ``record_flags=True`` every stored state (including the initial one)
-    gets a boolean marking whether the Jacobian there has an eigenvalue with
-    real part above ``cfg.stability_tol``.
-    """
-    p = np.asarray(p, dtype=float)
-    sep, wrap = np.asarray(sep, dtype=float), _wrap_index(sys)
-    x = initial_state(sys, p)
-    sets = tuple(a[0] for a in _recovery_sets(sys, p[None], sep[None], cfg))
-    energy = sys.escape_energy and sys.escape_energy[0]
-
-    states = [x]
-    tol = cfg.stability_tol
-    flags = [is_unstable(eval_jacobian(sys, x, p), tol)] if record_flags else None
-
-    nmax = _step_budget(cfg)
-    termination = Termination.MAX_TIME_REACHED
-    consec = 0
-    for _ in range(nmax):
-        try:
-            x = step_trapezoidal(sys, x, p, cfg)
-        except (NewtonDivergence, NonFiniteOutput):
-            termination = Termination.SOLVER_FAILURE
-            break
-        states.append(x)
-        if record_flags:
-            flags.append(is_unstable(eval_jacobian(sys, x, p), tol))
-        diverged, certified, near = _end_test(x, p, sep, wrap, sets, energy, cfg)
-        consec = consec + 1 if near else 0
-        if diverged:
-            termination = Termination.DIVERGED
-            break
-        if certified or consec >= cfg.sep_dwell:
-            termination = Termination.CONVERGED_TO_SEP
-            break
-
-    return Trajectory(
-        states=np.asarray(states),
-        step=cfg.step,
-        parameter=p,
-        termination=termination,
-        instability_flags=np.asarray(flags, dtype=bool) if record_flags else None,
-    )
 
 
 def _step_budget(cfg: IntegratorConfig) -> int:
@@ -554,34 +474,35 @@ class RunEnd:
 
 class Lockstep:
     """Simulations of one system, started between steps and reported as
-    they end.
+    they end: the one place where runs advance and end.
 
     :meth:`add` starts members, :meth:`step` advances every live member by
     one trapezoidal step and reports the members that ended, and
-    :meth:`drop` removes members.  Each member ends exactly as
-    :func:`simulate` would end it, by the same test (:func:`_end_test`)
-    against the same certified and escape sets (:func:`_recovery_sets`,
-    computed once per member by :meth:`add`).
+    :meth:`drop` removes members.  Each member counts its own steps
+    against the budget ``floor(max_time / step)`` and is tested against
+    its own certified and escape sets (:func:`_recovery_sets`).  No states
+    are kept, so memory is O(K n^2) for K live members (a certificate's
+    form is n by n); :func:`simulate` records a one-member Lockstep.
 
-    Members step in lockstep (``lockstep`` true) on a batched system with
-    an analytic Jacobian: each counts its own steps against the budget
-    ``floor(max_time / step)``, and no states are kept, so memory is
-    O(K n^2) for K live members (a certificate's form is n by n).  On any
-    other system :meth:`add` runs each member to its end with
-    :func:`simulate`, and the next :meth:`step` reports those ends without
-    stepping.
+    While more than one member is involved on a system that steps in
+    lockstep (``lockstep``), initial conditions and steps are computed as
+    one batch (:func:`step_trapezoidal_batch`); otherwise each member takes
+    the single-state :func:`initial_state` and :func:`step_trapezoidal`.
+    Both round alike, so a member ends bitwise the same in any batch.
     """
+
+    #: the member columns, one row per live member
+    _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
+                "_form", "_level", "_reach", "_escape")
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
         self.sys, self.cfg = sys, cfg
-        #: whether members advance together, one batched step for all; the
-        #: batched Newton step needs the batched analytic Jacobian
+        #: whether members may advance together, one batched step for all;
+        #: the batched Newton step needs the batched analytic Jacobian
         self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
         self._energy = sys.escape_energy and sys.escape_energy[0]
-        #: ends of members run to their end by add, not reported yet
-        self._ended: dict[int, RunEnd] = {}
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
@@ -604,62 +525,73 @@ class Lockstep:
 
     def __len__(self) -> int:
         """Members started and not reported or dropped yet."""
-        return len(self._ids) + len(self._ended)
+        return len(self._ids)
 
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
-        each member's stable equilibrium.  In lockstep the initial
-        conditions, the Jacobians and fields at the equilibria for the
-        certificates, and the escape rows are computed as one batch.
-        Either every member starts or, if that raises, none does.  Returns
-        the members' ids."""
+        each member's stable equilibrium.  On a system that steps in
+        lockstep the Jacobians and fields at the equilibria for the
+        certificates are evaluated as one batch.  Either every member
+        starts or, if that raises, none does.  Returns the members' ids."""
         p = np.asarray(p, dtype=float)
-        ids = np.arange(self._next_id, self._next_id + len(p))
-        if not self.lockstep:
-            ended = {}
-            for k, p_k, sep_k in zip(ids.tolist(), p, sep):
-                traj = simulate(self.sys, p_k, self.cfg, sep_k)
-                ended[k] = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
-            self._ended.update(ended)
-            self._next_id += len(p)
-            return ids
-        x = initial_state(self.sys, p)
+        k = len(p)
+        if self.lockstep and k > 1:
+            x = initial_state(self.sys, p)
+        else:
+            x = np.array([initial_state(self.sys, q) for q in p])
+            x = x.reshape(k, self.sys.state_dim)
         sep = np.asarray(sep, dtype=float)
-        form, level, reach, escape = _recovery_sets(self.sys, p, sep, self.cfg)
-        self._next_id += len(p)
-        self._ids = np.concatenate([self._ids, ids])
-        self._x = np.concatenate([self._x, x])
-        self._p = np.concatenate([self._p, p])
-        self._sep = np.concatenate([self._sep, sep])
-        self._consec = np.concatenate([self._consec, np.zeros(len(p), dtype=int)])
-        self._start = np.concatenate([self._start, np.full(len(p), self.steps)])
-        self._form = np.concatenate([self._form, form])
-        self._level = np.concatenate([self._level, level])
-        self._reach = np.concatenate([self._reach, reach])
-        self._escape = np.concatenate([self._escape, escape])
+        sets = _recovery_sets(self.sys, p, sep, self.cfg)
+        ids = np.arange(self._next_id, self._next_id + k)
+        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
+        for name, new in zip(self._COLUMNS, rows):
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
+        self._next_id += k
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
-        for k in ids:
-            self._ended.pop(k, None)
         self._keep(~np.isin(self._ids, ids))
 
     def _keep(self, keep: np.ndarray) -> None:
-        self._ids, self._x, self._p = self._ids[keep], self._x[keep], self._p[keep]
-        self._sep, self._consec = self._sep[keep], self._consec[keep]
-        self._start = self._start[keep]
-        self._form, self._level = self._form[keep], self._level[keep]
-        self._reach, self._escape = self._reach[keep], self._escape[keep]
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
+
+    def _step_each(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`step_trapezoidal` member by member, as
+        :func:`step_trapezoidal_batch` returns its results: a member whose
+        step raises keeps its state and is marked failed."""
+        rows, failed = [], np.zeros(len(x), dtype=bool)
+        for k, (x_k, p_k) in enumerate(zip(x, self._p)):
+            try:
+                x_k = step_trapezoidal(self.sys, x_k, p_k, self.cfg)
+            except (NewtonDivergence, NonFiniteOutput):
+                failed[k] = True
+            rows.append(x_k)
+        return np.array(rows), failed
 
     def step(self) -> dict[int, RunEnd]:
         """Advance the live members one step; return the ends of those that
-        ended, by id.  Members whose step budget is spent end first, with
-        ``MAX_TIME_REACHED`` and without a step."""
+        ended, by id.
+
+        A member ends on the first of these, tested by :func:`_end_test`:
+
+        - its step budget is spent: ``MAX_TIME_REACHED``, without a step;
+        - its step failed where :func:`step_trapezoidal` raises
+          ``NewtonDivergence`` (a singular Newton matrix included) or
+          ``NonFiniteOutput``: ``SOLVER_FAILURE``, on its last good state;
+        - its new state's norm exceeds ``cfg.divergence_norm`` or it lies
+          in its escape set, from which it provably never returns:
+          ``DIVERGED``, tested first so that a divergent state is never
+          taken for a converged one;
+        - it entered its certified set, or had ``cfg.sep_dwell``
+          consecutive states within ``cfg.sep_tol`` of its equilibrium:
+          ``CONVERGED_TO_SEP``.
+        """
         cfg = self.cfg
-        ends, self._ended = self._ended, {}
+        ends = {}
         if self.steps >= self._deadline:
             spent = self.steps - self._start >= self.budget
             for k, state in zip(self._ids[spent].tolist(), self._x[spent]):
@@ -670,21 +602,27 @@ class Lockstep:
         if not len(self._ids):
             return ends
         x_prev = self._x
-        x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
+        if self.lockstep and len(x_prev) > 1:
+            x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
+        else:
+            x, failed = self._step_each(x_prev)
         self.steps += 1
         self._x = x
         sets = (self._form, self._level, self._reach, self._escape)
         beyond, certified, near = _end_test(
             x, self._p, self._sep, self._wrap, sets, self._energy, cfg
         )
-        # the dwell counts consecutive states near the SEP and restarts at 0
-        self._consec += 1
-        self._consec *= near
-        done = failed | beyond | certified | (self._consec >= cfg.sep_dwell)
+        # the dwell counts consecutive states near the SEP and restarts at 0;
+        # far from every SEP, as runs mostly are, there is nothing to count
+        dwelt = False
+        if np.count_nonzero(near) or np.count_nonzero(self._consec):
+            self._consec += 1
+            self._consec *= near
+            dwelt = self._consec >= cfg.sep_dwell
+        done = failed | beyond | certified | dwelt
         if not np.count_nonzero(done):
             return ends
         steps = self.steps - self._start
-        # the order of _end_test
         diverged = beyond & ~failed
         for mask, end in (
             (failed, Termination.SOLVER_FAILURE),
@@ -697,3 +635,53 @@ class Lockstep:
                 ends[k] = RunEnd(end, state, float(n_k * cfg.step))
         self._keep(~done)
         return ends
+
+
+def simulate(
+    sys: ParameterizedSystem,
+    p: np.ndarray,
+    cfg: IntegratorConfig,
+    sep: np.ndarray,
+    record_flags: bool = False,
+) -> Trajectory:
+    """Integrate from the system's initial condition and classify the outcome.
+
+    Runs ``p`` as the one member of a :class:`Lockstep` around ``sep`` and
+    records each state it stores, so the run ends as :meth:`Lockstep.step`
+    ends it: ``SOLVER_FAILURE`` (the partial trajectory up to the last good
+    state is returned), ``DIVERGED``, ``CONVERGED_TO_SEP`` or
+    ``MAX_TIME_REACHED``.  A run that converged entered the level set of
+    :func:`recovery_certificate` at ``sep``, from which it provably
+    converges to ``sep`` and no later state would be flagged unstable, or,
+    without a certificate, stayed within ``cfg.sep_tol`` of ``sep`` for
+    ``cfg.sep_dwell`` consecutive states.
+
+    With ``record_flags=True`` every stored state (including the initial one)
+    gets a boolean marking whether the Jacobian there has an eigenvalue with
+    real part above ``cfg.stability_tol``.
+    """
+    p = np.asarray(p, dtype=float)
+    lock = Lockstep(sys, cfg)
+    lock.add(p[None], np.asarray(sep, dtype=float)[None])
+    states, flags = [], []
+
+    def store(x):
+        states.append(x)
+        if record_flags:
+            flags.append(is_unstable(eval_jacobian(sys, x, p), cfg.stability_tol))
+
+    store(lock._x[0].copy())
+    ends = lock.step()
+    while not ends:
+        store(lock._x[0].copy())
+        ends = lock.step()
+    (end,) = ends.values()
+    if end.termination in (Termination.DIVERGED, Termination.CONVERGED_TO_SEP):
+        store(end.final_state.copy())
+    return Trajectory(
+        states=np.asarray(states),
+        step=cfg.step,
+        parameter=p,
+        termination=end.termination,
+        instability_flags=np.asarray(flags, dtype=bool) if record_flags else None,
+    )

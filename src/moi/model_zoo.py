@@ -458,9 +458,11 @@ def load_network(path) -> MultiMachineParams:
 
     if count is None:
         raise DataFormatError(f"{path}: missing GEN header")
-    missing = sorted(set(range(1, count + 1)) - set(gens))
-    if missing:
-        raise DataFormatError(f"{path}: missing G lines for machines {missing}")
+    if len(gens) < count:
+        # indices lie in 1..count, so the first 3 gaps lie in 1..len(gens) + 3
+        gaps = [i for i in range(1, min(count, len(gens) + 3) + 1) if i not in gens]
+        raise DataFormatError(f"{path}: missing G lines for {count - len(gens)} "
+                              f"of {count} machines, first {gaps[:3]}")
 
     def build(entries: dict) -> tuple[np.ndarray, np.ndarray]:
         g_mat = np.zeros((count + 1, count + 1))

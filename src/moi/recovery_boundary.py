@@ -55,8 +55,8 @@ from .system_core import (
 #: uniform interior points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic
 #: fractions of the bracket and each round narrows it 16-fold, a guided
 #: round probes as many.  Other systems use 2 sections, i.e. bisection:
-#: their probes run one after another, and one probe per halving is the
-#: fewest per bit.
+#: their probes step one by one, and one probe per halving is the fewest
+#: per bit.
 SECTIONS = 16
 
 #: residual norm at which :func:`find_equilibrium` stops, and its budget of
@@ -391,9 +391,8 @@ def ray_boundary_search(
     unclassified, and an error of ``find_sep`` (or of the initial
     conditions) in a group is raised only if the commit reaches it.
 
-    When the probes do not step in lockstep, each runs to its end as it
-    starts, so every bracket is final when its successor starts and the
-    search is plain expansion and bisection, probe for probe.
+    When the probes do not step in lockstep, each takes the single-state
+    step and the search is plain expansion and bisection, probe for probe.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")

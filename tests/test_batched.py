@@ -345,6 +345,45 @@ def test_member_added_later_ends_as_simulate_ends_it_alone(pendulum):
         assert ends[k].elapsed == traj.elapsed
 
 
+def test_member_left_alone_switches_to_the_single_step(pendulum, monkeypatch):
+    """A member that outlives its round-mates takes the batched step while
+    they live and the single-state step after; its states equal those of a
+    simulate of its parameter, state for state, and it ends as that run."""
+    cfg = IntegratorConfig(step=0.05, divergence_norm=50.0)
+    points = np.array([[1.0], [1.2], [1.5]])
+    seps = np.array([find_sep(pendulum, p) for p in points])
+    steppers = []
+    batch, single = step_trapezoidal_batch, step_trapezoidal
+
+    def spy_batch(sys_, x, p, cfg_):
+        steppers.append(len(x))
+        return batch(sys_, x, p, cfg_)
+
+    def spy_single(*args):
+        steppers.append(1)
+        return single(*args)
+
+    monkeypatch.setattr(moi.integrator, "step_trapezoidal_batch", spy_batch)
+    monkeypatch.setattr(moi.integrator, "step_trapezoidal", spy_single)
+    lock = Lockstep(pendulum, cfg)
+    *_, last = lock.add(points, seps).tolist()
+    states, ends = [lock._x[-1].copy()], {}
+    while last not in ends:
+        ends.update(lock.step())
+        if last not in ends:
+            states.append(lock._x[lock._ids == last][0].copy())
+    assert len(ends) == len(points)
+    # batched steps at widths 3 and 2, then single steps alone
+    lone = steppers.index(1)
+    assert {2, 3} <= set(steppers[:lone]) and set(steppers[lone:]) == {1}
+    monkeypatch.undo()
+    traj = simulate(pendulum, points[-1], cfg, seps[-1])
+    assert ends[last].termination is traj.termination is Termination.CONVERGED_TO_SEP
+    assert np.array_equal(ends[last].final_state, traj.states[-1])
+    assert ends[last].elapsed == traj.elapsed
+    assert np.array_equal(np.array(states + [ends[last].final_state]), traj.states)
+
+
 def test_dropped_members_are_never_reported():
     sys_ = linear_system()
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
@@ -360,10 +399,10 @@ def test_dropped_members_are_never_reported():
     assert sorted(ends) == [ids[0], ids[2]]
 
 
-def test_unbatched_members_end_when_added_and_are_reported_by_the_next_step():
-    """Without lockstep, add runs each member to its end; the next step
-    reports those ends without stepping, drop discards them, and an add
-    that raises starts no member."""
+def test_unbatched_members_step_alone_and_are_reported_as_they_end(monkeypatch):
+    """Without lockstep each member takes the single-state step; an add
+    that raises starts no member, a dropped member is never reported, and
+    the others end as simulate ends them."""
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
     sys_ = replace(
         linear_system(),
@@ -374,12 +413,27 @@ def test_unbatched_members_end_when_added_and_are_reported_by_the_next_step():
     assert not lock.lockstep
     with pytest.raises(NonFiniteOutput):
         lock.add(np.array([[-1.0], [100.0]]), np.zeros((2, 1)))
-    assert not len(lock) and lock.step() == {}
-    ids = lock.add(np.array([[-1.0], [3.0], [-2.0]]), np.zeros((3, 1))).tolist()
+    assert not len(lock) and lock.step() == {} and lock.steps == 0
+
+    def no_batch(*args):
+        raise AssertionError("an unbatched member took the batched step")
+
+    monkeypatch.setattr(moi.integrator, "step_trapezoidal_batch", no_batch)
+    points = np.array([[-1.0], [3.0], [-2.0]])
+    ids = lock.add(points, np.zeros((3, 1))).tolist()
     assert ids == [0, 1, 2] and len(lock) == 3
-    lock.drop([ids[1]])
     ends = lock.step()
-    assert sorted(ends) == [ids[0], ids[2]] and lock.steps == 0 and not len(lock)
+    assert ends == {} and lock.steps == 1
+    lock.drop([ids[1]])
+    assert len(lock) == 2
+    while len(lock):
+        ends.update(lock.step())
+    assert sorted(ends) == [ids[0], ids[2]]
+    for k in (ids[0], ids[2]):
+        traj = simulate(sys_, points[k], cfg, np.zeros(1))
+        assert ends[k].termination is traj.termination is Termination.CONVERGED_TO_SEP
+        assert np.array_equal(ends[k].final_state, traj.states[-1])
+        assert ends[k].elapsed == traj.elapsed
     assert lock.step() == {}
 
 
@@ -464,24 +518,32 @@ def test_unbatched_search_reproduces_bisection(threshold, param_tol, batched):
         )
 
 
-def test_unbatched_search_simulates_each_probe_once(monkeypatch):
-    """From a recovering origin, every simulation of an unbatched search is
-    a probe in its history: none is started and then thrown away."""
-    calls = []
+def test_unbatched_search_starts_each_probe_once(monkeypatch):
+    """From a recovering origin, every member an unbatched search starts is
+    a probe in its history, started once: none is dropped."""
+    started, dropped = [], []
+    add, drop = Lockstep.add, Lockstep.drop
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return simulate(*args, **kwargs)
+    def counting_add(lock, p, sep):
+        ids = add(lock, p, sep)
+        started.extend(np.asarray(p, dtype=float))
+        return ids
 
-    for module in (moi.integrator, moi.recovery_boundary):
-        monkeypatch.setattr(module, "simulate", counting)
+    def counting_drop(lock, ids):
+        before = len(lock)
+        drop(lock, ids)
+        dropped.append(before - len(lock))
+
+    monkeypatch.setattr(Lockstep, "add", counting_add)
+    monkeypatch.setattr(Lockstep, "drop", counting_drop)
     cfg = IntegratorConfig(step=0.05, max_time=60.0, divergence_norm=10.0)
     res = ray_boundary_search(
         gated_decay_system(0.3), [0.0], [1.0], cfg, param_tol=1e-6
     )
-    assert len(calls) == len(res.history) > 2
-    for p, (q, _) in zip(calls, res.history):
+    assert len(started) == len(res.history) > 2
+    for p, (q, _) in zip(started, res.history):
         assert np.array_equal(p, q)
+    assert sum(dropped) == 0
 
 
 @settings(max_examples=3, deadline=None)

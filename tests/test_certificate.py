@@ -247,7 +247,12 @@ def test_system_without_a_bound_keeps_the_dwell_rule(toy_cfg, p, termination, st
     assert (traj.termination.value, len(traj) - 1) == (termination, steps)
     lock = Lockstep(toy, toy_cfg)
     lock.add(np.array([[p]]), sep[None])
-    (end,) = lock.step().values()
+    ends = {}
+    while not ends:
+        ends = lock.step()
+    (end,) = ends.values()
+    assert lock.steps == steps and not len(lock)
     assert end.elapsed == traj.elapsed and end.termination is traj.termination
+    assert np.array_equal(end.final_state, traj.states[-1])
     if traj.termination is Termination.CONVERGED_TO_SEP:
         assert_recovery_end(toy, [p], toy_cfg, sep, traj.states)

@@ -118,6 +118,21 @@ class TestExitCodes:
         ) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["simulate", "boundary"])
+    def test_normalization_is_offered_only_where_a_mode_is_averaged(self, capsys, command):
+        flag = "--p0" if command == "boundary" else "--p"
+        assert run_cli([command, "--model", "pendulum", flag, "1.5", "--h", "0.2",
+                        "--normalization", "paper"]) == 2
+        assert "unrecognized arguments: --normalization" in capsys.readouterr().err
+
+    def test_model_file_with_the_pendulum_is_a_config_error(self, capsys, tmp_path):
+        net = tmp_path / "net.dat"
+        net.write_text("GEN 1\n")
+        code = run_cli(["simulate", "--model", "pendulum", "--model-file", str(net),
+                        "--p", "1.5", "--h", "0.2"])
+        assert code == 2
+        assert "config error: --model-file" in capsys.readouterr().err
+
     def test_bad_float_list(self, capsys):
         assert run_cli(["simulate", "--model", "pendulum", "--p", "abc", "--h", "0.02"]) == 2
         capsys.readouterr()

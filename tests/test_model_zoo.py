@@ -173,6 +173,16 @@ class TestNetworkParser:
         with pytest.raises(DataFormatError):
             load_network(write_network(tmp_path, bad))
 
+    def test_missing_machine_lines_are_reported_in_bounded_space(self, tmp_path):
+        """A large GEN count with few G lines is reported by count and first
+        gaps, not by listing every missing index."""
+        text = "GEN 100000\nG 1 1.0 0.1 0.5 1.0\nG 3 2.0 0.2 -0.5 1.1\n"
+        with pytest.raises(DataFormatError) as raised:
+            load_network(write_network(tmp_path, text))
+        message = str(raised.value)
+        assert "missing G lines for 99998 of 100000 machines, first [2, 4, 5]" in message
+        assert len(message) < 200
+
     def test_machine_index_out_of_range(self, tmp_path):
         bad = MINIMAL_NET.replace("G 2", "G 3")
         with pytest.raises(DataFormatError):

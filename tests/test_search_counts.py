@@ -1,7 +1,8 @@
 """tools/search_counts.py against this package: its counts repeat, it
 still sees the certified and escaped ends, every member it counts as
-started is accounted for, and its point-wise verdict comparison sees a
-changed verdict.
+started is accounted for, it counts only the searches' members as search
+work and both steppers' member steps, and its point-wise verdict
+comparison sees a changed verdict.
 
 The tool reads Lockstep's member columns by name and treats a missing one
 as "no certificate", so a renamed column would turn every certified end
@@ -10,6 +11,7 @@ into a dwell end without an error.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -37,6 +39,38 @@ def test_counts_repeat_and_see_certified_ends(tmp_path):
     # take members out of the batch
     assert first["started"] == first["reported"] + first["dropped_live"]
     assert first["dropped_live"] > 0
+    # the averaging run has a column of its own, and single-state steps are
+    # those of lone search members and of that run
+    assert 0 < first["recorded_steps"] < first["scalar_steps"]
+
+
+def test_recorded_runs_are_not_search_work(tmp_path):
+    """simulate runs a one-member Lockstep: its steps are recorded steps,
+    and nothing of it counts as a search's member, step or drop."""
+    argv = ["simulate", "--model", "pendulum", "--p", "1.5", "--h", "0.2"]
+    row, out, searches = search_counts.run_once(moi, argv, tmp_path / "out")
+    assert not searches
+    assert row["recorded_steps"] == row["scalar_steps"] == json.loads(out)["steps"] > 0
+    for name in ("batch_steps", "member_steps", "started", "dropped", "reported",
+                 "dropped_live", "certified", "escaped"):
+        assert row[name] == 0, name
+
+
+def test_member_steps_count_both_steppers(tmp_path, monkeypatch):
+    """Every search member advanced counts once, whether it took the
+    batched step or, alone, the single-state one."""
+    widths = []
+    step = moi.integrator.Lockstep.step
+    monkeypatch.setattr(moi.integrator.Lockstep, "step",
+                        lambda lock: widths.append(len(lock)) or step(lock))
+    argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2",
+            "--tol", "1e-6"]
+    row, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    # no member ends by its budget, so each live member takes the step
+    assert row["undetermined"] == 0
+    assert row["member_steps"] == sum(widths)
+    assert row["batch_steps"] == len(widths)
+    assert row["recorded_steps"] == 0 and row["scalar_steps"] > 0
 
 
 def test_verdicts_are_compared_point_by_point(tmp_path):

@@ -19,7 +19,8 @@ import step_timings  # noqa: E402
 CASES = (
     [f"batch_step.{model}.K{k}" for model in ("pendulum", "ninebus") for k in (1, 16, 64)]
     + [f"batch_step.synthetic_n{n}.K16" for n in (3, 10, 30)]
-    + ["scalar_step.pendulum", "scalar_step.ninebus", "lockstep_step.pendulum.K17"]
+    + ["scalar_step.pendulum", "scalar_step.ninebus", "lockstep_step.pendulum.K17",
+       "simulate_step.pendulum"]
 )
 
 

@@ -8,20 +8,25 @@ Runs each command line through ``run_cli`` once per start: pendulum
 ``mode`` at h 0.02 and tol 0, 9-bus ``mode`` at h 1/60 and tol 1e-6, and
 the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 
-- ``batch_steps``: ``Lockstep.step`` calls;
-- ``member_steps``: members advanced, summed over batched trapezoidal steps;
-- ``scalar_steps``: single-state trapezoidal steps (the mode's averaging
-  trajectory, and probes of systems that do not step in lockstep);
-- ``started``: members started by ``Lockstep.add``;
+- ``batch_steps``: ``Lockstep.step`` calls of the searches' Locksteps;
+- ``member_steps``: search members advanced, summed over both steppers
+  (batched trapezoidal steps and the single-state steps of lone members);
+- ``scalar_steps``: single-state trapezoidal steps, in searches and in
+  recorded runs alike;
+- ``recorded_steps``: single-state steps taken outside the searches'
+  Locksteps, i.e. by ``simulate`` (the mode's averaging trajectory);
+- ``started``: members started in the searches' Locksteps by
+  ``Lockstep.add``;
 - ``dropped``: started members that no search classified;
 - ``reported`` / ``dropped_live``: members whose end ``Lockstep.step``
   returned, and members that ``Lockstep.drop`` removed before they were
-  reported.  Every started member is one or the other, and none is live
-  when the command ends; a run where that does not hold fails;
-- ``certified`` / ``dwell``: lockstep members that ended ``CONVERGED_TO_SEP``
+  reported, in the searches' Locksteps.  Every started member is one or
+  the other, and none is live when the command ends; a run where that does
+  not hold fails;
+- ``certified`` / ``dwell``: search members that ended ``CONVERGED_TO_SEP``
   inside their certified level set, or by the ``sep_tol``/``sep_dwell``
   rule (a package without certificates has only dwell ends);
-- ``escaped`` / ``beyond_norm``: lockstep members that ended ``DIVERGED``
+- ``escaped`` / ``beyond_norm``: search members that ended ``DIVERGED``
   on a state within the divergence norm (in their escape set), or beyond it
   (a package without escape certificates has only ends beyond the norm);
 - ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
@@ -77,7 +82,8 @@ WORKLOADS = {
     ),
 }
 
-COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "started", "dropped",
+COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
+           "started", "dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
            "beyond_norm", "undetermined", "guided", "uniform", "cpu_s")
 
@@ -87,8 +93,9 @@ def counting(moi, counts: Counter, searches: dict):
     """Wrap the package's stepping and search entry points to add to
     ``counts`` while the block runs, and record in ``searches`` each search,
     in the order of its first commit, with the points, SEPs and verdicts of
-    its classified probes.  On leaving it, ``counts["live"]`` holds the
-    members still live in the Locksteps started during the block."""
+    its classified probes.  Only the Locksteps that searches make are
+    counted as search work.  On leaving it, ``counts["live"]`` holds the
+    members still live in them."""
     integ, rb = moi.integrator, moi.recovery_boundary
     converged = moi.Termination.CONVERGED_TO_SEP
     diverged = moi.Termination.DIVERGED
@@ -99,25 +106,36 @@ def counting(moi, counts: Counter, searches: dict):
         (lock_cls, "step", lock_cls.step),
         (lock_cls, "add", lock_cls.add),
         (lock_cls, "drop", lock_cls.drop),
+        (search_cls, "__init__", search_cls.__init__),
         (search_cls, "_commit", search_cls._commit),
     ]
-    batch, scalar, step, add, drop, commit = (fn for _, _, fn in saved)
+    batch, scalar, step, add, drop, init, commit = (fn for _, _, fn in saved)
+    #: the searches' Locksteps by id, and whether one of them is stepping
     locks: dict = {}
+    stepping = [False]
 
     def counted_batch(sys_, x, p, cfg):
-        counts["member_steps"] += len(x)
+        if stepping[0]:
+            counts["member_steps"] += len(x)
         return batch(sys_, x, p, cfg)
 
     def counted_scalar(*args):
         counts["scalar_steps"] += 1
+        counts["member_steps" if stepping[0] else "recorded_steps"] += 1
         return scalar(*args)
 
     def counted_step(self):
+        if id(self) not in locks:
+            return step(self)
         counts["batch_steps"] += 1
         # the member arrays are replaced, not changed, by a step
         ids, sep, form, level = (getattr(self, name, None)
                                  for name in ("_ids", "_sep", "_form", "_level"))
-        ends = step(self)
+        stepping[0] = True
+        try:
+            ends = step(self)
+        finally:
+            stepping[0] = False
         counts["reported"] += len(ends)
         for k, end in ends.items():
             at = np.flatnonzero(ids == k)
@@ -135,14 +153,19 @@ def counting(moi, counts: Counter, searches: dict):
 
     def counted_add(self, p, sep):
         ids = add(self, p, sep)
-        counts["started"] += len(ids)
-        locks[id(self)] = self
+        if id(self) in locks:
+            counts["started"] += len(ids)
         return ids
 
     def counted_drop(self, ids):
         before = len(self)
         drop(self, ids)
-        counts["dropped_live"] += before - len(self)
+        if id(self) in locks:
+            counts["dropped_live"] += before - len(self)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        locks[id(self.lock)] = self.lock
 
     def counted_commit(self, r):
         before = len(self.history)
@@ -163,7 +186,7 @@ def counting(moi, counts: Counter, searches: dict):
                 probes[p.tobytes()] = (p, sep, verdict)
 
     replacements = [counted_batch, counted_scalar, counted_step, counted_add,
-                    counted_drop, counted_commit]
+                    counted_drop, counted_init, counted_commit]
     for (owner, name, _), new in zip(saved, replacements):
         setattr(owner, name, new)
     try:

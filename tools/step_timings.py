@@ -11,6 +11,8 @@ Times, in CPU microseconds per call:
 - ``Lockstep.step`` with 17 pendulum members dwelling near the boundary
   (one step per call, every member live);
 - the scalar ``step_trapezoidal`` on both models;
+- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), per step
+  it stores, which adds to the scalar step the cost of recording;
 - the batched swing step at K = 16 on seeded synthetic n-machine networks,
   n = 3, 10 and 30, built here (no data file).
 
@@ -113,16 +115,17 @@ def synthetic_states(moi, n: int, k: int) -> tuple:
 
 
 def cases(moi) -> dict:
-    """name -> (calls per round, fn() -> output compared across packages)."""
+    """name -> (calls per round, fn() -> output compared across packages,
+    steps per call)."""
     integ = moi.integrator
 
     def batch(case, calls):
         sys_, cfg, x, p = case
-        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg)
+        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg), 1
 
     def scalar(case, calls):
         sys_, cfg, x, p = case
-        return calls, lambda: integ.step_trapezoidal(sys_, x[-1], p[-1], cfg)
+        return calls, lambda: integ.step_trapezoidal(sys_, x[-1], p[-1], cfg), 1
 
     out = {}
     for k in (1, 16, 64):
@@ -133,8 +136,23 @@ def cases(moi) -> dict:
         out[f"batch_step.synthetic_n{n}.K16"] = batch(synthetic_states(moi, n, 16), 50)
     out["scalar_step.pendulum"] = scalar(pendulum_states(moi, 2), 300)
     out["scalar_step.ninebus"] = scalar(ninebus_states(moi, 2), 200)
-    out["lockstep_step.pendulum.K17"] = (100, lockstep_case(moi))
+    out["lockstep_step.pendulum.K17"] = (100, lockstep_case(moi), 1)
+    out["simulate_step.pendulum"] = simulate_case(moi)
     return out
+
+
+def simulate_case(moi):
+    """(calls, fn, steps per call) for ``simulate`` of one recovering
+    pendulum run; fn returns its states."""
+    sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
+    cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
+    p = np.array([1.5])
+    sep = moi.find_sep(sys_, p)
+
+    def run():
+        return moi.simulate(sys_, p, cfg, sep).states
+
+    return 1, run, len(run()) - 1
 
 
 def lockstep_case(moi):
@@ -202,7 +220,7 @@ def main(argv=None) -> int:
     sides = {"this": cases(moi)}
     if args.against is not None:
         sides["against"] = cases(load_package(args.against.resolve(), "moi_against"))
-        for name, (_, fn) in sides["this"].items():
+        for name, (_, fn, _) in sides["this"].items():
             if not same(fn(), sides["against"][name][1]()):
                 print(f"outputs differ: {name}", file=sys.stderr)
                 return 1
@@ -212,11 +230,11 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         for name in names:
             for side in order if r % 2 == 0 else order[::-1]:
-                calls, fn = sides[side][name]
+                calls, fn, steps = sides[side][name]
                 fn()
-                runs[side][name].append(time_block(fn, calls))
+                runs[side][name].append(time_block(fn, calls) / steps)
     result = {
-        "unit": "us CPU per call",
+        "unit": "us CPU per call (per step for simulate)",
         "rounds": args.rounds,
         "numpy": np.__version__,
         "cases": {
