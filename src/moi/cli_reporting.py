@@ -139,10 +139,8 @@ def _build_model(args: argparse.Namespace) -> tuple:
         check = lambda p: pendulum_sep(params, p[0])  # noqa: E731
         return pendulum_system(params), PENDULUM_DIVERGENCE_NORM, (1.0,), check
     path = args.model_file if args.model_file else bundled_network_path()
-    net = load_network(path)
-    system = multimachine_system(net)
-    default_dir = (-1.0,) if net.inertia_mode == "scale" else None
-    return system, MULTIMACHINE_DIVERGENCE_NORM, default_dir, lambda p: None
+    system = multimachine_system(load_network(path))
+    return system, MULTIMACHINE_DIVERGENCE_NORM, (-1.0,), lambda p: None
 
 
 def _single_h(args: argparse.Namespace) -> float:
@@ -181,21 +179,11 @@ def _check_param(system: ParameterizedSystem, values, label: str) -> np.ndarray:
 def _resolve_direction(
     system: ParameterizedSystem,
     args: argparse.Namespace,
-    default_dir: Optional[tuple[float, ...]],
+    default_dir: tuple[float, ...],
 ) -> np.ndarray:
     if args.dir is not None:
         return _check_param(system, args.dir, "--dir")
-    if default_dir is None or len(default_dir) != system.param_dim:
-        raise ValueError(
-            f"model {system.name!r} has no default ray direction; pass --dir"
-        )
     return np.asarray(default_dir, dtype=float)
-
-
-def _fmt_vector(v: np.ndarray) -> str:
-    if v.size == 1:
-        return repr(float(v[0]))
-    return "[" + ", ".join(repr(float(x)) for x in v) + "]"
 
 
 def _write_or_print(text: str, out: Optional[str], summary: str) -> None:
@@ -293,7 +281,7 @@ def _run_boundary(args: argparse.Namespace) -> int:
     direction = _resolve_direction(system, args, default_dir)
     res = ray_boundary_search(system, p0, direction, cfg, param_tol=args.tol)
     print(
-        f"boundary {args.model}: p_star = {_fmt_vector(res.p_star)} "
+        f"boundary {args.model}: p_star = {float(res.p_star[0])!r} "
         f"bracket_width = {res.bracket_width:.6g} "
         f"iterations = {res.iterations}"
     )
@@ -328,7 +316,7 @@ def _run_mode(args: argparse.Namespace) -> int:
     text = mode_json_text(bm.mode, state_names=system.state_names)
     summary = (
         f"mode {args.model}: eigenvalue = {bm.mode.eigenvalue:.6g} at "
-        f"p = {_fmt_vector(bm.search.p_star)} "
+        f"p = {float(bm.search.p_star[0])!r} "
         f"(j = {bm.mode.averaged.last_unstable_index})"
     )
     _write_or_print(text, args.out, summary)

@@ -57,7 +57,7 @@ class NotStable(MoiError):
 
 class NoBracket(MoiError):
     """The ray search never left the recovery region within its expansion
-    budget; no boundary crossing to bisect."""
+    budget or the parameter domain; no boundary crossing to bisect."""
 
 
 class UndeterminedAtBisection(MoiError):

@@ -42,6 +42,7 @@ from .system_core import (
     Termination,
     Trajectory,
     _all_finite,
+    _check_vector,
     eval_jacobian,
     initial_state,
 )
@@ -55,19 +56,17 @@ class IntegratorConfig:
     conservative default suitable for the bundled models.  A recovering
     trajectory ends once it enters its certified level set (see
     :func:`recovery_certificate`, which allows for ``newton_tol`` and
-    ``step``); ``sep_tol`` and ``sep_dwell`` set the fallback rule for a
-    system without a certificate, or a trajectory that reaches the
-    equilibrium without entering the set.  ``stability_tol`` is the margin
-    by which a Jacobian counts as unstable (spectral abscissa above it): it
-    flags the states of the averaging window and sizes the certified set.
+    ``step``), or, for a system without a certificate or a trajectory that
+    reaches the equilibrium without entering the set, after ``SEP_DWELL``
+    consecutive states within ``SEP_TOL`` of it.  ``stability_tol`` is the
+    margin by which a Jacobian counts as unstable (spectral abscissa above
+    it): it flags the states of the averaging window and sizes the
+    certified set.
     """
 
     step: float
     newton_tol: float = 1e-12
-    newton_max_iter: int = 50
     max_time: float = 200.0
-    sep_tol: float = 1e-6
-    sep_dwell: int = 10
     divergence_norm: float = 1e6
     stability_tol: float = DEFAULT_STABILITY_TOL
 
@@ -78,18 +77,12 @@ class IntegratorConfig:
             raise ValueError(
                 f"newton_tol must be positive and finite, got {self.newton_tol}"
             )
-        if self.newton_max_iter < 1:
+        # the step budget max_time / step must be a finite count
+        if not 0.0 < self.max_time / self.step < np.inf:
             raise ValueError(
-                f"newton_max_iter must be at least 1, got {self.newton_max_iter}"
+                f"max_time must be positive and max_time / step finite, "
+                f"got {self.max_time} / {self.step}"
             )
-        if not 0.0 < self.max_time < np.inf:
-            raise ValueError(
-                f"max_time must be positive and finite, got {self.max_time}"
-            )
-        if not 0.0 < self.sep_tol < np.inf:
-            raise ValueError(f"sep_tol must be positive and finite, got {self.sep_tol}")
-        if self.sep_dwell < 1:
-            raise ValueError(f"sep_dwell must be at least 1, got {self.sep_dwell}")
         if not self.divergence_norm > 0.0:
             raise ValueError(
                 f"divergence_norm must be positive, got {self.divergence_norm}"
@@ -135,6 +128,11 @@ def _quadratic(form: np.ndarray, d: np.ndarray):
 #: ``newton_tol``, plus an absolute floor for the rounding of the residual
 #: itself
 _NEWTON_MARGIN, _RESIDUAL_ROUNDING = 2.0, 1e-12
+#: Newton updates a trapezoidal step may take before it fails
+NEWTON_MAX_ITER = 50
+#: the fallback recovery rule: a run ends after ``SEP_DWELL`` consecutive
+#: states within ``SEP_TOL`` of its stable equilibrium
+SEP_TOL, SEP_DWELL = 1e-6, 10
 
 
 def recovery_certificate(
@@ -273,7 +271,7 @@ def step_trapezoidal(
 
     Solves  y = x + (h/2) * (f(x) + f(y))  for y by Newton iteration seeded
     at the forward-Euler predictor. Raises ``NewtonDivergence`` if the
-    residual fails to reach ``cfg.newton_tol`` within ``cfg.newton_max_iter``
+    residual fails to reach ``cfg.newton_tol`` within ``NEWTON_MAX_ITER``
     iterations or the Newton matrix is singular.
     """
     h = cfg.step
@@ -281,14 +279,14 @@ def step_trapezoidal(
     eye = _identity(sys.state_dim)
     fx = sys.field(x, p)
     y = x + h * fx
-    for it in range(cfg.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         g = y - x - half_h * (fx + sys.field(y, p))
         residual = _norm(g)
         if residual <= cfg.newton_tol:
             if not _all_finite(y):
                 raise NonFiniteOutput("trapezoidal step produced non-finite state")
             return y
-        if it == cfg.newton_max_iter:
+        if it == NEWTON_MAX_ITER:
             raise NewtonDivergence(
                 f"Newton iteration stalled at residual {residual:.3e} "
                 f"after {it} iterations (tol {cfg.newton_tol:.1e})"
@@ -325,12 +323,12 @@ def step_trapezoidal_batch(
     y = x + h * fx
     failed = np.zeros(k, dtype=bool)
     pending = ~failed
-    for it in range(cfg.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         g = y - x - half_h * (fx + sys.field(y, p))
         pending &= ~(_norm(g) <= cfg.newton_tol)
         if not np.count_nonzero(pending):
             break
-        if it == cfg.newton_max_iter:
+        if it == NEWTON_MAX_ITER:
             failed |= pending
             break
         jac = np.asarray(sys.jacobian(y, p), dtype=float)
@@ -437,7 +435,7 @@ def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
     escape energy, or None.  Offsets are angle-aware (``wrap`` from
     :func:`_wrap_index`).  A state diverged when its norm exceeds
     ``cfg.divergence_norm`` or it lies in its escape set, and is near when
-    its offset is at most ``cfg.sep_tol``.  V is evaluated only when some
+    its offset is at most ``SEP_TOL``.  V is evaluated only when some
     state lies within its set's reach, and E only when some state is past
     its saddle.
     """
@@ -451,7 +449,7 @@ def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
         with np.errstate(invalid="ignore"):  # the rows of failed steps
             escaped = (np.abs(x[:, 1]) <= escape[:, 1]) & (energy(x, p) < escape[:, 2])
         diverged = diverged | past & escaped
-    return diverged, certified, distance <= cfg.sep_tol
+    return diverged, certified, distance <= SEP_TOL
 
 
 def _step_budget(cfg: IntegratorConfig) -> int:
@@ -586,8 +584,8 @@ class Lockstep:
           in its escape set, from which it provably never returns:
           ``DIVERGED``, tested first so that a divergent state is never
           taken for a converged one;
-        - it entered its certified set, or had ``cfg.sep_dwell``
-          consecutive states within ``cfg.sep_tol`` of its equilibrium:
+        - it entered its certified set, or had ``SEP_DWELL`` consecutive
+          states within ``SEP_TOL`` of its equilibrium:
           ``CONVERGED_TO_SEP``.
         """
         cfg = self.cfg
@@ -618,7 +616,7 @@ class Lockstep:
         if np.count_nonzero(near) or np.count_nonzero(self._consec):
             self._consec += 1
             self._consec *= near
-            dwelt = self._consec >= cfg.sep_dwell
+            dwelt = self._consec >= SEP_DWELL
         done = failed | beyond | certified | dwelt
         if not np.count_nonzero(done):
             return ends
@@ -653,16 +651,18 @@ def simulate(
     ``MAX_TIME_REACHED``.  A run that converged entered the level set of
     :func:`recovery_certificate` at ``sep``, from which it provably
     converges to ``sep`` and no later state would be flagged unstable, or,
-    without a certificate, stayed within ``cfg.sep_tol`` of ``sep`` for
-    ``cfg.sep_dwell`` consecutive states.
+    without a certificate, stayed within ``SEP_TOL`` of ``sep`` for
+    ``SEP_DWELL`` consecutive states.
 
     With ``record_flags=True`` every stored state (including the initial one)
     gets a boolean marking whether the Jacobian there has an eigenvalue with
-    real part above ``cfg.stability_tol``.
+    real part above ``cfg.stability_tol``.  A ``p`` or ``sep`` of the wrong
+    shape raises ``DimensionMismatch``.
     """
-    p = np.asarray(p, dtype=float)
+    p = _check_vector(p, sys.param_dim, "parameter")
+    sep = _check_vector(sep, sys.state_dim, "sep")
     lock = Lockstep(sys, cfg)
-    lock.add(p[None], np.asarray(sep, dtype=float)[None])
+    lock.add(p[None], sep[None])
     states, flags = [], []
 
     def store(x):

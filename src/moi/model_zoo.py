@@ -288,9 +288,8 @@ class MultiMachineParams:
     ``susceptance`` are the (n+1)x(n+1) reduced admittance matrices;
     ``fault_*`` are their fault-on counterparts (None when the dataset has
     no fault block).  ``inertia`` holds the per-machine coefficients on
-    domega/dt with omega in rad/s.  ``inertia_mode`` picks the run-time
-    parameter: ``"scale"`` makes p a scalar multiplier on all inertias,
-    ``"vector"`` makes p the per-machine inertia coefficients themselves.
+    domega/dt with omega in rad/s; the run-time parameter p is a scalar
+    multiplier on all of them.
     """
 
     inertia: np.ndarray
@@ -304,7 +303,6 @@ class MultiMachineParams:
     fault_susceptance: Optional[np.ndarray] = None
     fault_duration: float = 0.2
     fault_step: float = 1.0 / 60.0
-    inertia_mode: str = "scale"
 
     def __post_init__(self) -> None:
         for name in ("inertia", "damping", "mech_power", "emf"):
@@ -344,11 +342,6 @@ class MultiMachineParams:
             raise ValueError("fault_duration must be non-negative")
         if self.fault_step <= 0.0:
             raise ValueError("fault_step must be positive")
-        if self.inertia_mode not in ("scale", "vector"):
-            raise ValueError(
-                f"inertia_mode must be 'scale' or 'vector', "
-                f"got {self.inertia_mode!r}"
-            )
 
     @property
     def n_machines(self) -> int:
@@ -367,13 +360,16 @@ def load_network(path) -> MultiMachineParams:
 
     - ``GEN <count>`` — number of machines, must come first;
     - ``G <i> <inertia> <damping> <mech_power> <emf>`` — one per machine,
-      i in 1..count;
+      i in 1..count, with a positive inertia;
     - ``SLACK <emf>`` — optional anchor-node EMF (node 0; absent = no
       anchor, its row/column stay zero);
     - ``Y <i> <j> <conductance> <susceptance>`` — entries of the symmetric
       reduced admittance matrix over nodes 0..count, either triangle;
     - ``YFAULT <i> <j> <conductance> <susceptance>`` — same for the
       fault-on matrix (optional block).
+
+    Every number must be finite.  A line that breaks a rule raises
+    ``DataFormatError`` naming the file and line.
     """
     path = Path(path)
     try:
@@ -423,6 +419,9 @@ def load_network(path) -> MultiMachineParams:
                 raise fail(lineno, f"machine index {i} outside 1..{count}")
             if i in gens:
                 raise fail(lineno, f"duplicate machine {i}")
+            if not (np.isfinite(values).all() and values[0] > 0.0):
+                raise fail(lineno, f"machine entries must be finite with a "
+                                   f"positive inertia, got {values}")
             gens[i] = values
         elif key == "SLACK":
             if len(tok) != 2:
@@ -433,6 +432,8 @@ def load_network(path) -> MultiMachineParams:
                 slack = float(tok[1])
             except ValueError:
                 raise fail(lineno, f"non-numeric SLACK value {tok[1]!r}")
+            if not np.isfinite(slack):
+                raise fail(lineno, f"non-finite SLACK value {tok[1]!r}")
         elif key in ("Y", "YFAULT"):
             if count is None:
                 raise fail(lineno, f"{key} line before GEN header")
@@ -448,6 +449,8 @@ def load_network(path) -> MultiMachineParams:
                 raise fail(lineno, f"non-numeric admittance entry: {line!r}")
             if not (0 <= i <= count and 0 <= j <= count):
                 raise fail(lineno, f"node index outside 0..{count}")
+            if not np.isfinite([g, b]).all():
+                raise fail(lineno, f"non-finite admittance entry: {line!r}")
             entries = y_entries if key == "Y" else yf_entries
             pair = (min(i, j), max(i, j))
             if pair in entries:
@@ -517,24 +520,13 @@ def _swing_system(
     own_node, speed = own + 1, n + own
     lipschitz = _swing_lipschitz(params, conductance, susceptance)
 
-    if params.inertia_mode == "scale":
-        param_dim = 1
-
-        def inertias(p: np.ndarray) -> np.ndarray:
-            m = p[..., :1] * base_inertia
-            if not np.logical_and.reduce(m > 0.0, axis=None):
-                raise ParamOutOfRange(
-                    f"inertia scale {p[..., 0]} makes some inertia non-positive"
-                )
-            return m
-
-    else:
-        param_dim = n
-
-        def inertias(p: np.ndarray) -> np.ndarray:
-            if not np.logical_and.reduce(p > 0.0, axis=None):
-                raise ParamOutOfRange(f"inertia vector must be positive: {p}")
-            return p
+    def inertias(p: np.ndarray) -> np.ndarray:
+        m = p[..., :1] * base_inertia
+        if not np.logical_and.reduce(m > 0.0, axis=None):
+            raise ParamOutOfRange(
+                f"inertia scale {p[..., 0]} makes some inertia non-positive"
+            )
+        return m
 
     def angle_gaps(x):
         """theta_i - theta_j for machines i (rows) and nodes j (columns)."""
@@ -570,7 +562,7 @@ def _swing_system(
 
     return ParameterizedSystem(
         state_dim=2 * n,
-        param_dim=param_dim,
+        param_dim=1,
         field=field,
         jacobian=jacobian,
         name=name,
@@ -611,7 +603,7 @@ def _swing_lipschitz(
 
 
 def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
-    """Swing network as a parameterized system over its inertia hook.
+    """Swing network as a parameterized system over a scale on its inertias.
 
     Dynamics per machine i (angles rad, speeds rad/s, node 0 anchored at
     angle 0):
@@ -620,12 +612,12 @@ def multimachine_system(params: MultiMachineParams) -> ParameterizedSystem:
         M_i omega_i' = Pm_i - sum_j E_i E_j (G_ij cos(theta_i - theta_j)
                        + B_ij sin(theta_i - theta_j)) - D_i omega_i
 
-    The initial condition x0(p) is the state at fault clearing: the
-    pre-fault equilibrium, solved from a flat start, is replayed on the
-    fault-on admittance matrices for ``params.fault_duration`` (rounded to
-    whole steps of ``params.fault_step``).  The inertia parameter applies
-    during the fault as well — it is a machine property, not a network
-    one.  ``p`` may be one parameter vector or a (K, m) stack; the K fault
+    with M_i = p ``inertia[i]``.  The initial condition x0(p) is the state
+    at fault clearing: the pre-fault equilibrium, solved from a flat start,
+    is replayed on the fault-on admittance matrices for
+    ``params.fault_duration`` (rounded to whole steps of
+    ``params.fault_step``).  The inertia scale applies during the fault as
+    well — it is a machine property, not a network one.  ``p`` may be one parameter vector or a (K, 1) stack; the K fault
     replays then run as one batch.  Without a fault-on block, asking for
     x0 raises ``DataFormatError``.  Angle states are flagged for wrap-aware
     distance: a machine one revolution ahead is electrically back at the

@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteOutput,
     NotRecovered,
     NotStable,
+    ParamOutOfRange,
     UndeterminedAtBisection,
 )
 from .integrator import (
@@ -58,6 +59,10 @@ from .system_core import (
 #: their probes step one by one, and one probe per halving is the fewest
 #: per bit.
 SECTIONS = 16
+
+#: the expansion probes s = INITIAL_STEP * 2^i along ``direction``,
+#: i < MAX_DOUBLINGS, so the direction's length sets the first step
+INITIAL_STEP, MAX_DOUBLINGS = 0.1, 40
 
 #: residual norm at which :func:`find_equilibrium` stops, and its budget of
 #: Newton updates
@@ -190,8 +195,11 @@ def classify_recovery(
     with the parameter, so re-solve per parameter value).  ``run`` is the
     end of a simulation of ``p`` already made, e.g. by
     a :class:`~moi.integrator.Lockstep`; without it ``p`` is simulated
-    here.  Either way the verdict is the same.
+    here.  Either way the verdict is the same.  A ``p`` or ``sep`` of the
+    wrong shape raises ``DimensionMismatch``.
     """
+    p = _check_vector(p, sys.param_dim, "parameter")
+    sep = _check_vector(sep, sys.state_dim, "sep")
     if run is None:
         traj = simulate(sys, p, cfg, sep)
         run = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
@@ -329,13 +337,13 @@ def ray_boundary_search(
     direction,
     cfg: IntegratorConfig,
     param_tol: float = 1e-4,
-    initial_step: float = 0.1,
-    max_doublings: int = 40,
 ) -> BoundarySearchResult:
     """Bracket the recovery boundary along ``p0 + s * direction``, s > 0.
 
-    Expansion phase: probe s = initial_step, doubling until a probe fails to
-    recover (raises ``NoBracket`` if the budget runs out first).
+    Expansion phase: probe s = ``INITIAL_STEP`` (0.1), doubling until a
+    probe fails to recover.  ``NoBracket`` is raised if ``MAX_DOUBLINGS``
+    (40) probes recover, or if they recover up to one whose SEP solve
+    raises ``ParamOutOfRange`` (its cause; a ``p0`` there raises that).
 
     Refinement phase (multisection): each round probes up to k - 1 interior
     points of the bracket, computed directly in parameter space, with
@@ -400,10 +408,7 @@ def ray_boundary_search(
         raise ValueError("direction must be nonzero")
     if not param_tol >= 0.0:
         raise ValueError(f"param_tol must be >= 0, got {param_tol}")
-    search = _PipelinedSearch(
-        sys, cfg, p0, direction, param_tol, initial_step, max_doublings
-    )
-    return search.run()
+    return _PipelinedSearch(sys, cfg, p0, direction, param_tol).run()
 
 
 def _hold_end(since: int, sections: int) -> int:
@@ -482,11 +487,10 @@ class _PipelinedSearch:
     yet, each the successor of the one before it.
     """
 
-    def __init__(self, sys, cfg, p0, direction, param_tol, initial_step, max_doublings):
+    def __init__(self, sys, cfg, p0, direction, param_tol):
         self.sys, self.cfg, self.p0, self.direction = sys, cfg, p0, direction
         self.param_tol = param_tol
-        self.initial_step, self.max_doublings = initial_step, max_doublings
-        self.s, self.doublings_left = initial_step, max_doublings
+        self.s, self.doublings_left = INITIAL_STEP, MAX_DOUBLINGS
         self.lock = Lockstep(sys, cfg)
         self.sections = SECTIONS if self.lock.lockstep else 2
         self.chain: list[_Round] = []
@@ -528,7 +532,8 @@ class _PipelinedSearch:
         """Solve the members' SEPs in order, warm-started from ``warm``, and
         start the round.  A refinement round whose solve or initial
         conditions fail probes nothing; an expansion group stops before
-        the failing solve."""
+        the failing solve, and holds a ``ParamOutOfRange`` met past the
+        origin as ``NoBracket``."""
         # A held error is raised only if the commit gets to it.  Its
         # traceback would tie this frame, and the search, into a cycle.
         seps, held, first = [], None, 0
@@ -541,6 +546,14 @@ class _PipelinedSearch:
             seps.append(warm)
         if held is not None and hi is not None:
             seps = []  # a refinement round solves every SEP before it probes
+        elif isinstance(held, ParamOutOfRange) and (seps or lo is not None):
+            # raised only if every point before it recovers
+            last = points[len(seps) - 1] if seps else lo[0]
+            edge = NoBracket(
+                f"no failing parameter along {self.direction} from {self.p0} up "
+                f"to p={last}, the edge of the parameter domain ({held})"
+            )
+            edge.__cause__, held = held, edge
         points = points[: len(seps)]
         if points:
             try:
@@ -648,8 +661,8 @@ class _PipelinedSearch:
             if r.held is not None:
                 _raise_held(r)
             raise NoBracket(
-                f"no failing parameter within {self.max_doublings} doublings of "
-                f"step {self.initial_step} along {self.direction} from {self.p0}"
+                f"no failing parameter within {MAX_DOUBLINGS} doublings of "
+                f"step {INITIAL_STEP} along {self.direction} from {self.p0}"
             )
         (p_lo, sep_lo), p_hi, _ = self._bracket(r, r.key)
         return BoundarySearchResult(

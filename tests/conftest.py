@@ -21,7 +21,15 @@ from moi import (
     load_network,
     pendulum_system,
 )
-from moi.integrator import _norm, _offset, _quadratic, _recovery_sets, _wrap_index
+from moi.integrator import (
+    SEP_DWELL,
+    SEP_TOL,
+    _norm,
+    _offset,
+    _quadratic,
+    _recovery_sets,
+    _wrap_index,
+)
 
 
 def certificate_of(sys_, p, cfg, sep):
@@ -56,17 +64,17 @@ def assert_escape_end(sys_, p, cfg, sep, states):
 def assert_recovery_end(sys_, p, cfg, sep, states):
     """``states`` (initial state first) end where the recovery rule ends
     them: at the first later state inside the certified set of ``sep``, or
-    at the first one that completes ``cfg.sep_dwell`` consecutive states
-    within ``cfg.sep_tol`` of it, whichever comes first."""
+    at the first one that completes ``SEP_DWELL`` consecutive states
+    within ``SEP_TOL`` of it, whichever comes first."""
     d = _offset(np.asarray(states[1:], dtype=float), sep, _wrap_index(sys_))
     ends = np.zeros(len(d), dtype=bool)
     if sys_.jacobian_lipschitz is not None:
         form, level = certificate_of(sys_, p, cfg, sep)
         ends |= _quadratic(form, d) <= level
     run = 0
-    for k, near in enumerate(_norm(d) <= cfg.sep_tol):
+    for k, near in enumerate(_norm(d) <= SEP_TOL):
         run = run + 1 if near else 0
-        ends[k] |= run >= cfg.sep_dwell
+        ends[k] |= run >= SEP_DWELL
     assert np.flatnonzero(ends).tolist()[:1] == [len(d) - 1]
 
 

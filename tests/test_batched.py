@@ -30,7 +30,14 @@ from moi import (
     simulate,
     step_trapezoidal,
 )
-from moi.integrator import Lockstep, RunEnd, step_trapezoidal_batch
+from moi.integrator import (
+    NEWTON_MAX_ITER,
+    SEP_DWELL,
+    SEP_TOL,
+    Lockstep,
+    RunEnd,
+    step_trapezoidal_batch,
+)
 from moi.recovery_boundary import (
     GUIDE_MIN_ULPS,
     SECTIONS,
@@ -145,9 +152,10 @@ ORDINARY, NAN_JACOBIAN, STALLS, STILL, CURVED = range(5)
 
 def mixed_system():
     """Batched x' = f(x) whose form each member picks with p[0]: -x
-    (ordinary), -x with a NaN Jacobian, the stiff -100 x^3 (its Newton
-    iteration needs about ten steps from x = 1 at h = 0.1), no field at
-    all (the step converges on the predictor), and -sin(x)."""
+    (ordinary), -x with a NaN Jacobian, the stiff -100 x^3 (from x = 1e3
+    at h = 0.1 its Newton iteration takes about 45 updates to reach the
+    rounding floor of its residual, near 2e-7, and stalls there), no field
+    at all (the step converges on the predictor), and -sin(x)."""
 
     def kind(p):
         return p[..., :1]
@@ -181,8 +189,8 @@ def test_failing_members_fail_alone_and_converged_members_stay_frozen():
     converged is not moved while the others iterate on."""
     kinds = [ORDINARY, NAN_JACOBIAN, STALLS, STILL, CURVED, ORDINARY]
     p = np.array(kinds, dtype=float)[:, None]
-    x = np.array([[1.0], [1.0], [1.0], [0.7], [1.0], [-2.5]])
-    cfg = IntegratorConfig(step=0.1, newton_max_iter=4)
+    x = np.array([[1.0], [1.0], [1e3], [0.7], [1.0], [-2.5]])
+    cfg = IntegratorConfig(step=0.1)
     seen = []
 
     def spy(y, q):
@@ -198,7 +206,7 @@ def test_failing_members_fail_alone_and_converged_members_stay_frozen():
     for k in np.flatnonzero(~failed):
         assert np.array_equal(y[k], step_trapezoidal(mixed_system(), x[k], p[k], cfg))
     # one Jacobian per Newton update: the stalling member ran them all
-    assert len(seen) == cfg.newton_max_iter
+    assert len(seen) == NEWTON_MAX_ITER
     # the still member converged on its predictor x, the linear ones after
     # one update, and the member with the NaN Jacobian failed before its
     # first update; none of them moved while the others went on
@@ -211,10 +219,10 @@ def test_failing_members_fail_alone_and_converged_members_stay_frozen():
 
 
 def damped_oscillator():
-    """x'' = -x / 4 - c x' with the damping c as the parameter, from (1, 0).
-    Its distance to the origin swings between the amplitude and half of
-    it, so the run enters a ball about the origin, leaves it and comes back
-    several times before it stays."""
+    """x'' = -x / 4 - c x' with the damping c as the parameter, from
+    (1e-5, 0).  Its distance to the origin swings between the amplitude and
+    half of it, so the run enters a ball about the origin, leaves it and
+    comes back several times before it stays."""
 
     def field(x, p):
         xt, out = x.T, np.empty(x.shape)
@@ -235,7 +243,7 @@ def damped_oscillator():
         field=field,
         jacobian=jacobian,
         initial_condition=lambda p: np.stack(
-            [np.ones(p.shape[:-1]), np.zeros(p.shape[:-1])], axis=-1
+            [np.full(p.shape[:-1], 1e-5), np.zeros(p.shape[:-1])], axis=-1
         ),
         batched=True,
     )
@@ -243,7 +251,8 @@ def damped_oscillator():
 
 def test_dwell_restarts_when_a_member_leaves_the_sep_ball():
     sys_ = damped_oscillator()
-    cfg = IntegratorConfig(step=0.1, max_time=300.0, sep_tol=0.1, sep_dwell=30)
+    # the model is linear: the SEP_TOL ball is a tenth of the initial amplitude
+    cfg = IntegratorConfig(step=0.1, max_time=300.0)
     points = np.array([[0.05], [0.08]])
     sep = np.zeros(2)
     runs = run_lockstep(sys_, points, cfg, np.zeros((2, 2)))
@@ -251,9 +260,9 @@ def test_dwell_restarts_when_a_member_leaves_the_sep_ball():
         traj = simulate(sys_, p, cfg, sep)
         assert traj.termination is Termination.CONVERGED_TO_SEP
         # a dwell count that did not restart when the run left the ball
-        # would have reached sep_dwell, and ended the run, earlier
-        inside = np.linalg.norm(traj.states, axis=1) <= cfg.sep_tol
-        assert np.flatnonzero(np.cumsum(inside) >= cfg.sep_dwell)[0] < len(traj) - 1
+        # would have reached SEP_DWELL, and ended the run, earlier
+        inside = np.linalg.norm(traj.states, axis=1) <= SEP_TOL
+        assert np.flatnonzero(np.cumsum(inside) >= SEP_DWELL)[0] < len(traj) - 1
         assert run.termination is traj.termination
         assert np.array_equal(run.final_state, traj.states[-1])
         assert run.elapsed == traj.elapsed
@@ -602,8 +611,9 @@ def test_round_moves_bracket_only_up_to_the_first_failure():
     sys_ = banded_system(
         [(0.29, "recover"), (0.31, "fail"), (0.34, "recover"), (np.inf, "fail")]
     )
+    # the first expansion probe lies at 0.1 times the direction: 0.4
     res = ray_boundary_search(
-        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-6, initial_step=0.4
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-6
     )
     assert res.p_star[0] <= 0.29 < res.p_fail[0]
     assert res.bracket_width <= 1e-6
@@ -627,7 +637,7 @@ def test_undetermined_past_the_first_failure_is_recorded_not_raised():
         [(0.29, "recover"), (0.31, "fail"), (0.39, "slow"), (np.inf, "fail")]
     )
     res = ray_boundary_search(
-        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-3
     )
     assert res.p_star[0] <= 0.29 < res.p_fail[0]
     assert any(v is Verdict.UNDETERMINED for _, v in res.history)
@@ -638,7 +648,7 @@ def test_undetermined_first_failure_raises_and_names_it():
     # the round's first non-recovering point is 0.4 * 12/16, in the slow band
     with pytest.raises(UndeterminedAtBisection, match=r"probe at p=\[0\.3"):
         ray_boundary_search(
-            sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+            sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-3
         )
 
 
@@ -862,7 +872,7 @@ def test_wrong_provisional_bracket_is_discarded(monkeypatch):
 
     monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
     res = ray_boundary_search(
-        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-6, initial_step=0.4
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-6
     )
     ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-6, initial_step=0.4)
     assert_same_search(res, ref)
@@ -889,7 +899,7 @@ def test_successor_on_a_final_key_waits_for_the_members_past_it(monkeypatch):
 
     monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
     res = ray_boundary_search(
-        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-3
     )
     ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-3, initial_step=0.4)
     assert_same_search(res, ref)
@@ -926,7 +936,7 @@ def test_sep_failure_inside_a_round_is_raised_where_the_round_starts():
         reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-3, initial_step=0.4)
     with pytest.raises(NotStable) as raised:
         ray_boundary_search(
-            sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-3, initial_step=0.4
+            sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-3
         )
     assert str(raised.value) == str(expected.value)
 
@@ -941,7 +951,7 @@ def test_sep_failure_in_a_discarded_round_is_not_raised():
     with pytest.raises(NotStable):
         find_sep(sys_, [0.315])
     res = ray_boundary_search(
-        sys_, [0.0], [1.0], BAND_CFG, param_tol=1e-6, initial_step=0.4
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-6
     )
     ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-6, initial_step=0.4)
     assert_same_search(res, ref)

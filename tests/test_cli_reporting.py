@@ -9,6 +9,7 @@ import pytest
 
 from moi import (
     ParameterizedSystem,
+    bundled_network_path,
     find_sep,
     h_sweep,
     mode_of_instability,
@@ -152,9 +153,12 @@ class TestExitCodes:
             ["simulate", "--p", "1.5", "--h", "0.02", "--max-time", "inf"],
             ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "inf"],
             ["simulate", "--p", "1.5", "--h", "0.02", "--newton-tol", "nan"],
+            ["simulate", "--p", "1.5", "--h", "1e-320"],
+            ["simulate", "--p", "1.5", "--h", "1e-10", "--max-time", "1e308"],
         ],
         ids=["tol", "sweep-tol", "sweep-h", "stability-tol-nan", "stability-tol-negative",
-             "stability-tol-inf", "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan"],
+             "stability-tol-inf", "p", "dir", "h", "max-time", "newton-tol-inf", "newton-tol-nan",
+             "budget-tiny-h", "budget-huge-max-time"],
     )
     def test_non_finite_or_negative_value_is_a_config_error(self, capsys, argv):
         assert run_cli(argv + ["--model", "pendulum"]) == 2
@@ -197,14 +201,15 @@ class TestExitCodes:
 
     def test_expansion_into_negative_inertia_exits_one(self, capsys):
         """From 0.95 the doublings recover down to 0.15 and the next one
-        steps over the failing 0.2-0.4 band to inertia -0.65; the batched
-        expansion raises that SEP error where the serial one did."""
+        steps over the failing 0.2-0.4 band to inertia -0.65, outside the
+        model's domain: no bracket."""
         code = run_cli(
             ["mode", "--model", "multimachine", "--p", "0.95",
              "--h", "0.016666666666666666", "--tol", "1e-6"]
         )
         assert code == 1
-        assert "ParamOutOfRange" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NoBracket" in err and "edge of the parameter domain" in err
 
     def test_io_error_exits_two(self, capsys, tmp_path):
         code = run_cli(
@@ -217,6 +222,18 @@ class TestExitCodes:
     def test_bad_model_file_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "net.dat"
         bad.write_text("GEN zero\n")
+        code = run_cli(
+            ["simulate", "--model", "multimachine", "--model-file", str(bad),
+             "--p", "1.0", "--h", "0.02"]
+        )
+        assert code == 1
+        assert "DataFormatError" in capsys.readouterr().err
+
+    def test_negative_inertia_in_model_file_exits_one(self, capsys, tmp_path):
+        text = bundled_network_path().read_text()
+        bad = tmp_path / "net.dat"
+        bad.write_text(text.replace("\nG 1 0.125", "\nG 1 -0.125"))
+        assert "\nG 1 -0.125" in bad.read_text()
         code = run_cli(
             ["simulate", "--model", "multimachine", "--model-file", str(bad),
              "--p", "1.0", "--h", "0.02"]

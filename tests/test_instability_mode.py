@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moi import (
+    DimensionMismatch,
     IntegratorConfig,
     NeverUnstable,
     NotRecovered,
@@ -112,6 +113,11 @@ class TestAverageJacobian:
         sep = find_sep(pendulum, [1.7])
         with pytest.raises(NotRecovered):
             average_jacobian(pendulum, [1.7], pend_cfg, sep)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (1, 2)])
+    def test_misshaped_sep_raises_dimension_mismatch(self, pendulum, pend_cfg, shape):
+        with pytest.raises(DimensionMismatch):
+            average_jacobian(pendulum, [1.5], pend_cfg, np.zeros(shape))
 
     def test_never_unstable_propagates(self):
         sys_ = ParameterizedSystem(

@@ -188,6 +188,21 @@ class TestNetworkParser:
         with pytest.raises(DataFormatError):
             load_network(write_network(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            (MINIMAL_NET.replace("G 1 1.0", "G 1 -0.125"), 2),
+            (MINIMAL_NET.replace("-0.5 1.1", "-0.5 inf"), 3),
+            (MINIMAL_NET.replace("Y 1 2 0.0", "Y 1 2 nan"), 5),
+            (MINIMAL_NET + "SLACK nan\n", 7),
+            (MINIMAL_NET + "YFAULT 1 1 0.0 -inf\n", 7),
+        ],
+        ids=["inertia", "machine", "admittance", "slack", "fault-admittance"],
+    )
+    def test_bad_number(self, tmp_path, text, lineno):
+        with pytest.raises(DataFormatError, match=rf"net\.dat:{lineno}: "):
+            load_network(write_network(tmp_path, text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_network(tmp_path / "nope.dat")
@@ -205,10 +220,6 @@ class TestMultiMachineParams:
     def test_shape_checks(self, nine_bus):
         with pytest.raises(ValueError):
             replace(nine_bus, susceptance=np.zeros((3, 3)))
-
-    def test_inertia_mode_validated(self, nine_bus):
-        with pytest.raises(ValueError):
-            replace(nine_bus, inertia_mode="inverse")
 
 
 class TestBundledNetwork:
@@ -244,19 +255,6 @@ class TestBundledNetwork:
         sys_ = multimachine_system(nine_bus)
         with pytest.raises(ParamOutOfRange):
             eval_field(sys_, np.zeros(6), np.array([-0.5]))
-
-    def test_vector_inertia_mode(self, nine_bus):
-        vec = replace(nine_bus, inertia_mode="vector")
-        sys_ = multimachine_system(vec)
-        assert sys_.param_dim == 3
-        # the coefficients themselves are now the parameter
-        f_file = eval_field(
-            multimachine_system(nine_bus), np.zeros(6), np.array([1.0])
-        )
-        f_vec = eval_field(sys_, np.zeros(6), nine_bus.inertia.copy())
-        assert np.allclose(f_file, f_vec, atol=1e-15)
-        with pytest.raises(ParamOutOfRange):
-            eval_field(sys_, np.zeros(6), np.array([1.0, 0.0, 1.0]))
 
 
 class TestFaultScenario:

@@ -7,11 +7,15 @@ import re
 import numpy as np
 import pytest
 
+import moi.recovery_boundary
 from moi import (
+    MULTIMACHINE_DIVERGENCE_NORM,
+    DimensionMismatch,
     IntegratorConfig,
     NoBracket,
     NotRecovered,
     NotStable,
+    ParamOutOfRange,
     ParameterizedSystem,
     Termination,
     UndeterminedAtBisection,
@@ -19,12 +23,15 @@ from moi import (
     classify_recovery,
     find_equilibrium,
     find_sep,
+    multimachine_system,
     pendulum_sep,
     pendulum_uep,
     ray_boundary_search,
     sep_distance,
     simulate,
 )
+from moi.integrator import Lockstep
+from moi.recovery_boundary import INITIAL_STEP, MAX_DOUBLINGS
 
 from conftest import assert_recovery_end
 
@@ -102,6 +109,11 @@ class TestClassifyRecovery:
         rv = classify_recovery(pendulum, [1.7], pend_cfg, sep)
         assert rv.verdict is Verdict.FAILS_TO_RECOVER
         assert rv.termination is Termination.DIVERGED
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (1, 2)])
+    def test_misshaped_sep_raises_dimension_mismatch(self, pendulum, pend_cfg, shape):
+        with pytest.raises(DimensionMismatch):
+            classify_recovery(pendulum, [1.5], pend_cfg, np.zeros(shape))
 
     def test_undetermined_on_timeout(self, pendulum):
         cfg = IntegratorConfig(step=0.02, divergence_norm=50.0, max_time=1.0)
@@ -196,12 +208,34 @@ class TestRayBoundarySearch:
         with pytest.raises(NotRecovered):
             ray_boundary_search(sys_, [0.5], [1.0], self.CFG)
 
-    def test_no_bracket_when_heading_inward(self, pendulum, pend_cfg):
-        # four doublings from 1.5 reach only 0.7, all of it recovering
-        with pytest.raises(NoBracket):
-            ray_boundary_search(
-                pendulum, [1.5], [-1.0], pend_cfg, max_doublings=4
-            )
+    def test_no_bracket_after_every_doubling_recovers(self, monkeypatch):
+        started = []
+
+        class Spy(Lockstep):
+            def add(self, p, sep):
+                started.extend(float(q[0]) for q in p)
+                return super().add(p, sep)
+
+        monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
+        with pytest.raises(NoBracket, match=f"within {MAX_DOUBLINGS} doublings"):
+            ray_boundary_search(gated_decay_system(np.inf), [0.0], [1.0], self.CFG)
+        # the origin, then each doubling once
+        assert started == [0.0] + [INITIAL_STEP * 2.0**i for i in range(MAX_DOUBLINGS)]
+
+    def test_no_bracket_at_the_edge_of_the_parameter_domain(self, nine_bus):
+        """From 0.9 the doublings 0.8, 0.7, 0.5 and 0.1 recover and the next
+        one steps over the failing band (about 0.15-0.48) to inertia scale
+        -0.7, where the network has no equilibrium."""
+        grid = multimachine_system(nine_bus)
+        cfg = IntegratorConfig(
+            step=1.0 / 60.0, divergence_norm=MULTIMACHINE_DIVERGENCE_NORM
+        )
+        with pytest.raises(NoBracket, match=r"up to p=\[0\.1\], the edge") as raised:
+            ray_boundary_search(grid, [0.9], [-1.0], cfg, param_tol=1e-6)
+        assert isinstance(raised.value.__cause__, ParamOutOfRange)
+        # a start outside the domain is no bracket question
+        with pytest.raises(ParamOutOfRange):
+            ray_boundary_search(grid, [-0.1], [1.0], cfg)
 
     def test_undetermined_probe_aborts(self):
         # past the gate the decay is so slow the probe times out instead of

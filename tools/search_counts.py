@@ -24,7 +24,7 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   the other, and none is live when the command ends; a run where that does
   not hold fails;
 - ``certified`` / ``dwell``: search members that ended ``CONVERGED_TO_SEP``
-  inside their certified level set, or by the ``sep_tol``/``sep_dwell``
+  inside their certified level set, or by the ``SEP_TOL``/``SEP_DWELL``
   rule (a package without certificates has only dwell ends);
 - ``escaped`` / ``beyond_norm``: search members that ended ``DIVERGED``
   on a state within the divergence norm (in their escape set), or beyond it
