@@ -146,10 +146,22 @@ def recovery_certificate(
     that the iterated trapezoidal map never leaves, as (P, c).
 
     ``jac`` is the field Jacobian A at x* and ``residual`` the field f(x*)
-    (x* is a Newton solution, not an exact zero); ``weights`` w and
-    ``lipschitz`` L come from ``ParameterizedSystem.jacobian_lipschitz``.
+    (x* is a Newton solution, not an exact zero); ``weights`` w_0 and
+    ``lipschitz`` L_0 come from ``ParameterizedSystem.jacobian_lipschitz``.
     All four may carry a leading axis of K equilibria, certified one by
     one with the same floating-point operations.
+
+    The weights are balanced per equilibrium.  With W_0 = diag(w_0),
+    A_0 = W_0 A W_0^-1 and m = n // 2, take
+    s^2 = ||A_0[:m, m:]|| / (2 ||A_0[m:, :m]||) (s = 1 where that is not a
+    positive finite number), w = (w_0[:m], s w_0[m:]) and L = s L_0.  By
+    the contract of ``jacobian_lipschitz``, W_0 (J(x) - J(y)) W_0^-1 is a
+    block B in rows m:, columns :m with ||B|| <= L_0 ||(W_0 (x - y))[:m]||.
+    For W = S W_0, S = diag(I, s I), the change W (J(x) - J(y)) W^-1 is
+    S B S^-1 = s B, so ||W (J(x) - J(y)) W^-1|| <= s L_0 ||(W (x - y))[:m]||
+    <= L ||W (x - y)||: (w, L) bound the variation as (w_0, L_0) do,
+    whatever s is, and everything below holds for them.  The rule balances
+    the two off-diagonal blocks of A_w at x*, which widens the set.
 
     In the weighted offsets z = W d, W = diag(w), the Lyapunov equation
     A_w^T P + P A_w = -I for A_w = W A W^-1 is solved on its Kronecker form,
@@ -198,6 +210,16 @@ def recovery_certificate(
     eye = _identity(n)
     # an uncertifiable member solves a harmless system instead
     w = np.where(valid[:, None], weights, 1.0)
+    # balance the off-diagonal blocks: scale the last n - m weights by s
+    m = n // 2
+    a_w = np.where(valid[:, None, None], w[:, :, None] * jac / w[:, None, :], -eye)
+    upper = np.linalg.norm(a_w[:, :m, m:], 2, axis=(1, 2))
+    lower = np.linalg.norm(a_w[:, m:, :m], 2, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(upper / (2.0 * lower))
+    s = np.where(valid & (s > 0.0) & (s < np.inf), s, 1.0)
+    w[:, m:] *= s[:, None]
+    bound = lipschitz * s
     a_w = np.where(valid[:, None, None], w[:, :, None] * jac / w[:, None, :], -eye)
     a_t = a_w.transpose(0, 2, 1)
     # row-major vec(A^T P + P A) = (A^T kron I + I kron A^T) vec(P)
@@ -230,7 +252,7 @@ def recovery_certificate(
     for i in np.flatnonzero(valid).tolist():
         levels[i] = _certified_level(
             float(spectrum[i, 0]), float(spectrum[i, -1]), float(q_all[i]),
-            float(norm_all[i]), float(nu_all[i]), float(lipschitz[i]), cfg,
+            float(norm_all[i]), float(nu_all[i]), float(bound[i]), cfg,
         )
     forms = w[:, :, None] * p_w * w[:, None, :]
     forms[levels < 0.0] = 0.0

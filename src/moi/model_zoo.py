@@ -62,6 +62,7 @@ class PendulumParams:
     ic_step: float = 0.02
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("c1", "c2", "disturbance_duration", "ic_step"))
         if min(self.c1, self.c2) <= 0.0:
             raise ValueError(f"c1, c2 must be positive, got ({self.c1}, {self.c2})")
         if self.disturbance_duration < 0.0:
@@ -73,6 +74,16 @@ class PendulumParams:
             )
         if self.ic_step <= 0.0:
             raise ValueError("ic_step must be positive")
+
+
+def _require_finite(params, names) -> None:
+    """Raise ValueError naming the first of the fields ``names`` of
+    ``params`` that holds a non-finite number (a field set to None is
+    absent, not checked)."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _sep_angle(c1: float, torque):
@@ -165,7 +176,9 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
     unwrapped — recovery means returning to the same equilibrium
     representative the disturbance started from, not to a shifted copy.
     The model is batched: every callable also takes stacks of states and
-    torques.
+    torques.  Its Jacobian bound (``jacobian_lipschitz``) is w = 1, L = c1:
+    only the entry -c1 cos(x1), the velocity row at the angle column,
+    varies, and by at most c1 |x1 - y1|, as the structured bound requires.
     """
     if params is None:
         params = PendulumParams()
@@ -188,7 +201,6 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         jac[..., 1, 0] = -c1 * np.cos(x.T[0])
         return jac
 
-    # only the entry -c1 cos(x1) varies, by at most c1 |x1 - y1|
     unit_weights = np.ones(2)
 
     return ParameterizedSystem(
@@ -336,6 +348,9 @@ class MultiMachineParams:
                 "fault_conductance and fault_susceptance must be supplied "
                 "together"
             )
+        _require_finite(self, ("inertia", "damping", "mech_power", "emf", "slack_emf",
+                               "conductance", "susceptance", "fault_conductance",
+                               "fault_susceptance", "fault_duration", "fault_step"))
         if not np.all(self.inertia > 0.0):
             raise ValueError(f"inertia must be positive, got {self.inertia}")
         if self.fault_duration < 0.0:
@@ -583,8 +598,11 @@ def _swing_lipschitz(
     """Bound L on the swing Jacobian's variation in the weights (1, M).
 
     With z = (theta, M omega) the weighted Jacobian is
-    [[0, M^-1], [-K(theta), -D M^-1]], K = d(pe)/d(theta), so only K
-    varies.  Its entry for machines i != j changes by at most
+    [[0, M^-1], [-K(theta), -D M^-1]], K = d(pe)/d(theta), so only K, the
+    speed rows at the angle columns, varies, and with the angles alone:
+    the structured bound of ``jacobian_lipschitz``, with |d theta| the
+    norm of the weighted angle offset.  Its entry for machines i != j
+    changes by at most
     E_i E_j |Y_ij| |d(theta_i - theta_j)| <= sqrt(2) E_i E_j |Y_ij| |d theta|,
     and its diagonal by the sum of those over the machines plus
     E_i E_0 |Y_i0| |d theta| for the anchor node; L bounds the Frobenius

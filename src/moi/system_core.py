@@ -58,11 +58,17 @@ class ParameterizedSystem:
         with an analytic Jacobian run in lockstep batches.
     jacobian_lipschitz
         Optional callable p -> (w, L), filled in by the model constructors:
-        positive diagonal state weights w (length n) and a bound L with
-        ``||W (J(x) - J(y)) W^-1|| <= L ||W (x - y)||`` for all states x, y,
-        W = diag(w), norms the Euclidean ones.  With it the integrator
-        certifies a level set around each stable equilibrium that lies in
-        its basin (:func:`moi.integrator.recovery_certificate`) and ends a
+        positive diagonal state weights w (length n) and a bound L on the
+        variation of the Jacobian in one block.  With W = diag(w) and
+        m = n // 2, for all states x, y, ``W (J(x) - J(y)) W^-1`` must be
+        zero outside rows m:, columns :m (for both bundled models, the
+        speed rows at the angle columns), and its norm at most
+        ``L ||(W (x - y))[:m]||``, norms the Euclidean ones.  Scaling the
+        last n - m weights by any s > 0 then scales that block, and the
+        bound, by s.  With it the integrator certifies a level set around
+        each stable equilibrium that lies in its basin, with weights
+        balanced at that equilibrium
+        (:func:`moi.integrator.recovery_certificate`), and ends a
         trajectory that enters it.
     escape_energy
         Optional pair (energy, bounds), filled in by the model constructors

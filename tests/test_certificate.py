@@ -114,6 +114,60 @@ def test_jacobian_bound_holds_between_states(pendulum, grid, which, p, states):
     assert np.linalg.norm(change, 2) <= L * np.linalg.norm(w * (x - y)) + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(["pendulum", "grid"]),
+    p=st.floats(0.3, 1.9),
+    states=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+)
+def test_jacobian_varies_only_in_the_speed_rows_at_the_angle_columns(
+    pendulum, grid, which, p, states
+):
+    """W (J(x) - J(y)) W^-1 is zero outside rows m:, columns :m (m = n / 2)
+    and its norm is at most L ||(W (x - y))[:m]||: the structured bound
+    under which recovery_certificate may scale the last m weights by any
+    s > 0 and the bound by s."""
+    sys_ = pendulum if which == "pendulum" else grid
+    n, p = sys_.state_dim, np.array([p])
+    m = n // 2
+    x, y = np.array(states[:n]), np.array(states[6 : 6 + n])
+    w, L = sys_.jacobian_lipschitz(p)
+    change = w[:, None] * (sys_.jacobian(x, p) - sys_.jacobian(y, p)) / w
+    block = change[m:, :m].copy()
+    change[m:, :m] = 0.0
+    assert not change.any()
+    # the slack covers the rounding of the two Jacobians' entries
+    assert np.linalg.norm(block, 2) <= L * np.linalg.norm((w * (x - y))[:m]) + 1e-12
+
+
+def test_certificate_uses_the_balanced_weights_and_the_bound_scaled_with_them(
+    pendulum, pend_cfg, grid, grid_cfg
+):
+    """With s^2 = ||A_w[:m, m:]|| / (2 ||A_w[m:, :m]||) for the model's
+    weighted Jacobian A_w at the SEP, the certificate is the one certified
+    directly with the weights (w[:m], s w[m:]) and the bound s L, whose
+    own balancing factor is 1 up to rounding."""
+    for sys_, cfg, values in (
+        (pendulum, pend_cfg, [0.5, 1.5, PEND_P_STAR]),
+        (grid, grid_cfg, [0.45, NINE_BUS_P_STAR, 1.0]),
+    ):
+        m = sys_.state_dim // 2
+        for value in values:
+            p = np.array([value])
+            sep = find_sep(sys_, p)
+            jac, residual = sys_.jacobian(sep, p), sys_.field(sep, p)
+            w, L = sys_.jacobian_lipschitz(p)
+            a_w = w[:, None] * jac / w
+            s = np.sqrt(np.linalg.norm(a_w[:m, m:], 2) / (2.0 * np.linalg.norm(a_w[m:, :m], 2)))
+            assert not np.isclose(s, 1.0, rtol=0.1)
+            form, level = recovery_certificate(jac, residual, w, L, cfg)
+            balanced = np.concatenate([w[:m], s * w[m:]])
+            form_s, level_s = recovery_certificate(jac, residual, balanced, s * L, cfg)
+            assert level > 0.0
+            np.testing.assert_allclose(level_s, level, rtol=1e-9)
+            np.testing.assert_allclose(form_s, form, rtol=1e-9)
+
+
 def test_certificates_of_a_stack_equal_the_single_ones(grid, grid_cfg):
     scales = np.array([[0.45], [0.8], [1.2]])
     seps = np.array([find_sep(grid, p) for p in scales])

@@ -65,6 +65,17 @@ class TestPendulumEquilibria:
         with pytest.raises(ValueError):
             PendulumParams(ic_method="guess")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c1", np.inf), ("c2", np.nan), ("disturbance_duration", np.inf),
+         ("ic_step", np.nan)],
+    )
+    def test_non_finite_constant_rejected(self, field, value):
+        """A non-finite constant fails where it is set, naming its field,
+        not later as a NewtonDivergence or NonFiniteOutput."""
+        with pytest.raises(ValueError, match=field):
+            PendulumParams(**{field: value})
+
     def test_torque_beyond_pullout_has_no_equilibrium(self):
         """The torque is the run-time parameter, so its bound c1 is checked
         where a torque is used: the disturbance replay starts from
@@ -220,6 +231,22 @@ class TestMultiMachineParams:
     def test_shape_checks(self, nine_bus):
         with pytest.raises(ValueError):
             replace(nine_bus, susceptance=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [("inertia", np.inf), ("damping", np.nan), ("mech_power", np.nan),
+         ("emf", np.nan), ("slack_emf", np.nan), ("conductance", np.nan),
+         ("susceptance", np.inf), ("fault_conductance", np.nan),
+         ("fault_susceptance", -np.inf), ("fault_duration", np.inf),
+         ("fault_step", np.nan)],
+    )
+    def test_non_finite_constant_rejected(self, nine_bus, field, entry):
+        """One non-finite entry of a field fails where it is set, naming
+        the field, not later as a NewtonDivergence or NonFiniteOutput."""
+        value = np.array(getattr(nine_bus, field), dtype=float)
+        value.flat[-1] = entry
+        with pytest.raises(ValueError, match=field):
+            replace(nine_bus, **{field: value if value.ndim else float(value)})
 
 
 class TestBundledNetwork:

@@ -1,8 +1,8 @@
 """tools/search_counts.py against this package: its counts repeat, it
-still sees the certified and escaped ends, every member it counts as
-started is accounted for, it counts only the searches' members as search
-work and both steppers' member steps, and its point-wise verdict
-comparison sees a changed verdict.
+still sees the certified and escaped ends and the steps at which they end,
+every member it counts as started is accounted for, it counts only the
+searches' members as search work and both steppers' member steps, and its
+point-wise verdict comparison sees a changed verdict.
 
 The tool reads Lockstep's member columns by name and treats a missing one
 as "no certificate", so a renamed column would turn every certified end
@@ -71,6 +71,32 @@ def test_member_steps_count_both_steppers(tmp_path, monkeypatch):
     assert row["member_steps"] == sum(widths)
     assert row["batch_steps"] == len(widths)
     assert row["recorded_steps"] == 0 and row["scalar_steps"] > 0
+
+
+def test_end_steps_sum_the_certified_and_diverged_ends(tmp_path, monkeypatch):
+    """certified_steps and diverged_steps are the step counts of the
+    searches' certified and diverged ends, summed, as the ends' own
+    elapsed times give them."""
+    reported = []
+    step = moi.integrator.Lockstep.step
+
+    def keep(lock):
+        ends = step(lock)
+        reported.extend((end.termination, end.elapsed / lock.cfg.step) for end in ends.values())
+        return ends
+
+    monkeypatch.setattr(moi.integrator.Lockstep, "step", keep)
+    # a boundary search records no run, so every Lockstep is the search's
+    argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2",
+            "--tol", "1e-6"]
+    row, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    # every recovering end is certified (dwell 0), so each converged end counts
+    assert row["dwell"] == 0 and row["recorded_steps"] == 0
+    for end, column in ((moi.Termination.CONVERGED_TO_SEP, "certified_steps"),
+                        (moi.Termination.DIVERGED, "diverged_steps")):
+        steps = [n for kind, n in reported if kind is end]
+        assert row[column] == round(sum(steps)) > len(steps) > 0
+    assert row["certified"] + row["escaped"] + row["beyond_norm"] == len(reported)
 
 
 def test_verdicts_are_compared_point_by_point(tmp_path):

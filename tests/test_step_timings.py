@@ -21,6 +21,7 @@ CASES = (
     + [f"batch_step.synthetic_n{n}.K16" for n in (3, 10, 30)]
     + ["scalar_step.pendulum", "scalar_step.ninebus", "lockstep_step.pendulum.K17",
        "simulate_step.pendulum"]
+    + [f"recovery_sets.{model}.K{k}" for model in ("pendulum", "ninebus") for k in (1, 16)]
 )
 
 

@@ -29,6 +29,10 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 - ``escaped`` / ``beyond_norm``: search members that ended ``DIVERGED``
   on a state within the divergence norm (in their escape set), or beyond it
   (a package without escape certificates has only ends beyond the norm);
+- ``certified_steps`` / ``diverged_steps``: the steps at which the
+  ``certified`` members, and all members that ended ``DIVERGED``, ended,
+  summed; over ``certified`` and over ``escaped + beyond_norm`` they give
+  the mean recovering and failing end, the ends that set a round's length;
 - ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
   (they ended ``MAX_TIME_REACHED`` or ``SOLVER_FAILURE``);
 - ``guided`` / ``uniform``: committed refinement rounds whose points are,
@@ -85,7 +89,8 @@ WORKLOADS = {
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
            "started", "dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
-           "beyond_norm", "undetermined", "guided", "uniform", "cpu_s")
+           "beyond_norm", "certified_steps", "diverged_steps", "undetermined",
+           "guided", "uniform", "cpu_s")
 
 
 @contextlib.contextmanager
@@ -129,8 +134,9 @@ def counting(moi, counts: Counter, searches: dict):
             return step(self)
         counts["batch_steps"] += 1
         # the member arrays are replaced, not changed, by a step
-        ids, sep, form, level = (getattr(self, name, None)
-                                 for name in ("_ids", "_sep", "_form", "_level"))
+        ids, sep, form, level, start = (
+            getattr(self, name, None) for name in ("_ids", "_sep", "_form", "_level", "_start")
+        )
         stepping[0] = True
         try:
             ends = step(self)
@@ -139,9 +145,12 @@ def counting(moi, counts: Counter, searches: dict):
         counts["reported"] += len(ends)
         for k, end in ends.items():
             at = np.flatnonzero(ids == k)
+            # the member's steps: those of the batch since it started
+            steps = self.steps - int(start[at[0]]) if len(at) else 0
             if end.termination is diverged:
                 beyond = np.linalg.norm(end.final_state) > self.cfg.divergence_norm
                 counts["beyond_norm" if beyond else "escaped"] += 1
+                counts["diverged_steps"] += steps
             if end.termination is not converged or not len(at):
                 continue
             i = at[0]
@@ -149,6 +158,8 @@ def counting(moi, counts: Counter, searches: dict):
                 form[i], integ._offset(end.final_state, sep[i], self._wrap)
             ) <= level[i]
             counts["certified" if certified else "dwell"] += 1
+            if certified:
+                counts["certified_steps"] += steps
         return ends
 
     def counted_add(self, p, sep):

@@ -11,8 +11,13 @@ Times, in CPU microseconds per call:
 - ``Lockstep.step`` with 17 pendulum members dwelling near the boundary
   (one step per call, every member live);
 - the scalar ``step_trapezoidal`` on both models;
-- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), per step
-  it stores, which adds to the scalar step the cost of recording;
+- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), run to the
+  dwell rule so that both packages store the same states, per step it
+  stores, which adds to the scalar step the cost of recording;
+- the certified and escape sets (``integrator._recovery_sets``) that
+  ``Lockstep.add`` computes for K = 1 and 16 members on both models, per
+  call; the sets themselves may differ between packages, so only which
+  members are certified is compared;
 - the batched swing step at K = 16 on seeded synthetic n-machine networks,
   n = 3, 10 and 30, built here (no data file).
 
@@ -138,13 +143,29 @@ def cases(moi) -> dict:
     out["scalar_step.ninebus"] = scalar(ninebus_states(moi, 2), 200)
     out["lockstep_step.pendulum.K17"] = (100, lockstep_case(moi), 1)
     out["simulate_step.pendulum"] = simulate_case(moi)
+    for k in (1, 16):
+        out[f"recovery_sets.pendulum.K{k}"] = sets_case(moi, pendulum_states(moi, k), 200)
+        out[f"recovery_sets.ninebus.K{k}"] = sets_case(moi, ninebus_states(moi, k), 100)
     return out
+
+
+def sets_case(moi, case, calls: int):
+    """(calls, fn, 1) for the certified and escape sets of the members at
+    the parameters of ``case``, around their SEPs; fn returns which members
+    are certified."""
+    sys_, cfg, _, p = case
+    seps = np.array([moi.find_sep(sys_, q) for q in p])
+
+    def run():
+        return moi.integrator._recovery_sets(sys_, p, seps, cfg)[1] > 0.0
+
+    return calls, run, 1
 
 
 def simulate_case(moi):
     """(calls, fn, steps per call) for ``simulate`` of one recovering
-    pendulum run; fn returns its states."""
-    sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
+    pendulum run to the dwell rule; fn returns its states."""
+    sys_ = dwell_rule(moi.pendulum_system(moi.PendulumParams(ic_method="integrated")))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     p = np.array([1.5])
     sep = moi.find_sep(sys_, p)
