@@ -3,7 +3,10 @@
 Four analyses over the bundled models: ``simulate`` (one recovery
 experiment), ``boundary`` (ray search for the recovery boundary), ``mode``
 (refine to the boundary, then the instability direction there), and
-``sweep`` (boundary + mode per step size, CSV table).  Identical invocations
+``sweep`` (boundary + mode per step size, CSV table).  All four are set up
+by one path (``_setup``): each checks its start against the model's domain
+before any solve, and only ``sweep`` takes more than one ``--h``, building
+every step size's config before its first row runs.  Identical invocations
 produce byte-identical outputs: floats are serialized with repr (JSON) or
 10 significant digits (CSV) and all computations are deterministic.
 """
@@ -53,77 +56,6 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="moi",
-        description="Recovery-boundary search and mode-of-instability "
-        "analysis for disturbed dynamical systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser, averages: bool = False) -> None:
-        sp.add_argument(
-            "--model", choices=("pendulum", "multimachine"), required=True
-        )
-        sp.add_argument(
-            "--model-file",
-            default=None,
-            help="network data file (multimachine; default: bundled 9-bus set)",
-        )
-        sp.add_argument(
-            "--h",
-            type=_csv_floats,
-            required=True,
-            help="integration step size(s), comma separated",
-        )
-        defaults = IntegratorConfig  # its field defaults, read as class attributes
-        sp.add_argument("--max-time", type=float, default=defaults.max_time)
-        sp.add_argument("--newton-tol", type=float, default=defaults.newton_tol)
-        sp.add_argument("--stability-tol", type=float, default=defaults.stability_tol)
-        if averages:  # only mode and sweep average Jacobians
-            sp.add_argument(
-                "--normalization", choices=("paper", "samples"), default="paper"
-            )
-        sp.add_argument("--out", default=None, help="output file path")
-
-    sp = sub.add_parser("simulate", help="classify one recovery experiment")
-    common(sp)
-    sp.add_argument("--p", type=_csv_floats, required=True)
-
-    sp = sub.add_parser("boundary", help="bracket the recovery boundary")
-    common(sp)
-    sp.add_argument("--p0", type=_csv_floats, required=True)
-    sp.add_argument("--dir", type=_csv_floats, default=None)
-    sp.add_argument("--tol", type=float, default=1e-4)
-
-    sp = sub.add_parser(
-        "mode", help="instability direction at the recovery boundary"
-    )
-    common(sp, averages=True)
-    sp.add_argument(
-        "--p",
-        type=_csv_floats,
-        required=True,
-        help="starting parameter; refined to the boundary before the mode "
-        "is computed",
-    )
-    sp.add_argument("--dir", type=_csv_floats, default=None)
-    sp.add_argument(
-        "--tol",
-        type=float,
-        default=0.0,
-        help="boundary refinement tolerance (0 = to adjacent doubles)",
-    )
-
-    sp = sub.add_parser("sweep", help="boundary + mode per step size (CSV)")
-    common(sp, averages=True)
-    sp.add_argument("--p0", type=_csv_floats, required=True)
-    sp.add_argument("--dir", type=_csv_floats, default=None)
-    sp.add_argument("--tol", type=float, default=0.0)
-
-    return parser
-
-
 def _build_model(args: argparse.Namespace) -> tuple:
     """System, recommended divergence norm, default ray direction, and a
     check of a starting parameter that raises ``ParamOutOfRange`` before
@@ -143,27 +75,6 @@ def _build_model(args: argparse.Namespace) -> tuple:
     return system, MULTIMACHINE_DIVERGENCE_NORM, (-1.0,), lambda p: None
 
 
-def _single_h(args: argparse.Namespace) -> float:
-    if len(args.h) != 1:
-        raise ValueError(
-            f"--h expects exactly one value for '{args.command}', "
-            f"got {list(args.h)}"
-        )
-    return args.h[0]
-
-
-def _integrator_config(
-    args: argparse.Namespace, h: float, divergence: float
-) -> IntegratorConfig:
-    return IntegratorConfig(
-        step=h,
-        newton_tol=args.newton_tol,
-        max_time=args.max_time,
-        divergence_norm=divergence,
-        stability_tol=args.stability_tol,
-    )
-
-
 def _check_param(system: ParameterizedSystem, values, label: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (system.param_dim,):
@@ -176,14 +87,28 @@ def _check_param(system: ParameterizedSystem, values, label: str) -> np.ndarray:
     return arr
 
 
-def _resolve_direction(
-    system: ParameterizedSystem,
-    args: argparse.Namespace,
-    default_dir: tuple[float, ...],
-) -> np.ndarray:
-    if args.dir is not None:
-        return _check_param(system, args.dir, "--dir")
-    return np.asarray(default_dir, dtype=float)
+def _setup(args: argparse.Namespace) -> tuple:
+    """The system, the config at the first ``--h``, the start (checked
+    against the model's domain before any solve) and the ray direction.
+    Only ``sweep`` takes more than one ``--h``."""
+    system, divergence, default_dir, check = _build_model(args)
+    if args.command != "sweep" and len(args.h) != 1:
+        raise ValueError(
+            f"--h expects exactly one value for '{args.command}', "
+            f"got {list(args.h)}"
+        )
+    cfg = IntegratorConfig(
+        step=args.h[0],
+        newton_tol=args.newton_tol,
+        max_time=args.max_time,
+        divergence_norm=divergence,
+        stability_tol=args.stability_tol,
+    )
+    start = _check_param(system, args.start, _COMMANDS[args.command][2])
+    check(start)
+    if getattr(args, "dir", None) is None:
+        return system, cfg, start, np.asarray(default_dir, dtype=float)
+    return system, cfg, start, _check_param(system, args.dir, "--dir")
 
 
 def _write_or_print(text: str, out: Optional[str], summary: str) -> None:
@@ -246,11 +171,7 @@ def sweep_csv_text(table: Sequence[SweepRow]) -> str:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    system, divergence, _, check = _build_model(args)
-    h = _single_h(args)
-    cfg = _integrator_config(args, h, divergence)
-    p = _check_param(system, args.p, "--p")
-    check(p)
+    system, cfg, p, _ = _setup(args)
     sep = find_sep(system, p, stability_tol=cfg.stability_tol)
     traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
@@ -265,7 +186,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
             "steps": len(traj) - 1,
             "elapsed_time": traj.elapsed,
             "final_distance": final_distance,
-            "h": h,
+            "h": cfg.step,
             "p": [float(v) for v in p],
         }
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
@@ -273,12 +194,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_boundary(args: argparse.Namespace) -> int:
-    system, divergence, default_dir, check = _build_model(args)
-    h = _single_h(args)
-    cfg = _integrator_config(args, h, divergence)
-    p0 = _check_param(system, args.p0, "--p0")
-    check(p0)
-    direction = _resolve_direction(system, args, default_dir)
+    system, cfg, p0, direction = _setup(args)
     res = ray_boundary_search(system, p0, direction, cfg, param_tol=args.tol)
     print(
         f"boundary {args.model}: p_star = {float(res.p_star[0])!r} "
@@ -291,7 +207,7 @@ def _run_boundary(args: argparse.Namespace) -> int:
             "p_fail": [float(v) for v in res.p_fail],
             "bracket_width": res.bracket_width,
             "iterations": res.iterations,
-            "h": h,
+            "h": cfg.step,
             "direction": [float(v) for v in direction],
         }
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
@@ -299,18 +215,9 @@ def _run_boundary(args: argparse.Namespace) -> int:
 
 
 def _run_mode(args: argparse.Namespace) -> int:
-    system, divergence, default_dir, check = _build_model(args)
-    h = _single_h(args)
-    cfg = _integrator_config(args, h, divergence)
-    p0 = _check_param(system, args.p, "--p")
-    check(p0)
-    direction = _resolve_direction(system, args, default_dir)
+    system, cfg, p0, direction = _setup(args)
     bm = mode_at_boundary(
-        system,
-        p0,
-        direction,
-        cfg,
-        param_tol=args.tol,
+        system, p0, direction, cfg, param_tol=args.tol,
         normalization=Normalization(args.normalization),
     )
     text = mode_json_text(bm.mode, state_names=system.state_names)
@@ -324,17 +231,9 @@ def _run_mode(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    system, divergence, default_dir, _ = _build_model(args)
-    cfg = _integrator_config(args, args.h[0], divergence)
-    p0 = _check_param(system, args.p0, "--p0")
-    direction = _resolve_direction(system, args, default_dir)
+    system, cfg, p0, direction = _setup(args)
     rows = h_sweep(
-        system,
-        p0,
-        direction,
-        args.h,
-        cfg,
-        param_tol=args.tol,
+        system, p0, direction, args.h, cfg, param_tol=args.tol,
         normalization=Normalization(args.normalization),
     )
     ok = sum(1 for r in rows if r.status == "ok")
@@ -343,12 +242,61 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_DRIVERS = {
-    "simulate": _run_simulate,
-    "boundary": _run_boundary,
-    "mode": _run_mode,
-    "sweep": _run_sweep,
+#: per subcommand: its driver, its help, its start flag, the default of its
+#: --tol (None: no ray, so neither --dir nor --tol) and whether it averages
+#: Jacobians (--normalization)
+_COMMANDS = {
+    "simulate": (_run_simulate, "classify one recovery experiment", "--p", None, False),
+    "boundary": (_run_boundary, "bracket the recovery boundary", "--p0", 1e-4, False),
+    "mode": (_run_mode, "instability direction at the recovery boundary", "--p", 0.0, True),
+    "sweep": (_run_sweep, "boundary + mode per step size (CSV)", "--p0", 0.0, True),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="moi",
+        description="Recovery-boundary search and mode-of-instability "
+        "analysis for disturbed dynamical systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    defaults = IntegratorConfig  # its field defaults, read as class attributes
+    for name, (_, help_text, start, tol, averages) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--model", choices=("pendulum", "multimachine"), required=True)
+        sp.add_argument(
+            "--model-file",
+            default=None,
+            help="network data file (multimachine; default: bundled 9-bus set)",
+        )
+        sp.add_argument(
+            "--h",
+            type=_csv_floats,
+            required=True,
+            help="integration step size(s), comma separated (several for sweep only)",
+        )
+        sp.add_argument("--max-time", type=float, default=defaults.max_time)
+        sp.add_argument("--newton-tol", type=float, default=defaults.newton_tol)
+        sp.add_argument("--stability-tol", type=float, default=defaults.stability_tol)
+        if averages:
+            sp.add_argument(
+                "--normalization", choices=("paper", "samples"), default="paper"
+            )
+        sp.add_argument("--out", default=None, help="output file path")
+        sp.add_argument(
+            start, dest="start", metavar=start[2:].upper(), type=_csv_floats, required=True,
+            help="starting parameter" if tol is None
+            else "starting parameter; refined to the boundary along the ray",
+        )
+        if tol is not None:
+            sp.add_argument("--dir", type=_csv_floats, default=None)
+            sp.add_argument(
+                "--tol",
+                type=float,
+                default=tol,
+                help="boundary refinement tolerance (0 = to adjacent doubles)",
+            )
+    return parser
 
 
 def run_cli(argv: Sequence[str]) -> int:
@@ -363,7 +311,7 @@ def run_cli(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _DRIVERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except MoiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

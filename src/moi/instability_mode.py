@@ -245,18 +245,18 @@ def h_sweep(
     computation succeeded; that reference row's errors are 0 by
     construction.  Rows run one after another in the input h order, each
     with the multisection search of :func:`ray_boundary_search`; a row's
-    failure is recorded in its ``status`` and the sweep continues.  A step
-    size that is not positive and finite raises ``ValueError`` before any
-    row runs.
+    failure is recorded in its ``status`` and the sweep continues.  Every
+    row's config is built before the first row runs, so a step size that
+    :class:`IntegratorConfig` rejects (not positive and finite, or a step
+    budget ``max_time / h`` that is not finite) raises ``ValueError`` first.
     """
-    h_list = [float(h) for h in h_values]
-    if not all(0.0 < h < np.inf for h in h_list):
-        raise ValueError(f"step must be positive and finite, got {h_list}")
+    configs = [replace(cfg, step=float(h)) for h in h_values]
     rows = []
-    for h in h_list:
+    for row_cfg in configs:
+        h = row_cfg.step
         try:
             bm = mode_at_boundary(
-                sys, p0, direction, replace(cfg, step=h), param_tol=param_tol,
+                sys, p0, direction, row_cfg, param_tol=param_tol,
                 normalization=normalization,
             )
         except MoiError as exc:

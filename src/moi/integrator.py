@@ -242,6 +242,10 @@ def recovery_certificate(
     p_w[~valid] = eye
     decay = -(a_t @ p_w + p_w @ a_w)
     spectrum = np.linalg.eigvalsh(p_w)
+    # a P that is not positive definite certifies nothing; its spectrum is
+    # replaced so that no square root below sees a negative number
+    valid &= spectrum[:, 0] > 0.0
+    spectrum[~valid] = 1.0
     q_all = np.linalg.eigvalsh(0.5 * (decay + decay.transpose(0, 2, 1)))[:, 0]
     norm_all = np.linalg.norm(a_w, 2, axis=(1, 2))
     nu_all = np.sqrt(spectrum[:, -1]) * (
@@ -262,9 +266,9 @@ def recovery_certificate(
 
 
 def _certified_level(mu, lam, q, a, nu, L, cfg: IntegratorConfig) -> float:
-    """The level c of :func:`recovery_certificate` for one equilibrium, or
-    -1 if no radius passes."""
-    if not (mu > 0.0 and q > 0.0):
+    """The level c of :func:`recovery_certificate` for one equilibrium with
+    a positive definite P, or -1 if no radius passes."""
+    if not q > 0.0:
         return -1.0
     h = cfg.step
     r = 0.99 * (q - 2.0 * lam * cfg.stability_tol) / (2.0 * lam * L)

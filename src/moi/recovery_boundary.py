@@ -49,6 +49,7 @@ from .system_core import (
     _check_vector,
     eval_field,
     eval_jacobian,
+    initial_state,
 )
 
 
@@ -445,6 +446,17 @@ class _Round:
         lock.drop(range(self.first + after + 1, self.first + len(self.ends)))
 
 
+def _own_failure(sys: ParameterizedSystem, points: list) -> tuple:
+    """The index of the first of ``points`` whose own initial condition
+    raises, and its error; (0, None) if none does."""
+    for i, p in enumerate(points):
+        try:
+            initial_state(sys, p)
+        except MoiError as exc:
+            return i, exc
+    return 0, None
+
+
 def _walk(ends: list) -> tuple:
     """(final key, provisional key) of a round from its members' ends.
 
@@ -532,8 +544,9 @@ class _PipelinedSearch:
         """Solve the members' SEPs in order, warm-started from ``warm``, and
         start the round.  A refinement round whose solve or initial
         conditions fail probes nothing; an expansion group stops before
-        the failing solve, and holds a ``ParamOutOfRange`` met past the
-        origin as ``NoBracket``."""
+        the first point whose solve, or whose own initial condition, fails,
+        and holds a ``ParamOutOfRange`` met past the origin as
+        ``NoBracket``."""
         # A held error is raised only if the commit gets to it.  Its
         # traceback would tie this frame, and the search, into a cycle.
         seps, held, first = [], None, 0
@@ -546,20 +559,23 @@ class _PipelinedSearch:
             seps.append(warm)
         if held is not None and hi is not None:
             seps = []  # a refinement round solves every SEP before it probes
-        elif isinstance(held, ParamOutOfRange) and (seps or lo is not None):
+        points = points[: len(seps)]
+        while points:
+            try:
+                first = int(self.lock.add(np.array(points), np.array(seps))[0])
+                break
+            except MoiError as exc:
+                count, own = _own_failure(self.sys, points) if hi is None else (0, None)
+                held = (exc if own is None else own).with_traceback(None)
+                points, seps = points[:count], seps[:count]
+        if hi is None and isinstance(held, ParamOutOfRange) and (points or lo is not None):
             # raised only if every point before it recovers
-            last = points[len(seps) - 1] if seps else lo[0]
+            last = points[-1] if points else lo[0]
             edge = NoBracket(
                 f"no failing parameter along {self.direction} from {self.p0} up "
                 f"to p={last}, the edge of the parameter domain ({held})"
             )
             edge.__cause__, held = held, edge
-        points = points[: len(seps)]
-        if points:
-            try:
-                first = int(self.lock.add(np.array(points), np.array(seps))[0])
-            except MoiError as exc:
-                held, points, seps = exc.with_traceback(None), [], []
         r = _Round(lo, hi, points, seps, held, first, self.lock.steps, from_key)
         self.chain.append(r)
 

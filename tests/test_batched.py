@@ -19,12 +19,14 @@ from moi import (
     NewtonDivergence,
     NonFiniteOutput,
     NotStable,
+    ParamOutOfRange,
     ParameterizedSystem,
     Termination,
     UndeterminedAtBisection,
     Verdict,
     classify_recovery,
     find_sep,
+    initial_state,
     multimachine_system,
     ray_boundary_search,
     simulate,
@@ -918,6 +920,20 @@ def test_doublings_past_the_first_failure_raise_nothing(pendulum):
     res = ray_boundary_search(pendulum, [1.45], [1.0], cfg, param_tol=1e-4)
     assert_same_search(res, reference_search(pendulum, [1.45], [1.0], cfg, 1e-4))
     assert max(float(p[0]) for p, _ in res.history) == 1.65
+
+
+def test_initial_condition_failure_past_the_first_failure_raises_nothing(pendulum):
+    """From 1.2 the group's doublings end at torque 2.0 = c1, where find_sep
+    still converges on the pull-out edge but the initial condition has no
+    equilibrium to start from; 1.6 fails first, so the search brackets the
+    crossing as the serial expansion does."""
+    cfg = IntegratorConfig(step=0.2, divergence_norm=50.0)
+    find_sep(pendulum, [2.0])
+    with pytest.raises(ParamOutOfRange):
+        initial_state(pendulum, [2.0])
+    res = ray_boundary_search(pendulum, [1.2], [1.0], cfg, param_tol=1e-3)
+    assert_same_search(res, reference_search(pendulum, [1.2], [1.0], cfg, 1e-3))
+    assert max(float(p[0]) for p, _ in res.history) == 1.6
 
 
 def test_sep_failure_before_any_failing_point_is_raised():

@@ -5,6 +5,7 @@ batch."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -188,15 +189,19 @@ def test_no_certificate_without_a_stable_finite_linearisation():
     cases = [
         (np.array([[0.0, 1.0], [1.0, -0.5]]), np.zeros(2), 2.0),  # saddle
         (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2), 2.0),  # centre
+        (2.0 * np.eye(2), np.zeros(2), 2.0),  # source: P = -I/4
         (stable, np.array([np.nan, 0.0]), 2.0),
         (stable, np.zeros(2), 0.0),
         (stable, np.zeros(2), np.inf),
         (stable, np.zeros(2), 2.0),
     ]
-    forms, levels = recovery_certificate(
-        np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
-        np.ones((len(cases), 2)), [c[2] for c in cases], cfg,
-    )
+    # a P that is not positive definite is rejected before any square root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forms, levels = recovery_certificate(
+            np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
+            np.ones((len(cases), 2)), [c[2] for c in cases], cfg,
+        )
     assert np.all(levels[:-1] == -1.0) and not forms[:-1].any()
     # the others leave the stable member's certificate as it is alone
     form, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from moi import (
     sep_distance,
     simulate,
 )
-from moi.cli_reporting import mode_json_text, sweep_csv_text
+from moi.cli_reporting import _build_parser, mode_json_text, sweep_csv_text
 from moi.instability_mode import SweepRow
 
 from conftest import assert_recovery_end
@@ -108,6 +109,39 @@ class TestSweepCsv:
         assert line.split(",")[1] == "1;2.5"
 
 
+COMMON_OPTIONS = {
+    "-h": (argparse.SUPPRESS, False), "--help": (argparse.SUPPRESS, False),
+    "--model": (None, True), "--model-file": (None, False), "--h": (None, True),
+    "--max-time": (200.0, False), "--newton-tol": (1e-12, False),
+    "--stability-tol": (1e-9, False), "--out": (None, False),
+}
+RAY_OPTIONS = {"--dir": (None, False)}
+AVERAGING_OPTIONS = {"--normalization": ("paper", False)}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("simulate", {"--p": (None, True)}),
+        ("boundary", {"--p0": (None, True), "--tol": (1e-4, False), **RAY_OPTIONS}),
+        ("mode", {"--p": (None, True), "--tol": (0.0, False), **RAY_OPTIONS,
+                  **AVERAGING_OPTIONS}),
+        ("sweep", {"--p0": (None, True), "--tol": (0.0, False), **RAY_OPTIONS,
+                   **AVERAGING_OPTIONS}),
+    ],
+)
+def test_each_subcommand_keeps_its_options_and_defaults(command, options):
+    """Every option string of a subcommand, with its default and whether it
+    is required: no subcommand gains or loses a flag."""
+    [commands] = [a for a in _build_parser()._actions if a.dest == "command"]
+    found = {
+        flag: (action.default, action.required)
+        for action in commands.choices[command]._actions
+        for flag in action.option_strings
+    }
+    assert found == {**COMMON_OPTIONS, **options}
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert run_cli([]) == 2
@@ -172,7 +206,7 @@ class TestExitCodes:
         assert code == 1
         assert "NotRecovered" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "mode", "boundary"])
+    @pytest.mark.parametrize("command", ["simulate", "mode", "boundary", "sweep"])
     @pytest.mark.parametrize("torque", ["2.5", "-2.0"])
     def test_torque_beyond_pullout_exits_one_before_any_solve(
         self, capsys, monkeypatch, command, torque
@@ -185,7 +219,7 @@ class TestExitCodes:
             raise AssertionError("find_equilibrium called")
 
         monkeypatch.setattr(rb, "find_equilibrium", no_solve)
-        flag = "--p0" if command == "boundary" else "--p"
+        flag = "--p0" if command in ("boundary", "sweep") else "--p"
         code = run_cli([command, "--model", "pendulum", flag, torque, "--h", "0.02"])
         assert code == 1
         assert "ParamOutOfRange" in capsys.readouterr().err

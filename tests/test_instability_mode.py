@@ -230,6 +230,20 @@ class TestHSweep:
             h_sweep(pendulum, [1.5], [1.0], [0.1, bad], pend_cfg)
         assert not steps
 
+    def test_every_step_budget_is_checked_before_any_row_runs(
+        self, pendulum, pend_cfg, monkeypatch
+    ):
+        """h = 1e-320 is positive and finite, but max_time / h overflows the
+        step budget: the sweep stops before its first row, not after it."""
+        import moi.instability_mode as im
+
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(im, "mode_at_boundary", no_row)
+        with pytest.raises(ValueError, match="max_time / step finite"):
+            h_sweep(pendulum, [1.5], [1.0], [0.02, 1e-320], pend_cfg)
+
 
     def test_singular_newton_row_fails_alone(self):
         """A row whose Newton matrix turns singular reports the error, and

@@ -1,4 +1,5 @@
-"""tools/search_counts.py against this package: its counts repeat, it
+"""tools/search_counts.py against this package: its counts and the
+command's captured stdout and output file repeat, it
 still sees the certified and escaped ends and the steps at which they end,
 every member it counts as started is accounted for, it counts only the
 searches' members as search work and both steppers' member steps, and its
@@ -25,8 +26,10 @@ ARGV = ["mode", "--model", "pendulum", "--p", "1.5", "--h", "0.2", "--tol", "1e-
 
 def test_counts_repeat_and_see_certified_ends(tmp_path):
     runs = [search_counts.run_once(moi, ARGV, tmp_path / name) for name in "ab"]
-    (first, out, searches), (second, again, _) = runs
-    assert out == again
+    (first, printed, out, searches), (second, reprinted, again, _) = runs
+    assert out == again and printed == reprinted
+    # the summary line that --against compares along with the file
+    assert printed.startswith("mode pendulum: eigenvalue = ")
     del first["cpu_s"], second["cpu_s"]
     assert first == second
     assert first["certified"] > 0 and first["dwell"] == 0
@@ -48,9 +51,10 @@ def test_recorded_runs_are_not_search_work(tmp_path):
     """simulate runs a one-member Lockstep: its steps are recorded steps,
     and nothing of it counts as a search's member, step or drop."""
     argv = ["simulate", "--model", "pendulum", "--p", "1.5", "--h", "0.2"]
-    row, out, searches = search_counts.run_once(moi, argv, tmp_path / "out")
+    row, printed, out, searches = search_counts.run_once(moi, argv, tmp_path / "out")
     assert not searches
     assert row["recorded_steps"] == row["scalar_steps"] == json.loads(out)["steps"] > 0
+    assert f"after {row['recorded_steps']} steps" in printed
     for name in ("batch_steps", "member_steps", "started", "dropped", "reported",
                  "dropped_live", "certified", "escaped"):
         assert row[name] == 0, name
@@ -65,7 +69,7 @@ def test_member_steps_count_both_steppers(tmp_path, monkeypatch):
                         lambda lock: widths.append(len(lock)) or step(lock))
     argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2",
             "--tol", "1e-6"]
-    row, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
     # no member ends by its budget, so each live member takes the step
     assert row["undetermined"] == 0
     assert row["member_steps"] == sum(widths)
@@ -89,7 +93,7 @@ def test_end_steps_sum_the_certified_and_diverged_ends(tmp_path, monkeypatch):
     # a boundary search records no run, so every Lockstep is the search's
     argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2",
             "--tol", "1e-6"]
-    row, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
     # every recovering end is certified (dwell 0), so each converged end counts
     assert row["dwell"] == 0 and row["recorded_steps"] == 0
     for end, column in ((moi.Termination.CONVERGED_TO_SEP, "certified_steps"),
@@ -103,7 +107,7 @@ def test_verdicts_are_compared_point_by_point(tmp_path):
     """Every point either side probed gets a verdict from both packages;
     a side whose every probe was undetermined shows as one change per
     point."""
-    _, _, this = search_counts.run_once(moi, ARGV, tmp_path / "this")
+    _, _, _, this = search_counts.run_once(moi, ARGV, tmp_path / "this")
     [search] = this
     points = len(this[search])
     # the points the other side did not probe are classified there afresh

@@ -40,12 +40,13 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 
 The counts are exact and repeat from run to run; ``cpu_s`` is the run's
 CPU time, for orientation only.  With ``--against`` the other package is
-imported under another name, runs the same command lines, and the output
-files of the two packages are compared byte for byte.  The verdicts are
-compared point by point: the probes of each search (one per ``mode``, one
-per ``sweep`` row) that one package classified and the other did not probe
-are classified with the other package too, at the same SEP, so every point
-either package probed has a verdict from both.  ``now_recover`` counts the
+imported under another name, runs the same command lines, and what the
+two packages print on stdout and write to their output files is compared
+byte for byte.  The verdicts are compared point by point: the probes of
+each search (one per ``mode``, one per ``sweep`` row) that one package
+classified and the other did not probe are classified with the other
+package too, at the same SEP, so every point either package probed has a
+verdict from both.  ``now_recover`` counts the
 points that are ``UNDETERMINED`` there and ``RECOVERS`` here,
 ``verdicts_differ`` any other change, and ``points`` the points compared.
 The last line of output is one JSON object with every count.
@@ -208,13 +209,15 @@ def counting(moi, counts: Counter, searches: dict):
             setattr(owner, name, fn)
 
 
-def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, dict]:
-    """Counts of one command line, the bytes of its output file and its
-    searches with their classified probes (see :func:`counting`)."""
+def run_once(moi, argv: list, out: Path) -> tuple[dict, str, bytes, dict]:
+    """Counts of one command line, what it printed on stdout, the bytes of
+    its output file and its searches with their classified probes (see
+    :func:`counting`)."""
     counts: Counter = Counter()
     searches: dict = {}
+    stdout = io.StringIO()
     t0 = time.process_time()
-    with counting(moi, counts, searches), contextlib.redirect_stdout(io.StringIO()):
+    with counting(moi, counts, searches), contextlib.redirect_stdout(stdout):
         code = moi.run_cli(argv + ["--out", str(out)])
     cpu = time.process_time() - t0
     if code != 0:
@@ -229,7 +232,7 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, bytes, dict]:
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
     row["cpu_s"] = round(cpu, 3)
-    return row, out.read_bytes(), searches
+    return row, stdout.getvalue(), out.read_bytes(), searches
 
 
 def classify(moi, search, probes: list) -> list:
@@ -293,9 +296,10 @@ def main(argv=None) -> int:
             for start in starts:
                 outputs, searches = {}, {}
                 for side, package in sides.items():
-                    row, outputs[side], searches[side] = run_once(
+                    row, stdout, written, searches[side] = run_once(
                         package, command(start), Path(tmp) / f"{side}.out"
                     )
+                    outputs[side] = (stdout, written)
                     result.setdefault(name, {}).setdefault(start, {})[side] = row
                     cells = "  ".join(f"{k} {row[k]}" for k in COLUMNS)
                     print(f"{name:22s} {start:7s} {side:8s} {cells}", flush=True)
