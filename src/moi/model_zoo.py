@@ -10,6 +10,7 @@ the network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -317,32 +318,21 @@ class MultiMachineParams:
     fault_step: float = 1.0 / 60.0
 
     def __post_init__(self) -> None:
-        for name in ("inertia", "damping", "mech_power", "emf"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float)
-            )
-        n = self.inertia.shape[0]
-        for name in ("damping", "mech_power", "emf"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(
-                    f"{name} must have shape ({n},) to match inertia"
-                )
-        for name in (
-            "conductance",
-            "susceptance",
-            "fault_conductance",
-            "fault_susceptance",
+        n = np.size(self.inertia)
+        vector, matrix = (n,), (n + 1, n + 1)
+        for name, shape in zip(
+            ("inertia", "damping", "mech_power", "emf",
+             "conductance", "susceptance", "fault_conductance", "fault_susceptance"),
+            (vector,) * 4 + (matrix,) * 4,
         ):
             value = getattr(self, name)
-            if value is None:
+            if value is None and name.startswith("fault_"):
                 continue
             value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {n} machines, "
+                                 f"got {value.shape}")
             object.__setattr__(self, name, value)
-            if value.shape != (n + 1, n + 1):
-                raise ValueError(
-                    f"{name} must have shape ({n + 1}, {n + 1}) "
-                    f"(node 0 = anchor), got {value.shape}"
-                )
         if (self.fault_conductance is None) != (self.fault_susceptance is None):
             raise ValueError(
                 "fault_conductance and fault_susceptance must be supplied "
@@ -368,12 +358,24 @@ def bundled_network_path() -> Path:
     return Path(str(resources.files("moi") / "data" / "ieee9_classical.dat"))
 
 
+#: directive -> (fields, their kinds, lowest node index).  Kinds: "n" a count
+#: (>= 1), "i" a node index, "x" a finite number, "+" a positive one.
+_DIRECTIVES = {
+    "GEN": ("<count>", "n", None),
+    "G": ("<i> <inertia> <damping> <mech_power> <emf>", "i+xxx", 1),
+    "SLACK": ("<emf>", "x", None),
+    "Y": ("<i> <j> <conductance> <susceptance>", "iixx", 0),
+    "YFAULT": ("<i> <j> <conductance> <susceptance>", "iixx", 0),
+}
+
+
 def load_network(path) -> MultiMachineParams:
-    """Parse a plain-text network description.
+    """Parse a plain-text network description (UTF-8).
 
-    Directives (whitespace-delimited, ``#`` comments, blank lines ignored):
+    Directives (whitespace-delimited, any letter case, ``#`` comments,
+    blank lines ignored):
 
-    - ``GEN <count>`` — number of machines, must come first;
+    - ``GEN <count>`` — number of machines, before any node is named;
     - ``G <i> <inertia> <damping> <mech_power> <emf>`` — one per machine,
       i in 1..count, with a positive inertia;
     - ``SLACK <emf>`` — optional anchor-node EMF (node 0; absent = no
@@ -383,130 +385,79 @@ def load_network(path) -> MultiMachineParams:
     - ``YFAULT <i> <j> <conductance> <susceptance>`` — same for the
       fault-on matrix (optional block).
 
-    Every number must be finite.  A line that breaks a rule raises
-    ``DataFormatError`` naming the file and line.
+    Every number must be finite; GEN and SLACK may appear once, the other
+    directives once per node set.  A bad file raises ``DataFormatError``
+    naming the file and line.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read network file {path}: {exc}") from exc
-
-    count: Optional[int] = None
-    gens: dict[int, tuple[float, float, float, float]] = {}
-    slack: Optional[float] = None
-    y_entries: dict[tuple[int, int], tuple[float, float]] = {}
-    yf_entries: dict[tuple[int, int], tuple[float, float]] = {}
 
     def fail(lineno: int, msg: str) -> DataFormatError:
         return DataFormatError(f"{path}:{lineno}: {msg}")
 
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read network file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise fail(lineno, f"not UTF-8 ({exc.reason})") from exc
+
+    count: Optional[int] = None
+    # directive -> node set -> the line's other fields
+    entries: dict = {key: {} for key in _DIRECTIVES}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
             continue
-        tok = line.split()
         key = tok[0].upper()
-        if key == "GEN":
-            if count is not None:
-                raise fail(lineno, "duplicate GEN line")
-            if len(tok) != 2:
-                raise fail(lineno, "expected `GEN <count>`")
-            try:
-                count = int(tok[1])
-            except ValueError:
-                raise fail(lineno, f"machine count {tok[1]!r} is not an integer")
-            if count < 1:
-                raise fail(lineno, f"machine count must be >= 1, got {count}")
-        elif key == "G":
-            if count is None:
-                raise fail(lineno, "G line before GEN header")
-            if len(tok) != 6:
-                raise fail(
-                    lineno, "expected `G <i> <inertia> <damping> <mech_power> <emf>`"
-                )
-            try:
-                i = int(tok[1])
-                values = tuple(float(v) for v in tok[2:])
-            except ValueError:
-                raise fail(lineno, f"non-numeric machine entry: {line!r}")
-            if not 1 <= i <= count:
-                raise fail(lineno, f"machine index {i} outside 1..{count}")
-            if i in gens:
-                raise fail(lineno, f"duplicate machine {i}")
-            if not (np.isfinite(values).all() and values[0] > 0.0):
-                raise fail(lineno, f"machine entries must be finite with a "
-                                   f"positive inertia, got {values}")
-            gens[i] = values
-        elif key == "SLACK":
-            if len(tok) != 2:
-                raise fail(lineno, "expected `SLACK <emf>`")
-            if slack is not None:
-                raise fail(lineno, "duplicate SLACK line")
-            try:
-                slack = float(tok[1])
-            except ValueError:
-                raise fail(lineno, f"non-numeric SLACK value {tok[1]!r}")
-            if not np.isfinite(slack):
-                raise fail(lineno, f"non-finite SLACK value {tok[1]!r}")
-        elif key in ("Y", "YFAULT"):
-            if count is None:
-                raise fail(lineno, f"{key} line before GEN header")
-            if len(tok) != 5:
-                raise fail(
-                    lineno,
-                    f"expected `{key} <i> <j> <conductance> <susceptance>`",
-                )
-            try:
-                i, j = int(tok[1]), int(tok[2])
-                g, b = float(tok[3]), float(tok[4])
-            except ValueError:
-                raise fail(lineno, f"non-numeric admittance entry: {line!r}")
-            if not (0 <= i <= count and 0 <= j <= count):
-                raise fail(lineno, f"node index outside 0..{count}")
-            if not np.isfinite([g, b]).all():
-                raise fail(lineno, f"non-finite admittance entry: {line!r}")
-            entries = y_entries if key == "Y" else yf_entries
-            pair = (min(i, j), max(i, j))
-            if pair in entries:
-                raise fail(lineno, f"duplicate {key} entry for nodes {pair}")
-            entries[pair] = (g, b)
-        else:
+        if key not in _DIRECTIVES:
             raise fail(lineno, f"unknown directive {tok[0]!r}")
+        fields, kinds, lowest = _DIRECTIVES[key]
+        if len(tok) != len(kinds) + 1:
+            raise fail(lineno, f"expected `{key} {fields}`")
+        if lowest is not None and count is None:
+            raise fail(lineno, f"{key} line before GEN header")
+        try:
+            values = [float(t) if k in "x+" else int(t) for k, t in zip(kinds, tok[1:])]
+        except ValueError:
+            raise fail(lineno, f"non-numeric field in {' '.join(tok)!r}") from None
+        for name, kind, value in zip(fields.split(), kinds, values):
+            if kind in "x+" and not math.isfinite(value):
+                raise fail(lineno, f"{name} must be finite, got {value}")
+            if kind == "i" and not lowest <= value <= count:
+                raise fail(lineno, f"node index {value} outside {lowest}..{count}")
+            if kind == "n" and value < 1 or kind == "+" and value <= 0.0:
+                bound = ">= 1" if kind == "n" else "positive"
+                raise fail(lineno, f"{name} must be {bound}, got {value}")
+        nodes = kinds.count("i")
+        node_set = tuple(sorted(values[:nodes]))
+        if node_set in entries[key]:
+            raise fail(lineno, f"duplicate {' '.join([key, *tok[1:nodes + 1]])} line")
+        entries[key][node_set] = values[nodes:]
+        if key == "GEN":
+            count = values[0]
 
     if count is None:
         raise DataFormatError(f"{path}: missing GEN header")
+    gens = entries["G"]
     if len(gens) < count:
         # indices lie in 1..count, so the first 3 gaps lie in 1..len(gens) + 3
-        gaps = [i for i in range(1, min(count, len(gens) + 3) + 1) if i not in gens]
+        gaps = [i for i in range(1, min(count, len(gens) + 3) + 1) if (i,) not in gens]
         raise DataFormatError(f"{path}: missing G lines for {count - len(gens)} "
                               f"of {count} machines, first {gaps[:3]}")
 
-    def build(entries: dict) -> tuple[np.ndarray, np.ndarray]:
-        g_mat = np.zeros((count + 1, count + 1))
-        b_mat = np.zeros((count + 1, count + 1))
-        for (i, j), (g, b) in entries.items():
-            g_mat[i, j] = g_mat[j, i] = g
-            b_mat[i, j] = b_mat[j, i] = b
-        return g_mat, b_mat
+    def build(block: dict) -> np.ndarray:  # symmetric conductance, susceptance
+        matrices = np.zeros((2, count + 1, count + 1))
+        for (i, j), (g, b) in block.items():
+            matrices[0, i, j] = matrices[0, j, i] = g
+            matrices[1, i, j] = matrices[1, j, i] = b
+        return matrices
 
-    g_pre, b_pre = build(y_entries)
-    if yf_entries:
-        g_fault, b_fault = build(yf_entries)
-    else:
-        g_fault, b_fault = None, None
-    rows = [gens[i] for i in range(1, count + 1)]
-    return MultiMachineParams(
-        inertia=np.array([r[0] for r in rows]),
-        damping=np.array([r[1] for r in rows]),
-        mech_power=np.array([r[2] for r in rows]),
-        emf=np.array([r[3] for r in rows]),
-        slack_emf=0.0 if slack is None else slack,
-        conductance=g_pre,
-        susceptance=b_pre,
-        fault_conductance=g_fault,
-        fault_susceptance=b_fault,
-    )
+    fault = build(entries["YFAULT"]) if entries["YFAULT"] else (None, None)
+    # the dataclass's fields in order: a row per G field, SLACK, the matrices
+    rows = np.array(list(zip(*(gens[(i,)] for i in range(1, count + 1)))))
+    slack = entries["SLACK"].get((), [0.0])[0]
+    return MultiMachineParams(*rows, slack, *build(entries["Y"]), *fault)
 
 
 def _swing_system(

@@ -448,12 +448,14 @@ class _Round:
 
 def _own_failure(sys: ParameterizedSystem, points: list) -> tuple:
     """The index of the first of ``points`` whose own initial condition
-    raises, and its error; (0, None) if none does."""
+    raises, and its error, without traceback; (0, None) if none does.
+    Call it outside an exception handler: the error would keep the handled
+    one, and its traceback, as its context."""
     for i, p in enumerate(points):
         try:
             initial_state(sys, p)
         except MoiError as exc:
-            return i, exc
+            return i, exc.with_traceback(None)
     return 0, None
 
 
@@ -545,8 +547,8 @@ class _PipelinedSearch:
         start the round.  A refinement round whose solve or initial
         conditions fail probes nothing; an expansion group stops before
         the first point whose solve, or whose own initial condition, fails,
-        and holds a ``ParamOutOfRange`` met past the origin as
-        ``NoBracket``."""
+        holding the initial condition's error where both fail, and holds a
+        ``ParamOutOfRange`` met past the origin as ``NoBracket``."""
         # A held error is raised only if the commit gets to it.  Its
         # traceback would tie this frame, and the search, into a cycle.
         seps, held, first = [], None, 0
@@ -559,15 +561,19 @@ class _PipelinedSearch:
             seps.append(warm)
         if held is not None and hi is not None:
             seps = []  # a refinement round solves every SEP before it probes
+        elif held is not None:
+            own = _own_failure(self.sys, [points[len(seps)]])[1]
+            held = held if own is None else own
         points = points[: len(seps)]
         while points:
             try:
                 first = int(self.lock.add(np.array(points), np.array(seps))[0])
                 break
             except MoiError as exc:
-                count, own = _own_failure(self.sys, points) if hi is None else (0, None)
-                held = (exc if own is None else own).with_traceback(None)
-                points, seps = points[:count], seps[:count]
+                held = exc.with_traceback(None)
+            count, own = _own_failure(self.sys, points) if hi is None else (0, None)
+            held = held if own is None else own
+            points, seps = points[:count], seps[:count]
         if hi is None and isinstance(held, ParamOutOfRange) and (points or lo is not None):
             # raised only if every point before it recovers
             last = points[-1] if points else lo[0]

@@ -263,6 +263,17 @@ class TestExitCodes:
         assert code == 1
         assert "DataFormatError" in capsys.readouterr().err
 
+    def test_non_utf8_model_file_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "net.dat"
+        bad.write_bytes(b"GEN 1\n\xff\xfe\n")
+        code = run_cli(
+            ["mode", "--model", "multimachine", "--model-file", str(bad),
+             "--p", "1.0", "--h", "0.02"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "DataFormatError" in err and "net.dat:2: not UTF-8" in err
+
     def test_negative_inertia_in_model_file_exits_one(self, capsys, tmp_path):
         text = bundled_network_path().read_text()
         bad = tmp_path / "net.dat"

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moi import (
     DataFormatError,
@@ -217,6 +219,64 @@ class TestNetworkParser:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_network(tmp_path / "nope.dat")
+
+    def test_non_utf8_file_names_its_line(self, tmp_path):
+        path = tmp_path / "net.dat"
+        path.write_bytes(b"GEN 1\n\xff\xfe\n")
+        with pytest.raises(DataFormatError, match=r"net\.dat:2: not UTF-8"):
+            load_network(path)
+
+
+#: keyword -> the number of fields it takes
+ARITY = {"GEN": 1, "G": 5, "SLACK": 1, "Y": 4, "YFAULT": 4}
+
+SMALL = st.integers(-1, 2).map(str)
+TOKENS = st.one_of(
+    SMALL,
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "9" * 5000, "half", "0x1", "+2"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def network_files(draw) -> bytes:
+    """A network file of up to 9 lines: maybe a GEN header, then the five
+    keywords in any letter case, unknown words, blank and comment lines,
+    with right or wrong arities of small, huge, non-finite and non-numeric
+    tokens; maybe a byte that is not UTF-8."""
+    lines = [draw(st.sampled_from(["", "GEN 1", "GEN 2"]))]
+    for _ in range(draw(st.integers(0, 8))):
+        word = draw(st.sampled_from([*ARITY, "BOGUS", "", "#"]))
+        word = draw(st.sampled_from([word, word.lower(), word.title()]))
+        arity = draw(st.one_of(st.just(ARITY.get(word.upper(), 0)), st.integers(0, 6)))
+        tokens = draw(st.sampled_from([TOKENS, SMALL]))
+        line = " ".join([word, *draw(st.lists(tokens, min_size=arity, max_size=arity))])
+        lines.append(line + draw(st.sampled_from(["", "  # note"])))
+    data = "\n".join(lines).encode()
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=network_files())
+@example(data=b"GEN 1\n\xff\xfe\n")
+@example(data=b"gen 1\ng 1 1 0 0 1\nSlack 1 # anchor\n\ny 0 1 0 1\nYfault 1 1 0 -5\n")
+def test_reader_gives_params_or_an_error_naming_the_file(tmp_path_factory, data):
+    """Whatever the bytes, the reader returns parameters or raises a
+    ``DataFormatError`` whose message starts with the file's path."""
+    path = tmp_path_factory.mktemp("net") / "net.dat"
+    path.write_bytes(data)
+    try:
+        params = load_network(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(str(path))
+    else:
+        assert isinstance(params, MultiMachineParams)
 
 
 class TestMultiMachineParams:

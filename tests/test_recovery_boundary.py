@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import re
 
 import numpy as np
@@ -12,6 +14,7 @@ from moi import (
     MULTIMACHINE_DIVERGENCE_NORM,
     DimensionMismatch,
     IntegratorConfig,
+    NewtonDivergence,
     NoBracket,
     NotRecovered,
     NotStable,
@@ -236,6 +239,37 @@ class TestRayBoundarySearch:
         # a start outside the domain is no bracket question
         with pytest.raises(ParamOutOfRange):
             ray_boundary_search(grid, [-0.1], [1.0], cfg)
+
+    @pytest.mark.parametrize("start, last, torque", [(0.5, 1.3, 2.1), (0.6, 1.4, 2.2)])
+    def test_no_bracket_where_the_solve_stalls_past_the_edge(
+        self, pendulum, pend_cfg, start, last, torque
+    ):
+        """The doublings recover up to ``last`` and the next one lands at a
+        torque past c1 = 2, where no equilibrium exists.  The SEP solve
+        there stalls in Newton without naming the edge; the point's own
+        initial condition names it."""
+        with pytest.raises(NoBracket, match=rf"up to p=\[{last}\], the edge") as raised:
+            ray_boundary_search(pendulum, [start], [1.0], pend_cfg, param_tol=1e-3)
+        assert isinstance(raised.value.__cause__, ParamOutOfRange)
+        assert f"driving torque {torque} is at or beyond" in str(raised.value)
+        with pytest.raises(NewtonDivergence, match="stalled"):
+            find_sep(pendulum, [torque], find_sep(pendulum, [last]))
+
+    @pytest.mark.parametrize("start", [0.5, 1.2, 1.5])
+    def test_held_errors_tie_no_reference_cycle(self, pendulum, start):
+        """An expansion group holds an error (the solve stalls past the edge
+        from 0.5, an initial condition raises from 1.2), or none (1.5).
+        A held error keeps no traceback or context, so every object of the
+        search is freed without the cycle collector."""
+        cfg = IntegratorConfig(step=0.2, divergence_norm=50.0)
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.suppress(NoBracket):
+                ray_boundary_search(pendulum, [start], [1.0], cfg, param_tol=1e-3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_undetermined_probe_aborts(self):
         # past the gate the decay is so slow the probe times out instead of

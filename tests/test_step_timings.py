@@ -22,6 +22,7 @@ CASES = (
     + ["scalar_step.pendulum", "scalar_step.ninebus", "lockstep_step.pendulum.K17",
        "simulate_step.pendulum"]
     + [f"recovery_sets.{model}.K{k}" for model in ("pendulum", "ninebus") for k in (1, 16)]
+    + ["load_network.bundled"]
 )
 
 

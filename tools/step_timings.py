@@ -19,7 +19,9 @@ Times, in CPU microseconds per call:
   call; the sets themselves may differ between packages, so only which
   members are certified is compared;
 - the batched swing step at K = 16 on seeded synthetic n-machine networks,
-  n = 3, 10 and 30, built here (no data file).
+  n = 3, 10 and 30, built here (no data file);
+- ``load_network`` of the bundled 9-bus file, per call; its parameters are
+  compared field by field, dtype included.
 
 Each case runs the same inputs for ``--rounds`` rounds (at least 2); a
 round times a block of calls.  With ``--against`` the other package is imported under
@@ -37,7 +39,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +148,20 @@ def cases(moi) -> dict:
     for k in (1, 16):
         out[f"recovery_sets.pendulum.K{k}"] = sets_case(moi, pendulum_states(moi, k), 200)
         out[f"recovery_sets.ninebus.K{k}"] = sets_case(moi, ninebus_states(moi, k), 100)
+    out["load_network.bundled"] = (200, network_case(moi), 1)
     return out
+
+
+def network_case(moi):
+    """fn() reading the bundled network; it returns every field."""
+    path = moi.bundled_network_path()
+    names = [field.name for field in fields(moi.MultiMachineParams)]
+
+    def run():
+        params = moi.load_network(path)
+        return tuple(getattr(params, name) for name in names)
+
+    return run
 
 
 def sets_case(moi, case, calls: int):
@@ -207,7 +222,9 @@ def same(a, b) -> bool:
     if isinstance(a, tuple):
         return len(a) == len(b) and all(same(u, v) for u, v in zip(a, b))
     if isinstance(a, np.ndarray):
-        return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+        return (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(
+            a, b, equal_nan=True
+        )
     return a == b
 
 
