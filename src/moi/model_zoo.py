@@ -355,7 +355,7 @@ class MultiMachineParams:
 
 def bundled_network_path() -> Path:
     """Path of the packaged 9-bus classical swing dataset."""
-    return Path(str(resources.files("moi") / "data" / "ieee9_classical.dat"))
+    return Path(str(resources.files(__package__) / "data" / "ieee9_classical.dat"))
 
 
 #: directive -> (fields, their kinds, lowest node index).  Kinds: "n" a count

@@ -391,14 +391,15 @@ def ray_boundary_search(
     group, and a round's successor starts as soon as the round's bracket
     is final, or earlier on a provisional bracket: its first failing member
     in ray order has ended, so have all members after it, and that has held
-    for ``elapsed // k`` of the round's steps (members still running before
-    it are assumed to recover).  Verdicts are still committed in the order
-    above, so the result, ``history`` included, is that of a search that
-    starts each group only after committing the one before: work started
-    on a bracket that turns out wrong is dropped unclassified and
-    restarted, expansion members past the first failing one are dropped
-    unclassified, and an error of ``find_sep`` (or of the initial
-    conditions) in a group is raised only if the commit reaches it.
+    for ``elapsed // k`` of the round's steps and for at least ``SECTIONS``
+    steps (members still running before it are assumed to recover).
+    Verdicts are still committed in the order above, so the result,
+    ``history`` included, is that of a search that starts each group only
+    after committing the one before: work started on a bracket that turns
+    out wrong is dropped unclassified and restarted, expansion members
+    past the first failing one are dropped unclassified, and an error of
+    ``find_sep`` (or of the initial conditions) in a group is raised only
+    if the commit reaches it.
 
     When the probes do not step in lockstep, each takes the single-state
     step and the search is plain expansion and bisection, probe for probe.
@@ -413,8 +414,12 @@ def ray_boundary_search(
 
 
 def _hold_end(since: int, sections: int) -> int:
-    """The smallest round step e with e - since >= e // sections."""
-    return since + max(since - 1, 0) // (sections - 1)
+    """The round step e from which a provisional key first seen at round
+    step ``since`` starts its successor: the smallest e with
+    e - since >= e // sections and e - since >= ``SECTIONS``.  The floor
+    keeps a short round, where e // sections is a few steps, from starting
+    a successor that a member ending a step or two later would discard."""
+    return since + max(max(since - 1, 0) // (sections - 1), SECTIONS)
 
 
 class _Round:

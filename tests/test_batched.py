@@ -44,6 +44,7 @@ from moi.recovery_boundary import (
     GUIDE_MIN_ULPS,
     SECTIONS,
     _fit_crossing,
+    _hold_end,
     _next_points,
     _round_points,
     _ulps,
@@ -577,6 +578,8 @@ BAND_KINDS = {
     "slow": (0.0, 1e-3),
     # escapes like "fail", but only after about 95 steps
     "late": (100.0, 0.02),
+    # escapes like "fail", but only after about 10 steps
+    "quick": (100.0, 0.2),
     # its equilibrium is a source: find_sep raises NotStable
     "unstable": (0.0, -1.0),
 }
@@ -882,6 +885,53 @@ def test_wrong_provisional_bracket_is_discarded(monkeypatch):
     discarded = [q for q in started if 0.0 < q < 0.4 and q not in probed]
     # round two on (0.3, 0.325) started and was dropped unclassified
     assert any(0.3 < q < 0.325 for q in discarded)
+
+
+def test_provisional_key_replaced_within_the_hold_floor_starts_nothing(monkeypatch):
+    """0.3 sits in a band that fails after about 10 steps while 0.325 and
+    beyond fail within 2: round one's provisional key 0.325 gives way to
+    0.3 before it has held for ``SECTIONS`` steps, so nothing is started
+    on the bracket (0.3, 0.325) and no refinement member goes
+    unclassified."""
+    sys_ = banded_system([(0.29, "recover"), (0.31, "quick"), (np.inf, "fail")])
+    groups = []
+
+    class Spy(Lockstep):
+        def add(self, p, sep):
+            groups.append([float(q[0]) for q in p])
+            return super().add(p, sep)
+
+    monkeypatch.setattr(moi.recovery_boundary, "Lockstep", Spy)
+    res = ray_boundary_search(
+        sys_, [0.0], [4.0], BAND_CFG, param_tol=1e-6
+    )
+    ref = reference_search(sys_, [0.0], [1.0], BAND_CFG, 1e-6, initial_step=0.4)
+    assert_same_search(res, ref)
+    # the expansion group, round one, then rounds below its key 0.4 * 12/16
+    key = groups[1][11]
+    assert all(max(group) < key for group in groups[2:])
+    probed = {float(p[0]) for p, _ in res.history}
+    started = [q for group in groups[1:] for q in group]
+    assert [q for q in started if q not in probed] == []
+
+
+@pytest.mark.parametrize("sections", [SECTIONS, 2])
+def test_hold_is_the_shortest_that_meets_the_fraction_and_the_floor(sections):
+    for since in range(600):
+        end = _hold_end(since, sections)
+        assert end - since >= max(end // sections, SECTIONS)
+        held = end - 1 - since
+        assert held < SECTIONS or held < (end - 1) // sections
+
+
+@pytest.mark.parametrize(
+    "since, sections, end",
+    [(0, 16, 16), (3, 16, 19), (240, 16, 256), (241, 16, 257), (1000, 16, 1066),
+     (0, 2, 16), (3, 2, 19), (17, 2, 33), (1000, 2, 1999)],
+)
+def test_hold_floor_applies_to_short_holds_only(since, sections, end):
+    # the floor binds up to since 240 at k = 16 and since 16 at k = 2
+    assert _hold_end(since, sections) == end
 
 
 def test_successor_on_a_final_key_waits_for_the_members_past_it(monkeypatch):

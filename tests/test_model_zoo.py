@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +324,32 @@ class TestBundledNetwork:
         again = load_network(bundled_network_path())
         assert np.array_equal(again.susceptance, nine_bus.susceptance)
         assert np.array_equal(again.inertia, nine_bus.inertia)
+
+    def test_copy_under_another_name_reads_its_own_file(self, tmp_path):
+        """A copy of the package imported under another name, with no
+        ``moi`` importable, finds the data file inside the copy."""
+        copy = tmp_path / "copy"
+        shutil.copytree(bundled_network_path().parents[1], copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        tools = Path(__file__).resolve().parents[1] / "tools"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "sys.modules['moi'] = None\n"
+            f"sys.path.insert(0, {str(tools)!r})\n"
+            "from step_timings import load_package\n"
+            "other = load_package(Path(sys.argv[1]), 'moi_copy')\n"
+            "path = other.bundled_network_path()\n"
+            "print(path)\n"
+            "print(other.load_network(path).n_machines)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, "-c", script, str(copy)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        path, machines = done.stdout.split()
+        assert Path(path) == copy / "data" / "ieee9_classical.dat"
+        assert machines == "3"
 
     def test_equilibrium_is_strictly_stable(self, nine_bus):
         sys_ = multimachine_system(nine_bus)

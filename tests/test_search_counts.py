@@ -21,7 +21,7 @@ import moi
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import search_counts  # noqa: E402
 
-ARGV = ["mode", "--model", "pendulum", "--p", "1.5", "--h", "0.2", "--tol", "1e-3"]
+ARGV = ["mode", "--model", "pendulum", "--p", "1.5", "--h", "0.05", "--tol", "1e-3"]
 
 
 def test_counts_repeat_and_see_certified_ends(tmp_path):
@@ -33,7 +33,7 @@ def test_counts_repeat_and_see_certified_ends(tmp_path):
     del first["cpu_s"], second["cpu_s"]
     assert first == second
     assert first["certified"] > 0 and first["dwell"] == 0
-    # at h = 0.2 every failing member ends in its escape set
+    # at h = 0.05 every failing member ends in its escape set
     assert first["escaped"] > 0 and first["beyond_norm"] == 0
     [probes] = searches.values()
     assert len(probes) == first["started"] - first["dropped"]
@@ -42,9 +42,39 @@ def test_counts_repeat_and_see_certified_ends(tmp_path):
     # take members out of the batch
     assert first["started"] == first["reported"] + first["dropped_live"]
     assert first["dropped_live"] > 0
+    assert 0 < first["groups_dropped"] < first["groups"]
     # the averaging run has a column of its own, and single-state steps are
     # those of lone search members and of that run
     assert 0 < first["recorded_steps"] < first["scalar_steps"]
+
+
+def test_groups_are_the_adds_and_those_none_of_whose_members_commit(tmp_path, monkeypatch):
+    """groups counts the search's Lockstep.add calls; groups_dropped those
+    of them that no committed round began with, matched by Lockstep and
+    first member id."""
+    added, committed = [], []
+    add = moi.integrator.Lockstep.add
+    commit = moi.recovery_boundary._PipelinedSearch._commit
+
+    def spy_add(lock, p, sep):
+        ids = add(lock, p, sep)
+        added.append((id(lock), int(ids[0])))
+        return ids
+
+    def spy_commit(search, r):
+        if r.points:
+            committed.append((id(search.lock), r.first))
+        return commit(search, r)
+
+    monkeypatch.setattr(moi.integrator.Lockstep, "add", spy_add)
+    monkeypatch.setattr(moi.recovery_boundary._PipelinedSearch, "_commit", spy_commit)
+    # a boundary search records no run, so every Lockstep is the search's
+    argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.05",
+            "--tol", "1e-3"]
+    row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    assert row["groups"] == len(added) == len(set(added))
+    assert row["groups_dropped"] == len(set(added) - set(committed)) > 0
+    assert set(committed) <= set(added)
 
 
 def test_recorded_runs_are_not_search_work(tmp_path):
@@ -55,8 +85,8 @@ def test_recorded_runs_are_not_search_work(tmp_path):
     assert not searches
     assert row["recorded_steps"] == row["scalar_steps"] == json.loads(out)["steps"] > 0
     assert f"after {row['recorded_steps']} steps" in printed
-    for name in ("batch_steps", "member_steps", "started", "dropped", "reported",
-                 "dropped_live", "certified", "escaped"):
+    for name in ("batch_steps", "member_steps", "started", "dropped", "groups",
+                 "groups_dropped", "reported", "dropped_live", "certified", "escaped"):
         assert row[name] == 0, name
 
 

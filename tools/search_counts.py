@@ -18,6 +18,10 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
 - ``started``: members started in the searches' Locksteps by
   ``Lockstep.add``;
 - ``dropped``: started members that no search classified;
+- ``groups`` / ``groups_dropped``: groups of members the searches
+  started together (``Lockstep.add`` calls), and those of them none of
+  whose members a search classified: rounds started on a provisional
+  bracket that the final walk contradicted;
 - ``reported`` / ``dropped_live``: members whose end ``Lockstep.step``
   returned, and members that ``Lockstep.drop`` removed before they were
   reported, in the searches' Locksteps.  Every started member is one or
@@ -88,7 +92,7 @@ WORKLOADS = {
 }
 
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
-           "started", "dropped",
+           "started", "dropped", "groups", "groups_dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
            "beyond_norm", "certified_steps", "diverged_steps", "undetermined",
            "guided", "uniform", "cpu_s")
@@ -167,6 +171,7 @@ def counting(moi, counts: Counter, searches: dict):
         ids = add(self, p, sep)
         if id(self) in locks:
             counts["started"] += len(ids)
+            counts["groups"] += 1
         return ids
 
     def counted_drop(self, ids):
@@ -192,6 +197,7 @@ def counting(moi, counts: Counter, searches: dict):
         finally:
             new = [verdict.value for _, verdict in self.history[before:]]
             counts["classified"] += len(new)
+            counts["groups_classified"] += bool(new)
             counts["undetermined"] += new.count("Undetermined")
             probes = searches.setdefault(self, {})
             for p, sep, verdict in zip(r.points, r.seps, new):
@@ -231,6 +237,7 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, str, bytes, dict]:
         )
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
+    row["groups_dropped"] = counts["groups"] - counts["groups_classified"]
     row["cpu_s"] = round(cpu, 3)
     return row, stdout.getvalue(), out.read_bytes(), searches
 
