@@ -453,29 +453,33 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
 
 def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
     """Whether K runs' new states ``x`` (K, n) at the parameters ``p``
-    (K, m) have diverged, lie in their certified sets and lie near their
-    equilibria, as three (K,) masks.
+    (K, m) have diverged, lie in their certified sets, lie near their
+    equilibria and lie beyond the divergence norm, as four (K,) masks, and
+    their energies.
 
     ``sep`` holds the equilibria and ``sets`` the forms, levels, reaches and
     escape rows of :func:`_recovery_sets`; ``energy`` is the system's
     escape energy, or None.  Offsets are angle-aware (``wrap`` from
-    :func:`_wrap_index`).  A state diverged when its norm exceeds
-    ``cfg.divergence_norm`` or it lies in its escape set, and is near when
-    its offset is at most ``SEP_TOL``.  V is evaluated only when some
-    state lies within its set's reach, and E only when some state is past
-    its saddle.
+    :func:`_wrap_index`).  A state is beyond when its norm exceeds
+    ``cfg.divergence_norm``, diverged when it is beyond or lies in its
+    escape set, and near when its offset is at most ``SEP_TOL``.  V is
+    evaluated only when some state lies within its set's reach, and E only
+    when some state is past its saddle: the energies are None when none
+    is, and meaningful only for the states past their saddles.
     """
     form, level, reach, escape = sets
     d = _offset(x, sep, wrap)
     distance = _norm(d)
     certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
-    diverged = _norm(x) > cfg.divergence_norm
+    beyond = diverged = _norm(x) > cfg.divergence_norm
     past = x[:, 0] > escape[:, 0]
+    energies = None
     if np.count_nonzero(past):
         with np.errstate(invalid="ignore"):  # the rows of failed steps
-            escaped = (np.abs(x[:, 1]) <= escape[:, 1]) & (energy(x, p) < escape[:, 2])
+            energies = energy(x, p)
+            escaped = (np.abs(x[:, 1]) <= escape[:, 1]) & (energies < escape[:, 2])
         diverged = diverged | past & escaped
-    return diverged, certified, distance <= SEP_TOL
+    return diverged, certified, distance <= SEP_TOL, beyond, energies
 
 
 def _step_budget(cfg: IntegratorConfig) -> int:
@@ -488,12 +492,18 @@ class RunEnd:
 
     ``final_state`` and ``elapsed`` are those of the last stored state, i.e.
     ``traj.states[-1]`` and ``traj.elapsed`` of the matching
-    :func:`simulate` trajectory.
+    :func:`simulate` trajectory.  ``tau`` is the end time in steps: the
+    step count n, except for a run that ended in its escape set, inside the
+    divergence norm, from a state past its saddle with energy E_- above the
+    set's level.  Its energy E_n crossed the level between the two states,
+    and tau = n - 1 + (E_- - level) / (E_- - E_n), with n - 1 < tau <= n,
+    places the crossing by the energy's linear interpolation.
     """
 
     termination: Termination
     final_state: np.ndarray
     elapsed: float
+    tau: float
 
 
 class Lockstep:
@@ -516,7 +526,7 @@ class Lockstep:
     """
 
     #: the member columns, one row per live member
-    _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
+    _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start", "_energies",
                 "_form", "_level", "_reach", "_escape")
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
@@ -537,6 +547,10 @@ class Lockstep:
         self._sep = np.zeros((0, n))
         self._consec = np.zeros(0, dtype=int)
         self._start = np.zeros(0, dtype=int)
+        #: each member's energy at the last step that evaluated one (nan
+        #: before); a state past its saddle was evaluated, so an escape from
+        #: it is timed from this (``RunEnd.tau``)
+        self._energies = np.zeros(0)
         #: each member's certified set {d : d^T form d <= level}, inside the
         #: ball ||d|| <= reach; a member without a certificate has level and
         #: reach -1, which no offset meets; and its escape row (saddle,
@@ -567,7 +581,8 @@ class Lockstep:
         sep = np.asarray(sep, dtype=float)
         sets = _recovery_sets(self.sys, p, sep, self.cfg)
         ids = np.arange(self._next_id, self._next_id + k)
-        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
+        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps),
+                np.full(k, np.nan)) + sets
         for name, new in zip(self._COLUMNS, rows):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         self._next_id += k
@@ -620,7 +635,8 @@ class Lockstep:
             spent = self.steps - self._start >= self.budget
             for k, state in zip(self._ids[spent].tolist(), self._x[spent]):
                 ends[k] = RunEnd(
-                    Termination.MAX_TIME_REACHED, state, self.budget * cfg.step
+                    Termination.MAX_TIME_REACHED, state, self.budget * cfg.step,
+                    float(self.budget),
                 )
             self._keep(~spent)
         if not len(self._ids):
@@ -633,9 +649,12 @@ class Lockstep:
         self.steps += 1
         self._x = x
         sets = (self._form, self._level, self._reach, self._escape)
-        beyond, certified, near = _end_test(
+        beyond, certified, near, by_norm, energies = _end_test(
             x, self._p, self._sep, self._wrap, sets, self._energy, cfg
         )
+        previous = self._energies
+        if energies is not None:
+            self._energies = energies
         # the dwell counts consecutive states near the SEP and restarts at 0;
         # far from every SEP, as runs mostly are, there is nothing to count
         dwelt = False
@@ -648,15 +667,25 @@ class Lockstep:
             return ends
         steps = self.steps - self._start
         diverged = beyond & ~failed
-        for mask, end in (
-            (failed, Termination.SOLVER_FAILURE),
-            (diverged, Termination.DIVERGED),
-            (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP),
+        tau = steps
+        # an escape from a state past the saddle, above the level, is timed
+        # within its step
+        saddle, level = self._escape[:, 0], self._escape[:, 2]
+        timed = diverged & ~by_norm & (x_prev[:, 0] > saddle) & (previous > level)
+        if np.count_nonzero(timed):
+            with np.errstate(invalid="ignore", divide="ignore"):  # untimed rows
+                crossing = (previous - level) / (previous - energies)
+            tau = np.where(timed, steps - 1 + crossing, steps)
+        # a failed step stores nothing: the member ends on its last state
+        for mask, end, states, n, t in (
+            (failed, Termination.SOLVER_FAILURE, x_prev, steps - 1, steps - 1),
+            (diverged, Termination.DIVERGED, x, steps, tau),
+            (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP, x, steps, steps),
         ):
-            # a failed step stores nothing: the member ends on its last state
-            states, n = (x_prev, steps - 1) if end is Termination.SOLVER_FAILURE else (x, steps)
-            for k, state, n_k in zip(self._ids[mask].tolist(), states[mask], n[mask]):
-                ends[k] = RunEnd(end, state, float(n_k * cfg.step))
+            for k, state, n_k, t_k in zip(
+                self._ids[mask].tolist(), states[mask], n[mask], t[mask]
+            ):
+                ends[k] = RunEnd(end, state, float(n_k * cfg.step), float(t_k))
         self._keep(~done)
         return ends
 

@@ -7,9 +7,11 @@ crossing of that boundary along a caller-supplied ray by an expansion phase
 (doubling steps until a failing point is found) followed by multisection:
 each refinement round probes the bracket at interior points, placed around
 the crossing that the escape times of the previous round's failing probes
-predict, or evenly spaced when they predict none.  Every system is searched
-the same way, on one :class:`~moi.integrator.Lockstep`; whether its probes
-step in lockstep sets only how many points a round probes.
+predict (on consecutive doubles once that crossing is known to a few units
+in the last place), or evenly spaced when they predict none.  Every system
+is searched the same way, on one :class:`~moi.integrator.Lockstep`;
+whether its probes step in lockstep sets only how many points a round
+probes.
 
 The search is deliberately restricted to a one-dimensional ray.  A
 closest-point search over the full parameter space is a separate
@@ -203,12 +205,14 @@ def classify_recovery(
     sep = _check_vector(sep, sys.state_dim, "sep")
     if run is None:
         traj = simulate(sys, p, cfg, sep)
-        run = RunEnd(traj.termination, traj.states[-1], traj.elapsed)
+        termination, final, elapsed = traj.termination, traj.states[-1], traj.elapsed
+    else:
+        termination, final, elapsed = run.termination, run.final_state, run.elapsed
     return RecoveryVerdict(
-        verdict=_verdict(run.termination),
-        termination=run.termination,
-        final_distance=sep_distance(sys, run.final_state, sep),
-        elapsed_time=run.elapsed,
+        verdict=_verdict(termination),
+        termination=termination,
+        final_distance=sep_distance(sys, final, sep),
+        elapsed_time=elapsed,
     )
 
 
@@ -307,28 +311,39 @@ def _ulps(p_lo: np.ndarray, p_hi: np.ndarray) -> float:
     return float(span.max())
 
 
-def _next_points(p_lo, p_hi, sections: int, step: float, tail_points, tail_ends) -> list:
+def _next_points(p_lo, p_hi, sections: int, tail_points, tail_ends) -> list:
     """Interior points of the round that refines the bracket (p_lo, p_hi).
 
     ``tail_points`` and ``tail_ends`` are the members of the round just
     walked from its key on (the first of them is ``p_hi``), with their
     :class:`~moi.integrator.RunEnd`; after an expansion group they are
-    empty.  When their diverged members' end steps fit the saddle law
-    (:func:`_fit_crossing`), the round is placed around the predicted
-    crossing (:func:`_guided_fractions`); otherwise, and on bisection
-    systems (2 sections) or brackets of at most ``GUIDE_MIN_ULPS`` units in
-    the last place, it takes the ``sections`` uniform points.
+    empty.  When their diverged members' end times (``RunEnd.tau``) fit
+    the saddle law (:func:`_fit_crossing`), the round is placed around the
+    predicted crossing c: on the sections - 1 consecutive doubles centred
+    on it (those inside the bracket) once the guided round's first rung,
+    1e-3 (1 - c) of the bracket from c, is at most (sections - 2) / 2
+    units in the last place, and on :func:`_guided_fractions` before.
+    Otherwise, and on bisection systems (2 sections) or brackets of at
+    most ``GUIDE_MIN_ULPS`` units in the last place, it takes the
+    ``sections`` uniform points.
     """
-    if sections > 2 and _ulps(p_lo, p_hi) > GUIDE_MIN_ULPS:
+    ulps = _ulps(p_lo, p_hi)
+    if sections > 2 and ulps > GUIDE_MIN_ULPS:
         width = float(np.linalg.norm(p_hi - p_lo))
         failing = [
-            (float(np.linalg.norm(p - p_lo)) / width, end.elapsed / step)
+            (float(np.linalg.norm(p - p_lo)) / width, end.tau)
             for p, end in zip(tail_points, tail_ends)
             if end.termination is Termination.DIVERGED
         ]
         c = _fit_crossing(*zip(*failing)) if failing else None
         if c is not None:
-            return _points_at(p_lo, p_hi, _guided_fractions(c))
+            half = (sections - 2) // 2
+            if 1e-3 * (1.0 - c) * ulps > half:
+                return _points_at(p_lo, p_hi, _guided_fractions(c))
+            # unit steps of the grid of ``ulps`` steps: consecutive doubles
+            centre = round(c * ulps)
+            grid = range(max(centre - half, 1), min(centre + half + 1, int(np.ceil(ulps))))
+            return _points_at(p_lo, p_hi, [i / ulps for i in grid])
     return _round_points(p_lo, p_hi, sections)
 
 
@@ -356,10 +371,14 @@ def ray_boundary_search(
     members of that round from its key on (the key being the new ``p_hi``)
     include at least ``FIT_MIN_MEMBERS`` that diverged: near the boundary a
     failing trajectory lingers by the controlling saddle for a time that
-    grows like -ln|p - p*| / lambda_u, so their end steps n are fitted to
+    grows like -ln|p - p*| / lambda_u, so their end times n are fitted to
     n = a - b ln(t - c), t the position in the new bracket in bracket
-    widths.  The round then probes the midpoint and c +- eps 3^j,
-    j = 0..6, eps = 1e-3 (1 - c), those strictly inside the bracket.  The
+    widths.  A member that ended in its escape set is timed within its last
+    step (``RunEnd.tau``), the others by their step count.  The round then
+    probes the midpoint and c +- eps 3^j, j = 0..6, eps = 1e-3 (1 - c),
+    those strictly inside the bracket; once eps is at most (k - 2) / 2
+    units in the last place, it probes instead the k - 1 consecutive
+    doubles centred on c, those strictly inside the bracket.  The
     guard falls back to the uniform points when the fit has b <= 0, an
     RMS residual above ``FIT_MAX_RMS`` steps or c outside (0, 1), on
     bisection systems, and once the bracket is at most ``GUIDE_MIN_ULPS``
@@ -602,7 +621,7 @@ class _PipelinedSearch:
             # an expansion group's members past its key are dropped: it
             # leaves the next round no escape times to fit
             tail = (r.points[key:], r.ends[key:]) if r.hi is not None else ((), ())
-            points = _next_points(lo[0], hi, self.sections, self.cfg.step, *tail)
+            points = _next_points(lo[0], hi, self.sections, *tail)
             if points:
                 self._start(lo, hi, points, warm, key)
 

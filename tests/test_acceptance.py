@@ -276,6 +276,30 @@ def test_criterion_08_mode_matches_controlling_uep(nine_bus):
           "eigenvalue at the controlling UEP")
 
 
+def test_criterion_08_mode_error_falls_as_the_bracket_closes(nine_bus, eigen_log):
+    """The network counterpart of criterion 7, at h = 1/30: the mode's
+    distance from the controlling UEP's eigenvector falls strictly as
+    param_tol goes 1e-6 -> 1e-9 -> 0.  The error is set by the bracket, not
+    by h: the time spent near the UEP grows like ln(1/dp) / lambda_u, dp the
+    distance of p_star from the boundary, so err * ln(1/dp) is printed
+    (dp from the tol-0 p_star, one unit in the last place at tol 0)."""
+    sys_ = multimachine_system(nine_bus)
+    cfg = IntegratorConfig(step=1 / 30, divergence_norm=MULTIMACHINE_DIVERGENCE_NORM)
+    tols = (1e-6, 1e-9, 0.0)
+    runs = [mode_at_boundary(sys_, [1.0], [-1.0], cfg, param_tol=tol) for tol in tols]
+    errs = [controlling_uep_mode_error(sys_, cfg, bm)[0] for bm in runs]
+    for bm in runs:
+        log_mode(eigen_log, bm.mode)
+    assert errs[0] > errs[1] > errs[2]
+    boundary = runs[-1].search
+    ulp = abs(boundary.p_fail[0] - boundary.p_star[0])
+    laws = [err * np.log(1.0 / (abs(bm.search.p_star[0] - boundary.p_star[0]) or ulp))
+            for err, bm in zip(errs, runs)]
+    cells = ", ".join(f"{err:.4f} (err*ln(1/dp) {law:.2f}) at tol {tol:g}"
+                      for err, law, tol in zip(errs, laws, tols))
+    print(f"criterion 8 convergence PASS: mode error falls strictly, {cells}, h = 1/30")
+
+
 def test_criterion_09_integrator_local_order(pendulum):
     """One-step error drops by at least 3.7x when the step halves, at 10
     random states."""

@@ -44,8 +44,10 @@ from moi.recovery_boundary import (
     GUIDE_MIN_ULPS,
     SECTIONS,
     _fit_crossing,
+    _guided_fractions,
     _hold_end,
     _next_points,
+    _points_at,
     _round_points,
     _ulps,
 )
@@ -662,7 +664,7 @@ def saddle_law_tail(p_lo, p_hi, t, c, b, step=0.02):
     saddle law n = round(3000 - b ln(t - c)), with their run ends."""
     n = np.round(3000.0 - b * np.log(np.asarray(t) - c))
     points = [p_lo + (p_hi - p_lo) * t_i for t_i in t]
-    ends = [RunEnd(Termination.DIVERGED, np.zeros(1), n_i * step) for n_i in n]
+    ends = [RunEnd(Termination.DIVERGED, np.zeros(1), n_i * step, n_i) for n_i in n]
     return points, ends
 
 
@@ -697,7 +699,7 @@ def test_degenerate_tails_place_the_round_uniformly():
     uniform = _round_points(p_lo, p_hi, SECTIONS)
 
     def placed(points, ends, sections=SECTIONS):
-        return _next_points(p_lo, p_hi, sections, BAND_CFG.step, points, ends)
+        return _next_points(p_lo, p_hi, sections, points, ends)
 
     # flat: members of one band escape after the same number of steps
     for kind in ("fail", "late"):
@@ -723,12 +725,48 @@ def test_degenerate_tails_place_the_round_uniformly():
 def test_guided_round_surrounds_the_predicted_crossing():
     p_lo, p_hi = np.array([1.0]), np.array([1.5])
     points, ends = saddle_law_tail(p_lo, p_hi, np.arange(1.0, 16.0), 0.6, 56.0)
-    placed = np.array(_next_points(p_lo, p_hi, SECTIONS, 0.02, points, ends))[:, 0]
+    placed = np.array(_next_points(p_lo, p_hi, SECTIONS, points, ends))[:, 0]
     assert len(placed) == 15 and 1.25 in placed
     crossing = 1.0 + 0.5 * 0.6
     below, above = placed[placed < crossing], placed[placed > crossing]
     # the points next to the crossing are a tenth of a uniform section apart
     assert above.min() - below.max() < 0.5 / SECTIONS / 10.0
+
+
+def consecutive(points) -> bool:
+    return all(np.nextafter(a, b) == b for a, b in zip(points, points[1:]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_round_within_seven_ulps_of_the_crossing_takes_consecutive_doubles(sign):
+    """A fitted round whose first rung, 1e-3 (1 - c) of the bracket, is at
+    most 7 units in the last place probes the 15 consecutive doubles
+    centred on the predicted crossing, those inside the bracket; a wider
+    rung keeps the ladder."""
+    p_lo, ulp = np.array([1.5]), sign * np.spacing(1.5)
+    t = np.arange(1.0, 16.0)
+
+    def placed(ulps, c):
+        p_hi = p_lo + ulps * ulp
+        points, ends = saddle_law_tail(p_lo, p_hi, t, c, 56.0)
+        fit = _fit_crossing(t, [end.tau for end in ends])
+        assert 1e-3 * (1.0 - fit) * ulps == pytest.approx(1e-3 * (1.0 - c) * ulps, rel=0.06)
+        return p_hi, _next_points(p_lo, p_hi, SECTIONS, points, ends), fit
+
+    # rung about 5 ulps: p_lo + (i + j) ulp, j = -7..7, i the nearest to c
+    p_hi, points, fit = placed(10_000, 0.5)
+    along = [float(p[0]) for p in points]
+    assert len(along) == SECTIONS - 1 and consecutive(along)
+    assert along[7] == 1.5 + round(fit * 10_000) * ulp
+    # rung about 10 ulps: the ladder around the crossing
+    p_hi, points, fit = placed(20_000, 0.5)
+    assert np.array_equal(points, _points_at(p_lo, p_hi, _guided_fractions(fit)))
+    assert not consecutive([float(p[0]) for p in points])
+    # a crossing 3 ulps from p_hi: the doubles from 7 below it to p_hi's neighbour
+    p_hi, points, fit = placed(1_000, 1.0 - 3e-3)
+    along = [float(p[0]) for p in points]
+    assert consecutive(along + [float(p_hi[0])])
+    assert along[0] == 1.5 + (round(fit * 1_000) - 7) * ulp
 
 
 @settings(max_examples=60, deadline=None)
@@ -750,7 +788,7 @@ def test_round_points_are_ordered_inside_the_bracket(
     p_hi = p_lo + sign * ulps * np.spacing(abs(p_lo))
     t = 1.0 + stride * np.arange(members)
     points, ends = saddle_law_tail(p_lo, p_hi, t, c, b)
-    placed = _next_points(p_lo, p_hi, SECTIONS, 0.02, points, ends)
+    placed = _next_points(p_lo, p_hi, SECTIONS, points, ends)
     along = [sign * float(p[0]) for p in [p_lo] + placed + [p_hi]]
     assert len(placed) <= SECTIONS - 1
     assert all(u < v for u, v in zip(along, along[1:]))
@@ -758,7 +796,7 @@ def test_round_points_are_ordered_inside_the_bracket(
         assert np.array_equal(placed, _round_points(p_lo, p_hi, SECTIONS))
 
 
-def uniform_points(p_lo, p_hi, sections, step, tail_points, tail_ends):
+def uniform_points(p_lo, p_hi, sections, tail_points, tail_ends):
     """Round placement without the escape-time guide: always uniform."""
     return _round_points(p_lo, p_hi, sections)
 
@@ -795,7 +833,7 @@ def reference_search(
     iterations = 0
     tail_points, tail_runs = [], []
     while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        points = place(p_lo, p_hi, SECTIONS, cfg.step, tail_points, tail_runs)
+        points = place(p_lo, p_hi, SECTIONS, tail_points, tail_runs)
         if not points:
             break
         seps = []
@@ -861,6 +899,38 @@ def test_pipelined_search_matches_round_by_round_search_on_nine_bus(nine_bus, st
         # enough to fit, so every round keeps the uniform placement
         uniform = reference_search(grid, [start], [-1.0], cfg, 1e-3, place=uniform_points)
         assert_same_search(res, uniform)
+
+
+def test_pipelined_search_matches_on_the_consecutive_doubles_round(pendulum, monkeypatch):
+    """From 1.5 at h = 0.2 and tol 0 a round on consecutive doubles is
+    committed, and the pipelined search still matches the round-by-round
+    one.  Both fit the same sub-step escape times: every member end that
+    either passes to the placement has bitwise the same tau in both."""
+    cfg = IntegratorConfig(step=0.2, divergence_norm=50.0)
+    taus = {"pipelined": {}, "reference": {}}
+
+    def recorder(side):
+        def place(p_lo, p_hi, sections, tail_points, tail_ends):
+            for p, end in zip(tail_points, tail_ends):
+                taus[side][float(p[0])] = end.tau
+            return _next_points(p_lo, p_hi, sections, tail_points, tail_ends)
+        return place
+
+    placed = []
+
+    def reference_place(*args):
+        placed.append(recorder("reference")(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(moi.recovery_boundary, "_next_points", recorder("pipelined"))
+    res = ray_boundary_search(pendulum, [1.5], [1.0], cfg, param_tol=0.0)
+    ref = reference_search(pendulum, [1.5], [1.0], cfg, 0.0, place=reference_place)
+    assert_same_search(res, ref)
+    assert any(len(points) == SECTIONS - 1 and consecutive([float(p[0]) for p in points])
+               for points in placed)
+    shared = taus["pipelined"].keys() & taus["reference"].keys()
+    assert [taus["pipelined"][p] for p in shared] == [taus["reference"][p] for p in shared]
+    assert any(tau != round(tau) for tau in (taus["reference"][p] for p in shared))
 
 
 def test_wrong_provisional_bracket_is_discarded(monkeypatch):

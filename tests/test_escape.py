@@ -1,7 +1,7 @@
 """Certified early escape: the pendulum energy bound that ends a failing
 trajectory, checked condition by condition against the computed
 trapezoidal map, against the divergence-norm rule it anticipates, and
-across the lockstep batch."""
+across the lockstep batch, and the sub-step time of an escape."""
 
 from __future__ import annotations
 
@@ -234,3 +234,108 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, step):
         assert np.array_equal(traj.states, plain.states[: len(traj)])
         escaped += len(traj) < len(plain)
     assert (escaped > 0) == (step < 0.8)
+
+
+def lockstep_ends(sys_, torques, cfg, later=()):
+    """Run ends, in order, of ``torques`` started together in one Lockstep
+    and of ``later`` started two steps after them."""
+    lock = Lockstep(sys_, cfg)
+    seps = [find_sep(sys_, [p]) for p in list(torques) + list(later)]
+    ids = list(lock.add(np.array(torques, dtype=float)[:, None], np.array(seps[: len(torques)])))
+    ends = {}
+    for _ in range(2):
+        ends.update(lock.step())
+    if len(later):
+        ids += list(lock.add(np.array(later)[:, None], np.array(seps[len(torques):])))
+    while len(lock):
+        ends.update(lock.step())
+    return [ends[k] for k in ids]
+
+
+@pytest.mark.parametrize("step", [0.02, 0.08, 0.4])
+def test_escape_is_timed_within_its_last_step_alike_in_any_batch(step):
+    """A run that ends in its escape set from a state past its saddle ends
+    at tau in (n - 1, n], n its step count; tau is bitwise the same for the
+    run alone and in a batch started in two groups."""
+    cfg = config(step)
+    torques = np.linspace(1.58, 1.95, 12)
+    alone = [lockstep_ends(SYS, [p], cfg)[0] for p in torques]
+    together = lockstep_ends(SYS, torques[:6], cfg, later=torques[6:])
+    fractional = 0
+    for run, member in zip(alone, together):
+        n = round(run.elapsed / step)
+        assert run.termination is Termination.DIVERGED
+        assert np.linalg.norm(run.final_state) <= cfg.divergence_norm
+        assert n - 1 < run.tau <= n
+        assert member.tau == run.tau and member.elapsed == run.elapsed
+        fractional += run.tau < n
+    assert fractional == len(torques)
+
+
+def escaping_run(torque, cfg):
+    """The states of an escaping pendulum run, its energies and a late step
+    m at which its angle, norm and energy are monotone."""
+    traj = simulate(SYS, [torque], cfg, find_sep(SYS, [torque]))
+    assert traj.termination is Termination.DIVERGED
+    x = traj.states
+    e = energy(x, torque)
+    m = len(x) - 2
+    norms = np.linalg.norm(x, axis=1)
+    assert x[:m, 0].max() < x[m, 0] and norms[:m].max() < norms[m] and e[m] < e[:m].min()
+    return x, e, m
+
+
+def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
+    """A run whose state m is its first past its saddle, and in its escape
+    set, ends at tau = m exactly: the energy of state m - 1 is not that of
+    a state past the saddle, even where the batch evaluated it for a member
+    past its own saddle.  The escape rows are made up for the test: the
+    member at 1.7 has its saddle between states m - 1 and m and its level
+    between their energies; the member at 1.75 is past its saddle from the
+    start and never in its set."""
+    cfg = config(0.2)
+    x, e, m = escaping_run(1.7, cfg)
+    crossing = [(x[m - 1, 0] + x[m, 0]) / 2.0, np.inf, (e[m - 1] + e[m]) / 2.0]
+
+    def rows(p, sep, cfg_):
+        return np.where(p == 1.7, crossing, [-np.inf, np.inf, -np.inf])
+
+    made_up = replace(SYS, escape_energy=(SYS.escape_energy[0], rows))
+    (alone,) = lockstep_ends(made_up, [1.7], cfg)
+    batch = lockstep_ends(made_up, [1.7, 1.75], cfg)
+    for run in (alone, batch[0]):
+        assert run.termination is Termination.DIVERGED
+        assert run.elapsed == m * cfg.step and run.tau == m
+    # an initial state past its saddle has no energy evaluated: a run that
+    # is in its set one step on ends at tau = 1
+    first = [-np.inf, np.inf, (e[0] + e[1]) / 2.0]
+    assert e[1] < e[0]
+    from_start = replace(
+        SYS, escape_energy=(SYS.escape_energy[0], lambda p, sep, cfg_: np.array([first]))
+    )
+    (run,) = lockstep_ends(from_start, [1.7], cfg)
+    assert run.elapsed == cfg.step and run.tau == 1.0
+
+
+def test_norm_end_keeps_the_step_count():
+    """A run that passes the divergence norm in the step in which it also
+    enters its escape set, from a state past its saddle above the level,
+    ends at tau = n: the norm, not the energy, ends it.  The escape row is
+    made up for the test, with the level between the energies of states
+    m - 1 and m, and the norm lies between their norms."""
+    x, e, m = escaping_run(1.7, config(0.2))
+    norms = np.linalg.norm(x, axis=1)
+    cfg = IntegratorConfig(step=0.2, divergence_norm=(norms[m - 1] + norms[m]) / 2.0)
+    made_up = replace(
+        SYS,
+        escape_energy=(
+            SYS.escape_energy[0],
+            lambda p, sep, cfg_: np.tile([-np.inf, np.inf, (e[m - 1] + e[m]) / 2.0], (len(p), 1)),
+        ),
+    )
+    (run,) = lockstep_ends(made_up, [1.7], cfg)
+    assert run.termination is Termination.DIVERGED
+    assert run.elapsed == m * cfg.step and run.tau == m
+    # the same run with the norm out of reach is timed within the step
+    (timed,) = lockstep_ends(made_up, [1.7], config(0.2))
+    assert m - 1 < timed.tau < m

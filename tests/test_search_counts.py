@@ -2,8 +2,10 @@
 command's captured stdout and output file repeat, it
 still sees the certified and escaped ends and the steps at which they end,
 every member it counts as started is accounted for, it counts only the
-searches' members as search work and both steppers' member steps, and its
-point-wise verdict comparison sees a changed verdict.
+searches' members as search work and both steppers' member steps, it
+counts rounds on consecutive doubles apart from guided and uniform ones,
+each workload ends with a total row, and its point-wise verdict comparison
+sees a changed verdict.
 
 The tool reads Lockstep's member columns by name and treats a missing one
 as "no certificate", so a renamed column would turn every certified end
@@ -15,6 +17,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import moi
 
@@ -151,3 +156,56 @@ def test_verdicts_are_compared_point_by_point(tmp_path):
     )
     assert changes["points"] == points
     assert changes["now_recover"] + changes["verdicts_differ"] == points
+
+
+def test_rounds_on_consecutive_doubles_are_counted_apart(tmp_path, monkeypatch):
+    """contiguous counts the committed refinement rounds whose points are
+    consecutive doubles (each the previous one plus its spacing), other
+    than the uniform points; guided the rest that are not uniform."""
+    kinds = []
+    rb = moi.recovery_boundary
+    commit = rb._PipelinedSearch._commit
+
+    def spy_commit(search, r):
+        if r.hi is not None and r.points:
+            along = np.array([float(p[0]) for p in r.points])
+            uniform = rb._round_points(r.lo[0], r.hi, search.sections)
+            if np.array_equal(np.array(uniform)[:, 0], along):
+                kinds.append("uniform")
+            elif np.array_equal(np.diff(along), np.spacing(along[:-1])):
+                kinds.append("contiguous")
+            else:
+                kinds.append("guided")
+        return commit(search, r)
+
+    monkeypatch.setattr(rb._PipelinedSearch, "_commit", spy_commit)
+    # from 1.5 at h 0.2 and tol 0 the last fitted round is one on consecutive doubles
+    argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2", "--tol", "0"]
+    row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    assert row["contiguous"] == kinds.count("contiguous") > 0
+    assert row["guided"] == kinds.count("guided") > 0
+    assert row["uniform"] == kinds.count("uniform") > 0
+
+
+def test_each_workload_ends_with_a_total_row(monkeypatch, capsys):
+    """After its starts a workload prints, and the JSON carries, the sum of
+    each package's rows and of the verdict changes."""
+    monkeypatch.setattr(search_counts, "WORKLOADS", {"tiny": (
+        ["1.5", "1.52"],
+        lambda start: ["boundary", "--model", "pendulum", "--p0", start,
+                       "--h", "0.2", "--tol", "1e-3"],
+    )})
+    package = Path(moi.__file__).resolve().parent
+    assert search_counts.main(["--against", str(package)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tiny = json.loads(lines[-1])["workloads"]["tiny"]
+    total = tiny.pop("total")
+    assert set(total) == {"this", "against", "changes"}
+    for side, row in total.items():
+        for column, value in row.items():
+            summed = sum(start[side][column] for start in tiny.values())
+            assert value == pytest.approx(summed, abs=1e-9), (side, column)
+        cells = "  ".join(f"{k} {v}" for k, v in row.items())
+        assert f"{'tiny':22s} {'total':7s} {side:8s} {cells}" in lines
+    assert total["this"]["batch_steps"] == total["against"]["batch_steps"] > 0
+    assert total["changes"]["points"] > 0 and total["changes"]["verdicts_differ"] == 0

@@ -39,20 +39,24 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   the mean recovering and failing end, the ends that set a round's length;
 - ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
   (they ended ``MAX_TIME_REACHED`` or ``SOLVER_FAILURE``);
-- ``guided`` / ``uniform``: committed refinement rounds whose points are,
-  or are not, other than the uniform ``_round_points`` of their bracket.
+- ``guided`` / ``contiguous`` / ``uniform``: committed refinement rounds
+  whose points are the uniform ``_round_points`` of their bracket
+  (``uniform``), or else consecutive doubles, each the next double after
+  the one before (``contiguous``), or neither (``guided``).
 
 The counts are exact and repeat from run to run; ``cpu_s`` is the run's
-CPU time, for orientation only.  With ``--against`` the other package is
-imported under another name, runs the same command lines, and what the
-two packages print on stdout and write to their output files is compared
-byte for byte.  The verdicts are compared point by point: the probes of
-each search (one per ``mode``, one per ``sweep`` row) that one package
-classified and the other did not probe are classified with the other
-package too, at the same SEP, so every point either package probed has a
-verdict from both.  ``now_recover`` counts the
-points that are ``UNDETERMINED`` there and ``RECOVERS`` here,
-``verdicts_differ`` any other change, and ``points`` the points compared.
+CPU time, for orientation only.  After its starts, each workload prints a
+``total`` row per package, the sum of its rows (and of their ``changes``),
+which the JSON carries under the start ``total``.  With ``--against`` the
+other package is imported under another name, runs the same command lines,
+and what the two packages print on stdout and write to their output files
+is compared byte for byte.  The verdicts are compared point by point: the
+probes of each search (one per ``mode``, one per ``sweep`` row) that one
+package classified and the other did not probe are classified with the
+other package too, at the same SEP, so every point either package probed
+has a verdict from both.  ``now_recover`` counts the points that are
+``UNDETERMINED`` there and ``RECOVERS`` here, ``verdicts_differ`` any other
+change, and ``points`` the points compared.
 The last line of output is one JSON object with every count.
 """
 
@@ -95,7 +99,19 @@ COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
            "started", "dropped", "groups", "groups_dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
            "beyond_norm", "certified_steps", "diverged_steps", "undetermined",
-           "guided", "uniform", "cpu_s")
+           "guided", "contiguous", "uniform", "cpu_s")
+
+
+def placement(rb, p_lo, p_hi, points: list, sections: int) -> str:
+    """How a refinement round of the bracket (``p_lo``, ``p_hi``) placed
+    its ``points``: ``uniform``, ``contiguous`` or ``guided`` (see the
+    module docstring); ``rb`` is the package's ``recovery_boundary``."""
+    uniform = rb._round_points(p_lo, p_hi, sections)
+    if len(uniform) == len(points) and all((a == b).all() for a, b in zip(uniform, points)):
+        return "uniform"
+    if all((np.nextafter(a, b) == b).all() for a, b in zip(points, points[1:])):
+        return "contiguous"
+    return "guided"
 
 
 @contextlib.contextmanager
@@ -187,11 +203,7 @@ def counting(moi, counts: Counter, searches: dict):
     def counted_commit(self, r):
         before = len(self.history)
         if r.hi is not None and r.points:
-            uniform = rb._round_points(r.lo[0], r.hi, self.sections)
-            same = len(uniform) == len(r.points) and all(
-                (a == b).all() for a, b in zip(uniform, r.points)
-            )
-            counts["uniform" if same else "guided"] += 1
+            counts[placement(rb, r.lo[0], r.hi, r.points, self.sections)] += 1
         try:
             return commit(self, r)
         finally:
@@ -285,6 +297,21 @@ def verdict_changes(sides: dict, searches: dict) -> dict:
     return {"now_recover": now_recover, "verdicts_differ": differ, "points": len(pairs)}
 
 
+def totals(starts) -> dict:
+    """The sums, column by column, of the rows of each package (and of
+    their ``changes``) over a workload's ``starts``."""
+    total: dict = {}
+    for rows in starts:
+        for side, row in rows.items():
+            into = total.setdefault(side, dict.fromkeys(row, 0))
+            for k, v in row.items():
+                into[k] += v
+    for row in total.values():
+        if "cpu_s" in row:
+            row["cpu_s"] = round(row["cpu_s"], 3)
+    return total
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, default=None)
@@ -317,6 +344,10 @@ def main(argv=None) -> int:
                     print(f"{name:22s} {start:7s} {'changes':8s} {cells}", flush=True)
                 if len(set(outputs.values())) > 1:
                     differ.append(f"{name} {start}")
+            result[name]["total"] = total = totals(result[name].values())
+            for side, row in total.items():
+                cells = "  ".join(f"{k} {v}" for k, v in row.items())
+                print(f"{name:22s} {'total':7s} {side:8s} {cells}", flush=True)
     for name in differ:
         print(f"outputs differ: {name}", file=sys.stderr)
     print(json.dumps({"workloads": result, "outputs_differ": differ}))
