@@ -449,25 +449,27 @@ class _Round:
     interior points of the bracket (``lo``, ``hi``), ``lo`` being a
     (parameter, SEP) pair.  Its members have the Lockstep ids ``first``,
     ``first + 1``, ...  A round's walk in ray order stops at ``key``: its
-    first non-recovering member, or ``len(points)`` if all recover.
-    ``held`` is an error of find_sep or of the initial conditions met
-    past ``points``; ``from_key`` is the predecessor's key this round was
-    started for, at batch step ``start``.
+    first non-recovering member, or ``len(points)`` if all recover; an
+    expansion group forgets its members past a final key.  ``held`` is an
+    error of find_sep or of the initial conditions met past ``points``;
+    the round started at batch step ``start``.
     """
 
-    def __init__(self, lo, hi, points, seps, held, first, start, from_key):
+    def __init__(self, lo, hi, points, seps, held, first, start):
         self.lo, self.hi, self.points, self.seps = lo, hi, points, seps
-        self.held, self.first, self.start, self.from_key = held, first, start, from_key
+        self.held, self.first, self.start = held, first, start
         self.ends: list = [None] * len(points)
         self.key = None
-        #: provisional key, and the round step since which it has held
-        self.guess, self.since = None, 0
-        #: whether the successor for the final key is still to be started
-        self.pending = False
+        #: provisional key, and the batch step at which its hold ends
+        self.guess, self.ready = None, 0
+        #: the key the successor was launched for, even if it started nothing
+        self.launched = None
 
-    def drop(self, lock: Lockstep, after: int = -1) -> None:
-        """Remove the members past index ``after`` from ``lock``."""
-        lock.drop(range(self.first + after + 1, self.first + len(self.ends)))
+    def drop(self, lock: Lockstep, keep: int = 0) -> None:
+        """Remove the members from index ``keep`` on from ``lock`` and forget
+        them."""
+        lock.drop(range(self.first + keep, self.first + len(self.ends)))
+        del self.points[keep:], self.seps[keep:], self.ends[keep:]
 
 
 def _own_failure(sys: ParameterizedSystem, points: list) -> tuple:
@@ -536,14 +538,14 @@ class _PipelinedSearch:
         self.iterations = 0
 
     def run(self) -> BoundarySearchResult:
-        self._expand(None, None, None)
+        self._expand(None, None)
         due = np.inf
         while True:
             r = self.chain[0]
-            # a round commits once its walk is final and, for a refinement
-            # round, every member has ended; a round left without members
-            # by a held error commits at once
-            if not r.ends or r.key is not None and (r.hi is None or None not in r.ends):
+            # a round commits once its walk is final and every member has
+            # ended; a round left without members by a held error commits
+            # at once
+            if not r.ends or r.key is not None and None not in r.ends:
                 result = self._commit(self.chain.pop(0))
                 if result is not None:
                     return result
@@ -556,7 +558,7 @@ class _PipelinedSearch:
             if ends or self.lock.steps >= due:
                 due = self._review()
 
-    def _expand(self, lo, warm, from_key) -> None:
+    def _expand(self, lo, warm) -> None:
         """Start the next expansion group: up to sections - 1 doublings,
         after the origin if ``lo`` is None."""
         points = [] if lo is not None else [self.p0]
@@ -564,9 +566,9 @@ class _PipelinedSearch:
             points.append(self.p0 + self.s * self.direction)
             self.s *= 2.0
             self.doublings_left -= 1
-        self._start(lo, None, points, warm, from_key)
+        self._start(lo, None, points, warm)
 
-    def _start(self, lo, hi, points, warm, from_key) -> None:
+    def _start(self, lo, hi, points, warm) -> None:
         """Solve the members' SEPs in order, warm-started from ``warm``, and
         start the round.  A refinement round whose solve or initial
         conditions fail probes nothing; an expansion group stops before
@@ -606,15 +608,20 @@ class _PipelinedSearch:
                 f"to p={last}, the edge of the parameter domain ({held})"
             )
             edge.__cause__, held = held, edge
-        r = _Round(lo, hi, points, seps, held, first, self.lock.steps, from_key)
-        self.chain.append(r)
+        self.chain.append(_Round(lo, hi, points, seps, held, first, self.lock.steps))
 
     def _launch(self, r: _Round, key: int) -> None:
-        """Start the successor of ``r`` for a walk that stops at ``key``,
-        if there is anything left to probe."""
+        """Record that ``r``'s successor is launched for a walk that stops at
+        ``key``, and start it if there is anything left to probe."""
+        r.launched = key
+        # an undetermined member or a failing origin ends the search
+        if key < len(r.ends) and (
+            r.ends[key].termination is not Termination.DIVERGED or not key and r.lo is None
+        ):
+            return
         if r.hi is None and key == len(r.points):
             if r.held is None and self.doublings_left:
-                self._expand((r.points[-1], r.seps[-1]), r.seps[-1], key)
+                self._expand((r.points[-1], r.seps[-1]), r.seps[-1])
             return
         lo, hi, warm = self._bracket(r, key)
         if float(np.linalg.norm(hi - lo[0])) > self.param_tol:
@@ -623,7 +630,7 @@ class _PipelinedSearch:
             tail = (r.points[key:], r.ends[key:]) if r.hi is not None else ((), ())
             points = _next_points(lo[0], hi, self.sections, *tail)
             if points:
-                self._start(lo, hi, points, warm, key)
+                self._start(lo, hi, points, warm)
 
     def _bracket(self, r: _Round, key: int) -> tuple:
         """(p_lo, sep_lo), p_hi and the next warm start after ``r``'s walk."""
@@ -641,54 +648,44 @@ class _PipelinedSearch:
         for i, r in enumerate(chain):
             if r.key is None and r.ends:
                 final, guess = _walk(r.ends)
-                key = guess if final is None else final
-                if i + 1 < len(chain) and chain[i + 1].from_key != key:
-                    for dropped in chain[i + 1 :]:
-                        dropped.drop(lock)
-                    del chain[i + 1 :]
-                started = i + 1 < len(chain)
-                if final is None:
-                    if guess != r.guess:
-                        r.guess, r.since = guess, lock.steps - r.start
-                    if guess is not None and not started:
-                        ready = r.start + _hold_end(r.since, self.sections)
-                        if lock.steps >= ready:
-                            self._launch(r, guess)
-                        else:
-                            due = min(due, ready)
-                    continue
-                r.key = final
-                if r.hi is None:
-                    # expansion members past the first failure go unclassified
-                    r.drop(lock, final)
-                # an undetermined member or a failing origin ends the search
-                r.pending = not started and (
-                    final == len(r.ends)
-                    or r.ends[final].termination is Termination.DIVERGED
-                    and (final > 0 or r.lo is not None)
-                )
-            # a refinement round's successor is placed from the ends of its
-            # members from the key on, so it waits for all of them
-            if r.pending and (r.hi is None or None not in r.ends[r.key :]):
-                r.pending = False
-                self._launch(r, r.key)
+                if final is not None:
+                    r.key = final
+                    if r.hi is None:
+                        # expansion members past the first failure go unclassified
+                        r.drop(lock, final + 1)
+                elif guess != r.guess:
+                    r.guess = guess
+                    r.ready = r.start + _hold_end(lock.steps - r.start, self.sections)
+            key = r.guess if r.key is None else r.key
+            if r.launched is not None and r.launched != key:
+                for dropped in chain[i + 1 :]:
+                    dropped.drop(lock)
+                del chain[i + 1 :]
+                r.launched = None
+            # a key launches once every member from it on has ended (its
+            # successor is placed from their ends), a provisional one also
+            # once its hold has passed
+            if key is None or r.launched is not None or None in r.ends[key:]:
+                continue
+            if r.key is None and lock.steps < r.ready:
+                due = min(due, r.ready)
+            else:
+                self._launch(r, key)
         return due
 
     def _commit(self, r: _Round):
-        """Classify ``r``'s members in ray order (an expansion group's up to
-        its key) and settle its walk.  Returns the result once the search
-        is done."""
+        """Classify ``r``'s members in ray order and settle its walk.  Returns
+        the result once the search is done."""
         if r.key is None:
             _raise_held(r)
         n = len(r.points)
-        count = n if r.hi is not None else min(r.key + 1, n)
         verdicts = [
             classify_recovery(self.sys, p, self.cfg, sep, run).verdict
-            for p, sep, run in zip(r.points[:count], r.seps, r.ends)
+            for p, sep, run in zip(r.points, r.seps, r.ends)
         ]
         self.history.extend(zip(r.points, verdicts))
         if r.hi is not None:
-            self.iterations += count
+            self.iterations += n
         # an undetermined origin is reported as such, not as a failing one
         if r.key < n and verdicts[r.key] is not Verdict.FAILS_TO_RECOVER:
             phase = "expansion" if r.hi is None else "refinement"

@@ -22,7 +22,8 @@ from .errors import (
 #: default margin above zero for calling a real part "unstable"
 DEFAULT_STABILITY_TOL = 1e-9
 
-#: imaginary parts below this are treated as zero when realifying a vector
+#: imaginary parts at or below this count as zero: two unstable eigenvalues
+#: with a larger one are a complex conjugate pair
 _IMAG_DROP = 1e-9
 
 
@@ -107,8 +108,9 @@ def unstable_eigenpair(
 ) -> EigenPair:
     """The unique unstable eigenpair of A, realified and sign-canonicalized.
 
-    Requires exactly one eigenvalue with real part above ``stability_tol``,
-    and that eigenvalue must be real.  The returned vector is real with unit
+    Requires exactly one eigenvalue with real part above ``stability_tol``;
+    of a real matrix, that eigenvalue is real (complex eigenvalues come in
+    conjugate pairs with one real part).  The returned vector is real with unit
     2-norm and its largest-magnitude component positive, so repeated calls
     (and the kernel's arbitrary +/- choice) give one representative.
 
@@ -120,8 +122,8 @@ def unstable_eigenpair(
     MultipleUnstableEigenvalues
         Two or more (non-conjugate) unstable eigenvalues.
     ComplexUnstableEigenvalue
-        The unstable eigenvalue is complex (as a single value or a
-        conjugate pair); the codimension-one picture does not apply.
+        The two unstable eigenvalues are a complex conjugate pair; the
+        codimension-one picture does not apply.
     """
     A = np.asarray(A, dtype=float)
     pairs = eigendecompose(A)
@@ -131,23 +133,17 @@ def unstable_eigenpair(
             f"spectral abscissa {max(pr.value.real for pr in pairs):.6g} "
             f"<= tol {stability_tol:g}"
         )
-    if len(unstable) == 1:
-        pair = unstable[0]
-        if abs(pair.value.imag) > _IMAG_DROP:
-            raise ComplexUnstableEigenvalue(
-                f"unstable eigenvalue {pair.value} is not real"
-            )
-    else:
-        if len(unstable) == 2 and _conjugate_pair(unstable[0], unstable[1]):
-            raise ComplexUnstableEigenvalue(
-                f"unstable eigenvalues form a complex pair "
-                f"{unstable[0].value}, {unstable[1].value}"
-            )
+    if len(unstable) == 2 and abs(unstable[0].value.imag) > _IMAG_DROP:
+        raise ComplexUnstableEigenvalue(
+            f"unstable eigenvalues form a complex pair "
+            f"{unstable[0].value}, {unstable[1].value}"
+        )
+    if len(unstable) > 1:
         raise MultipleUnstableEigenvalues(
             f"{len(unstable)} eigenvalues above tol {stability_tol:g}: "
             f"{[pr.value for pr in unstable]}"
         )
-
+    pair = unstable[0]
     lam = float(pair.value.real)
     v = np.real(pair.vector)
     nrm = np.linalg.norm(v)
@@ -157,8 +153,3 @@ def unstable_eigenpair(
     res = float(np.linalg.norm(A @ v - lam * v))
     return EigenPair(value=complex(lam), vector=v, residual=res)
 
-
-def _conjugate_pair(a: EigenPair, b: EigenPair) -> bool:
-    if abs(a.value.imag) <= _IMAG_DROP:
-        return False
-    return abs(a.value - np.conj(b.value)) <= 1e-9 * max(1.0, abs(a.value))

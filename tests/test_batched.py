@@ -1030,6 +1030,25 @@ def test_successor_on_a_final_key_waits_for_the_members_past_it(monkeypatch):
     assert adds[2] >= adds[1] + budget
 
 
+def test_each_round_launches_once_per_key(pendulum, pend_cfg, monkeypatch):
+    """A round's successor is launched once for each key its walk stops
+    at, also where the launch starts nothing: from 1.5 at tol 0 (the
+    search of pendulum ``mode`` from 1.5) provisional keys whose bracket
+    holds no interior double are launched once, not at every review."""
+    launches = []
+    launch = moi.recovery_boundary._PipelinedSearch._launch
+
+    def spy(search, r, key):
+        launches.append((r, key))  # keeps the round, and its id, alive
+        return launch(search, r, key)
+
+    monkeypatch.setattr(moi.recovery_boundary._PipelinedSearch, "_launch", spy)
+    res = ray_boundary_search(pendulum, [1.5], [1.0], pend_cfg, param_tol=0.0)
+    assert np.nextafter(res.p_star[0], np.inf) == res.p_fail[0]
+    pairs = [(id(r), key) for r, key in launches]
+    assert len(set(pairs)) == len(pairs)
+
+
 def test_doublings_past_the_first_failure_raise_nothing(pendulum):
     """From 1.45 the group's doublings reach torque 2.25 >= c1 = 2, where
     no equilibrium exists; the probe at 1.65 fails first, so the search

@@ -26,7 +26,14 @@ from moi import (
     spectral_abscissa,
     step_trapezoidal,
 )
-from moi.integrator import Lockstep, _offset, _quadratic, _wrap_index, recovery_certificate
+from moi.integrator import (
+    Lockstep,
+    _offset,
+    _quadratic,
+    _recovery_sets,
+    _wrap_index,
+    recovery_certificate,
+)
 from moi.spectral import DEFAULT_STABILITY_TOL
 
 from conftest import assert_recovery_end, certificate_of, make_tent_toy
@@ -169,18 +176,29 @@ def test_certificate_uses_the_balanced_weights_and_the_bound_scaled_with_them(
             np.testing.assert_allclose(form_s, form, rtol=1e-9)
 
 
-def test_certificates_of_a_stack_equal_the_single_ones(grid, grid_cfg):
-    scales = np.array([[0.45], [0.8], [1.2]])
-    seps = np.array([find_sep(grid, p) for p in scales])
-    bounds = [grid.jacobian_lipschitz(p) for p in scales]
-    forms, levels = recovery_certificate(
-        grid.jacobian(seps, scales), grid.field(seps, scales),
-        [w for w, _ in bounds], [L for _, L in bounds], grid_cfg,
-    )
-    for k, (p, sep) in enumerate(zip(scales, seps)):
-        form, level = certificate_of(grid, p, grid_cfg, sep)
-        assert level > 0.0 and level == levels[k]
-        assert np.array_equal(form, forms[k])
+def test_certificates_of_a_stack_equal_the_single_ones(pendulum, pend_cfg, grid, grid_cfg):
+    """A stack of runs of a bundled model gets each run's own certificate,
+    and an unbatched copy of the model, certified member by member, the
+    same sets bit for bit."""
+    for sys_, cfg, scales in [
+        (pendulum, pend_cfg, [[1.2], [1.5], [1.56]]),
+        (grid, grid_cfg, [[0.45], [0.8], [1.2]]),
+    ]:
+        scales = np.array(scales)
+        seps = np.array([find_sep(sys_, p) for p in scales])
+        bounds = [sys_.jacobian_lipschitz(p) for p in scales]
+        forms, levels = recovery_certificate(
+            sys_.jacobian(seps, scales), sys_.field(seps, scales),
+            [w for w, _ in bounds], [L for _, L in bounds], cfg,
+        )
+        for k, (p, sep) in enumerate(zip(scales, seps)):
+            form, level = certificate_of(sys_, p, cfg, sep)
+            assert level > 0.0 and level == levels[k]
+            assert np.array_equal(form, forms[k])
+        stacked = _recovery_sets(sys_, scales, seps, cfg)
+        one_by_one = _recovery_sets(replace(sys_, batched=False), scales, seps, cfg)
+        for mine, theirs in zip(one_by_one, stacked):  # forms, levels, reaches, escapes
+            assert np.array_equal(mine, theirs)
 
 
 def test_no_certificate_without_a_stable_finite_linearisation():

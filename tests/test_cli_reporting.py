@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moi
 from moi import (
     ParameterizedSystem,
     bundled_network_path,
@@ -171,6 +176,19 @@ class TestExitCodes:
     def test_bad_float_list(self, capsys):
         assert run_cli(["simulate", "--model", "pendulum", "--p", "abc", "--h", "0.02"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--p", "1.5", "--h", ","], "expected at least one float"),
+            (["mode", "--p", "1.5", "--h", "0.02,0.01"], "--h expects exactly one value"),
+            (["simulate", "--p", "1.5,1.6", "--h", "0.02"], "--p must have 1 component(s)"),
+        ],
+        ids=["no-float", "two-h", "two-components"],
+    )
+    def test_value_list_of_the_wrong_length_exits_two(self, capsys, argv, message):
+        assert run_cli(argv + ["--model", "pendulum"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -423,3 +441,17 @@ class TestSweepCommand:
         assert lines[1].startswith("0.2,")
         assert lines[2].endswith(",ok")
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("torque, code", [("1.5", 0), ("2.5", 1)])
+def test_python_m_moi_runs_the_cli(torque, code):
+    """``python -m moi`` runs the CLI and exits with its status."""
+    path = [str(Path(moi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-m", "moi", "simulate", "--model", "pendulum", "--p", torque,
+         "--h", "0.2"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == code
+    assert ("ParamOutOfRange" in done.stderr) == (code == 1)

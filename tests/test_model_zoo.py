@@ -71,6 +71,10 @@ class TestPendulumEquilibria:
             PendulumParams(c1=-1.0)
         with pytest.raises(ValueError):
             PendulumParams(ic_method="guess")
+        with pytest.raises(ValueError, match="disturbance_duration"):
+            PendulumParams(disturbance_duration=-0.1)
+        with pytest.raises(ValueError, match="ic_step"):
+            PendulumParams(ic_step=0.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -292,6 +296,10 @@ class TestMultiMachineParams:
     def test_positivity_checks(self, nine_bus):
         with pytest.raises(ValueError):
             replace(nine_bus, inertia=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="fault_duration"):
+            replace(nine_bus, fault_duration=-0.1)
+        with pytest.raises(ValueError, match="fault_step"):
+            replace(nine_bus, fault_step=0.0)
 
     def test_shape_checks(self, nine_bus):
         with pytest.raises(ValueError):

@@ -67,6 +67,16 @@ class TestFindEquilibrium:
         x = find_equilibrium(pendulum, [1.5], x_guess=np.array([2.3, 0.0]))
         assert np.allclose(x, pendulum_uep(pendulum_params, 1.5), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "A, b, message",
+        [(-np.eye(2), [np.nan, 0.0], "left the finite domain"),
+         (np.zeros((2, 2)), [1.0, 0.0], "singular Jacobian")],
+        ids=["non-finite-field", "singular-jacobian"],
+    )
+    def test_failed_iteration_is_newton_divergence(self, A, b, message):
+        with pytest.raises(NewtonDivergence, match=message):
+            find_equilibrium(affine_system(A, b), [0.0])
+
 
 class TestFindSep:
     def test_pendulum_default_guess(self, pendulum):

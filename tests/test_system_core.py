@@ -47,6 +47,17 @@ def test_field_wrong_param_dim(pendulum):
         eval_field(pendulum, np.array([0.0, 1.0]), np.array([1.5, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "out, error",
+    [(np.zeros(3), DimensionMismatch), (np.array([0.0, np.inf]), NonFiniteOutput)],
+    ids=["shape", "non-finite"],
+)
+def test_field_output_is_checked(out, error):
+    sys_ = ParameterizedSystem(state_dim=2, param_dim=1, field=lambda x, p: out)
+    with pytest.raises(error):
+        eval_field(sys_, np.zeros(2), np.zeros(1))
+
+
 def test_jacobian_wrong_dims(pendulum):
     with pytest.raises(DimensionMismatch):
         eval_jacobian(pendulum, np.array([1.0]), np.array([1.5]))
