@@ -23,9 +23,9 @@ set that the iterated trapezoidal map never leaves, that it contracts to the
 equilibrium, and on which every Jacobian is stable; entering it ends the
 trajectory.  Other systems wait until the state has stayed near the
 equilibrium for a while.  Likewise a failing trajectory ends as soon as it
-is known to fail: past the norm ``divergence_norm`` or, for a system with
-an energy function (``ParameterizedSystem.escape_energy``), in a set from
-which the energy proves it never returns.
+is known to fail: past the norm ``divergence_norm`` or, for a system that
+describes an escape set (``ParameterizedSystem.escape``), in a set from
+which the system proves it never returns.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def recovery_certificate(
     ``jac`` is the field Jacobian A at x* and ``residual`` the field f(x*)
     (x* is a Newton solution, not an exact zero); ``weights`` w_0 and
     ``lipschitz`` L_0 come from ``ParameterizedSystem.jacobian_lipschitz``.
-    All four may carry a leading axis of K equilibria, certified one by
-    one with the same floating-point operations.
+    All four are stacks over K equilibria: (K, n, n), (K, n), (K, n) and
+    (K,), certified one by one with the same floating-point operations.
 
     The weights are balanced per equilibrium.  With W_0 = diag(w_0),
     A_0 = W_0 A W_0^-1 and m = n // 2, take
@@ -191,13 +191,12 @@ def recovery_certificate(
 
     So a state in the set stays in it, no later state is flagged unstable,
     and sqrt(V) contracts by sqrt(1 - theta) per step down to
-    nu / (1 - sqrt(1 - theta)).  Returns P in the unweighted offsets
-    (W P W) and c.  Where A_w is not stable, an input is not finite or no
-    radius passes, c is -1: no offset enters that set.
+    nu / (1 - sqrt(1 - theta)).  Returns the stacks of P in the unweighted
+    offsets (W P W) and of c.  Where A_w is not Hurwitz, an input is not
+    finite or no radius passes, c is -1 and the form 0: no offset enters
+    that set.
     """
     jac = np.asarray(jac, dtype=float)
-    single = jac.ndim == 2
-    jac = jac.reshape((-1,) + jac.shape[-2:])
     k, n = jac.shape[:2]
     weights = np.asarray(weights, dtype=float).reshape(k, n)
     residual = np.asarray(residual, dtype=float).reshape(k, n)
@@ -221,22 +220,15 @@ def recovery_certificate(
     w[:, m:] *= s[:, None]
     bound = lipschitz * s
     a_w = np.where(valid[:, None, None], w[:, :, None] * jac / w[:, None, :], -eye)
+    # a member whose A_w is not Hurwitz solves for A_w = -I instead
+    valid &= (np.linalg.eigvals(a_w).real < 0.0).all(axis=1)
+    a_w[~valid] = -eye
     a_t = a_w.transpose(0, 2, 1)
     # row-major vec(A^T P + P A) = (A^T kron I + I kron A^T) vec(P)
     lyap = a_t[:, :, None, :, None] * eye[:, None, :]
     lyap = lyap + eye[:, None, :, None] * a_t[:, None, :, None, :]
     rhs = np.broadcast_to(-eye.reshape(n * n, 1), (k, n * n, 1))
-    try:
-        p_w = np.linalg.solve(lyap.reshape(k, n * n, n * n), rhs).reshape(k, n, n)
-    except np.linalg.LinAlgError:
-        if k > 1:
-            # some member's Lyapunov operator is singular: one by one
-            parts = [
-                recovery_certificate(jac[i], residual[i], weights[i], lipschitz[i], cfg)
-                for i in range(k)
-            ]
-            return np.array([f for f, _ in parts]), np.array([c for _, c in parts])
-        valid[:], p_w = False, np.zeros((1, n, n))
+    p_w = np.linalg.solve(lyap.reshape(k, n * n, n * n), rhs).reshape(k, n, n)
     p_w = 0.5 * (p_w + p_w.transpose(0, 2, 1))
     valid &= np.isfinite(p_w).all(axis=(1, 2))
     p_w[~valid] = eye
@@ -260,16 +252,13 @@ def recovery_certificate(
         )
     forms = w[:, :, None] * p_w * w[:, None, :]
     forms[levels < 0.0] = 0.0
-    if single:
-        return forms[0], levels[0]
     return forms, levels
 
 
 def _certified_level(mu, lam, q, a, nu, L, cfg: IntegratorConfig) -> float:
     """The level c of :func:`recovery_certificate` for one equilibrium with
-    a positive definite P, or -1 if no radius passes."""
-    if not q > 0.0:
-        return -1.0
+    a positive definite P, or -1 if no radius passes (a q <= 0 or nan
+    gives a first radius r <= 0 or nan, which stops the search at once)."""
     h = cfg.step
     r = 0.99 * (q - 2.0 * lam * cfg.stability_tol) / (2.0 * lam * L)
     for _ in range(64):
@@ -308,9 +297,8 @@ def step_trapezoidal(
     for it in range(NEWTON_MAX_ITER + 1):
         g = y - x - half_h * (fx + sys.field(y, p))
         residual = _norm(g)
+        # a non-finite y gives a non-finite residual, which never passes
         if residual <= cfg.newton_tol:
-            if not _all_finite(y):
-                raise NonFiniteOutput("trapezoidal step produced non-finite state")
             return y
         if it == NEWTON_MAX_ITER:
             raise NewtonDivergence(
@@ -337,9 +325,9 @@ def step_trapezoidal_batch(
     member whose residual has met the tolerance is frozen (the Newton
     update skips its row) while the others iterate on.  Returns the new
     states and a boolean mask of the members whose step failed where the
-    single step would raise (Newton stalled, singular Newton matrix,
-    non-finite Jacobian or state); their rows are meaningless, and they do
-    not hold up the other members.
+    single step would raise (Newton stalled, singular Newton matrix or
+    non-finite Jacobian); their rows are meaningless, and they do not hold
+    up the other members.
     """
     h = cfg.step
     half_h = 0.5 * h
@@ -378,8 +366,7 @@ def step_trapezoidal_batch(
                     failed[j] = True
             pending &= ~failed
         np.subtract(y, delta, out=y, where=pending[:, None])
-    if not _all_finite(y):
-        failed |= ~np.isfinite(y).all(axis=1)
+    # only failed rows can be non-finite: such a residual never meets the tolerance
     return y, failed
 
 
@@ -415,20 +402,18 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     """The certified sets of K runs of ``sys``, at the rows of ``p`` (K, m)
     around the stable equilibria in the rows of ``sep`` (K, n).
 
-    Returns forms (K, n, n), levels (K,), reaches (K,) and escapes (K, 3).
-    The set {d : d^T form d <= level} of offsets from the equilibrium
-    (:func:`recovery_certificate`) lies in the ball ||d|| <= reach.  A run
-    without a certificate (the system has no ``jacobian_lipschitz``, or no
-    radius passes) has level and reach -1, which no offset meets.  An
-    escape row (saddle, speed, level) is the system's
-    ``escape_energy`` bound; without one the saddle is inf, which no state
-    passes.  A system whose runs step in lockstep has its Jacobians and
+    Returns forms (K, n, n), levels (K,), reaches (K,) and escape rows
+    (K, r).  The set {d : d^T form d <= level} of offsets from the
+    equilibrium (:func:`recovery_certificate`) lies in the ball
+    ||d|| <= reach.  A run without a certificate (the system has no
+    ``jacobian_lipschitz``, or no radius passes) has level and reach -1,
+    which no offset meets.  The escape rows are those of the system's
+    ``escape`` (r = 0 without one), kept for its ``crossing`` and never
+    read here.  A system whose runs step in lockstep has its Jacobians and
     fields at the equilibria evaluated as one batch.
     """
     k, n = len(p), sys.state_dim
-    escape = np.full((k, 3), np.inf)
-    if sys.escape_energy is not None and k:
-        escape = sys.escape_energy[1](p, sep, cfg)
+    escape = np.zeros((k, 0)) if sys.escape is None else sys.escape[0](p, sep, cfg)
     if sys.jacobian_lipschitz is None or not k:
         return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0), escape
     if sys.batched and sys.jacobian is not None:
@@ -451,35 +436,22 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     return form, level, reach, escape
 
 
-def _end_test(x, p, sep, wrap, sets, energy, cfg: IntegratorConfig) -> tuple:
-    """Whether K runs' new states ``x`` (K, n) at the parameters ``p``
-    (K, m) have diverged, lie in their certified sets, lie near their
-    equilibria and lie beyond the divergence norm, as four (K,) masks, and
-    their energies.
+def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
+    """Whether K runs' new states ``x`` (K, n) lie beyond the divergence
+    norm, lie in their certified sets and lie near their equilibria, as
+    three (K,) masks.
 
-    ``sep`` holds the equilibria and ``sets`` the forms, levels, reaches and
-    escape rows of :func:`_recovery_sets`; ``energy`` is the system's
-    escape energy, or None.  Offsets are angle-aware (``wrap`` from
-    :func:`_wrap_index`).  A state is beyond when its norm exceeds
-    ``cfg.divergence_norm``, diverged when it is beyond or lies in its
-    escape set, and near when its offset is at most ``SEP_TOL``.  V is
-    evaluated only when some state lies within its set's reach, and E only
-    when some state is past its saddle: the energies are None when none
-    is, and meaningful only for the states past their saddles.
+    ``sep`` holds the equilibria and ``form``, ``level`` and ``reach`` the
+    certified sets of :func:`_recovery_sets`.  Offsets are angle-aware
+    (``wrap`` from :func:`_wrap_index`).  A state is beyond when its norm
+    exceeds ``cfg.divergence_norm`` and near when its offset is at most
+    ``SEP_TOL``.  V is evaluated only when some state lies within its
+    set's reach.
     """
-    form, level, reach, escape = sets
     d = _offset(x, sep, wrap)
     distance = _norm(d)
     certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
-    beyond = diverged = _norm(x) > cfg.divergence_norm
-    past = x[:, 0] > escape[:, 0]
-    energies = None
-    if np.count_nonzero(past):
-        with np.errstate(invalid="ignore"):  # the rows of failed steps
-            energies = energy(x, p)
-            escaped = (np.abs(x[:, 1]) <= escape[:, 1]) & (energies < escape[:, 2])
-        diverged = diverged | past & escaped
-    return diverged, certified, distance <= SEP_TOL, beyond, energies
+    return _norm(x) > cfg.divergence_norm, certified, distance <= SEP_TOL
 
 
 def _step_budget(cfg: IntegratorConfig) -> int:
@@ -494,10 +466,9 @@ class RunEnd:
     ``traj.states[-1]`` and ``traj.elapsed`` of the matching
     :func:`simulate` trajectory.  ``tau`` is the end time in steps: the
     step count n, except for a run that ended in its escape set, inside the
-    divergence norm, from a state past its saddle with energy E_- above the
-    set's level.  Its energy E_n crossed the level between the two states,
-    and tau = n - 1 + (E_- - level) / (E_- - E_n), with n - 1 < tau <= n,
-    places the crossing by the energy's linear interpolation.
+    divergence norm, after its first step: tau = n - 1 + f in (n - 1, n],
+    with f the fraction of the last step at which the system's ``crossing``
+    places the entry (``ParameterizedSystem.escape``).
     """
 
     termination: Termination
@@ -526,7 +497,7 @@ class Lockstep:
     """
 
     #: the member columns, one row per live member
-    _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start", "_energies",
+    _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
                 "_form", "_level", "_reach", "_escape")
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
@@ -536,7 +507,7 @@ class Lockstep:
         self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
-        self._energy = sys.escape_energy and sys.escape_energy[0]
+        self._crossing = sys.escape and sys.escape[1]
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
@@ -547,18 +518,12 @@ class Lockstep:
         self._sep = np.zeros((0, n))
         self._consec = np.zeros(0, dtype=int)
         self._start = np.zeros(0, dtype=int)
-        #: each member's energy at the last step that evaluated one (nan
-        #: before); a state past its saddle was evaluated, so an escape from
-        #: it is timed from this (``RunEnd.tau``)
-        self._energies = np.zeros(0)
         #: each member's certified set {d : d^T form d <= level}, inside the
         #: ball ||d|| <= reach; a member without a certificate has level and
-        #: reach -1, which no offset meets; and its escape row (saddle,
-        #: speed, level), saddle inf without one
-        self._form = np.zeros((0, n, n))
-        self._level = np.zeros(0)
-        self._reach = np.zeros(0)
-        self._escape = np.zeros((0, 3))
+        #: reach -1, which no offset meets; and its escape row
+        self._form, self._level, self._reach, self._escape = _recovery_sets(
+            sys, self._p, self._sep, cfg
+        )
         self._deadline = np.inf
 
     def __len__(self) -> int:
@@ -581,8 +546,7 @@ class Lockstep:
         sep = np.asarray(sep, dtype=float)
         sets = _recovery_sets(self.sys, p, sep, self.cfg)
         ids = np.arange(self._next_id, self._next_id + k)
-        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps),
-                np.full(k, np.nan)) + sets
+        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
         for name, new in zip(self._COLUMNS, rows):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         self._next_id += k
@@ -621,10 +585,10 @@ class Lockstep:
         - its step failed where :func:`step_trapezoidal` raises
           ``NewtonDivergence`` (a singular Newton matrix included) or
           ``NonFiniteOutput``: ``SOLVER_FAILURE``, on its last good state;
-        - its new state's norm exceeds ``cfg.divergence_norm`` or it lies
-          in its escape set, from which it provably never returns:
-          ``DIVERGED``, tested first so that a divergent state is never
-          taken for a converged one;
+        - its new state's norm exceeds ``cfg.divergence_norm`` or, by the
+          system's ``crossing``, it lies in its escape set, from which it
+          provably never returns: ``DIVERGED``, tested first so that a
+          divergent state is never taken for a converged one;
         - it entered its certified set, or had ``SEP_DWELL`` consecutive
           states within ``SEP_TOL`` of its equilibrium:
           ``CONVERGED_TO_SEP``.
@@ -648,13 +612,10 @@ class Lockstep:
             x, failed = self._step_each(x_prev)
         self.steps += 1
         self._x = x
-        sets = (self._form, self._level, self._reach, self._escape)
-        beyond, certified, near, by_norm, energies = _end_test(
-            x, self._p, self._sep, self._wrap, sets, self._energy, cfg
+        beyond, certified, near = _end_test(
+            x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
         )
-        previous = self._energies
-        if energies is not None:
-            self._energies = energies
+        entered = self._crossing and self._crossing(x_prev, x, self._p, self._escape)
         # the dwell counts consecutive states near the SEP and restarts at 0;
         # far from every SEP, as runs mostly are, there is nothing to count
         dwelt = False
@@ -662,20 +623,16 @@ class Lockstep:
             self._consec += 1
             self._consec *= near
             dwelt = self._consec >= SEP_DWELL
-        done = failed | beyond | certified | dwelt
+        diverged = beyond if entered is None else beyond | np.isfinite(entered)
+        done = failed | diverged | certified | dwelt
         if not np.count_nonzero(done):
             return ends
         steps = self.steps - self._start
-        diverged = beyond & ~failed
         tau = steps
-        # an escape from a state past the saddle, above the level, is timed
-        # within its step
-        saddle, level = self._escape[:, 0], self._escape[:, 2]
-        timed = diverged & ~by_norm & (x_prev[:, 0] > saddle) & (previous > level)
-        if np.count_nonzero(timed):
-            with np.errstate(invalid="ignore", divide="ignore"):  # untimed rows
-                crossing = (previous - level) / (previous - energies)
-            tau = np.where(timed, steps - 1 + crossing, steps)
+        if entered is not None:
+            # an escape inside the norm after the first step is timed in it
+            tau = np.where(diverged & ~beyond & (steps > 1), steps - 1 + entered, steps)
+        diverged = diverged & ~failed
         # a failed step stores nothing: the member ends on its last state
         for mask, end, states, n, t in (
             (failed, Termination.SOLVER_FAILURE, x_prev, steps - 1, steps - 1),

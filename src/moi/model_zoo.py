@@ -10,6 +10,7 @@ the network.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -214,9 +215,9 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         state_names=("angle", "velocity"),
         batched=True,
         jacobian_lipschitz=lambda p: (unit_weights, c1),
-        escape_energy=(
-            lambda x, p: 0.5 * x.T[1] * x.T[1] - c1 * np.cos(x.T[0]) - p.T[0] * x.T[0],
+        escape=(
             lambda p, sep, cfg: _pendulum_escape(c1, c2, p, sep, cfg),
+            functools.partial(_pendulum_crossing, c1),
         ),
     )
 
@@ -286,6 +287,43 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
     return np.where(
         ok[:, None], np.stack([saddle, speed, energy_u - delta], axis=-1), np.inf
     )
+
+
+def _pendulum_energy(c1: float, x, p):
+    """E = w^2/2 - c1 cos t - p t at states ``x`` (K, 2), torques ``p`` (K, 1)."""
+    return 0.5 * x.T[1] * x.T[1] - c1 * np.cos(x.T[0]) - p.T[0] * x.T[0]
+
+
+def _pendulum_crossing(c1: float, x_prev, x, p, rows):
+    """The ``crossing`` of ``ParameterizedSystem.escape`` for K pendulum
+    runs with the escape ``rows`` of :func:`_pendulum_escape`, in the step
+    from ``x_prev`` to ``x`` (both (K, 2)).
+
+    A state is in its set when t > saddle, |w| <= speed and E < level.  E
+    is evaluated only at the states past their saddle, and at the previous
+    state of a run that entered its set from a state past its saddle: if
+    that energy E_- lay above the level, f = (E_- - level) / (E_- - E_n)
+    places the crossing by linear interpolation; otherwise f = 1.
+    """
+    past = x[:, 0] > rows[:, 0]
+    if not np.count_nonzero(past):
+        return None
+    y, r = x[past], rows[past]
+    with np.errstate(invalid="ignore"):  # the rows of failed steps
+        energy = _pendulum_energy(c1, y, p[past])
+        inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
+    if not np.count_nonzero(inside):
+        return None
+    at = np.flatnonzero(past)[inside]
+    energy, (saddle, _, level) = energy[inside], r[inside].T
+    timed = x_prev[at, 0] > saddle
+    previous = np.full(len(at), np.nan)
+    previous[timed] = _pendulum_energy(c1, x_prev[at[timed]], p[at[timed]])
+    f = np.ones(len(at))
+    np.divide(previous - level, previous - energy, out=f, where=previous > level)
+    fraction = np.full(len(x), np.nan)
+    fraction[at] = f
+    return fraction
 
 
 # ---------------------------------------------------------------------------

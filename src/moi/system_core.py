@@ -70,17 +70,20 @@ class ParameterizedSystem:
         balanced at that equilibrium
         (:func:`moi.integrator.recovery_certificate`), and ends a
         trajectory that enters it.
-    escape_energy
-        Optional pair (energy, bounds), filled in by the model constructors
-        where an exact energy function exists (the pendulum; the swing
-        network's transfer conductances admit none).  ``energy(x, p)`` is E
-        at states x (n,) or (K, n); ``bounds(p, sep, cfg)`` gives, for K
+    escape
+        Optional pair (rows, crossing), filled in by the model constructors
+        where the model proves escape (the pendulum, from its energy; the
+        swing network's transfer conductances admit no exact energy
+        function).  ``rows(p, sep, cfg)`` gives one row per run (K, r) for K
         runs at the rows of p (K, m) around the stable equilibria in the
-        rows of sep (K, n), rows (saddle, speed, level) (K, 3): a state of
-        the computed trapezoidal map with ``x[0] > saddle``,
-        ``|x[1]| <= speed`` and ``energy < level`` never returns to
-        ``x[0] <= saddle``, nor to its equilibrium, and the integrator ends
-        its run ``DIVERGED``.  A run without a certificate has saddle inf.
+        rows of sep (K, n); the integrator keeps them and reads none of
+        their columns.  ``crossing(x_prev, x, p, rows)`` takes K runs'
+        states (K, n) before and after one computed trapezoidal step.  It
+        returns None when no run is in its escape set, else a (K,) array:
+        nan outside the set and, inside it, the fraction f in (0, 1] of
+        the step at which the run entered (1 where that cannot be placed).
+        A run inside never returns to its equilibrium, and the integrator
+        ends it ``DIVERGED``.
     """
 
     state_dim: int
@@ -93,7 +96,7 @@ class ParameterizedSystem:
     wrap_indices: Optional[tuple[int, ...]] = None
     batched: bool = False
     jacobian_lipschitz: Optional[Callable[[Array], tuple[Array, float]]] = None
-    escape_energy: Optional[tuple[Callable[[Array, Array], Array], Callable[..., Array]]] = None
+    escape: Optional[tuple[Callable[..., Array], Callable[..., Optional[Array]]]] = None
 
 
 class Termination(enum.Enum):

@@ -41,24 +41,26 @@ def certificate_of(sys_, p, cfg, sep):
 
 
 def escape_row(sys_, p, cfg, sep):
-    """The escape row (saddle, speed, level) ``simulate`` uses for ``sys_``
-    at parameter ``p`` and equilibrium ``sep``."""
+    """The escape row ``simulate`` uses for ``sys_`` at parameter ``p`` and
+    equilibrium ``sep``: for the pendulum (saddle, speed, level)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
     return _recovery_sets(sys_, p[None], sep[None], cfg)[3][0]
 
 
 def assert_escape_end(sys_, p, cfg, sep, states):
     """``states`` (initial state first) end where the divergence rule ends
-    them: at the first later state in the escape set of ``sep``
-    (x[0] > saddle, |x[1]| <= speed, energy below the level) or beyond
-    ``cfg.divergence_norm``, whichever comes first."""
-    x = np.asarray(states[1:], dtype=float)
-    ends = _norm(x) > cfg.divergence_norm
-    if sys_.escape_energy is not None:
-        saddle, speed, level = escape_row(sys_, p, cfg, sep)
-        energy = sys_.escape_energy[0](x, np.broadcast_to(p, (len(x), len(p))))
-        ends |= (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (energy < level)
-    assert np.flatnonzero(ends).tolist()[:1] == [len(x) - 1]
+    them: at the first later state that the system's ``crossing`` puts in
+    the escape set of ``sep``, or beyond ``cfg.divergence_norm``, whichever
+    comes first."""
+    x = np.asarray(states, dtype=float)
+    ends = _norm(x[1:]) > cfg.divergence_norm
+    if sys_.escape is not None:
+        k = len(x) - 1
+        rows = np.tile(escape_row(sys_, p, cfg, sep), (k, 1))
+        entered = sys_.escape[1](x[:-1], x[1:], np.tile(p, (k, 1)), rows)
+        if entered is not None:
+            ends |= np.isfinite(entered)
+    assert np.flatnonzero(ends).tolist()[:1] == [len(x) - 2]
 
 
 def assert_recovery_end(sys_, p, cfg, sep, states):

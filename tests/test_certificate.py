@@ -168,9 +168,13 @@ def test_certificate_uses_the_balanced_weights_and_the_bound_scaled_with_them(
             a_w = w[:, None] * jac / w
             s = np.sqrt(np.linalg.norm(a_w[:m, m:], 2) / (2.0 * np.linalg.norm(a_w[m:, :m], 2)))
             assert not np.isclose(s, 1.0, rtol=0.1)
-            form, level = recovery_certificate(jac, residual, w, L, cfg)
+            (form,), (level,) = recovery_certificate(
+                jac[None], residual[None], w[None], [L], cfg
+            )
             balanced = np.concatenate([w[:m], s * w[m:]])
-            form_s, level_s = recovery_certificate(jac, residual, balanced, s * L, cfg)
+            (form_s,), (level_s,) = recovery_certificate(
+                jac[None], residual[None], balanced[None], [s * L], cfg
+            )
             assert level > 0.0
             np.testing.assert_allclose(level_s, level, rtol=1e-9)
             np.testing.assert_allclose(form_s, form, rtol=1e-9)
@@ -222,11 +226,15 @@ def test_no_certificate_without_a_stable_finite_linearisation():
         )
     assert np.all(levels[:-1] == -1.0) and not forms[:-1].any()
     # the others leave the stable member's certificate as it is alone
-    form, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, cfg)
+    (form,), (level,) = recovery_certificate(
+        stable[None], np.zeros((1, 2)), np.ones((1, 2)), [2.0], cfg
+    )
     assert level > 0.0 and levels[-1] == level and np.array_equal(forms[-1], form)
     # a stability margin no linearisation meets leaves nothing to certify
     margin = replace(cfg, stability_tol=1.0)
-    _, level = recovery_certificate(stable, np.zeros(2), np.ones(2), 2.0, margin)
+    _, (level,) = recovery_certificate(
+        stable[None], np.zeros((1, 2)), np.ones((1, 2)), [2.0], margin
+    )
     assert level == -1.0
 
 

@@ -1,7 +1,8 @@
 """Certified early escape: the pendulum energy bound that ends a failing
 trajectory, checked condition by condition against the computed
 trapezoidal map, against the divergence-norm rule it anticipates, and
-across the lockstep batch, and the sub-step time of an escape."""
+across the lockstep batch; the sub-step time of an escape; and the run
+engine's escape contract on a toy that has no energy."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from moi import (
     IntegratorConfig,
     PENDULUM_DIVERGENCE_NORM,
+    ParameterizedSystem,
     PendulumParams,
     Termination,
     find_sep,
@@ -25,6 +27,7 @@ from moi import (
     spectral_abscissa,
     step_trapezoidal,
 )
+from moi import model_zoo
 from moi.integrator import Lockstep, _recovery_sets
 
 from conftest import escape_row, make_tent_toy
@@ -47,7 +50,10 @@ def config(step, **kwargs):
 
 
 def energy(x, torque):
-    return SYS.escape_energy[0](np.asarray(x, dtype=float), np.array([torque]))
+    """E = w^2/2 - c1 cos t - p t, for one state or a stack."""
+    x = np.asarray(x, dtype=float)
+    t, w = x[..., 0], x[..., 1]
+    return 0.5 * w * w - C1 * np.cos(t) - torque * t
 
 
 def row(torque, cfg, turns=0):
@@ -176,33 +182,70 @@ def test_no_certificate_for_a_torque_at_most_zero_or_a_non_finite_input(torque, 
 
 
 def test_models_without_an_energy_function_have_no_escape_set(nine_bus):
-    """The swing network and the toys run as before: saddle inf."""
+    """The swing network and the toys run as before: no escape set, and
+    escape rows of width 0."""
     grid = multimachine_system(nine_bus)
-    assert grid.escape_energy is None and make_tent_toy().escape_energy is None
+    assert grid.escape is None and make_tent_toy().escape is None
     p, sep = np.array([[1.0]]), find_sep(grid, [1.0])[None]
     cfg = IntegratorConfig(step=1.0 / 60.0)
-    assert np.isinf(_recovery_sets(grid, p, sep, cfg)[3]).all()
+    assert _recovery_sets(grid, p, sep, cfg)[3].shape == (1, 0)
 
 
-def test_energy_is_evaluated_only_on_states_past_the_saddle(pendulum, pend_cfg):
+def test_energy_is_evaluated_only_on_states_past_the_saddle(pendulum, pend_cfg, monkeypatch):
+    """E is evaluated at exactly the states past their saddle, and once
+    more at the previous state of each escape timed within its step."""
     calls = []
-    energy_fn, bounds = pendulum.escape_energy
+    energy_fn = model_zoo._pendulum_energy
 
-    def spy(x, p):
+    def spy(c1, x, p):
         calls.append(np.array(x))
-        return energy_fn(x, p)
+        return energy_fn(c1, x, p)
 
-    spied = replace(pendulum, escape_energy=(spy, bounds))
+    monkeypatch.setattr(model_zoo, "_pendulum_energy", spy)
     sep = find_sep(pendulum, [1.5])
-    assert simulate(spied, [1.5], pend_cfg, sep).termination is Termination.CONVERGED_TO_SEP
+    assert simulate(pendulum, [1.5], pend_cfg, sep).termination is Termination.CONVERGED_TO_SEP
     assert calls == []
     sep = find_sep(pendulum, [1.7])
-    traj = simulate(spied, [1.7], pend_cfg, sep)
+    traj = simulate(pendulum, [1.7], pend_cfg, sep)
     saddle = escape_row(pendulum, [1.7], pend_cfg, sep)[0]
     past = [x for x in traj.states[1:] if x[0] > saddle]
-    assert len(calls) == len(past) > 0
-    # a lone member's state is tested as a one-row batch
-    assert all(a.shape == (1, 2) and np.array_equal(a[0], b) for a, b in zip(calls, past))
+    # the run escapes from a state past its saddle: one timed escape
+    assert traj.termination is Termination.DIVERGED and traj.states[-2][0] > saddle
+    evaluated = np.concatenate(calls)
+    assert len(evaluated) == len(past) + 1 and len(past) > 1
+    assert np.array_equal(evaluated, np.array(past + [traj.states[-2]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(torque=torques, step=steps, seed=st.integers(0, 2**32 - 1))
+def test_crossing_is_the_energy_set_and_its_interpolation(torque, step, seed):
+    """The pendulum's crossing puts a state in its set exactly when
+    t > saddle, |w| <= speed and E < level, and times the entry at
+    (E_- - level) / (E_- - E_n) when the previous state lay past the saddle
+    above the level, at 1 otherwise."""
+    cfg = config(step)
+    _, (saddle, speed, level) = row(torque, cfg)
+    rng = np.random.default_rng(seed)
+    k = 200
+    # angles around the saddle, speeds around the energy's level there
+    x_prev, x = (
+        np.column_stack([saddle + rng.uniform(-0.3, 0.3, k), rng.uniform(-0.8, 0.8, k)])
+        for _ in range(2)
+    )
+    p = np.full((k, 1), torque)
+    rows = np.tile([saddle, speed, level], (k, 1))
+    entered = SYS.escape[1](x_prev, x, p, rows)
+    e_prev, e = energy(x_prev, torque), energy(x, torque)
+    inside = (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (e < level)
+    if not inside.any():
+        assert entered is None
+        return
+    assert np.array_equal(np.isfinite(entered), inside)
+    timed = inside & (x_prev[:, 0] > saddle) & (e_prev > level)
+    expected = np.ones(k)
+    expected[timed] = (e_prev[timed] - level) / (e_prev[timed] - e[timed])
+    assert np.array_equal(entered[inside], expected[inside])
+    assert ((0.0 < entered[inside]) & (entered[inside] <= 1.0)).all()
 
 
 @pytest.mark.parametrize("step", [0.02, 0.2, 0.8])
@@ -212,7 +255,7 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, step):
     ``simulate`` ends them; the verdicts equal those of runs without the
     escape certificate."""
     cfg = config(step)
-    bare = replace(pendulum, escape_energy=None)
+    bare = replace(pendulum, escape=None)
     torques = [1.5, PEND_P_STAR, PEND_P_FAIL, 1.5686593295641313, 1.6, 1.7, 1.9]
     seps = [find_sep(pendulum, [p]) for p in torques]
     lock = Lockstep(pendulum, cfg)
@@ -287,8 +330,8 @@ def escaping_run(torque, cfg):
 
 def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     """A run whose state m is its first past its saddle, and in its escape
-    set, ends at tau = m exactly: the energy of state m - 1 is not that of
-    a state past the saddle, even where the batch evaluated it for a member
+    set, ends at tau = m exactly: state m - 1 is not past the saddle, so
+    its energy does not time the escape, alone or in a batch with a member
     past its own saddle.  The escape rows are made up for the test: the
     member at 1.7 has its saddle between states m - 1 and m and its level
     between their energies; the member at 1.75 is past its saddle from the
@@ -300,18 +343,18 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     def rows(p, sep, cfg_):
         return np.where(p == 1.7, crossing, [-np.inf, np.inf, -np.inf])
 
-    made_up = replace(SYS, escape_energy=(SYS.escape_energy[0], rows))
+    made_up = replace(SYS, escape=(rows, SYS.escape[1]))
     (alone,) = lockstep_ends(made_up, [1.7], cfg)
     batch = lockstep_ends(made_up, [1.7, 1.75], cfg)
     for run in (alone, batch[0]):
         assert run.termination is Termination.DIVERGED
         assert run.elapsed == m * cfg.step and run.tau == m
-    # an initial state past its saddle has no energy evaluated: a run that
-    # is in its set one step on ends at tau = 1
+    # the first step is not timed: a run in its set one step on, from an
+    # initial state past its saddle above the level, ends at tau = 1
     first = [-np.inf, np.inf, (e[0] + e[1]) / 2.0]
     assert e[1] < e[0]
     from_start = replace(
-        SYS, escape_energy=(SYS.escape_energy[0], lambda p, sep, cfg_: np.array([first]))
+        SYS, escape=(lambda p, sep, cfg_: np.tile(first, (len(p), 1)), SYS.escape[1])
     )
     (run,) = lockstep_ends(from_start, [1.7], cfg)
     assert run.elapsed == cfg.step and run.tau == 1.0
@@ -328,9 +371,9 @@ def test_norm_end_keeps_the_step_count():
     cfg = IntegratorConfig(step=0.2, divergence_norm=(norms[m - 1] + norms[m]) / 2.0)
     made_up = replace(
         SYS,
-        escape_energy=(
-            SYS.escape_energy[0],
+        escape=(
             lambda p, sep, cfg_: np.tile([-np.inf, np.inf, (e[m - 1] + e[m]) / 2.0], (len(p), 1)),
+            SYS.escape[1],
         ),
     )
     (run,) = lockstep_ends(made_up, [1.7], cfg)
@@ -339,3 +382,76 @@ def test_norm_end_keeps_the_step_count():
     # the same run with the norm out of reach is timed within the step
     (timed,) = lockstep_ends(made_up, [1.7], config(0.2))
     assert m - 1 < timed.tau < m
+
+
+def drift_toy() -> ParameterizedSystem:
+    """x' = (v, 0) at p = (v, f), batched, from x0 = 0: each step moves the
+    first coordinate by v h.  Its escape set is x[0] >= 1, and its own
+    ``crossing`` says a run entered it at the fraction f of the step, the
+    run's escape row."""
+
+    def field(x, p):
+        out = np.zeros(x.shape)
+        out[..., 0] = p[..., 0]
+        return out
+
+    def crossing(x_prev, x, p, rows):
+        inside = x[:, 0] >= 1.0
+        if not inside.any():
+            return None
+        return np.where(inside, rows[:, 0], np.nan)
+
+    return ParameterizedSystem(
+        state_dim=2,
+        param_dim=2,
+        field=field,
+        jacobian=lambda x, p: np.zeros(x.shape + (2,)),
+        initial_condition=lambda p: np.zeros(np.shape(p)),
+        name="drift",
+        batched=True,
+        escape=(lambda p, sep, cfg: p[:, 1:].copy(), crossing),
+    )
+
+
+def drift_ends(points, cfg, later=()):
+    """Run ends, in order, of the drift toy at ``points`` started together
+    and of ``later`` started two steps after them."""
+    lock = Lockstep(drift_toy(), cfg)
+    ids = list(lock.add(np.array(points, dtype=float), np.zeros((len(points), 2))))
+    ends = {}
+    for _ in range(2):
+        ends.update(lock.step())
+    if len(later):
+        ids += list(lock.add(np.array(later, dtype=float), np.zeros((len(later), 2))))
+    while len(lock):
+        ends.update(lock.step())
+    return [ends[k] for k in ids]
+
+
+def test_engine_times_an_escape_by_the_systems_crossing_alike_in_any_batch():
+    """A run of a system without an energy ends ``DIVERGED`` at the first
+    state its crossing puts in the set, at tau = n - 1 + f for the fraction
+    f the crossing gives, or at tau = n = 1 when that is its first state:
+    bitwise alike alone, in one batch and started in two groups."""
+    cfg = IntegratorConfig(step=0.1)
+    # speeds that take 1 (v h >= 1), 2, 3, 4, 10 and 34 steps, and
+    # fractions with f = 1 among them; the second group's first step is
+    # the batch's third
+    points = [(7.0, 0.25), (4.0, 1.0), (12.0, 0.3), (3.0, 0.5), (1.05, 0.75),
+              (0.3, 0.125), (15.0, 0.4), (2.6, 0.0625)]
+    alone = [drift_ends([q], cfg)[0] for q in points]
+    together = drift_ends(points, cfg)
+    groups = drift_ends(points[:3], cfg, later=points[3:])
+    first = 0
+    for (v, f), run, member, grouped in zip(points, alone, together, groups):
+        n = round(run.elapsed / cfg.step)
+        traj = simulate(drift_toy(), [v, f], cfg, np.zeros(2))
+        assert len(traj) == n + 1 and traj.states[-2, 0] < 1.0 <= traj.states[-1, 0]
+        assert run.termination is Termination.DIVERGED
+        assert run.tau == (n if n == 1 else n - 1 + f)
+        first += n == 1
+        for other in (member, grouped):
+            assert other.termination is run.termination
+            assert other.tau == run.tau and other.elapsed == run.elapsed
+            assert np.array_equal(other.final_state, run.final_state)
+    assert first == 2

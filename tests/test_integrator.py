@@ -196,7 +196,7 @@ class TestSimulate:
         escape certificate, which ends beyond the norm."""
         sep = find_sep(pendulum, [1.7])
         traj = simulate(pendulum, [1.7], pend_cfg, sep)
-        bare = replace(pendulum, escape_energy=None)
+        bare = replace(pendulum, escape=None)
         plain = simulate(bare, [1.7], pend_cfg, sep)
         assert traj.termination is plain.termination is Termination.DIVERGED
         assert_escape_end(pendulum, [1.7], pend_cfg, sep, traj.states)

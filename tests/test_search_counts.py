@@ -4,6 +4,7 @@ still sees the certified and escaped ends and the steps at which they end,
 every member it counts as started is accounted for, it counts only the
 searches' members as search work and both steppers' member steps, it
 counts rounds on consecutive doubles apart from guided and uniform ones,
+counts the escapes timed within their last step with their end times,
 each workload ends with a total row, and its point-wise verdict comparison
 sees a changed verdict.
 
@@ -136,6 +137,38 @@ def test_end_steps_sum_the_certified_and_diverged_ends(tmp_path, monkeypatch):
         steps = [n for kind, n in reported if kind is end]
         assert row[column] == round(sum(steps)) > len(steps) > 0
     assert row["certified"] + row["escaped"] + row["beyond_norm"] == len(reported)
+
+
+def test_timed_escapes_are_counted_with_their_end_times(tmp_path, monkeypatch):
+    """timed counts the searches' DIVERGED ends whose tau lies below their
+    step count, and tau_sum adds up their tau in the order they were
+    reported, bit for bit; at h = 0.8, where the pendulum has no escape
+    set, failing members end by the norm at whole steps and none is timed."""
+    taus = []
+    step = moi.integrator.Lockstep.step
+
+    def keep(lock):
+        ends = step(lock)
+        for end in ends.values():
+            n = round(end.elapsed / lock.cfg.step)
+            if end.termination is moi.Termination.DIVERGED and end.tau < n:
+                taus.append(end.tau)
+        return ends
+
+    monkeypatch.setattr(moi.integrator.Lockstep, "step", keep)
+    # a boundary search records no run, so every Lockstep is the search's
+    for h, timed in (("0.2", True), ("0.8", False)):
+        taus.clear()
+        argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", h,
+                "--tol", "1e-6"]
+        row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+        total = 0.0
+        for tau in taus:
+            total += tau
+        assert row["timed"] == len(taus) and (len(taus) > 0) == timed
+        assert row["tau_sum"] == total and (total != round(total)) == timed
+        # every timed end is an escape, inside the norm
+        assert row["timed"] <= row["escaped"] and row["escaped"] + row["beyond_norm"] > 0
 
 
 def test_verdicts_are_compared_point_by_point(tmp_path):

@@ -37,6 +37,10 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   ``certified`` members, and all members that ended ``DIVERGED``, ended,
   summed; over ``certified`` and over ``escaped + beyond_norm`` they give
   the mean recovering and failing end, the ends that set a round's length;
+- ``timed`` / ``tau_sum``: search members that ended ``DIVERGED`` at an
+  end time ``RunEnd.tau`` below their step count (timed within their last
+  step), and their ``tau`` summed in the order they were reported, a float
+  printed with all its digits;
 - ``undetermined``: classified probes whose verdict is ``UNDETERMINED``
   (they ended ``MAX_TIME_REACHED`` or ``SOLVER_FAILURE``);
 - ``guided`` / ``contiguous`` / ``uniform``: committed refinement rounds
@@ -98,8 +102,8 @@ WORKLOADS = {
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
            "started", "dropped", "groups", "groups_dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
-           "beyond_norm", "certified_steps", "diverged_steps", "undetermined",
-           "guided", "contiguous", "uniform", "cpu_s")
+           "beyond_norm", "certified_steps", "diverged_steps", "timed", "tau_sum",
+           "undetermined", "guided", "contiguous", "uniform", "cpu_s")
 
 
 def placement(rb, p_lo, p_hi, points: list, sections: int) -> str:
@@ -172,6 +176,9 @@ def counting(moi, counts: Counter, searches: dict):
                 beyond = np.linalg.norm(end.final_state) > self.cfg.divergence_norm
                 counts["beyond_norm" if beyond else "escaped"] += 1
                 counts["diverged_steps"] += steps
+                if end.tau < steps:
+                    counts["timed"] += 1
+                    counts["tau_sum"] += end.tau
             if end.termination is not converged or not len(at):
                 continue
             i = at[0]
@@ -250,6 +257,7 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, str, bytes, dict]:
     row = {name: counts[name] for name in COLUMNS[:-1]}
     row["dropped"] = counts["started"] - counts["classified"]
     row["groups_dropped"] = counts["groups"] - counts["groups_classified"]
+    row["tau_sum"] = float(counts["tau_sum"])
     row["cpu_s"] = round(cpu, 3)
     return row, stdout.getvalue(), out.read_bytes(), searches
 
