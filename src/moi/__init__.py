@@ -63,7 +63,6 @@ from .recovery_boundary import (
 from .spectral import (
     EigenPair,
     canonical_sign,
-    eigendecompose,
     is_unstable,
     spectral_abscissa,
     unstable_count,
@@ -118,7 +117,6 @@ __all__ = [
     "bundled_network_path",
     "canonical_sign",
     "classify_recovery",
-    "eigendecompose",
     "eval_field",
     "eval_jacobian",
     "find_equilibrium",

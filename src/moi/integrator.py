@@ -468,13 +468,17 @@ class RunEnd:
     step count n, except for a run that ended in its escape set, inside the
     divergence norm, after its first step: tau = n - 1 + f in (n - 1, n],
     with f the fraction of the last step at which the system's ``crossing``
-    places the entry (``ParameterizedSystem.escape``).
+    places the entry (``ParameterizedSystem.escape``).  ``rule`` names the
+    test of :meth:`Lockstep.step` that ended the run: ``"budget"``,
+    ``"solver"``, ``"norm"`` (beyond the divergence norm), ``"escape"`` (in
+    the escape set), ``"certified"`` (in the certified set) or ``"dwell"``.
     """
 
     termination: Termination
     final_state: np.ndarray
     elapsed: float
     tau: float
+    rule: str
 
 
 class Lockstep:
@@ -496,7 +500,10 @@ class Lockstep:
     Both round alike, so a member ends bitwise the same in any batch.
     """
 
-    #: the member columns, one row per live member
+    #: the member columns, one row per live member; the last four hold each
+    #: member's certified set {d : d^T form d <= level}, inside the ball
+    #: ||d|| <= reach (a member without a certificate has level and reach -1,
+    #: which no offset meets), and its escape row
     _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
                 "_form", "_level", "_reach", "_escape")
 
@@ -511,24 +518,27 @@ class Lockstep:
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
-        n = sys.state_dim
-        self._ids = np.zeros(0, dtype=int)
-        self._x = np.zeros((0, n))
-        self._p = np.zeros((0, sys.param_dim))
-        self._sep = np.zeros((0, n))
-        self._consec = np.zeros(0, dtype=int)
-        self._start = np.zeros(0, dtype=int)
-        #: each member's certified set {d : d^T form d <= level}, inside the
-        #: ball ||d|| <= reach; a member without a certificate has level and
-        #: reach -1, which no offset meets; and its escape row
-        self._form, self._level, self._reach, self._escape = _recovery_sets(
-            sys, self._p, self._sep, cfg
-        )
+        empty = self._rows(np.zeros((0, sys.param_dim)), np.zeros((0, sys.state_dim)))
+        for name, column in zip(self._COLUMNS, empty):
+            setattr(self, name, column)
         self._deadline = np.inf
 
     def __len__(self) -> int:
         """Members started and not reported or dropped yet."""
         return len(self._ids)
+
+    def _rows(self, p: np.ndarray, sep: np.ndarray) -> tuple:
+        """The ``_COLUMNS`` of members starting now at the rows of ``p``
+        (K, m) around the equilibria in the rows of ``sep`` (K, n)."""
+        k = len(p)
+        if self.lockstep and k > 1:
+            x = initial_state(self.sys, p)
+        else:
+            x = np.array([initial_state(self.sys, q) for q in p])
+            x = x.reshape(k, self.sys.state_dim)
+        sets = _recovery_sets(self.sys, p, sep, self.cfg)
+        ids = np.arange(self._next_id, self._next_id + k)
+        return (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
 
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
@@ -536,20 +546,11 @@ class Lockstep:
         lockstep the Jacobians and fields at the equilibria for the
         certificates are evaluated as one batch.  Either every member
         starts or, if that raises, none does.  Returns the members' ids."""
-        p = np.asarray(p, dtype=float)
-        k = len(p)
-        if self.lockstep and k > 1:
-            x = initial_state(self.sys, p)
-        else:
-            x = np.array([initial_state(self.sys, q) for q in p])
-            x = x.reshape(k, self.sys.state_dim)
-        sep = np.asarray(sep, dtype=float)
-        sets = _recovery_sets(self.sys, p, sep, self.cfg)
-        ids = np.arange(self._next_id, self._next_id + k)
-        rows = (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
+        rows = self._rows(np.asarray(p, dtype=float), np.asarray(sep, dtype=float))
         for name, new in zip(self._COLUMNS, rows):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
-        self._next_id += k
+        ids = rows[0]
+        self._next_id += len(ids)
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
 
@@ -579,18 +580,21 @@ class Lockstep:
         """Advance the live members one step; return the ends of those that
         ended, by id.
 
-        A member ends on the first of these, tested by :func:`_end_test`:
+        A member ends on the first of these, tested by :func:`_end_test`;
+        its ``RunEnd.rule`` is the name in brackets:
 
-        - its step budget is spent: ``MAX_TIME_REACHED``, without a step;
+        - its step budget is spent [budget]: ``MAX_TIME_REACHED``, without
+          a step;
         - its step failed where :func:`step_trapezoidal` raises
           ``NewtonDivergence`` (a singular Newton matrix included) or
-          ``NonFiniteOutput``: ``SOLVER_FAILURE``, on its last good state;
-        - its new state's norm exceeds ``cfg.divergence_norm`` or, by the
-          system's ``crossing``, it lies in its escape set, from which it
-          provably never returns: ``DIVERGED``, tested first so that a
-          divergent state is never taken for a converged one;
-        - it entered its certified set, or had ``SEP_DWELL`` consecutive
-          states within ``SEP_TOL`` of its equilibrium:
+          ``NonFiniteOutput`` [solver]: ``SOLVER_FAILURE``, on its last good
+          state;
+        - its new state's norm exceeds ``cfg.divergence_norm`` [norm] or, by
+          the system's ``crossing``, it lies in its escape set, from which it
+          provably never returns [escape]: ``DIVERGED``, tested first so that
+          a divergent state is never taken for a converged one;
+        - it entered its certified set [certified], or had ``SEP_DWELL``
+          consecutive states within ``SEP_TOL`` of its equilibrium [dwell]:
           ``CONVERGED_TO_SEP``.
         """
         cfg = self.cfg
@@ -600,7 +604,7 @@ class Lockstep:
             for k, state in zip(self._ids[spent].tolist(), self._x[spent]):
                 ends[k] = RunEnd(
                     Termination.MAX_TIME_REACHED, state, self.budget * cfg.step,
-                    float(self.budget),
+                    float(self.budget), "budget",
                 )
             self._keep(~spent)
         if not len(self._ids):
@@ -633,16 +637,21 @@ class Lockstep:
             # an escape inside the norm after the first step is timed in it
             tau = np.where(diverged & ~beyond & (steps > 1), steps - 1 + entered, steps)
         diverged = diverged & ~failed
+        # each rule overrides those set before it, which it precedes
+        rule = np.full(len(done), "dwell", dtype=object)
+        for mask, name in ((certified, "certified"), (diverged, "escape"), (beyond, "norm"),
+                           (failed, "solver")):
+            rule[mask] = name
         # a failed step stores nothing: the member ends on its last state
         for mask, end, states, n, t in (
             (failed, Termination.SOLVER_FAILURE, x_prev, steps - 1, steps - 1),
             (diverged, Termination.DIVERGED, x, steps, tau),
             (done & ~failed & ~diverged, Termination.CONVERGED_TO_SEP, x, steps, steps),
         ):
-            for k, state, n_k, t_k in zip(
-                self._ids[mask].tolist(), states[mask], n[mask], t[mask]
+            for k, state, n_k, t_k, r in zip(
+                self._ids[mask].tolist(), states[mask], n[mask], t[mask], rule[mask]
             ):
-                ends[k] = RunEnd(end, state, float(n_k * cfg.step), float(t_k))
+                ends[k] = RunEnd(end, state, float(n_k * cfg.step), float(t_k), r)
         self._keep(~done)
         return ends
 

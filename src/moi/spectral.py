@@ -1,4 +1,4 @@
-"""Eigenvalue machinery: decomposition, spectral abscissa, instability tests.
+"""Eigenvalue machinery: spectral abscissa, instability tests, unstable pair.
 
 The kernel is LAPACK's dense nonsymmetric solver via ``numpy.linalg.eig``;
 everything here is contract-level plumbing around it: residual bookkeeping,
@@ -57,24 +57,6 @@ def _eigvals(A) -> np.ndarray:
         raise ConvergenceFailure(f"eigenvalue kernel failed: {exc}") from exc
 
 
-def eigendecompose(A) -> list[EigenPair]:
-    """All eigenpairs of a real square matrix, unit-norm vectors, residuals.
-
-    Eigenvalues are returned with multiplicity in the kernel's order.
-    """
-    A = np.asarray(A, dtype=float)
-    values, vectors = _eig(A)
-    pairs = []
-    for k in range(len(values)):
-        v = vectors[:, k]
-        nrm = np.linalg.norm(v)
-        if nrm != 0.0:
-            v = v / nrm
-        res = float(np.linalg.norm(A @ v - values[k] * v))
-        pairs.append(EigenPair(value=complex(values[k]), vector=v, residual=res))
-    return pairs
-
-
 def spectral_abscissa(A) -> float:
     """Largest real part over the eigenvalues of A."""
     return float(np.max(_eigvals(A).real))
@@ -126,26 +108,28 @@ def unstable_eigenpair(
         codimension-one picture does not apply.
     """
     A = np.asarray(A, dtype=float)
-    pairs = eigendecompose(A)
-    unstable = [pr for pr in pairs if pr.value.real > stability_tol]
-    if len(unstable) == 0:
+    values, vectors = _eig(A)
+    unstable = np.flatnonzero(values.real > stability_tol)
+    found = [complex(values[k]) for k in unstable]
+    if not found:
         raise NoUnstableEigenvalue(
-            f"spectral abscissa {max(pr.value.real for pr in pairs):.6g} "
-            f"<= tol {stability_tol:g}"
+            f"spectral abscissa {values.real.max():.6g} <= tol {stability_tol:g}"
         )
-    if len(unstable) == 2 and abs(unstable[0].value.imag) > _IMAG_DROP:
+    if len(found) == 2 and abs(found[0].imag) > _IMAG_DROP:
         raise ComplexUnstableEigenvalue(
-            f"unstable eigenvalues form a complex pair "
-            f"{unstable[0].value}, {unstable[1].value}"
+            f"unstable eigenvalues form a complex pair {found[0]}, {found[1]}"
         )
-    if len(unstable) > 1:
+    if len(found) > 1:
         raise MultipleUnstableEigenvalues(
-            f"{len(unstable)} eigenvalues above tol {stability_tol:g}: "
-            f"{[pr.value for pr in unstable]}"
+            f"{len(found)} eigenvalues above tol {stability_tol:g}: {found}"
         )
-    pair = unstable[0]
-    lam = float(pair.value.real)
-    v = np.real(pair.vector)
+    # the kernel's vector normalised, then its real part normalised again
+    v = vectors[:, unstable[0]]
+    nrm = np.linalg.norm(v)
+    if nrm != 0.0:
+        v = v / nrm
+    lam = found[0].real
+    v = np.real(v)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:  # pragma: no cover - degenerate kernel output
         raise ConvergenceFailure("unstable eigenvector has zero real part")

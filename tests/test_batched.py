@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import moi.recovery_boundary
 from moi import (
     BoundarySearchResult,
+    DimensionMismatch,
     IntegratorConfig,
     MULTIMACHINE_DIVERGENCE_NORM,
     MoiError,
@@ -151,6 +152,15 @@ def test_singular_member_fails_alone():
         step_trapezoidal(sys_, x[1], p[1], cfg)
 
 
+def test_misshaped_batched_jacobian_raises():
+    """A batched Jacobian that is not (K, n, n) raises, where a (1, 1)
+    one would broadcast over the members' Newton matrices."""
+    sys_ = replace(linear_system(), jacobian=lambda x, p: np.ones((1, 1)))
+    with pytest.raises(DimensionMismatch, match=r"batched jacobian returned shape \(1, 1\)"):
+        step_trapezoidal_batch(sys_, np.ones((3, 1)), np.full((3, 1), -1.0),
+                               IntegratorConfig(step=0.02))
+
+
 #: member kinds of ``mixed_system``, picked by p[0]
 ORDINARY, NAN_JACOBIAN, STALLS, STILL, CURVED = range(5)
 
@@ -268,7 +278,7 @@ def test_dwell_restarts_when_a_member_leaves_the_sep_ball():
         # would have reached SEP_DWELL, and ended the run, earlier
         inside = np.linalg.norm(traj.states, axis=1) <= SEP_TOL
         assert np.flatnonzero(np.cumsum(inside) >= SEP_DWELL)[0] < len(traj) - 1
-        assert run.termination is traj.termination
+        assert run.termination is traj.termination and run.rule == "dwell"
         assert np.array_equal(run.final_state, traj.states[-1])
         assert run.elapsed == traj.elapsed
 
@@ -332,6 +342,7 @@ def test_batched_runs_end_as_simulate_ends_them():
             Termination.DIVERGED,
             Termination.MAX_TIME_REACHED,
         ]
+        assert [run.rule for run in runs] == ["dwell", "solver", "norm", "budget"]
         for p, run in zip(points, runs):
             traj = simulate(sys_, p, cfg, sep)
             assert np.array_equal(run.final_state, traj.states[-1])
@@ -465,6 +476,7 @@ def test_zero_budget_ends_every_member_without_a_step():
         traj = simulate(sys_, p, cfg, np.zeros(1))
         assert traj.termination is Termination.MAX_TIME_REACHED and len(traj) == 1
         assert ends[k].termination is Termination.MAX_TIME_REACHED
+        assert ends[k].rule == "budget"
         assert np.array_equal(ends[k].final_state, traj.states[-1])
         assert ends[k].elapsed == traj.elapsed == 0.0
 
@@ -664,7 +676,7 @@ def saddle_law_tail(p_lo, p_hi, t, c, b, step=0.02):
     saddle law n = round(3000 - b ln(t - c)), with their run ends."""
     n = np.round(3000.0 - b * np.log(np.asarray(t) - c))
     points = [p_lo + (p_hi - p_lo) * t_i for t_i in t]
-    ends = [RunEnd(Termination.DIVERGED, np.zeros(1), n_i * step, n_i) for n_i in n]
+    ends = [RunEnd(Termination.DIVERGED, np.zeros(1), n_i * step, n_i, "escape") for n_i in n]
     return points, ends
 
 

@@ -287,7 +287,9 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, pend_cfg, grid, gr
             if traj.termination is Termination.CONVERGED_TO_SEP:
                 form, level = certificate_of(sys_, p, cfg, sep)
                 d = _offset(traj.states[-1], sep, _wrap_index(sys_))
-                certified += _quadratic(form, d) <= level
+                in_set = _quadratic(form, d) <= level
+                assert ends[k].rule == ("certified" if in_set else "dwell")
+                certified += in_set
         assert certified >= 1
 
 

@@ -308,6 +308,7 @@ def test_escape_is_timed_within_its_last_step_alike_in_any_batch(step):
     for run, member in zip(alone, together):
         n = round(run.elapsed / step)
         assert run.termination is Termination.DIVERGED
+        assert run.rule == member.rule == "escape"
         assert np.linalg.norm(run.final_state) <= cfg.divergence_norm
         assert n - 1 < run.tau <= n
         assert member.tau == run.tau and member.elapsed == run.elapsed
@@ -377,7 +378,7 @@ def test_norm_end_keeps_the_step_count():
         ),
     )
     (run,) = lockstep_ends(made_up, [1.7], cfg)
-    assert run.termination is Termination.DIVERGED
+    assert run.termination is Termination.DIVERGED and run.rule == "norm"
     assert run.elapsed == m * cfg.step and run.tau == m
     # the same run with the norm out of reach is timed within the step
     (timed,) = lockstep_ends(made_up, [1.7], config(0.2))

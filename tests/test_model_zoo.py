@@ -20,6 +20,7 @@ from moi import (
     MultiMachineParams,
     NewtonDivergence,
     ParamOutOfRange,
+    ParameterizedSystem,
     PendulumParams,
     Termination,
     bundled_network_path,
@@ -38,6 +39,7 @@ from moi import (
     simulate,
     Verdict,
 )
+from moi.model_zoo import _replay
 
 
 class TestPendulumEquilibria:
@@ -550,6 +552,19 @@ class TestBatchedModels:
         batch = initial_state(sys_, p)
         for k in range(len(p)):
             assert np.array_equal(batch[k], initial_state(sys_, p[k]))
+
+    def test_failed_replay_names_its_parameters(self):
+        """A replay whose batched step fails for a member raises, naming
+        that member's parameters: x' = r x at r = 100 makes the Newton
+        matrix of a 0.02 step singular."""
+        rate = ParameterizedSystem(
+            state_dim=1, param_dim=1, name="rate",
+            field=lambda x, p: p * x, jacobian=lambda x, p: p[..., None] * np.ones(x.shape + (1,)),
+            batched=True,
+        )
+        x, q = np.ones((3, 1)), np.array([[-1.0], [100.0], [3.0]])
+        with pytest.raises(NewtonDivergence, match=r"rate replay failed for p = \[\[100\.\]\]"):
+            _replay(rate, x, q, 0.1, IntegratorConfig(step=0.02))
 
     def test_batch_rejects_any_non_positive_inertia(self, nine_bus):
         sys_ = multimachine_system(nine_bus)

@@ -5,18 +5,17 @@ every member it counts as started is accounted for, it counts only the
 searches' members as search work and both steppers' member steps, it
 counts rounds on consecutive doubles apart from guided and uniform ones,
 counts the escapes timed within their last step with their end times,
-each workload ends with a total row, and its point-wise verdict comparison
-sees a changed verdict.
-
-The tool reads Lockstep's member columns by name and treats a missing one
-as "no certificate", so a renamed column would turn every certified end
-into a dwell end without an error.
+each workload ends with a total row, its point-wise verdict comparison
+sees a changed verdict, and it counts each reported end under the rule
+that ended it (``RunEnd.rule``), failing a run where the rule columns do
+not add up to the reported ends.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +168,32 @@ def test_timed_escapes_are_counted_with_their_end_times(tmp_path, monkeypatch):
         assert row["tau_sum"] == total and (total != round(total)) == timed
         # every timed end is an escape, inside the norm
         assert row["timed"] <= row["escaped"] and row["escaped"] + row["beyond_norm"] > 0
+
+
+def test_every_reported_end_is_counted_under_its_rule(tmp_path, monkeypatch):
+    """The six rule columns add up to reported, each end counted under the
+    column of its RunEnd.rule; a run with an end of no known rule fails."""
+    argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", "0.2",
+            "--tol", "1e-3"]
+    columns = search_counts.RULE_COLUMNS.values()
+    row, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    assert sum(row[c] for c in columns) == row["reported"] > row["certified"] > 0
+    assert row["budget"] == row["solver"] == 0
+    step = moi.integrator.Lockstep.step
+
+    def relabel(rule):
+        monkeypatch.setattr(
+            moi.integrator.Lockstep, "step",
+            lambda lock: {k: replace(end, rule=rule) for k, end in step(lock).items()},
+        )
+
+    relabel("budget")
+    relabelled, _, _, _ = search_counts.run_once(moi, argv, tmp_path / "out")
+    assert relabelled["budget"] == relabelled["reported"] == row["reported"]
+    assert sum(relabelled[c] for c in columns) == row["reported"]
+    relabel("unknown")
+    with pytest.raises(SystemExit, match="members reported, of which 0 certified"):
+        search_counts.run_once(moi, argv, tmp_path / "out")
 
 
 def test_verdicts_are_compared_point_by_point(tmp_path):

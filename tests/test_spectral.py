@@ -1,5 +1,5 @@
-"""Eigen plumbing: decomposition, stability classification, the unique
-unstable pair, sign determinism, and the residual bound."""
+"""Eigen plumbing: stability classification, the unique unstable pair,
+sign determinism, and the residual bound."""
 
 from __future__ import annotations
 
@@ -13,21 +13,11 @@ from moi import (
     MultipleUnstableEigenvalues,
     NoUnstableEigenvalue,
     canonical_sign,
-    eigendecompose,
     is_unstable,
     spectral_abscissa,
     unstable_count,
     unstable_eigenpair,
 )
-
-
-def test_eigendecompose_identity():
-    pairs = eigendecompose(np.eye(3))
-    assert len(pairs) == 3
-    for pr in pairs:
-        assert pr.value == pytest.approx(1.0)
-        assert np.linalg.norm(pr.vector) == pytest.approx(1.0)
-        assert pr.residual <= 1e-12
 
 
 def test_rotation_matrix_is_marginal():
@@ -114,20 +104,35 @@ def test_sign_deterministic_across_calls():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_residual_bound_random_matrices(n, seed):
-    """Every returned eigenpair satisfies ||Av - lam v|| <= 1e-9 max(1, ||A||)."""
+    """The returned eigenpair satisfies ||Av - lam v|| <= 1e-9 max(1, ||A||)
+    on random matrices with exactly one unstable eigenvalue: a random real
+    Schur form, stable but for its first entry and with some complex pairs,
+    in a random orthonormal basis."""
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, n)) * rng.choice([0.01, 1.0, 100.0])
+    scale = rng.choice([0.01, 1.0, 100.0])
+    T = np.triu(rng.normal(size=(n, n)))
+    T[np.diag_indices(n)] = -rng.uniform(0.1, 2.0, size=n)
+    T[0, 0] = rng.uniform(0.1, 2.0)
+    for k in range(1, n - 1, 3):
+        # a 2x2 block with equal diagonal and off-diagonal entries of
+        # opposite signs: a complex pair with real part T[k, k] < 0
+        T[k + 1, k + 1] = T[k, k]
+        T[k + 1, k] = -np.sign(T[k, k + 1]) * rng.uniform(0.1, 2.0)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = scale * (Q @ T @ Q.T)
+    assert unstable_count(A) == 1
+    pr = unstable_eigenpair(A)
+    assert pr.value.real == pytest.approx(scale * T[0, 0], rel=1e-6)
     bound = 1e-9 * max(1.0, np.linalg.norm(A, 2))
-    for pr in eigendecompose(A):
-        assert pr.residual <= bound
-        check = np.linalg.norm(A @ pr.vector - pr.value * pr.vector)
-        assert check == pytest.approx(pr.residual, abs=1e-15)
+    assert pr.residual <= bound
+    check = np.linalg.norm(A @ pr.vector - pr.value * pr.vector)
+    assert check == pytest.approx(pr.residual, abs=1e-15)
 
 
-def test_unstable_count_matches_eigendecompose():
+def test_unstable_count_matches_eig():
     rng = np.random.default_rng(11)
     for _ in range(10):
         A = rng.normal(size=(6, 6))
         n_direct = unstable_count(A)
-        n_pairs = sum(1 for pr in eigendecompose(A) if pr.value.real > 1e-9)
+        n_pairs = int(np.sum(np.linalg.eig(A).eigenvalues.real > 1e-9))
         assert n_direct == n_pairs

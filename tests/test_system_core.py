@@ -63,6 +63,17 @@ def test_jacobian_wrong_dims(pendulum):
         eval_jacobian(pendulum, np.array([1.0]), np.array([1.5]))
 
 
+def test_analytic_jacobian_shape_is_checked():
+    bad = ParameterizedSystem(
+        state_dim=2,
+        param_dim=1,
+        field=lambda x, p: x,
+        jacobian=lambda x, p: np.zeros((2, 3)),
+    )
+    with pytest.raises(DimensionMismatch, match=r"jacobian returned shape \(2, 3\)"):
+        eval_jacobian(bad, np.zeros(2), np.zeros(1))
+
+
 def test_analytic_jacobian_values(pendulum):
     x = np.array([0.3, -0.2])
     J = eval_jacobian(pendulum, x, np.array([1.5]))
@@ -111,6 +122,19 @@ def test_initial_state_checks_shape():
     )
     with pytest.raises(DimensionMismatch):
         initial_state(bad, np.array([0.0]))
+
+
+def test_initial_state_checks_parameter_shape():
+    """A parameter of the wrong shape raises before the initial condition
+    sees it, which here would return a state of the right shape."""
+    sys_ = ParameterizedSystem(
+        state_dim=2,
+        param_dim=1,
+        field=lambda x, p: x,
+        initial_condition=lambda p: np.zeros(2),
+    )
+    with pytest.raises(DimensionMismatch, match=r"parameter has shape \(3,\)"):
+        initial_state(sys_, np.zeros(3))
 
 
 def test_initial_state_rejects_non_finite():

@@ -27,12 +27,13 @@ the coarse pendulum ``sweep`` (h 0.8 ... 0.08, tol 0).  Per run it counts:
   reported, in the searches' Locksteps.  Every started member is one or
   the other, and none is live when the command ends; a run where that does
   not hold fails;
-- ``certified`` / ``dwell``: search members that ended ``CONVERGED_TO_SEP``
-  inside their certified level set, or by the ``SEP_TOL``/``SEP_DWELL``
-  rule (a package without certificates has only dwell ends);
-- ``escaped`` / ``beyond_norm``: search members that ended ``DIVERGED``
-  on a state within the divergence norm (in their escape set), or beyond it
-  (a package without escape certificates has only ends beyond the norm);
+- ``certified`` / ``dwell`` / ``escaped`` / ``beyond_norm`` / ``budget`` /
+  ``solver``: reported members by the rule that ended them
+  (``RunEnd.rule``): ``CONVERGED_TO_SEP`` inside their certified level set
+  or by the ``SEP_TOL``/``SEP_DWELL`` rule, ``DIVERGED`` in their escape
+  set or beyond the divergence norm, ``MAX_TIME_REACHED`` or
+  ``SOLVER_FAILURE``.  Every reported member has one rule; a run where
+  these columns do not add up to ``reported`` fails;
 - ``certified_steps`` / ``diverged_steps``: the steps at which the
   ``certified`` members, and all members that ended ``DIVERGED``, ended,
   summed; over ``certified`` and over ``escaped + beyond_norm`` they give
@@ -102,8 +103,12 @@ WORKLOADS = {
 COLUMNS = ("batch_steps", "member_steps", "scalar_steps", "recorded_steps",
            "started", "dropped", "groups", "groups_dropped",
            "reported", "dropped_live", "certified", "dwell", "escaped",
-           "beyond_norm", "certified_steps", "diverged_steps", "timed", "tau_sum",
-           "undetermined", "guided", "contiguous", "uniform", "cpu_s")
+           "beyond_norm", "budget", "solver", "certified_steps", "diverged_steps",
+           "timed", "tau_sum", "undetermined", "guided", "contiguous", "uniform",
+           "cpu_s")
+#: the column that counts the ends of each rule (``RunEnd.rule``)
+RULE_COLUMNS = {"certified": "certified", "dwell": "dwell", "escape": "escaped",
+                "norm": "beyond_norm", "budget": "budget", "solver": "solver"}
 
 
 def placement(rb, p_lo, p_hi, points: list, sections: int) -> str:
@@ -127,7 +132,6 @@ def counting(moi, counts: Counter, searches: dict):
     counted as search work.  On leaving it, ``counts["live"]`` holds the
     members still live in them."""
     integ, rb = moi.integrator, moi.recovery_boundary
-    converged = moi.Termination.CONVERGED_TO_SEP
     diverged = moi.Termination.DIVERGED
     lock_cls, search_cls = integ.Lockstep, rb._PipelinedSearch
     saved = [
@@ -158,35 +162,21 @@ def counting(moi, counts: Counter, searches: dict):
         if id(self) not in locks:
             return step(self)
         counts["batch_steps"] += 1
-        # the member arrays are replaced, not changed, by a step
-        ids, sep, form, level, start = (
-            getattr(self, name, None) for name in ("_ids", "_sep", "_form", "_level", "_start")
-        )
         stepping[0] = True
         try:
             ends = step(self)
         finally:
             stepping[0] = False
         counts["reported"] += len(ends)
-        for k, end in ends.items():
-            at = np.flatnonzero(ids == k)
-            # the member's steps: those of the batch since it started
-            steps = self.steps - int(start[at[0]]) if len(at) else 0
+        for end in ends.values():
+            counts["rule", end.rule] += 1
+            steps = round(end.elapsed / self.cfg.step)
             if end.termination is diverged:
-                beyond = np.linalg.norm(end.final_state) > self.cfg.divergence_norm
-                counts["beyond_norm" if beyond else "escaped"] += 1
                 counts["diverged_steps"] += steps
                 if end.tau < steps:
                     counts["timed"] += 1
                     counts["tau_sum"] += end.tau
-            if end.termination is not converged or not len(at):
-                continue
-            i = at[0]
-            certified = level is not None and integ._quadratic(
-                form[i], integ._offset(end.final_state, sep[i], self._wrap)
-            ) <= level[i]
-            counts["certified" if certified else "dwell"] += 1
-            if certified:
+            elif end.rule == "certified":
                 counts["certified_steps"] += steps
         return ends
 
@@ -255,6 +245,13 @@ def run_once(moi, argv: list, out: Path) -> tuple[dict, str, bytes, dict]:
             f"{counts['live']} still live"
         )
     row = {name: counts[name] for name in COLUMNS[:-1]}
+    for rule, column in RULE_COLUMNS.items():
+        row[column] = counts["rule", rule]
+    if sum(row[column] for column in RULE_COLUMNS.values()) != counts["reported"]:
+        raise SystemExit(
+            f"{' '.join(argv)}: {counts['reported']} members reported, of which "
+            + ", ".join(f"{row[column]} {column}" for column in RULE_COLUMNS.values())
+        )
     row["dropped"] = counts["started"] - counts["classified"]
     row["groups_dropped"] = counts["groups"] - counts["groups_classified"]
     row["tau_sum"] = float(counts["tau_sum"])
