@@ -13,7 +13,11 @@ Lockstep's lone member.  On a batched system with an analytic Jacobian
 several members advance together, one batched step for all; a lone member,
 or a member of any other system, takes the single-state step.  Both
 steppers go through the same floating-point operations, so a run ends
-bitwise alike however it is batched.
+bitwise alike however it is batched.  A Newton update that is not finite (a
+singular Newton matrix gives a nan one) fails the step; in a batch it fails
+that member alone.  A batched step returns the field at its new states,
+which the Lockstep carries into its next batched step instead of
+evaluating it again.
 
 A recovering trajectory ends as soon as it is known to recover.  For a
 system that bounds the variation of its Jacobian
@@ -34,6 +38,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+# The LAPACK gufunc behind np.linalg.solve, called without the wrapper's
+# argument checks and error-state context, which cost more than the solve on
+# the small stacks stepped here.  The module is private to numpy; this
+# package is tested with numpy 2.4.6, where solve1 has the signature
+# (m,m),(m)->(m) and returns a nan row for a singular matrix.
+from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .errors import DimensionMismatch, NewtonDivergence, NonFiniteOutput
 from .spectral import DEFAULT_STABILITY_TOL, is_unstable
@@ -287,29 +297,33 @@ def step_trapezoidal(
     Solves  y = x + (h/2) * (f(x) + f(y))  for y by Newton iteration seeded
     at the forward-Euler predictor. Raises ``NewtonDivergence`` if the
     residual fails to reach ``cfg.newton_tol`` within ``NEWTON_MAX_ITER``
-    iterations or the Newton matrix is singular.
+    iterations or a Newton update is not finite (a singular Newton matrix
+    gives a nan update).
     """
     h = cfg.step
     half_h = 0.5 * h
     eye = _identity(sys.state_dim)
     fx = sys.field(x, p)
     y = x + h * fx
-    for it in range(NEWTON_MAX_ITER + 1):
-        g = y - x - half_h * (fx + sys.field(y, p))
-        residual = _norm(g)
-        # a non-finite y gives a non-finite residual, which never passes
-        if residual <= cfg.newton_tol:
-            return y
-        if it == NEWTON_MAX_ITER:
-            raise NewtonDivergence(
-                f"Newton iteration stalled at residual {residual:.3e} "
-                f"after {it} iterations (tol {cfg.newton_tol:.1e})"
-            )
-        jac = eval_jacobian(sys, y, p)
-        try:
-            y = y - np.linalg.solve(eye - half_h * jac, g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(f"singular Newton matrix at y={y}: {exc}") from exc
+    with np.errstate(invalid="ignore"):
+        for it in range(NEWTON_MAX_ITER + 1):
+            g = y - x - half_h * (fx + sys.field(y, p))
+            residual = _norm(g)
+            # a non-finite y gives a non-finite residual, which never passes
+            if residual <= cfg.newton_tol:
+                return y
+            if it == NEWTON_MAX_ITER:
+                raise NewtonDivergence(
+                    f"Newton iteration stalled at residual {residual:.3e} "
+                    f"after {it} iterations (tol {cfg.newton_tol:.1e})"
+                )
+            delta = _solve(eye - half_h * eval_jacobian(sys, y, p), g)
+            if not _all_finite(delta):
+                raise NewtonDivergence(
+                    f"non-finite Newton update at y={y}: the Newton matrix is "
+                    f"singular or the update overflowed"
+                )
+            y = y - delta
 
 
 def step_trapezoidal_batch(
@@ -317,57 +331,60 @@ def step_trapezoidal_batch(
     x: np.ndarray,
     p: np.ndarray,
     cfg: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+    fx: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trapezoidal step for each row of ``x`` (K, n) at the rows of ``p``.
 
     ``sys`` must be batched, with an analytic Jacobian.  Each member goes
     through the floating-point operations of :func:`step_trapezoidal`; a
     member whose residual has met the tolerance is frozen (the Newton
-    update skips its row) while the others iterate on.  Returns the new
-    states and a boolean mask of the members whose step failed where the
-    single step would raise (Newton stalled, singular Newton matrix or
-    non-finite Jacobian); their rows are meaningless, and they do not hold
-    up the other members.
+    update skips its row) while the others iterate on.  A member fails where
+    the single step would raise: its Newton iteration stalls, its Jacobian
+    is not finite, or its Newton update is not finite (a singular Newton
+    matrix gives a nan update).  A failed member's row is meaningless, and
+    it does not hold up the other members.
+
+    ``fx`` is ``sys.field(x, p)`` if the caller has it (the carried field),
+    else None and it is evaluated here.  Returns the new states y, the
+    boolean mask of failed members and ``sys.field(y, p)``: the last Newton
+    iterate evaluates the field on exactly the y it returns (frozen rows
+    included, unchanged), so a caller that steps on from y passes it back
+    as the next step's ``fx``.
     """
     h = cfg.step
     half_h = 0.5 * h
     k, n = x.shape
     eye = _identity(n)
-    fx = sys.field(x, p)
+    if fx is None:
+        fx = sys.field(x, p)
     y = x + h * fx
     failed = np.zeros(k, dtype=bool)
     pending = ~failed
-    for it in range(NEWTON_MAX_ITER + 1):
-        g = y - x - half_h * (fx + sys.field(y, p))
-        pending &= ~(_norm(g) <= cfg.newton_tol)
-        if not np.count_nonzero(pending):
-            break
-        if it == NEWTON_MAX_ITER:
-            failed |= pending
-            break
-        jac = np.asarray(sys.jacobian(y, p), dtype=float)
-        if jac.shape != (k, n, n):
-            raise DimensionMismatch(
-                f"batched jacobian returned shape {jac.shape}, expected {(k, n, n)}"
-            )
-        if not _all_finite(jac):
-            failed |= pending & ~np.isfinite(jac).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        for it in range(NEWTON_MAX_ITER + 1):
+            fy = sys.field(y, p)
+            g = y - x - half_h * (fx + fy)
+            pending &= ~(_norm(g) <= cfg.newton_tol)
+            if not np.count_nonzero(pending):
+                break
+            if it == NEWTON_MAX_ITER:
+                failed |= pending
+                break
+            jac = np.asarray(sys.jacobian(y, p), dtype=float)
+            if jac.shape != (k, n, n):
+                raise DimensionMismatch(
+                    f"batched jacobian returned shape {jac.shape}, expected {(k, n, n)}"
+                )
+            # an infinite entry can still give a finite update
+            if not _all_finite(jac):
+                failed |= pending & ~np.isfinite(jac).all(axis=(1, 2))
+            delta = _solve(eye - half_h * jac, g)
+            if not _all_finite(delta):
+                failed |= pending & ~np.isfinite(delta).all(axis=1)
             pending &= ~failed
-        matrices = eye - half_h * jac
-        try:
-            delta = np.linalg.solve(matrices, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # some matrix of the stack is singular: solve member by member
-            delta = np.zeros_like(g)
-            for j in np.flatnonzero(pending):
-                try:
-                    delta[j] = np.linalg.solve(matrices[j], g[j])
-                except np.linalg.LinAlgError:
-                    failed[j] = True
-            pending &= ~failed
-        np.subtract(y, delta, out=y, where=pending[:, None])
+            np.subtract(y, delta, out=y, where=pending[:, None])
     # only failed rows can be non-finite: such a residual never meets the tolerance
-    return y, failed
+    return y, failed, fy
 
 
 def _wrap_index(sys: ParameterizedSystem):
@@ -497,7 +514,11 @@ class Lockstep:
     lockstep (``lockstep``), initial conditions and steps are computed as
     one batch (:func:`step_trapezoidal_batch`); otherwise each member takes
     the single-state :func:`initial_state` and :func:`step_trapezoidal`.
-    Both round alike, so a member ends bitwise the same in any batch.
+    Both round alike, so a member ends bitwise the same in any batch.  A
+    batched step hands the field at its new states to the next one, as the
+    column ``_f`` (``sys.field(_x, _p)``); the column is either valid for
+    every live member or None, as after an :meth:`add` or a single-state
+    step, and the next batched step then evaluates the field afresh.
     """
 
     #: the member columns, one row per live member; the last four hold each
@@ -522,6 +543,7 @@ class Lockstep:
         for name, column in zip(self._COLUMNS, empty):
             setattr(self, name, column)
         self._deadline = np.inf
+        self._f = None
 
     def __len__(self) -> int:
         """Members started and not reported or dropped yet."""
@@ -550,6 +572,7 @@ class Lockstep:
         for name, new in zip(self._COLUMNS, rows):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         ids = rows[0]
+        self._f = None
         self._next_id += len(ids)
         self._deadline = min(self._deadline, self.steps + self.budget)
         return ids
@@ -561,6 +584,8 @@ class Lockstep:
     def _keep(self, keep: np.ndarray) -> None:
         for name in self._COLUMNS:
             setattr(self, name, getattr(self, name)[keep])
+        if self._f is not None:
+            self._f = self._f[keep]
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
 
     def _step_each(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -611,9 +636,12 @@ class Lockstep:
             return ends
         x_prev = self._x
         if self.lockstep and len(x_prev) > 1:
-            x, failed = step_trapezoidal_batch(self.sys, x_prev, self._p, cfg)
+            x, failed, self._f = step_trapezoidal_batch(
+                self.sys, x_prev, self._p, cfg, self._f
+            )
         else:
             x, failed = self._step_each(x_prev)
+            self._f = None
         self.steps += 1
         self._x = x
         beyond, certified, near = _end_test(

@@ -144,8 +144,9 @@ def _replay(
     """The states (K, n) that the batched ``sys`` reaches from ``x`` (K, n)
     at parameters ``q`` (K, m) after ``duration``, rounded to whole steps of
     ``cfg.step``."""
+    f = None
     for _ in range(int(round(duration / cfg.step))):
-        x, failed = step_trapezoidal_batch(sys, x, q, cfg)
+        x, failed, f = step_trapezoidal_batch(sys, x, q, cfg, f)
         if failed.any():
             raise NewtonDivergence(f"{sys.name} replay failed for p = {q[failed]}")
     return x
@@ -254,7 +255,8 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
 
     The level is E_u - delta with delta = N e + c1 rho^2 / (2 - h sqrt(c1))^2
     + c1 s^2 / 2 + 16 eps M.  The s term covers the distance s of the
-    computed t_u from the exact saddle (the SEP's own error included), the
+    computed t_u from the exact saddle (the SEP's own error included, and
+    the rounding of t_u, 8 eps (max(|t_s|, |t_u|) + 4)), the
     M term the rounding of E and E_u at magnitude M = R^2 + 2 c1 +
     |p| (R + |t_u|).  So a state with t > t_u, |w| <= B and E < level has
     an exact energy below that of the exact saddle by more than N e plus
@@ -278,7 +280,8 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
         rise = rho * (c1 + torque + speed + rho * c * k / (c - k))
         jump = 2.0 - h * np.sqrt(c1)
         off = np.abs(np.remainder(theta_s - half_gap + np.pi, 2.0 * np.pi) - np.pi)
-        off += 8.0 * _EPS * (np.abs(theta_s) + 4.0)
+        # the rounding of t_u itself, at the larger of |t_s| and |t_u|
+        off += 8.0 * _EPS * (np.maximum(np.abs(theta_s), np.abs(saddle)) + 4.0)
         magnitude = reach**2 + 2.0 * c1 + torque * (reach + np.abs(saddle))
         delta = (budget * rise + c1 * rho**2 / jump**2 + c1 * off**2 / 2.0
                  + 16.0 * _EPS * magnitude)
@@ -539,22 +542,41 @@ def _swing_system(
         nodes[..., 1:] = th
         return th[..., :, None] - nodes[..., None, :]
 
-    def field(x, p):
+    # the last state's terms: every Jacobian of a Newton iterate follows a
+    # field at the same state
+    memo = [None]
+
+    def terms(x, p):
+        """cos and sin of the angle gaps at ``x`` and the inertias at ``p``,
+        read-only; the key holds the shapes, dtypes and bytes of both, so a
+        state updated in place, or one state against a stack of one, is a
+        miss."""
+        key = (x.shape, p.shape, x.dtype, p.dtype, x.tobytes(), p.tobytes())
+        last = memo[0]
+        if last is not None and last[0] == key:
+            return last[1]
         d = angle_gaps(x)
-        flows = emf_nodes * (g_rows * np.cos(d) + b_rows * np.sin(d))
+        out = (np.cos(d), np.sin(d), inertias(p))
+        for a in out:
+            a.flags.writeable = False
+        memo[0] = (key, out)
+        return out
+
+    def field(x, p):
+        cos_d, sin_d, m = terms(x, p)
+        flows = emf_nodes * (g_rows * cos_d + b_rows * sin_d)
         pe = emf_machines * np.add.reduce(flows, axis=-1)
         w = x[..., n:]
-        return np.concatenate([w, (mech - pe - damping * w) / inertias(p)], axis=-1)
+        return np.concatenate([w, (mech - pe - damping * w) / m], axis=-1)
 
     def jacobian(x, p):
-        d = angle_gaps(x)
+        cos_d, sin_d, m = terms(x, p)
         # t[i, j] = d(pe_i)/d(theta_i) contribution of node j
-        t = emf_pairs * (minus_g_rows * np.sin(d) + b_rows * np.cos(d))
+        t = emf_pairs * (minus_g_rows * sin_d + b_rows * cos_d)
         # each machine's own column is left out of its coupling sum
         t[..., own, own_node] = 0.0
         # the coupling sum, node by node in index order
         diag = np.add.accumulate(t, axis=-1)[..., -1]
-        m = inertias(p)
         # -d(pe)/d(theta) divided by the inertias: off-diagonal t, diagonal
         # minus the coupling sum
         jac = np.zeros(x.shape[:-1] + (2 * n, 2 * n))

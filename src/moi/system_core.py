@@ -54,8 +54,11 @@ class ParameterizedSystem:
         present) also accept a leading batch axis, evaluating each member
         with the same floating-point operations as a single call: x of shape
         (K, n) and p of shape (K, m) give fields (K, n), Jacobians (K, n, n)
-        and initial conditions (K, n).  Recovery probes of a batched system
-        with an analytic Jacobian run in lockstep batches.
+        and initial conditions (K, n).  So a batched ``field`` gives each
+        row, bitwise, the value it gives that state alone, whatever the
+        other rows are: the field that a Lockstep carries from one step to
+        the next stays valid when members are dropped.  Recovery probes of
+        a batched system with an analytic Jacobian run in lockstep batches.
     jacobian_lipschitz
         Optional callable p -> (w, L), filled in by the model constructors:
         positive diagonal state weights w (length n) and a bound L on the

@@ -74,11 +74,13 @@ def single_steps(sys_, x, p, cfg, n_steps):
 
 def assert_batch_steps_match(sys_, x, p, cfg, n_steps):
     """Every batch member's trajectory equals the single-state one bitwise,
-    and a member fails exactly where the single step raises."""
+    and a member fails exactly where the single step raises.  Each step
+    takes the field that the one before returned."""
     reference = [single_steps(sys_, xk, pk, cfg, n_steps) for xk, pk in zip(x, p)]
     alive = np.ones(len(x), dtype=bool)
+    f = None
     for n in range(n_steps):
-        x, failed = step_trapezoidal_batch(sys_, x, p, cfg)
+        x, failed, f = step_trapezoidal_batch(sys_, x, p, cfg, f)
         for k in np.flatnonzero(alive):
             expected = reference[k][n]
             if expected is None:
@@ -139,13 +141,22 @@ def linear_system():
 
 def test_singular_member_fails_alone():
     """x' = r x with r = 100 makes I - (h/2) r singular at h = 0.02; that
-    member fails, the others step on as the single step would."""
+    member fails at its first Newton update, whose nan it does not iterate
+    on, and the others step on as the single step would."""
     sys_ = linear_system()
     cfg = IntegratorConfig(step=0.02)
     x = np.array([[1.0], [1.0], [2.0]])
     p = np.array([[-1.0], [100.0], [3.0]])
-    y, failed = step_trapezoidal_batch(sys_, x, p, cfg)
+    jacobians = []
+
+    def spy(y, q):
+        jacobians.append(y.copy())
+        return sys_.jacobian(y, q)
+
+    y, failed, _ = step_trapezoidal_batch(replace(sys_, jacobian=spy), x, p, cfg)
     assert failed.tolist() == [False, True, False]
+    # one update solves a linear member
+    assert len(jacobians) == 1
     for k in (0, 2):
         assert np.array_equal(y[k], step_trapezoidal(sys_, x[k], p[k], cfg))
     with pytest.raises(NewtonDivergence):
@@ -212,7 +223,7 @@ def test_failing_members_fail_alone_and_converged_members_stay_frozen():
         seen.append(y.copy())
         return mixed_system().jacobian(y, q)
 
-    y, failed = step_trapezoidal_batch(replace(mixed_system(), jacobian=spy), x, p, cfg)
+    y, failed, _ = step_trapezoidal_batch(replace(mixed_system(), jacobian=spy), x, p, cfg)
     assert failed.tolist() == [False, True, True, False, False, False]
     with pytest.raises(NonFiniteOutput):
         step_trapezoidal(mixed_system(), x[1], p[1], cfg)
@@ -370,6 +381,45 @@ def test_member_added_later_ends_as_simulate_ends_it_alone(pendulum):
         assert ends[k].elapsed == traj.elapsed
 
 
+@pytest.mark.parametrize(
+    "model, h, norm, first, later",
+    [("pendulum", 0.05, 50.0, [1.0, 1.2, 1.5, 1.8], [1.1, 1.7]),
+     ("nine_bus", 1.0 / 60.0, MULTIMACHINE_DIVERGENCE_NORM, [0.3, 0.5, 0.9], [0.6, 1.2])],
+)
+def test_carried_field_is_the_field_of_the_live_members(
+    request, model, h, norm, first, later
+):
+    """After every step the field that a Lockstep carries into its next
+    batched step is, where it has one, ``sys.field`` of its live members,
+    bitwise, while members are added, dropped, end and step alone."""
+    sys_ = request.getfixturevalue(model)
+    if model == "nine_bus":
+        sys_ = multimachine_system(sys_)
+    cfg = IntegratorConfig(step=h, divergence_norm=norm)
+    lock = Lockstep(sys_, cfg)
+
+    def start(values):
+        points = np.array(values)[:, None]
+        ids = lock.add(points, np.array([find_sep(sys_, q) for q in points]))
+        assert lock._f is None
+        return ids.tolist()
+
+    ids = start(first)
+    carried = lone = 0
+    while len(lock):
+        lone += len(lock) == 1
+        lock.step()
+        if lock.steps == 3:
+            ids += start(later)
+        if lock.steps == 6:
+            lock.drop([ids[1]])
+        if lock._f is None:
+            continue
+        carried += 1
+        assert np.array_equal(lock._f, sys_.field(lock._x, lock._p))
+    assert carried > 0 and lone > 0
+
+
 def test_member_left_alone_switches_to_the_single_step(pendulum, monkeypatch):
     """A member that outlives its round-mates takes the batched step while
     they live and the single-state step after; its states equal those of a
@@ -380,9 +430,9 @@ def test_member_left_alone_switches_to_the_single_step(pendulum, monkeypatch):
     steppers = []
     batch, single = step_trapezoidal_batch, step_trapezoidal
 
-    def spy_batch(sys_, x, p, cfg_):
+    def spy_batch(sys_, x, p, cfg_, fx):
         steppers.append(len(x))
-        return batch(sys_, x, p, cfg_)
+        return batch(sys_, x, p, cfg_, fx)
 
     def spy_single(*args):
         steppers.append(1)

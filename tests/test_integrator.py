@@ -18,6 +18,7 @@ from moi import (
     simulate,
     step_trapezoidal,
 )
+from moi.integrator import _solve
 from moi.spectral import DEFAULT_STABILITY_TOL
 
 from conftest import assert_escape_end, assert_recovery_end
@@ -275,3 +276,25 @@ class TestSimulate:
         b = simulate(pendulum, [1.5], pend_cfg, sep)
         assert np.array_equal(a.states, b.states)
         assert a.termination is b.termination
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("k", [1, 16])
+def test_newton_solve_equals_numpy_solve_bitwise(n, k):
+    """The LAPACK call of the Newton steps equals ``np.linalg.solve``
+    bitwise; a singular member gives a non-finite row of its own and
+    leaves the other rows alone."""
+    rng = np.random.default_rng(100 * n + k)
+    a = np.eye(n) - 0.01 * rng.standard_normal((k, n, n))
+    b = rng.standard_normal((k, n))
+    expected = np.linalg.solve(a, b[..., None])[..., 0]
+    assert np.array_equal(_solve(a, b), expected)
+    for j in range(k):
+        assert np.array_equal(_solve(a[j], b[j]), np.linalg.solve(a[j], b[j]))
+    singular = a.copy()
+    singular[k // 2, :, 0] = 0.0  # an exactly zero pivot
+    with np.errstate(invalid="ignore"):
+        rows = _solve(singular, b)
+    assert not np.isfinite(rows[k // 2]).any()
+    others = np.arange(k) != k // 2
+    assert np.array_equal(rows[others], expected[others])

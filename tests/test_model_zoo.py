@@ -384,6 +384,43 @@ class TestBundledNetwork:
         with pytest.raises(ParamOutOfRange):
             eval_field(sys_, np.zeros(6), np.array([-0.5]))
 
+    def test_trig_terms_are_shared_at_one_state_only(self, nine_bus, monkeypatch):
+        """A Jacobian after a field at the same state computes no cosine
+        of its own.  A changed p, one state after a stack of that one
+        state, and a state updated in place since the field each compute
+        them afresh, and every value is that of a fresh system."""
+        x = find_sep(multimachine_system(nine_bus), [1.0]) + 0.1
+        moved = x.copy()
+        moved[0] += 0.05
+        p, q = np.array([1.0]), np.array([0.7])
+
+        def fresh(name, y, r):
+            return getattr(multimachine_system(nine_bus), name)(y, r)
+
+        expected = [fresh("jacobian", x, p), fresh("jacobian", x, q),
+                    fresh("field", x[None], q[None]), fresh("jacobian", x, q),
+                    fresh("jacobian", moved, p)]
+        sys_ = multimachine_system(nine_bus)
+        cosines = []
+        cos = np.cos
+
+        def counted(*args, **kwargs):
+            cosines.append(args[0].shape)
+            return cos(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counted)
+        sys_.field(x, p)
+        got = [sys_.jacobian(x, p)]
+        assert len(cosines) == 1
+        got += [sys_.jacobian(x, q), sys_.field(x[None], q[None]), sys_.jacobian(x, q)]
+        y = x.copy()
+        sys_.field(y, p)
+        y[0] += 0.05
+        got.append(sys_.jacobian(y, p))
+        assert cosines == [(3, 4), (3, 4), (1, 3, 4), (3, 4), (3, 4), (3, 4)]
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
 
 class TestFaultScenario:
     def test_zero_duration_returns_pre_fault_equilibrium(self, nine_bus):

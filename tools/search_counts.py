@@ -148,10 +148,11 @@ def counting(moi, counts: Counter, searches: dict):
     locks: dict = {}
     stepping = [False]
 
-    def counted_batch(sys_, x, p, cfg):
+    def counted_batch(sys_, x, p, cfg, *fx):
+        # fx: the carried field, where the package passes one
         if stepping[0]:
             counts["member_steps"] += len(x)
-        return batch(sys_, x, p, cfg)
+        return batch(sys_, x, p, cfg, *fx)
 
     def counted_scalar(*args):
         counts["scalar_steps"] += 1

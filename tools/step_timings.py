@@ -8,8 +8,10 @@ Times, in CPU microseconds per call:
 
 - ``step_trapezoidal_batch`` at K = 1, 16 and 64 on the pendulum (h 0.02)
   and the bundled 9-bus network (h 1/60);
-- ``Lockstep.step`` with 17 pendulum members dwelling near the boundary
-  (one step per call, every member live);
+- ``Lockstep.step`` with 17 pendulum members and with 16 9-bus members
+  near the boundary (one step per call, every member live); unlike the
+  batch-step cases, which call the stepper afresh, these steps take the
+  field that the Lockstep carries from the step before;
 - the scalar ``step_trapezoidal`` on both models;
 - ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), run to the
   dwell rule so that both packages store the same states, per step it
@@ -46,6 +48,9 @@ import numpy as np
 
 #: torque just inside the pendulum's recovery boundary at h = 0.02
 PEND_P = 1.5686593295631313
+#: inertia scale near the 9-bus recovery boundary at h = 1/60: members
+#: within 1e-6 of it live for 360 to 420 steps
+NINEBUS_P = 0.47971420288085936
 
 
 def load_package(path: Path, name: str):
@@ -128,7 +133,9 @@ def cases(moi) -> dict:
 
     def batch(case, calls):
         sys_, cfg, x, p = case
-        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg), 1
+        # the states and failure mask; a package that carries the field
+        # returns it third
+        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg)[:2], 1
 
     def scalar(case, calls):
         sys_, cfg, x, p = case
@@ -143,7 +150,16 @@ def cases(moi) -> dict:
         out[f"batch_step.synthetic_n{n}.K16"] = batch(synthetic_states(moi, n, 16), 50)
     out["scalar_step.pendulum"] = scalar(pendulum_states(moi, 2), 300)
     out["scalar_step.ninebus"] = scalar(ninebus_states(moi, 2), 200)
-    out["lockstep_step.pendulum.K17"] = (100, lockstep_case(moi), 1)
+    pendulum = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
+    out["lockstep_step.pendulum.K17"] = (100, lockstep_case(
+        moi, pendulum, moi.IntegratorConfig(step=0.02, divergence_norm=50.0),
+        PEND_P - np.linspace(0.0, 1e-9, 17)[:, None], 200, 2200,
+    ), 1)
+    nine_bus = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
+    out["lockstep_step.ninebus.K16"] = (50, lockstep_case(
+        moi, nine_bus, moi.IntegratorConfig(step=1.0 / 60.0, divergence_norm=200.0),
+        NINEBUS_P + np.linspace(-1e-6, 1e-6, 16)[:, None], 50, 350,
+    ), 1)
     out["simulate_step.pendulum"] = simulate_case(moi)
     for k in (1, 16):
         out[f"recovery_sets.pendulum.K{k}"] = sets_case(moi, pendulum_states(moi, k), 200)
@@ -191,25 +207,24 @@ def simulate_case(moi):
     return 1, run, len(run()) - 1
 
 
-def lockstep_case(moi):
-    """fn() stepping a Lockstep of 17 pendulum members, all of which dwell
-    near the saddle for thousands of steps, started afresh every 2,000 steps."""
-    sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
-    cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
-    p = PEND_P - np.linspace(0.0, 1e-9, 17)[:, None]
+def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
+    """fn() stepping a Lockstep of members at the rows of ``p``, started
+    afresh and stepped ``warm`` times whenever it has taken ``last`` steps;
+    every member must live that long (near the boundary they linger by the
+    saddle)."""
     seps = np.array([moi.find_sep(sys_, q) for q in p])
     state = {}
 
     def fresh():
         lock = moi.integrator.Lockstep(sys_, cfg)
         lock.add(p, seps)
-        for _ in range(200):
+        for _ in range(warm):
             lock.step()
         state["lock"] = lock
 
     def step():
         lock = state.get("lock")
-        if lock is None or lock.steps >= 2200:
+        if lock is None or lock.steps >= last:
             fresh()
         lock = state["lock"]
         ends = lock.step()
