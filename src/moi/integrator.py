@@ -46,13 +46,16 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .errors import DimensionMismatch, NewtonDivergence, NonFiniteOutput
-from .spectral import DEFAULT_STABILITY_TOL, is_unstable
+# is_unstable is not called here, but perfbench/bench_tracer.py patches
+# moi.integrator.is_unstable, so the name stays importable.
+from .spectral import DEFAULT_STABILITY_TOL, _eigvals, is_unstable  # noqa: F401
 from .system_core import (
     ParameterizedSystem,
     Termination,
     Trajectory,
     _all_finite,
     _check_vector,
+    _count_nonzero,
     eval_jacobian,
     initial_state,
 )
@@ -108,13 +111,11 @@ def _norm(v: np.ndarray):
 
     Single states and batches share this one reduction, so a batch member's
     norm rounds exactly as the single-state norm does (a BLAS dot product
-    may fuse or reorder the additions).
+    may fuse or reorder the additions, and ``np.add.reduce`` sums pairwise).
+    A running sum is sequential by construction, so its last entry adds the
+    squares left to right.  A single state gives a numpy scalar.
     """
-    squares = (v * v).T
-    total = squares[0]
-    for k in range(1, len(squares)):
-        total = total + squares[k]
-    return np.sqrt(total)
+    return np.sqrt(np.add.accumulate(v * v, axis=-1)[..., -1])
 
 
 @functools.cache
@@ -365,7 +366,7 @@ def step_trapezoidal_batch(
             fy = sys.field(y, p)
             g = y - x - half_h * (fx + fy)
             pending &= ~(_norm(g) <= cfg.newton_tol)
-            if not np.count_nonzero(pending):
+            if not _count_nonzero(pending):
                 break
             if it == NEWTON_MAX_ITER:
                 failed |= pending
@@ -378,27 +379,41 @@ def step_trapezoidal_batch(
             # an infinite entry can still give a finite update
             if not _all_finite(jac):
                 failed |= pending & ~np.isfinite(jac).all(axis=(1, 2))
+                pending &= ~failed
             delta = _solve(eye - half_h * jac, g)
             if not _all_finite(delta):
                 failed |= pending & ~np.isfinite(delta).all(axis=1)
-            pending &= ~failed
+                pending &= ~failed
             np.subtract(y, delta, out=y, where=pending[:, None])
     # only failed rows can be non-finite: such a residual never meets the tolerance
     return y, failed, fy
 
 
 def _wrap_index(sys: ParameterizedSystem):
-    """``sys.wrap_indices`` as an index array, or None."""
+    """``sys.wrap_indices`` as a slice where they are one ascending run of
+    non-negative indices (as the swing network's angles 0..n-1 are), else
+    as an index array, or None."""
     wrap = sys.wrap_indices
-    return None if wrap is None else np.array(wrap, dtype=np.intp)
+    if wrap is None:
+        return None
+    start = wrap[0] if len(wrap) else -1
+    if start >= 0 and tuple(wrap) == tuple(range(start, start + len(wrap))):
+        return slice(start, start + len(wrap))
+    return np.array(wrap, dtype=np.intp)
 
 
 def _offset(x: np.ndarray, sep: np.ndarray, wrap) -> np.ndarray:
-    """``x - sep`` over the last axis, the coordinates ``wrap`` (an index
-    array from :func:`_wrap_index`, or None) reduced to (-pi, pi]."""
+    """``x - sep`` over the last axis, the coordinates ``wrap`` (from
+    :func:`_wrap_index`, or None) reduced to (-pi, pi]; a slice of them in
+    place, through a view."""
     d = x - sep
     if wrap is not None:
-        d[..., wrap] = (d[..., wrap] + np.pi) % (2.0 * np.pi) - np.pi
+        turns = d[..., wrap]
+        turns += np.pi
+        np.remainder(turns, 2.0 * np.pi, out=turns)
+        turns -= np.pi
+        if type(wrap) is not slice:
+            d[..., wrap] = turns
     return d
 
 
@@ -467,7 +482,7 @@ def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
     """
     d = _offset(x, sep, wrap)
     distance = _norm(d)
-    certified = np.count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
+    certified = _count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
     return _norm(x) > cfg.divergence_norm, certified, distance <= SEP_TOL
 
 
@@ -592,14 +607,13 @@ class Lockstep:
         """:func:`step_trapezoidal` member by member, as
         :func:`step_trapezoidal_batch` returns its results: a member whose
         step raises keeps its state and is marked failed."""
-        rows, failed = [], np.zeros(len(x), dtype=bool)
-        for k, (x_k, p_k) in enumerate(zip(x, self._p)):
+        y, failed = x.copy(), np.zeros(len(x), dtype=bool)
+        for k in range(len(x)):
             try:
-                x_k = step_trapezoidal(self.sys, x_k, p_k, self.cfg)
+                y[k] = step_trapezoidal(self.sys, x[k], self._p[k], self.cfg)
             except (NewtonDivergence, NonFiniteOutput):
                 failed[k] = True
-            rows.append(x_k)
-        return np.array(rows), failed
+        return y, failed
 
     def step(self) -> dict[int, RunEnd]:
         """Advance the live members one step; return the ends of those that
@@ -651,13 +665,16 @@ class Lockstep:
         # the dwell counts consecutive states near the SEP and restarts at 0;
         # far from every SEP, as runs mostly are, there is nothing to count
         dwelt = False
-        if np.count_nonzero(near) or np.count_nonzero(self._consec):
+        if _count_nonzero(near) or _count_nonzero(self._consec):
             self._consec += 1
             self._consec *= near
             dwelt = self._consec >= SEP_DWELL
         diverged = beyond if entered is None else beyond | np.isfinite(entered)
-        done = failed | diverged | certified | dwelt
-        if not np.count_nonzero(done):
+        done = failed | diverged
+        for mask in (certified, dwelt):
+            if mask is not False:
+                done |= mask
+        if not _count_nonzero(done):
             return ends
         steps = self.steps - self._start
         tau = steps
@@ -705,19 +722,21 @@ def simulate(
 
     With ``record_flags=True`` every stored state (including the initial one)
     gets a boolean marking whether the Jacobian there has an eigenvalue with
-    real part above ``cfg.stability_tol``.  A ``p`` or ``sep`` of the wrong
-    shape raises ``DimensionMismatch``.
+    real part above ``cfg.stability_tol``: the Jacobian is evaluated as the
+    state is stored, and the eigenvalues of all of them are taken at the end
+    in one call (:func:`spectral._eigvals` on the stack).  A ``p`` or
+    ``sep`` of the wrong shape raises ``DimensionMismatch``.
     """
     p = _check_vector(p, sys.param_dim, "parameter")
     sep = _check_vector(sep, sys.state_dim, "sep")
     lock = Lockstep(sys, cfg)
     lock.add(p[None], sep[None])
-    states, flags = [], []
+    states, jacobians = [], []
 
     def store(x):
         states.append(x)
         if record_flags:
-            flags.append(is_unstable(eval_jacobian(sys, x, p), cfg.stability_tol))
+            jacobians.append(eval_jacobian(sys, x, p))
 
     store(lock._x[0].copy())
     ends = lock.step()
@@ -727,10 +746,13 @@ def simulate(
     (end,) = ends.values()
     if end.termination in (Termination.DIVERGED, Termination.CONVERGED_TO_SEP):
         store(end.final_state.copy())
+    flags = None
+    if record_flags:
+        flags = _eigvals(np.array(jacobians)).real.max(axis=-1) > cfg.stability_tol
     return Trajectory(
         states=np.asarray(states),
         step=cfg.step,
         parameter=p,
         termination=end.termination,
-        instability_flags=np.asarray(flags, dtype=bool) if record_flags else None,
+        instability_flags=flags,
     )

@@ -31,7 +31,7 @@ from .integrator import (  # noqa: F401
     step_trapezoidal_batch,
 )
 from .recovery_boundary import find_equilibrium
-from .system_core import ParameterizedSystem
+from .system_core import ParameterizedSystem, _count_nonzero
 
 #: divergence-norm settings that reliably separate escape from recovery for
 #: the bundled models (the library-wide default of 1e6 is far too lax: the
@@ -227,8 +227,8 @@ _EPS = np.finfo(float).eps
 
 
 def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.ndarray:
-    """Escape rows (saddle, speed, level) (K, 3) of pendulum runs at the
-    torques in ``p`` (K, 1) around the SEPs in ``sep`` (K, 2).
+    """Escape rows (saddle, speed, level, gate) (K, 4) of pendulum runs at
+    the torques in ``p`` (K, 1) around the SEPs in ``sep`` (K, 2).
 
     With E = w^2/2 + U(t), U(t) = -c1 cos t - p t, the saddle of the SEP
     representative t_s is t_u = t_s + pi - 2 asin(p/c1), a local maximum of
@@ -253,20 +253,31 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
       cover their distance D with D <= h sqrt(c1) D / 2 + rho, which fails
       while h sqrt(c1) < 2 and d >= c1 rho^2 / (2 - h sqrt(c1))^2.
 
-    The level is E_u - delta with delta = N e + c1 rho^2 / (2 - h sqrt(c1))^2
-    + c1 s^2 / 2 + 16 eps M.  The s term covers the distance s of the
-    computed t_u from the exact saddle (the SEP's own error included, and
-    the rounding of t_u, 8 eps (max(|t_s|, |t_u|) + 4)), the
-    M term the rounding of E and E_u at magnitude M = R^2 + 2 c1 +
+    The level is E_u - delta with delta = m + c1 s^2 / 2 + 16 eps M, where
+    m = N e + c1 rho^2 / (2 - h sqrt(c1))^2.  The s term covers the
+    distance s of the computed t_u from the exact saddle t* (the SEP's own
+    error included, and the rounding of t_u, 8 eps (max(|t_s|, |t_u|) + 4)),
+    the M term the rounding of E and E_u at magnitude M = R^2 + 2 c1 +
     |p| (R + |t_u|).  So a state with t > t_u, |w| <= B and E < level has
     an exact energy below that of the exact saddle by more than N e plus
     the jump margin; its energy rises by at most e per step over the at
     most N steps left, and no step jumps back over the saddle: the run
     never returns to t <= t_u, nor to its SEP.
 
+    The gate bounds how close to t_u such a state can lie.  Since
+    U'(t*) = 0 and -c1 <= U'' <= c1, U(t) >= U(t*) - c1 (t - t*)^2 / 2
+    and U(t*) >= U(t_u) - c1 s^2 / 2.  A state of the set has exact
+    energy below U(t_u) - m - c1 s^2 / 2, and E >= U(t), so
+    c1 (t - t*)^2 / 2 > m and |t - t_u| > sqrt(2 m / c1) - s.  The gate is
+    t_u plus that width, rounded down: the square root is shrunk by
+    16 eps of itself and the width by 4 eps (|t_u| + sqrt(2 m / c1)) more,
+    which covers the rounding of m, of the root and of the sum t_u + width;
+    where the width is not positive, the gate is t_u.  No state with
+    t <= gate lies in the set.
+
     A run at a torque p <= 0 or with no SEP (p >= c1), a step outside the
-    three conditions above, or a non-finite input gets saddle inf: no
-    state passes it.
+    three conditions above, or a non-finite input gets saddle and gate inf:
+    no state passes them.
     """
     torque, theta_s = p[:, 0], sep[:, 0]
     h, reach, budget = cfg.step, cfg.divergence_norm, _step_budget(cfg)
@@ -283,12 +294,15 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
         # the rounding of t_u itself, at the larger of |t_s| and |t_u|
         off += 8.0 * _EPS * (np.maximum(np.abs(theta_s), np.abs(saddle)) + 4.0)
         magnitude = reach**2 + 2.0 * c1 + torque * (reach + np.abs(saddle))
-        delta = (budget * rise + c1 * rho**2 / jump**2 + c1 * off**2 / 2.0
-                 + 16.0 * _EPS * magnitude)
+        margin = budget * rise + c1 * rho**2 / jump**2
+        delta = margin + c1 * off**2 / 2.0 + 16.0 * _EPS * magnitude
+        root = np.sqrt(2.0 * margin / c1)
+        width = root * (1.0 - 16.0 * _EPS) - off - 4.0 * _EPS * (np.abs(saddle) + root)
+        gate = saddle + np.maximum(width, 0.0)
         ok = (torque > 0.0) & (torque < c1) & (h * c2 < 2.0) & (k < c) & (jump > 0.0)
         ok &= np.isfinite(delta) & np.isfinite(energy_u)
     return np.where(
-        ok[:, None], np.stack([saddle, speed, energy_u - delta], axis=-1), np.inf
+        ok[:, None], np.stack([saddle, speed, energy_u - delta, gate], axis=-1), np.inf
     )
 
 
@@ -302,23 +316,24 @@ def _pendulum_crossing(c1: float, x_prev, x, p, rows):
     runs with the escape ``rows`` of :func:`_pendulum_escape`, in the step
     from ``x_prev`` to ``x`` (both (K, 2)).
 
-    A state is in its set when t > saddle, |w| <= speed and E < level.  E
-    is evaluated only at the states past their saddle, and at the previous
-    state of a run that entered its set from a state past its saddle: if
-    that energy E_- lay above the level, f = (E_- - level) / (E_- - E_n)
-    places the crossing by linear interpolation; otherwise f = 1.
+    A state is in its set when t > saddle, |w| <= speed and E < level.  No
+    state at or before its gate is (the gate's proof), so E is evaluated
+    only at the states past their gate, and at the previous state of a run
+    that entered its set from a state past its saddle: if that energy E_-
+    lay above the level, f = (E_- - level) / (E_- - E_n) places the
+    crossing by linear interpolation; otherwise f = 1.
     """
-    past = x[:, 0] > rows[:, 0]
-    if not np.count_nonzero(past):
+    past = x[:, 0] > rows[:, 3]
+    if not _count_nonzero(past):
         return None
     y, r = x[past], rows[past]
     with np.errstate(invalid="ignore"):  # the rows of failed steps
         energy = _pendulum_energy(c1, y, p[past])
         inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
-    if not np.count_nonzero(inside):
+    if not _count_nonzero(inside):
         return None
     at = np.flatnonzero(past)[inside]
-    energy, (saddle, _, level) = energy[inside], r[inside].T
+    energy, (saddle, _, level, _) = energy[inside], r[inside].T
     timed = x_prev[at, 0] > saddle
     previous = np.full(len(at), np.nan)
     previous[timed] = _pendulum_energy(c1, x_prev[at[timed]], p[at[timed]])
@@ -523,8 +538,6 @@ def _swing_system(
     g_rows, b_rows = conductance[1:], susceptance[1:]
     minus_g_rows = -g_rows
     emf_pairs = emf_machines[:, None] * emf_nodes
-    own = np.arange(n)
-    own_node, speed = own + 1, n + own
     lipschitz = _swing_lipschitz(params, conductance, susceptance)
 
     def inertias(p: np.ndarray) -> np.ndarray:
@@ -573,17 +586,23 @@ def _swing_system(
         cos_d, sin_d, m = terms(x, p)
         # t[i, j] = d(pe_i)/d(theta_i) contribution of node j
         t = emf_pairs * (minus_g_rows * sin_d + b_rows * cos_d)
-        # each machine's own column is left out of its coupling sum
-        t[..., own, own_node] = 0.0
+        # each machine's own column is left out of its coupling sum: entry
+        # (i, i + 1) of the flattened n by n + 1 rows, a stride of n + 2
+        t.reshape(t.shape[:-2] + (n * (n + 1),), copy=False)[..., 1::n + 2] = 0.0
         # the coupling sum, node by node in index order
         diag = np.add.accumulate(t, axis=-1)[..., -1]
         # -d(pe)/d(theta) divided by the inertias: off-diagonal t, diagonal
         # minus the coupling sum
         jac = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
-        jac[..., own, speed] = 1.0
         np.divide(t[..., 1:], m[..., :, None], out=jac[..., n:, :n])
-        jac[..., speed, own] = -diag / m
-        jac[..., speed, speed] = -(damping / m)
+        # the diagonals of the blocks (0, 1), (1, 0) and (1, 1): n entries
+        # each, a stride of 2n + 1 apart in the flattened matrix, from
+        # entries (0, n), (n, 0) and (n, n)
+        flat = jac.reshape(x.shape[:-1] + (4 * n * n,), copy=False)
+        stride = 2 * n + 1
+        flat[..., n:2 * n * n:stride] = 1.0
+        flat[..., 2 * n * n::stride] = -diag / m
+        flat[..., 2 * n * n + n::stride] = -(damping / m)
         return jac
 
     return ParameterizedSystem(

@@ -1,9 +1,11 @@
 """Eigenvalue machinery: spectral abscissa, instability tests, unstable pair.
 
-The kernel is LAPACK's dense nonsymmetric solver via ``numpy.linalg.eig``;
-everything here is contract-level plumbing around it: residual bookkeeping,
-stability classification against a tolerance, and extraction of the unique
-unstable eigenpair with a deterministic sign convention.
+The kernel is LAPACK's dense nonsymmetric solver, via ``numpy.linalg.eig``
+for eigenpairs and via the gufunc behind ``numpy.linalg.eigvals`` for the
+eigenvalues of one matrix or of a stack; everything here is contract-level
+plumbing around it: residual bookkeeping, stability classification against
+a tolerance, and extraction of the unique unstable eigenpair with a
+deterministic sign convention.
 """
 
 from __future__ import annotations
@@ -11,6 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# The LAPACK gufunc behind np.linalg.eigvals, called on whole stacks without
+# the wrapper's checks.  The module is private to numpy; this package is
+# tested with numpy 2.4.6, where eigvals with the signature "d->D" maps
+# (..., n, n) to (..., n) complex eigenvalues and gives nan ones where
+# LAPACK does not converge.
+from numpy.linalg._umath_linalg import eigvals as _gufunc_eigvals
 
 from .errors import (
     ComplexUnstableEigenvalue,
@@ -50,11 +58,18 @@ def _eig(A: np.ndarray):
 
 
 def _eigvals(A) -> np.ndarray:
+    """The eigenvalues, complex, of A (n, n) or of each matrix of a stack
+    (..., n, n), through the LAPACK gufunc behind ``np.linalg.eigvals``
+    without its wrapper.  Where LAPACK does not converge, or A is not
+    finite, the gufunc returns nan eigenvalues, which raise
+    ``ConvergenceFailure``."""
     A = np.asarray(A, dtype=float)
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(f"eigenvalue kernel failed: {exc}") from exc
+    with np.errstate(invalid="ignore"):
+        w = _gufunc_eigvals(A, signature="d->D")
+    bad = w.size - np.count_nonzero(np.isfinite(w))
+    if bad:
+        raise ConvergenceFailure(f"eigenvalue kernel failed: {bad} non-finite eigenvalues")
+    return w
 
 
 def spectral_abscissa(A) -> float:

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+# The C function behind np.count_nonzero, called without the wrapper's
+# array-function dispatch, which costs more than the count on the few-element
+# masks tested every step.  The module is private to numpy; this package is
+# tested with numpy 2.4.6.
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from .errors import DimensionMismatch, NonFiniteOutput
 
@@ -138,7 +143,7 @@ class Trajectory:
 
 def _all_finite(a: Array) -> bool:
     """``np.isfinite(a).all()``, with less call overhead."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
+    return _count_nonzero(np.isfinite(a)) == a.size
 
 
 def _check_vector(v, dim: int, label: str) -> Array:

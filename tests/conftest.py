@@ -42,7 +42,7 @@ def certificate_of(sys_, p, cfg, sep):
 
 def escape_row(sys_, p, cfg, sep):
     """The escape row ``simulate`` uses for ``sys_`` at parameter ``p`` and
-    equilibrium ``sep``: for the pendulum (saddle, speed, level)."""
+    equilibrium ``sep``: for the pendulum (saddle, speed, level, gate)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
     return _recovery_sets(sys_, p[None], sep[None], cfg)[3][0]
 

@@ -90,8 +90,9 @@ def check_recovery_proof(jac, residual, w0, lipschitz, cfg, form, level) -> None
 
 def check_escape_proof(c1, c2, torque, sep, cfg, row) -> None:
     """Every inequality of ``_pendulum_escape``'s proof for the escape row
-    (saddle, speed, level) it built for a run at ``torque`` around ``sep``."""
-    saddle, speed, level = row
+    (saddle, speed, level, gate) it built for a run at ``torque`` around
+    ``sep``."""
+    saddle, speed, level, gate = row
     theta_s = sep[0]
     h, reach = cfg.step, cfg.divergence_norm
     budget = np.floor(cfg.max_time / h + 1e-9)
@@ -115,6 +116,7 @@ def check_escape_proof(c1, c2, torque, sep, cfg, row) -> None:
     gap = 2.0 - h * np.sqrt(c1)
     assert gap > 0.0
     jump = c1 * rho**2 / gap**2
+    margin = budget * rise + jump
     # offset: the computed saddle's distance from the exact one
     off = abs(saddle - exact) + 8.0 * EPS * (abs(saddle) + 4.0)
     offset = c1 * off**2 / 2.0
@@ -122,8 +124,14 @@ def check_escape_proof(c1, c2, torque, sep, cfg, row) -> None:
     energy_u = -c1 * np.cos(saddle) - torque * saddle
     delta = energy_u - level
     # less the rounding of the subtraction that recovers delta
-    assert delta >= (budget * rise + jump + offset + 16.0 * EPS * magnitude
+    assert delta >= (margin + offset + 16.0 * EPS * magnitude
                      - 2.0 * np.spacing(abs(energy_u)))
+    # the gate: a state of the set lies more than sqrt(2 m / c1) from the
+    # exact saddle, so more than that less off from the computed one; the
+    # gate's distance from the saddle, widened by off, stays within it
+    assert gate >= saddle
+    if gate > saddle:
+        assert c1 * (gate - saddle + off) ** 2 / 2.0 <= margin
 
 
 @pytest.fixture(scope="module")

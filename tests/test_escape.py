@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moi import (
@@ -57,7 +57,8 @@ def energy(x, torque):
 
 
 def row(torque, cfg, turns=0):
-    """(saddle, speed, level) at the SEP representative ``turns`` turns on."""
+    """(saddle, speed, level, gate) at the SEP representative ``turns``
+    turns on."""
     sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns, 0.0]
     return sep, escape_row(SYS, [torque], cfg, sep)
 
@@ -67,7 +68,7 @@ def row(torque, cfg, turns=0):
 def test_level_lies_just_below_the_saddle_right_of_the_sep(torque, turns, step):
     """The saddle is the equilibrium with an unstable direction next to the
     SEP on its right, and the level lies within 1e-5 below its energy."""
-    sep, (saddle, speed, level) = row(torque, config(step), turns)
+    sep, (saddle, speed, level, _) = row(torque, config(step), turns)
     x_u = np.array([saddle, 0.0])
     assert np.abs(SYS.field(x_u, np.array([torque]))).max() < 1e-12
     assert spectral_abscissa(SYS.jacobian(x_u, np.array([torque]))) > 0.0
@@ -89,7 +90,7 @@ def test_margin_covers_the_newton_error_over_the_whole_budget(
     """delta >= N e, e >= 2 newton_tol (c1 + p + B) the energy that a step's
     Newton residual can add, N the step budget."""
     cfg = config(step, newton_tol=newton_tol, max_time=max_time)
-    _, (saddle, speed, level) = row(torque, cfg)
+    _, (saddle, speed, level, _) = row(torque, cfg)
     budget = np.floor(max_time / step + 1e-9)
     delta = energy([saddle, 0.0], torque) - level
     assert delta >= budget * 2.0 * newton_tol * (C1 + torque + speed)
@@ -100,7 +101,7 @@ def test_margin_covers_the_newton_error_over_the_whole_budget(
 def test_speed_bound_is_kept_by_every_step(torque, step, angle, frac):
     """|w| <= B implies |w'| <= B (h c2 < 2)."""
     cfg = config(step)
-    _, (_, speed, _) = row(torque, cfg)
+    _, (_, speed, _, _) = row(torque, cfg)
     y = step_trapezoidal(SYS, np.array([angle, frac * speed]), np.array([torque]), cfg)
     assert abs(y[1]) <= speed
 
@@ -111,7 +112,7 @@ def test_energy_falls_by_the_damping_less_the_trapezoid_error(torque, step, angl
     """E' - E <= -h w_bar^2 (c2 - c1 h^2 |w_bar| / 12), up to the Newton
     residual, for |w| <= B."""
     cfg = config(step)
-    _, (_, speed, _) = row(torque, cfg)
+    _, (_, speed, _, _) = row(torque, cfg)
     x = np.array([angle, frac * speed])
     y = step_trapezoidal(SYS, x, np.array([torque]), cfg)
     w_bar = abs(x[1] + y[1]) / 2.0
@@ -131,7 +132,7 @@ def test_no_state_of_the_escape_set_steps_back_over_the_saddle(torque, step, gap
     level, 50 computed steps stay past the saddle, below the saddle's
     energy (h sqrt(c1) < 2 and delta's margin)."""
     cfg = config(step)
-    _, (saddle, speed, level) = row(torque, cfg)
+    _, (saddle, speed, level, _) = row(torque, cfg)
     angle = saddle + gap
     room = level + C1 * np.cos(angle) + torque * angle
     assume(room > 0.0)
@@ -191,9 +192,10 @@ def test_models_without_an_energy_function_have_no_escape_set(nine_bus):
     assert _recovery_sets(grid, p, sep, cfg)[3].shape == (1, 0)
 
 
-def test_energy_is_evaluated_only_on_states_past_the_saddle(pendulum, pend_cfg, monkeypatch):
-    """E is evaluated at exactly the states past their saddle, and once
-    more at the previous state of each escape timed within its step."""
+def test_energy_is_evaluated_only_on_states_past_the_gate(pendulum, pend_cfg, monkeypatch):
+    """E is evaluated at exactly the states past their gate, and once more
+    at the previous state of each escape timed within its step (a state
+    past its saddle)."""
     calls = []
     energy_fn = model_zoo._pendulum_energy
 
@@ -207,8 +209,9 @@ def test_energy_is_evaluated_only_on_states_past_the_saddle(pendulum, pend_cfg, 
     assert calls == []
     sep = find_sep(pendulum, [1.7])
     traj = simulate(pendulum, [1.7], pend_cfg, sep)
-    saddle = escape_row(pendulum, [1.7], pend_cfg, sep)[0]
-    past = [x for x in traj.states[1:] if x[0] > saddle]
+    saddle, _, _, gate = escape_row(pendulum, [1.7], pend_cfg, sep)
+    assert gate > saddle
+    past = [x for x in traj.states[1:] if x[0] > gate]
     # the run escapes from a state past its saddle: one timed escape
     assert traj.termination is Termination.DIVERGED and traj.states[-2][0] > saddle
     evaluated = np.concatenate(calls)
@@ -222,9 +225,11 @@ def test_crossing_is_the_energy_set_and_its_interpolation(torque, step, seed):
     """The pendulum's crossing puts a state in its set exactly when
     t > saddle, |w| <= speed and E < level, and times the entry at
     (E_- - level) / (E_- - E_n) when the previous state lay past the saddle
-    above the level, at 1 otherwise."""
+    above the level, at 1 otherwise.  The rows are the real ones, gate
+    included."""
     cfg = config(step)
-    _, (saddle, speed, level) = row(torque, cfg)
+    _, escape = row(torque, cfg)
+    saddle, speed, level, _ = escape
     rng = np.random.default_rng(seed)
     k = 200
     # angles around the saddle, speeds around the energy's level there
@@ -233,7 +238,7 @@ def test_crossing_is_the_energy_set_and_its_interpolation(torque, step, seed):
         for _ in range(2)
     )
     p = np.full((k, 1), torque)
-    rows = np.tile([saddle, speed, level], (k, 1))
+    rows = np.tile(escape, (k, 1))
     entered = SYS.escape[1](x_prev, x, p, rows)
     e_prev, e = energy(x_prev, torque), energy(x, torque)
     inside = (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (e < level)
@@ -246,6 +251,54 @@ def test_crossing_is_the_energy_set_and_its_interpolation(torque, step, seed):
     expected[timed] = (e_prev[timed] - level) / (e_prev[timed] - e[timed])
     assert np.array_equal(entered[inside], expected[inside])
     assert ((0.0 < entered[inside]) & (entered[inside] <= 1.0)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    torque=torques,
+    turns=st.integers(-2, 2),
+    step=steps,
+    error=st.sampled_from([0.0, 0.5, 0.99, -0.99, 1.5]),
+    frac=st.floats(0.0, 1.0),
+)
+@example(torque=1.5, turns=0, step=0.02, error=0.99, frac=1.0)
+@example(torque=0.125, turns=0, step=0.4, error=-0.99, frac=1.0)
+def test_no_state_between_the_saddle_and_the_gate_is_in_the_set(
+    torque, turns, step, error, frac
+):
+    """States with t in (saddle, gate] lie outside the set at every speed:
+    at |w| = 0, where E is lowest, E >= level as the crossing computes it.
+    The SEP is off by ``error`` times the gate's width at the exact SEP, up
+    to 0.99 of it, the largest error that leaves the gate past the saddle;
+    1.5 of it closes the gate on the saddle.  A run that enters its set
+    from such a state is timed within its step."""
+    cfg = config(step)
+    exact = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns, 0.0]
+    saddle, _, _, gate = escape_row(SYS, [torque], cfg, exact)
+    assert saddle < gate < saddle + 1e-3
+    sep = exact + [error * (gate - saddle), 0.0]
+    escape = escape_row(SYS, [torque], cfg, sep)
+    saddle, speed, level, gate = escape
+    if error == 1.5:
+        assert gate == saddle
+        return
+    assert gate > saddle
+    angles = np.array([np.nextafter(saddle, np.inf), saddle + frac * (gate - saddle), gate])
+    angles = np.clip(angles, np.nextafter(saddle, np.inf), gate)
+    x = np.column_stack([angles, np.zeros(3)])
+    p = np.full((3, 1), torque)
+    e_prev = model_zoo._pendulum_energy(C1, x, p)
+    assert (e_prev >= level).all()
+    # the crossing with its gate opened to the saddle evaluates these states
+    opened = np.tile([saddle, speed, level, saddle], (3, 1))
+    assert SYS.escape[1](x, x, p, opened) is None
+    # from there into the set, well past the gate: the entry is interpolated
+    inside = np.column_stack([np.full(3, saddle + 0.05), np.zeros(3)])
+    e_in = model_zoo._pendulum_energy(C1, inside, p)
+    assert (e_in < level).all()
+    entered = SYS.escape[1](x, inside, p, np.tile(escape, (3, 1)))
+    expected = np.where(e_prev > level, (e_prev - level) / (e_prev - e_in), 1.0)
+    assert np.array_equal(entered, expected)
 
 
 @pytest.mark.parametrize("step", [0.02, 0.2, 0.8])
@@ -336,13 +389,15 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     past its own saddle.  The escape rows are made up for the test: the
     member at 1.7 has its saddle between states m - 1 and m and its level
     between their energies; the member at 1.75 is past its saddle from the
-    start and never in its set."""
+    start and never in its set.  Each made-up gate equals its saddle, a
+    gate that holds for any set."""
     cfg = config(0.2)
     x, e, m = escaping_run(1.7, cfg)
-    crossing = [(x[m - 1, 0] + x[m, 0]) / 2.0, np.inf, (e[m - 1] + e[m]) / 2.0]
+    saddle = (x[m - 1, 0] + x[m, 0]) / 2.0
+    crossing = [saddle, np.inf, (e[m - 1] + e[m]) / 2.0, saddle]
 
     def rows(p, sep, cfg_):
-        return np.where(p == 1.7, crossing, [-np.inf, np.inf, -np.inf])
+        return np.where(p == 1.7, crossing, [-np.inf, np.inf, -np.inf, -np.inf])
 
     made_up = replace(SYS, escape=(rows, SYS.escape[1]))
     (alone,) = lockstep_ends(made_up, [1.7], cfg)
@@ -352,7 +407,7 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
         assert run.elapsed == m * cfg.step and run.tau == m
     # the first step is not timed: a run in its set one step on, from an
     # initial state past its saddle above the level, ends at tau = 1
-    first = [-np.inf, np.inf, (e[0] + e[1]) / 2.0]
+    first = [-np.inf, np.inf, (e[0] + e[1]) / 2.0, -np.inf]
     assert e[1] < e[0]
     from_start = replace(
         SYS, escape=(lambda p, sep, cfg_: np.tile(first, (len(p), 1)), SYS.escape[1])
@@ -366,14 +421,17 @@ def test_norm_end_keeps_the_step_count():
     enters its escape set, from a state past its saddle above the level,
     ends at tau = n: the norm, not the energy, ends it.  The escape row is
     made up for the test, with the level between the energies of states
-    m - 1 and m, and the norm lies between their norms."""
+    m - 1 and m, and the norm lies between their norms; its gate equals
+    its saddle."""
     x, e, m = escaping_run(1.7, config(0.2))
     norms = np.linalg.norm(x, axis=1)
     cfg = IntegratorConfig(step=0.2, divergence_norm=(norms[m - 1] + norms[m]) / 2.0)
     made_up = replace(
         SYS,
         escape=(
-            lambda p, sep, cfg_: np.tile([-np.inf, np.inf, (e[m - 1] + e[m]) / 2.0], (len(p), 1)),
+            lambda p, sep, cfg_: np.tile(
+                [-np.inf, np.inf, (e[m - 1] + e[m]) / 2.0, -np.inf], (len(p), 1)
+            ),
             SYS.escape[1],
         ),
     )

@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 
 from moi import (
+    MULTIMACHINE_DIVERGENCE_NORM,
     DimensionMismatch,
     IntegratorConfig,
     NewtonDivergence,
     ParameterizedSystem,
     Termination,
+    eval_jacobian,
     find_sep,
+    is_unstable,
+    multimachine_system,
     sep_distance,
     simulate,
     step_trapezoidal,
 )
-from moi.integrator import _solve
+from moi.integrator import _norm, _offset, _solve, _wrap_index
 from moi.spectral import DEFAULT_STABILITY_TOL
 
 from conftest import assert_escape_end, assert_recovery_end
@@ -298,3 +302,62 @@ def test_newton_solve_equals_numpy_solve_bitwise(n, k):
     assert not np.isfinite(rows[k // 2]).any()
     others = np.arange(k) != k // 2
     assert np.array_equal(rows[others], expected[others])
+
+
+def loop_norm(v):
+    """The norm as a left-to-right loop over the coordinates."""
+    squares = (v * v).T
+    total = squares[0]
+    for k in range(1, len(squares)):
+        total = total + squares[k]
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("n", [2, 6, 12])
+@pytest.mark.parametrize("k", [1, 16])
+def test_norm_equals_the_left_to_right_loop_bitwise(n, k):
+    """One running sum gives the loop's norm, for a stack, a single state
+    (a numpy scalar, as the loop gives) and non-finite entries."""
+    rng = np.random.default_rng(10 * n + k)
+    v = rng.standard_normal((k, n)) * rng.choice([1e-8, 1.0, 1e8], (k, n))
+    assert np.array_equal(_norm(v), loop_norm(v))
+    single = _norm(v[0])
+    assert type(single) is np.float64 and single == loop_norm(v[0])
+    v[0, -1], v[-1, 0] = np.inf, np.nan
+    if k > 2:
+        v[1, n // 2] = -np.inf
+    assert np.array_equal(_norm(v), loop_norm(v), equal_nan=True)
+
+
+def test_offset_through_a_slice_equals_the_index_array_bitwise(nine_bus):
+    """Contiguous wrap coordinates are reduced through a view, as they are
+    through an index array; other wraps keep the index array."""
+    grid = multimachine_system(nine_bus)
+    assert _wrap_index(grid) == slice(0, 3)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-40.0, 40.0, (16, 6))
+    sep = rng.uniform(-1.0, 1.0, 6)
+    for states in (x, x[0]):
+        assert np.array_equal(_offset(states, sep, slice(0, 3)),
+                              _offset(states, sep, np.arange(3)))
+    for wrap in ((0, 2), (-1,), (1, 0)):
+        index = _wrap_index(replace(grid, wrap_indices=wrap))
+        assert np.array_equal(index, np.array(wrap))
+
+
+def test_flags_taken_together_equal_each_states_is_unstable(
+    pendulum, pend_cfg, nine_bus
+):
+    """The flags of one eigen call at the end equal ``is_unstable`` at each
+    stored state, on the averaging runs at the recovering ends of the
+    pendulum's and the 9-bus network's boundary brackets, which linger by
+    the saddle."""
+    grid = multimachine_system(nine_bus)
+    grid_cfg = IntegratorConfig(step=1.0 / 60.0, divergence_norm=MULTIMACHINE_DIVERGENCE_NORM)
+    for sys_, p, cfg in ((pendulum, 1.5686593295631313, pend_cfg),
+                         (grid, 0.47971420288085936, grid_cfg)):
+        traj = simulate(sys_, [p], cfg, find_sep(sys_, [p]), record_flags=True)
+        expected = [is_unstable(eval_jacobian(sys_, x, np.array([p])), cfg.stability_tol)
+                    for x in traj.states]
+        assert np.array_equal(traj.instability_flags, expected)
+        assert 0 < traj.instability_flags.sum() < len(traj)

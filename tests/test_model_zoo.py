@@ -560,6 +560,64 @@ def loop_swing_field_and_jacobian(params: MultiMachineParams, x, p):
     return field, jac
 
 
+def reference_swing_jacobian(params: MultiMachineParams):
+    """Reference: the vectorised swing Jacobian with its diagonals and each
+    machine's own coupling column written through index arrays."""
+    n = params.n_machines
+    emf_nodes = np.concatenate([[params.slack_emf], params.emf])
+    g_rows, b_rows = params.conductance[1:], params.susceptance[1:]
+    emf_pairs = emf_nodes[1:, None] * emf_nodes
+    own = np.arange(n)
+    own_node, speed = own + 1, n + own
+
+    def jacobian(x, p):
+        th = x[..., :n]
+        nodes = np.zeros(th.shape[:-1] + (n + 1,))
+        nodes[..., 1:] = th
+        d, m = th[..., :, None] - nodes[..., None, :], p[..., :1] * params.inertia
+        t = emf_pairs * (-g_rows * np.sin(d) + b_rows * np.cos(d))
+        t[..., own, own_node] = 0.0
+        diag = np.add.accumulate(t, axis=-1)[..., -1]
+        jac = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+        jac[..., own, speed] = 1.0
+        np.divide(t[..., 1:], m[..., :, None], out=jac[..., n:, :n])
+        jac[..., speed, own] = -diag / m
+        jac[..., speed, speed] = -(params.damping / m)
+        return jac
+
+    return jacobian
+
+
+def synthetic_network(n: int, seed: int) -> MultiMachineParams:
+    """Seeded n-machine network with a dense reduced admittance matrix."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.2, 1.2, (n + 1, n + 1))
+    g = rng.uniform(0.05, 0.25, (n + 1, n + 1))
+    b, g = (b + b.T) / 2.0, (g + g.T) / 2.0
+    np.fill_diagonal(b, -b.sum(axis=1))
+    inertia = rng.uniform(0.02, 0.13, n)
+    return MultiMachineParams(
+        inertia=inertia, damping=inertia, mech_power=rng.uniform(-1.0, 1.0, n),
+        emf=rng.uniform(1.0, 1.06, n), slack_emf=1.02, conductance=g, susceptance=b,
+    )
+
+
+@pytest.mark.parametrize("network", ["bundled", 3, 10])
+@pytest.mark.parametrize("k", [1, 16])
+def test_swing_jacobian_equals_its_index_array_construction_bitwise(nine_bus, network, k):
+    """The strided writes of the diagonals give the index-array Jacobian, for
+    a stack, a single state and a stack of one."""
+    params = nine_bus if network == "bundled" else synthetic_network(network, network)
+    sys_ = multimachine_system(params)
+    jacobian = reference_swing_jacobian(params)
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-3.0, 3.0, (k, sys_.state_dim))
+    p = rng.uniform(0.3, 1.5, (k, 1))
+    assert np.array_equal(sys_.jacobian(x, p), jacobian(x, p))
+    assert np.array_equal(sys_.jacobian(x[0], p[0]), jacobian(x[0], p[0]))
+    assert np.array_equal(sys_.jacobian(x[:1], p[:1])[0], sys_.jacobian(x[0], p[0]))
+
+
 class TestBatchedModels:
     def test_swing_model_matches_loop_reference(self, nine_bus):
         sys_ = multimachine_system(nine_bus)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from moi import (
     ComplexUnstableEigenvalue,
+    ConvergenceFailure,
     MultipleUnstableEigenvalues,
     NoUnstableEigenvalue,
     canonical_sign,
@@ -18,6 +19,8 @@ from moi import (
     unstable_count,
     unstable_eigenpair,
 )
+from moi import spectral
+from moi.spectral import _eigvals
 
 
 def test_rotation_matrix_is_marginal():
@@ -136,3 +139,40 @@ def test_unstable_count_matches_eig():
         n_direct = unstable_count(A)
         n_pairs = int(np.sum(np.linalg.eig(A).eigenvalues.real > 1e-9))
         assert n_direct == n_pairs
+
+
+@pytest.mark.parametrize("n", [2, 6, 18])
+def test_eigvals_kernel_equals_numpy_eigvals_bitwise(n):
+    """``_eigvals`` takes the gufunc behind ``np.linalg.eigvals`` without
+    its wrapper: the same eigenvalues, bit for bit, one matrix at a time or
+    as a stack (random matrices, most with complex pairs)."""
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(20, n, n))
+    together = _eigvals(stack)
+    assert together.shape == (20, n) and together.dtype == complex
+    pairs = 0
+    for A, values in zip(stack, together):
+        expected = np.linalg.eigvals(A)
+        pairs += np.iscomplexobj(expected)
+        assert np.array_equal(_eigvals(A), expected)
+        assert np.array_equal(values, expected)
+        assert spectral_abscissa(A) == np.max(expected.real)
+    assert pairs > 0
+
+
+def test_a_non_finite_eigenvalue_raises_convergence_failure(monkeypatch):
+    """A non-finite input gives nan eigenvalues, as LAPACK does where it
+    does not converge: both raise ``ConvergenceFailure``."""
+    with pytest.raises(ConvergenceFailure):
+        spectral_abscissa(np.array([[np.nan, 1.0], [0.0, -1.0]]))
+    with pytest.raises(ConvergenceFailure):
+        _eigvals(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+
+    def unconverged(a, signature):
+        w = np.linalg.eigvals(a).astype(complex)
+        w[..., 0] = np.nan
+        return w
+
+    monkeypatch.setattr(spectral, "_gufunc_eigvals", unconverged)
+    with pytest.raises(ConvergenceFailure):
+        is_unstable(np.diag([1.0, -1.0]))

@@ -12,10 +12,16 @@ Times, in CPU microseconds per call:
   near the boundary (one step per call, every member live); unlike the
   batch-step cases, which call the stepper afresh, these steps take the
   field that the Lockstep carries from the step before;
+- ``Lockstep.step`` with 17 pendulum members straddling the boundary, over
+  steps 600 to 800, where 8 of them linger past their saddles and the
+  escape test evaluates their energies, and the first two end in their
+  escape sets;
 - the scalar ``step_trapezoidal`` on both models;
 - ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), run to the
   dwell rule so that both packages store the same states, per step it
-  stores, which adds to the scalar step the cost of recording;
+  stores, which adds to the scalar step the cost of recording; and the
+  same with ``record_flags=True``, which adds a Jacobian and the
+  instability flag of every stored state;
 - the certified and escape sets (``integrator._recovery_sets``) that
   ``Lockstep.add`` computes for K = 1 and 16 members on both models, per
   call; the sets themselves may differ between packages, so only which
@@ -29,13 +35,16 @@ Each case runs the same inputs for ``--rounds`` rounds (at least 2); a
 round times a block of calls.  With ``--against`` the other package is imported under
 another name and every round times both packages back to back, alternating
 which goes first, so a drift in host speed hits both alike.  Before timing,
-the two packages' outputs are compared bitwise on the timed inputs.  The
+the two packages' outputs are compared bitwise on the timed inputs, over
+one round's block of calls (for the Lockstep cases, that many steps: the
+past-saddle case's block covers its window, ends included).  The
 last line of output is one JSON object with the medians and quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import importlib.util
 import json
 import statistics
@@ -151,9 +160,12 @@ def cases(moi) -> dict:
     out["scalar_step.pendulum"] = scalar(pendulum_states(moi, 2), 300)
     out["scalar_step.ninebus"] = scalar(ninebus_states(moi, 2), 200)
     pendulum = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
+    pend_cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     out["lockstep_step.pendulum.K17"] = (100, lockstep_case(
-        moi, pendulum, moi.IntegratorConfig(step=0.02, divergence_norm=50.0),
-        PEND_P - np.linspace(0.0, 1e-9, 17)[:, None], 200, 2200,
+        moi, pendulum, pend_cfg, PEND_P - np.linspace(0.0, 1e-9, 17)[:, None], 200, 2200,
+    ), 1)
+    out["lockstep_step.pendulum.K17.past_saddle"] = (200, lockstep_case(
+        moi, pendulum, pend_cfg, PEND_P + np.linspace(-1e-9, 1e-9, 17)[:, None], 600, 800,
     ), 1)
     nine_bus = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
     out["lockstep_step.ninebus.K16"] = (50, lockstep_case(
@@ -161,6 +173,7 @@ def cases(moi) -> dict:
         NINEBUS_P + np.linspace(-1e-6, 1e-6, 16)[:, None], 50, 350,
     ), 1)
     out["simulate_step.pendulum"] = simulate_case(moi)
+    out["simulate_step.pendulum.flags"] = simulate_case(moi, record_flags=True)
     for k in (1, 16):
         out[f"recovery_sets.pendulum.K{k}"] = sets_case(moi, pendulum_states(moi, k), 200)
         out[f"recovery_sets.ninebus.K{k}"] = sets_case(moi, ninebus_states(moi, k), 100)
@@ -193,42 +206,44 @@ def sets_case(moi, case, calls: int):
     return calls, run, 1
 
 
-def simulate_case(moi):
+def simulate_case(moi, record_flags: bool = False):
     """(calls, fn, steps per call) for ``simulate`` of one recovering
-    pendulum run to the dwell rule; fn returns its states."""
+    pendulum run to the dwell rule; fn returns its states, and its flags
+    when they are recorded."""
     sys_ = dwell_rule(moi.pendulum_system(moi.PendulumParams(ic_method="integrated")))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     p = np.array([1.5])
     sep = moi.find_sep(sys_, p)
 
     def run():
-        return moi.simulate(sys_, p, cfg, sep).states
+        traj = moi.simulate(sys_, p, cfg, sep, record_flags=record_flags)
+        return (traj.states, traj.instability_flags) if record_flags else traj.states
 
-    return 1, run, len(run()) - 1
+    return 1, run, len(moi.simulate(sys_, p, cfg, sep).states) - 1
 
 
 def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
     """fn() stepping a Lockstep of members at the rows of ``p``, started
-    afresh and stepped ``warm`` times whenever it has taken ``last`` steps;
-    every member must live that long (near the boundary they linger by the
-    saddle)."""
+    from a copy of the Lockstep stepped ``warm`` times whenever it has taken
+    ``last`` steps; the copy is made once, untimed.  fn returns the live
+    members' states and the ends of the step: id, termination, final
+    state, elapsed time and tau."""
     seps = np.array([moi.find_sep(sys_, q) for q in p])
+    warmed = moi.integrator.Lockstep(sys_, cfg)
+    warmed.add(p, seps)
+    for _ in range(warm):
+        warmed.step()
     state = {}
-
-    def fresh():
-        lock = moi.integrator.Lockstep(sys_, cfg)
-        lock.add(p, seps)
-        for _ in range(warm):
-            lock.step()
-        state["lock"] = lock
 
     def step():
         lock = state.get("lock")
         if lock is None or lock.steps >= last:
-            fresh()
-        lock = state["lock"]
+            lock = state["lock"] = copy.deepcopy(warmed)
         ends = lock.step()
-        return lock._x.copy(), sorted(ends)
+        return lock._x.copy(), tuple(
+            (k, end.termination.value, end.final_state, end.elapsed, end.tau)
+            for k, end in sorted(ends.items())
+        )
 
     return step
 
@@ -273,8 +288,9 @@ def main(argv=None) -> int:
     sides = {"this": cases(moi)}
     if args.against is not None:
         sides["against"] = cases(load_package(args.against.resolve(), "moi_against"))
-        for name, (_, fn, _) in sides["this"].items():
-            if not same(fn(), sides["against"][name][1]()):
+        for name, (calls, fn, _) in sides["this"].items():
+            other = sides["against"][name][1]
+            if not all(same(fn(), other()) for _ in range(calls)):
                 print(f"outputs differ: {name}", file=sys.stderr)
                 return 1
     names = list(sides["this"])
