@@ -57,12 +57,13 @@ class NotStable(MoiError):
 
 class NoBracket(MoiError):
     """The ray search never left the recovery region within its expansion
-    budget or the parameter domain; no boundary crossing to bisect."""
+    budget or the parameter domain; no boundary crossing to refine."""
 
 
 class UndeterminedAtBisection(MoiError):
-    """A probe during bisection came back Undetermined (time horizon hit or
-    solver failure); the search result would be meaningless, so we stop.
+    """A probe of the boundary search (expansion or refinement) came back
+    Undetermined (time horizon hit or solver failure) where it would move
+    the bracket; the search result would be meaningless, so we stop.
     Raising ``max_time`` is the usual fix."""
 
 

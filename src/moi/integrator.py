@@ -9,13 +9,12 @@ seeded at the forward-Euler predictor.
 :class:`Lockstep` is the one place where runs advance and end: it runs
 many trajectories of one system, started and dropped between steps, and
 keeps only how each one ended.  :func:`simulate` records the states of a
-Lockstep's lone member.  On a batched system with an analytic Jacobian
-several members advance together, one batched step for all; a lone member,
-or a member of any other system, takes the single-state step.  Both
-steppers go through the same floating-point operations, so a run ends
-bitwise alike however it is batched.  A Newton update that is not finite (a
-singular Newton matrix gives a nan one) fails the step; in a batch it fails
-that member alone.  A batched step returns the field at its new states,
+Lockstep's lone member.  Several members advance together, one batched
+step for all; a lone member takes the single-state step.  Both steppers go
+through the same floating-point operations, so a run ends bitwise alike
+however it is batched.  A Newton update that is not finite (a singular
+Newton matrix gives a nan one) fails the step; in a batch it fails that
+member alone.  A batched step returns the field at its new states,
 which the Lockstep carries into its next batched step instead of
 evaluating it again.
 
@@ -336,10 +335,10 @@ def step_trapezoidal_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trapezoidal step for each row of ``x`` (K, n) at the rows of ``p``.
 
-    ``sys`` must be batched, with an analytic Jacobian.  Each member goes
-    through the floating-point operations of :func:`step_trapezoidal`; a
-    member whose residual has met the tolerance is frozen (the Newton
-    update skips its row) while the others iterate on.  A member fails where
+    Each member goes through the floating-point operations of
+    :func:`step_trapezoidal`; a member whose residual has met the tolerance
+    is frozen (the Newton update skips its row) while the others iterate
+    on.  A member fails where
     the single step would raise: its Newton iteration stalls, its Jacobian
     is not finite, or its Newton update is not finite (a singular Newton
     matrix gives a nan update).  A failed member's row is meaningless, and
@@ -441,18 +440,14 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     ``jacobian_lipschitz``, or no radius passes) has level and reach -1,
     which no offset meets.  The escape rows are those of the system's
     ``escape`` (r = 0 without one), kept for its ``crossing`` and never
-    read here.  A system whose runs step in lockstep has its Jacobians and
-    fields at the equilibria evaluated as one batch.
+    read here.  The Jacobians and fields at the equilibria are evaluated as
+    one batch.
     """
     k, n = len(p), sys.state_dim
     escape = np.zeros((k, 0)) if sys.escape is None else sys.escape[0](p, sep, cfg)
     if sys.jacobian_lipschitz is None or not k:
         return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0), escape
-    if sys.batched and sys.jacobian is not None:
-        jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
-    else:
-        jac = [eval_jacobian(sys, s, q) for s, q in zip(sep, p)]
-        residual = [sys.field(s, q) for s, q in zip(sep, p)]
+    jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
     bounds = [sys.jacobian_lipschitz(q) for q in p]
     form, level = recovery_certificate(
         jac, residual, [w for w, _ in bounds], [L for _, L in bounds], cfg
@@ -525,11 +520,10 @@ class Lockstep:
     are kept, so memory is O(K n^2) for K live members (a certificate's
     form is n by n); :func:`simulate` records a one-member Lockstep.
 
-    While more than one member is involved on a system that steps in
-    lockstep (``lockstep``), initial conditions and steps are computed as
-    one batch (:func:`step_trapezoidal_batch`); otherwise each member takes
-    the single-state :func:`initial_state` and :func:`step_trapezoidal`.
-    Both round alike, so a member ends bitwise the same in any batch.  A
+    Initial conditions are computed as one batch, and so are the steps
+    while more than one member is live (:func:`step_trapezoidal_batch`); a
+    lone member takes the single-state :func:`step_trapezoidal`.  Both
+    round alike, so a member ends bitwise the same in any batch.  A
     batched step hands the field at its new states to the next one, as the
     column ``_f`` (``sys.field(_x, _p)``); the column is either valid for
     every live member or None, as after an :meth:`add` or a single-state
@@ -545,9 +539,6 @@ class Lockstep:
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
         self.sys, self.cfg = sys, cfg
-        #: whether members may advance together, one batched step for all;
-        #: the batched Newton step needs the batched analytic Jacobian
-        self.lockstep = sys.batched and sys.jacobian is not None
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
         self._crossing = sys.escape and sys.escape[1]
@@ -568,21 +559,17 @@ class Lockstep:
         """The ``_COLUMNS`` of members starting now at the rows of ``p``
         (K, m) around the equilibria in the rows of ``sep`` (K, n)."""
         k = len(p)
-        if self.lockstep and k > 1:
-            x = initial_state(self.sys, p)
-        else:
-            x = np.array([initial_state(self.sys, q) for q in p])
-            x = x.reshape(k, self.sys.state_dim)
+        x = initial_state(self.sys, p) if k else np.zeros((0, self.sys.state_dim))
         sets = _recovery_sets(self.sys, p, sep, self.cfg)
         ids = np.arange(self._next_id, self._next_id + k)
         return (ids, x, p, sep, np.zeros(k, dtype=int), np.full(k, self.steps)) + sets
 
     def add(self, p, sep) -> np.ndarray:
         """Start one member per row of ``p`` (K, m); ``sep`` (K, n) holds
-        each member's stable equilibrium.  On a system that steps in
-        lockstep the Jacobians and fields at the equilibria for the
-        certificates are evaluated as one batch.  Either every member
-        starts or, if that raises, none does.  Returns the members' ids."""
+        each member's stable equilibrium.  The initial conditions, and the
+        Jacobians and fields at the equilibria for the certificates, are
+        evaluated as one batch.  Either every member starts or, if that
+        raises, none does.  Returns the members' ids."""
         rows = self._rows(np.asarray(p, dtype=float), np.asarray(sep, dtype=float))
         for name, new in zip(self._COLUMNS, rows):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
@@ -603,17 +590,15 @@ class Lockstep:
             self._f = self._f[keep]
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
 
-    def _step_each(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`step_trapezoidal` member by member, as
+    def _step_alone(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`step_trapezoidal` of the lone member in ``x`` (1, n), as
         :func:`step_trapezoidal_batch` returns its results: a member whose
         step raises keeps its state and is marked failed."""
-        y, failed = x.copy(), np.zeros(len(x), dtype=bool)
-        for k in range(len(x)):
-            try:
-                y[k] = step_trapezoidal(self.sys, x[k], self._p[k], self.cfg)
-            except (NewtonDivergence, NonFiniteOutput):
-                failed[k] = True
-        return y, failed
+        try:
+            y = step_trapezoidal(self.sys, x[0], self._p[0], self.cfg)
+        except (NewtonDivergence, NonFiniteOutput):
+            return x, np.ones(1, dtype=bool)
+        return y[None], np.zeros(1, dtype=bool)
 
     def step(self) -> dict[int, RunEnd]:
         """Advance the live members one step; return the ends of those that
@@ -649,12 +634,12 @@ class Lockstep:
         if not len(self._ids):
             return ends
         x_prev = self._x
-        if self.lockstep and len(x_prev) > 1:
+        if len(x_prev) > 1:
             x, failed, self._f = step_trapezoidal_batch(
                 self.sys, x_prev, self._p, cfg, self._f
             )
         else:
-            x, failed = self._step_each(x_prev)
+            x, failed = self._step_alone(x_prev)
             self._f = None
         self.steps += 1
         self._x = x

@@ -141,8 +141,8 @@ def pendulum_disturbance_ic(params: PendulumParams, p) -> np.ndarray:
 def _replay(
     sys: ParameterizedSystem, x, q, duration: float, cfg: IntegratorConfig
 ) -> np.ndarray:
-    """The states (K, n) that the batched ``sys`` reaches from ``x`` (K, n)
-    at parameters ``q`` (K, m) after ``duration``, rounded to whole steps of
+    """The states (K, n) that ``sys`` reaches from ``x`` (K, n) at
+    parameters ``q`` (K, m) after ``duration``, rounded to whole steps of
     ``cfg.step``."""
     f = None
     for _ in range(int(round(duration / cfg.step))):
@@ -153,7 +153,7 @@ def _replay(
 
 
 def _disturbance_system(c2: float) -> ParameterizedSystem:
-    """The pendulum without its restoring torque, batched."""
+    """The pendulum without its restoring torque."""
 
     def field(x, q):
         xt, out = x.T, np.empty(x.shape)
@@ -168,7 +168,6 @@ def _disturbance_system(c2: float) -> ParameterizedSystem:
         field=field,
         jacobian=lambda x, q: np.broadcast_to(jac, x.shape + (2,)),
         name="pendulum-disturbance",
-        batched=True,
     )
 
 
@@ -178,10 +177,9 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
     Dynamics: x1' = x2, x2' = -c1 sin(x1) - c2 x2 + p.  The angle is left
     unwrapped — recovery means returning to the same equilibrium
     representative the disturbance started from, not to a shifted copy.
-    The model is batched: every callable also takes stacks of states and
-    torques.  Its Jacobian bound (``jacobian_lipschitz``) is w = 1, L = c1:
-    only the entry -c1 cos(x1), the velocity row at the angle column,
-    varies, and by at most c1 |x1 - y1|, as the structured bound requires.
+    Its Jacobian bound (``jacobian_lipschitz``) is w = 1, L = c1: only the
+    entry -c1 cos(x1), the velocity row at the angle column, varies, and
+    by at most c1 |x1 - y1|, as the structured bound requires.
     """
     if params is None:
         params = PendulumParams()
@@ -214,7 +212,6 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         initial_condition=lambda p: pendulum_disturbance_ic(params, p),
         name="pendulum",
         state_names=("angle", "velocity"),
-        batched=True,
         jacobian_lipschitz=lambda p: (unit_weights, c1),
         escape=(
             lambda p, sep, cfg: _pendulum_escape(c1, c2, p, sep, cfg),
@@ -614,7 +611,6 @@ def _swing_system(
         state_names=tuple(f"theta_{i}" for i in range(1, n + 1))
         + tuple(f"omega_{i}" for i in range(1, n + 1)),
         wrap_indices=tuple(range(n)),
-        batched=True,
         jacobian_lipschitz=lambda p: (
             np.concatenate([np.ones(n), inertias(p)]),
             lipschitz,

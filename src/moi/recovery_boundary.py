@@ -8,10 +8,8 @@ crossing of that boundary along a caller-supplied ray by an expansion phase
 each refinement round probes the bracket at interior points, placed around
 the crossing that the escape times of the previous round's failing probes
 predict (on consecutive doubles once that crossing is known to a few units
-in the last place), or evenly spaced when they predict none.  Every system
-is searched the same way, on one :class:`~moi.integrator.Lockstep`;
-whether its probes step in lockstep sets only how many points a round
-probes.
+in the last place), or evenly spaced when they predict none.  The probes
+run on one :class:`~moi.integrator.Lockstep`.
 
 The search is deliberately restricted to a one-dimensional ray.  A
 closest-point search over the full parameter space is a separate
@@ -55,12 +53,9 @@ from .system_core import (
 )
 
 
-#: sections per refinement round when the probes step in lockstep: the 15
-#: uniform interior points p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic
-#: fractions of the bracket and each round narrows it 16-fold, a guided
-#: round probes as many.  Other systems use 2 sections, i.e. bisection:
-#: their probes step one by one, and one probe per halving is the fewest
-#: per bit.
+#: sections per refinement round: the 15 uniform interior points
+#: p_lo + (p_hi - p_lo) * (i / 16) are exact dyadic fractions of the
+#: bracket and each round narrows it 16-fold; a guided round probes as many
 SECTIONS = 16
 
 #: the expansion probes s = INITIAL_STEP * 2^i along ``direction``,
@@ -228,10 +223,10 @@ def _points_at(p_lo: np.ndarray, p_hi: np.ndarray, fractions) -> list:
     return points
 
 
-def _round_points(p_lo: np.ndarray, p_hi: np.ndarray, sections: int) -> list:
-    """The points p_lo + (p_hi - p_lo) * (i / sections), i = 1..sections-1,
+def _round_points(p_lo: np.ndarray, p_hi: np.ndarray) -> list:
+    """The points p_lo + (p_hi - p_lo) * (i / SECTIONS), i = 1..SECTIONS-1,
     each once, leaving out points equal to an endpoint."""
-    return _points_at(p_lo, p_hi, [i / sections for i in range(1, sections)])
+    return _points_at(p_lo, p_hi, [i / SECTIONS for i in range(1, SECTIONS)])
 
 
 #: fewest diverged members that :func:`_fit_crossing` fits
@@ -311,7 +306,7 @@ def _ulps(p_lo: np.ndarray, p_hi: np.ndarray) -> float:
     return float(span.max())
 
 
-def _next_points(p_lo, p_hi, sections: int, tail_points, tail_ends) -> list:
+def _next_points(p_lo, p_hi, tail_points, tail_ends) -> list:
     """Interior points of the round that refines the bracket (p_lo, p_hi).
 
     ``tail_points`` and ``tail_ends`` are the members of the round just
@@ -319,16 +314,15 @@ def _next_points(p_lo, p_hi, sections: int, tail_points, tail_ends) -> list:
     :class:`~moi.integrator.RunEnd`; after an expansion group they are
     empty.  When their diverged members' end times (``RunEnd.tau``) fit
     the saddle law (:func:`_fit_crossing`), the round is placed around the
-    predicted crossing c: on the sections - 1 consecutive doubles centred
+    predicted crossing c: on the SECTIONS - 1 consecutive doubles centred
     on it (those inside the bracket) once the guided round's first rung,
-    1e-3 (1 - c) of the bracket from c, is at most (sections - 2) / 2
+    1e-3 (1 - c) of the bracket from c, is at most (SECTIONS - 2) / 2
     units in the last place, and on :func:`_guided_fractions` before.
-    Otherwise, and on bisection systems (2 sections) or brackets of at
-    most ``GUIDE_MIN_ULPS`` units in the last place, it takes the
-    ``sections`` uniform points.
+    Otherwise, and on brackets of at most ``GUIDE_MIN_ULPS`` units in the
+    last place, it takes the uniform points of :func:`_round_points`.
     """
     ulps = _ulps(p_lo, p_hi)
-    if sections > 2 and ulps > GUIDE_MIN_ULPS:
+    if ulps > GUIDE_MIN_ULPS:
         width = float(np.linalg.norm(p_hi - p_lo))
         failing = [
             (float(np.linalg.norm(p - p_lo)) / width, end.tau)
@@ -337,14 +331,14 @@ def _next_points(p_lo, p_hi, sections: int, tail_points, tail_ends) -> list:
         ]
         c = _fit_crossing(*zip(*failing)) if failing else None
         if c is not None:
-            half = (sections - 2) // 2
+            half = (SECTIONS - 2) // 2
             if 1e-3 * (1.0 - c) * ulps > half:
                 return _points_at(p_lo, p_hi, _guided_fractions(c))
             # unit steps of the grid of ``ulps`` steps: consecutive doubles
             centre = round(c * ulps)
             grid = range(max(centre - half, 1), min(centre + half + 1, int(np.ceil(ulps))))
             return _points_at(p_lo, p_hi, [i / ulps for i in grid])
-    return _round_points(p_lo, p_hi, sections)
+    return _round_points(p_lo, p_hi)
 
 
 def ray_boundary_search(
@@ -363,14 +357,12 @@ def ray_boundary_search(
 
     Refinement phase (multisection): each round probes up to k - 1 interior
     points of the bracket, computed directly in parameter space, with
-    k = ``SECTIONS`` when the system's probes step in lockstep
-    (``Lockstep.lockstep``: batched, with an analytic Jacobian) and k = 2
-    otherwise (bisection, one probe per round).  By default a round takes
-    the uniform points ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1.  A
-    refinement round that follows another one is guided instead when the
-    members of that round from its key on (the key being the new ``p_hi``)
-    include at least ``FIT_MIN_MEMBERS`` that diverged: near the boundary a
-    failing trajectory lingers by the controlling saddle for a time that
+    k = ``SECTIONS``.  By default a round takes the uniform points
+    ``p_lo + (p_hi - p_lo) * (i / k)``, i = 1..k-1.  A refinement round
+    that follows another one is guided instead when the members of that
+    round from its key on (the key being the new ``p_hi``) include at
+    least ``FIT_MIN_MEMBERS`` that diverged: near the boundary a failing
+    trajectory lingers by the controlling saddle for a time that
     grows like -ln|p - p*| / lambda_u, so their end times n are fitted to
     n = a - b ln(t - c), t the position in the new bracket in bracket
     widths.  A member that ended in its escape set is timed within its last
@@ -380,12 +372,11 @@ def ray_boundary_search(
     units in the last place, it probes instead the k - 1 consecutive
     doubles centred on c, those strictly inside the bracket.  The
     guard falls back to the uniform points when the fit has b <= 0, an
-    RMS residual above ``FIT_MAX_RMS`` steps or c outside (0, 1), on
-    bisection systems, and once the bracket is at most ``GUIDE_MIN_ULPS``
-    units in the last place wide, where one uniform round reaches adjacent
-    doubles.  The placement is a function of the round's points and those
-    members' ends alone, so a round's successor starts only after they
-    have all ended.
+    RMS residual above ``FIT_MAX_RMS`` steps or c outside (0, 1), and once
+    the bracket is at most ``GUIDE_MIN_ULPS`` units in the last place wide,
+    where one uniform round reaches adjacent doubles.  The placement is a
+    function of the round's points and those members' ends alone, so a
+    round's successor starts only after they have all ended.
     Walking the round's verdicts in ray order, the last recovering point
     before the first failing one becomes ``p_lo`` and that failing point
     ``p_hi``; points past it are kept in ``history`` but do not move the
@@ -419,9 +410,6 @@ def ray_boundary_search(
     past the first failing one are dropped unclassified, and an error of
     ``find_sep`` (or of the initial conditions) in a group is raised only
     if the commit reaches it.
-
-    When the probes do not step in lockstep, each takes the single-state
-    step and the search is plain expansion and bisection, probe for probe.
     """
     p0 = _check_vector(p0, sys.param_dim, "p0")
     direction = _check_vector(direction, sys.param_dim, "direction")
@@ -432,13 +420,13 @@ def ray_boundary_search(
     return _PipelinedSearch(sys, cfg, p0, direction, param_tol).run()
 
 
-def _hold_end(since: int, sections: int) -> int:
+def _hold_end(since: int) -> int:
     """The round step e from which a provisional key first seen at round
     step ``since`` starts its successor: the smallest e with
-    e - since >= e // sections and e - since >= ``SECTIONS``.  The floor
-    keeps a short round, where e // sections is a few steps, from starting
+    e - since >= e // ``SECTIONS`` and e - since >= ``SECTIONS``.  The floor
+    keeps a short round, where e // SECTIONS is a few steps, from starting
     a successor that a member ending a step or two later would discard."""
-    return since + max(max(since - 1, 0) // (sections - 1), SECTIONS)
+    return since + max(max(since - 1, 0) // (SECTIONS - 1), SECTIONS)
 
 
 class _Round:
@@ -521,8 +509,6 @@ def _raise_held(r: _Round):
 class _PipelinedSearch:
     """:func:`ray_boundary_search` on one Lockstep.
 
-    ``sections`` is k of the docstring there.
-
     ``chain`` holds the started rounds whose verdicts are not committed
     yet, each the successor of the one before it.
     """
@@ -532,7 +518,6 @@ class _PipelinedSearch:
         self.param_tol = param_tol
         self.s, self.doublings_left = INITIAL_STEP, MAX_DOUBLINGS
         self.lock = Lockstep(sys, cfg)
-        self.sections = SECTIONS if self.lock.lockstep else 2
         self.chain: list[_Round] = []
         self.history: list[tuple[np.ndarray, Verdict]] = []
         self.iterations = 0
@@ -559,10 +544,10 @@ class _PipelinedSearch:
                 due = self._review()
 
     def _expand(self, lo, warm) -> None:
-        """Start the next expansion group: up to sections - 1 doublings,
+        """Start the next expansion group: up to SECTIONS - 1 doublings,
         after the origin if ``lo`` is None."""
         points = [] if lo is not None else [self.p0]
-        for _ in range(min(self.sections - 1, self.doublings_left)):
+        for _ in range(min(SECTIONS - 1, self.doublings_left)):
             points.append(self.p0 + self.s * self.direction)
             self.s *= 2.0
             self.doublings_left -= 1
@@ -628,7 +613,7 @@ class _PipelinedSearch:
             # an expansion group's members past its key are dropped: it
             # leaves the next round no escape times to fit
             tail = (r.points[key:], r.ends[key:]) if r.hi is not None else ((), ())
-            points = _next_points(lo[0], hi, self.sections, *tail)
+            points = _next_points(lo[0], hi, *tail)
             if points:
                 self._start(lo, hi, points, warm)
 
@@ -655,7 +640,7 @@ class _PipelinedSearch:
                         r.drop(lock, final + 1)
                 elif guess != r.guess:
                     r.guess = guess
-                    r.ready = r.start + _hold_end(lock.steps - r.start, self.sections)
+                    r.ready = r.start + _hold_end(lock.steps - r.start)
             key = r.guess if r.key is None else r.key
             if r.launched is not None and r.launched != key:
                 for dropped in chain[i + 1 :]:

@@ -1,7 +1,7 @@
 """Parameterized dynamical systems and trajectory storage.
 
 A :class:`ParameterizedSystem` is a vector field ``f(x, p)`` on R^n with an
-m-dimensional parameter, optional analytic Jacobian, and a disturbance map
+m-dimensional parameter, its analytic Jacobian, and a disturbance map
 ``p -> x0(p)`` giving the state at the end of a finite-time disturbance.
 Angles are never wrapped here: the state space is R^n and any modular
 comparison is a model-level decision (see :mod:`moi.model_zoo`).
@@ -24,14 +24,21 @@ from .errors import DimensionMismatch, NonFiniteOutput
 
 Array = np.ndarray
 
-#: relative/absolute floor for finite-difference Jacobian steps
-_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class ParameterizedSystem:
-    """A vector field f(x, p) with optional analytic Jacobian and
+    """A vector field f(x, p) with its analytic Jacobian and a
     disturbance-generated initial condition.
+
+    Every system is batched: ``field``, ``jacobian`` and
+    ``initial_condition`` (where present) take a single state (n,) and
+    parameter (m,), and also a leading batch axis, evaluating each member
+    with the same floating-point operations as a single call: x of shape
+    (K, n) and p of shape (K, m) give fields (K, n), Jacobians (K, n, n)
+    and initial conditions (K, n).  So ``field`` gives each row, bitwise,
+    the value it gives that state alone, whatever the other rows are: the
+    field that a Lockstep carries from one step to the next stays valid
+    when members are dropped, and a run ends bitwise alike in any batch.
 
     Parameters
     ----------
@@ -40,8 +47,8 @@ class ParameterizedSystem:
     field
         Callable (x, p) -> dx/dt, both numpy arrays.
     jacobian
-        Optional callable (x, p) -> (n, n) array of partials of ``field``
-        with respect to x.  When absent, central finite differences are used.
+        Callable (x, p) -> (n, n) array of partials of ``field`` with
+        respect to x.
     initial_condition
         Optional callable p -> x0(p), the post-disturbance state the
         simulation driver starts from.
@@ -54,16 +61,6 @@ class ParameterizedSystem:
         Indices of angle-like coordinates that convergence tests should
         compare modulo 2*pi.  The field itself is always evaluated on the
         unwrapped state.
-    batched
-        True when ``field``, ``jacobian`` and ``initial_condition`` (where
-        present) also accept a leading batch axis, evaluating each member
-        with the same floating-point operations as a single call: x of shape
-        (K, n) and p of shape (K, m) give fields (K, n), Jacobians (K, n, n)
-        and initial conditions (K, n).  So a batched ``field`` gives each
-        row, bitwise, the value it gives that state alone, whatever the
-        other rows are: the field that a Lockstep carries from one step to
-        the next stays valid when members are dropped.  Recovery probes of
-        a batched system with an analytic Jacobian run in lockstep batches.
     jacobian_lipschitz
         Optional callable p -> (w, L), filled in by the model constructors:
         positive diagonal state weights w (length n) and a bound L on the
@@ -97,12 +94,11 @@ class ParameterizedSystem:
     state_dim: int
     param_dim: int
     field: Callable[[Array, Array], Array]
-    jacobian: Optional[Callable[[Array, Array], Array]] = None
+    jacobian: Callable[[Array, Array], Array]
     initial_condition: Optional[Callable[[Array], Array]] = None
     name: str = ""
     state_names: Optional[tuple[str, ...]] = None
     wrap_indices: Optional[tuple[int, ...]] = None
-    batched: bool = False
     jacobian_lipschitz: Optional[Callable[[Array], tuple[Array, float]]] = None
     escape: Optional[tuple[Callable[..., Array], Callable[..., Optional[Array]]]] = None
 
@@ -173,28 +169,11 @@ def eval_field(sys: ParameterizedSystem, x, p) -> Array:
 
 
 def eval_jacobian(sys: ParameterizedSystem, x, p) -> Array:
-    """Evaluate the n-by-n state Jacobian of the field at (x, p).
-
-    Uses the analytic Jacobian when the system supplies one; otherwise
-    central finite differences with per-coordinate step
-    ``max(1e-6, 1e-6 * |x_i|)``.
-    """
+    """Evaluate the system's n-by-n state Jacobian at (x, p), with dimension
+    and finiteness checks."""
     x = _check_vector(x, sys.state_dim, "state")
     p = _check_vector(p, sys.param_dim, "parameter")
-    if sys.jacobian is not None:
-        J = np.asarray(sys.jacobian(x, p), dtype=float)
-    else:
-        n = sys.state_dim
-        J = np.empty((n, n))
-        for i in range(n):
-            delta = max(_FD_STEP, _FD_STEP * abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += delta
-            xm[i] -= delta
-            J[:, i] = (eval_field(sys, xp, p) - eval_field(sys, xm, p)) / (
-                2.0 * delta
-            )
+    J = np.asarray(sys.jacobian(x, p), dtype=float)
     if J.shape != (sys.state_dim, sys.state_dim):
         raise DimensionMismatch(
             f"jacobian returned shape {J.shape}, expected square of dim "
@@ -206,15 +185,12 @@ def eval_jacobian(sys: ParameterizedSystem, x, p) -> Array:
 
 
 def initial_state(sys: ParameterizedSystem, p) -> Array:
-    """Return x0(p), the post-disturbance initial condition.
-
-    A batched system also takes a (K, m) stack of parameters and returns
-    the (K, n) stack of initial conditions.
-    """
+    """Return x0(p), the post-disturbance initial condition; a (K, m)
+    stack of parameters gives the (K, n) stack of initial conditions."""
     if sys.initial_condition is None:
         raise ValueError(f"system {sys.name!r} has no initial_condition")
     p = np.asarray(p, dtype=float)
-    batch = p.shape[:-1] if sys.batched and p.ndim == 2 else ()
+    batch = p.shape[:-1] if p.ndim == 2 else ()
     if p.shape != batch + (sys.param_dim,):
         raise DimensionMismatch(
             f"parameter has shape {p.shape}, expected {batch + (sys.param_dim,)}"

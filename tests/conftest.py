@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled models, a toy with a closed-form saddle, caches.
+"""Shared fixtures: bundled models, toys with a closed-form saddle or an
+affine field, caches.
 
 The expensive session fixtures (the pendulum step-size sweep, the grid
 model) are computed once and shared across test modules.
@@ -17,6 +18,7 @@ from moi import (
     PENDULUM_DIVERGENCE_NORM,
     bundled_network_path,
     canonical_sign,
+    eval_field,
     h_sweep,
     load_network,
     pendulum_system,
@@ -30,6 +32,20 @@ from moi.integrator import (
     _recovery_sets,
     _wrap_index,
 )
+
+
+def central_differences(sys_, x, p, step=1e-6):
+    """The Jacobian of the field at (x, p) by central differences, with
+    per-coordinate step max(step, step |x_i|)."""
+    n = len(x)
+    jac = np.empty((n, n))
+    for i in range(n):
+        delta = max(step, step * abs(x[i]))
+        up, down = x.copy(), x.copy()
+        up[i] += delta
+        down[i] -= delta
+        jac[:, i] = (eval_field(sys_, up, p) - eval_field(sys_, down, p)) / (2.0 * delta)
+    return jac
 
 
 def certificate_of(sys_, p, cfg, sep):
@@ -110,6 +126,31 @@ def pend_cfg() -> IntegratorConfig:
     return IntegratorConfig(step=PEND_H, divergence_norm=PENDULUM_DIVERGENCE_NORM)
 
 
+def affine_system(A, b=None, x0=None, **kwargs) -> ParameterizedSystem:
+    """x' = A x + b over a scalar parameter, from x0 (no initial condition
+    when None), batched: each row of A x is a sum over the last axis of a
+    fresh C-ordered array, so a batch member and a single state round
+    alike.  ``kwargs`` are further ``ParameterizedSystem`` fields."""
+    A = np.asarray(A, dtype=float)
+    n = len(A)
+    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
+    initial_condition = None
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+
+        def initial_condition(p):
+            return np.broadcast_to(x0, p.shape[:-1] + (n,))
+
+    return ParameterizedSystem(
+        state_dim=n,
+        param_dim=1,
+        field=lambda x, p: np.add.reduce(A * x[..., None, :], axis=-1) + b,
+        jacobian=lambda x, p: np.broadcast_to(A, x.shape + (n,)),
+        initial_condition=initial_condition,
+        **kwargs,
+    )
+
+
 def make_tent_toy(seed_velocity: float = 0.05) -> ParameterizedSystem:
     """A damped particle in a tent-shaped potential with a known saddle.
 
@@ -126,17 +167,28 @@ def make_tent_toy(seed_velocity: float = 0.05) -> ParameterizedSystem:
         return t - 2.0 * np.logaddexp(0.0, 200.0 * (t - 0.5)) / 200.0
 
     def field(x, p):
-        return np.array([x[1], -vprime(x[0]) - 0.5 * x[1]])
+        xt, out = x.T, np.empty(x.shape)
+        out.T[0] = xt[1]
+        out.T[1] = -vprime(xt[0]) - 0.5 * xt[1]
+        return out
 
     def jac(x, p):
-        return np.array([[0.0, 1.0], [np.tanh(100.0 * (x[0] - 0.5)), -0.5]])
+        out = np.empty(x.shape + (2,))
+        out[...] = [[0.0, 1.0], [0.0, -0.5]]
+        out[..., 1, 0] = np.tanh(100.0 * (x.T[0] - 0.5))
+        return out
+
+    def initial_condition(p):
+        x0 = np.empty(p.shape[:-1] + (2,))
+        x0.T[0], x0.T[1] = p.T[0], seed_velocity
+        return x0
 
     return ParameterizedSystem(
         state_dim=2,
         param_dim=1,
         field=field,
         jacobian=jac,
-        initial_condition=lambda p: np.array([p[0], seed_velocity]),
+        initial_condition=initial_condition,
         name="tent-toy",
         state_names=("position", "velocity"),
     )

@@ -189,17 +189,26 @@ def test_criterion_07_toy_with_closed_form_saddle(
     tent_toy, toy_cfg, toy_saddle_eigenpair, eigen_log
 ):
     """Mode estimate within 1e-2 of the analytic escape direction as the
-    bisection tolerance shrinks."""
+    search tolerance shrinks, and closest at adjacent doubles (tol 0).
+
+    At h = 0.02 the error is not monotone in the distance from the
+    crossing: a recovering end 3.9e-5 below the crossing gives 2.9e-4, one
+    2.5e-7 below it 3.4e-4.  So each of the three tolerances is held to the
+    bound, and the run at adjacent doubles to be no worse than any of
+    them."""
     _, v_exact = toy_saddle_eigenpair
     errs = {}
-    for tol in (1e-2, 1e-4, 1e-6):
+    for tol in (1e-2, 1e-4, 1e-6, 0.0):
         bm = mode_at_boundary(tent_toy, [0.5], [1.0], toy_cfg, param_tol=tol)
         errs[tol] = float(np.linalg.norm(bm.mode.eigenvector - v_exact))
         log_mode(eigen_log, bm.mode)
+    coarse = [errs[tol] for tol in (1e-2, 1e-4, 1e-6)]
     assert errs[1e-6] < 1e-2
-    assert errs[1e-6] <= errs[1e-2]
-    print(f"criterion 7 PASS: mode error {errs[1e-2]:.2e} -> {errs[1e-4]:.2e} "
-          f"-> {errs[1e-6]:.2e} (< 1e-2) as tolerance shrinks to 1e-6")
+    assert max(coarse) < 1e-2
+    assert errs[0.0] <= min(coarse)
+    print(f"criterion 7 PASS: mode error {errs[1e-2]:.2e} / {errs[1e-4]:.2e} "
+          f"/ {errs[1e-6]:.2e} (< 1e-2) at tol 1e-2 / 1e-4 / 1e-6, "
+          f"{errs[0.0]:.2e} at adjacent doubles")
 
 
 def test_criterion_08_multimachine_suite(nine_bus, eigen_log):

@@ -135,7 +135,6 @@ def linear_system():
         field=lambda x, p: rates(p) * x,
         jacobian=lambda x, p: rates(p)[..., None] * np.ones(x.shape + (1,)),
         initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
-        batched=True,
     )
 
 
@@ -205,7 +204,7 @@ def mixed_system():
         return d[..., None]
 
     return ParameterizedSystem(
-        state_dim=1, param_dim=1, field=field, jacobian=jacobian, batched=True
+        state_dim=1, param_dim=1, field=field, jacobian=jacobian
     )
 
 
@@ -271,7 +270,6 @@ def damped_oscillator():
         initial_condition=lambda p: np.stack(
             [np.full(p.shape[:-1], 1e-5), np.zeros(p.shape[:-1])], axis=-1
         ),
-        batched=True,
     )
 
 
@@ -338,29 +336,26 @@ def test_straddling_set_splits_at_the_boundary(pendulum, pend_cfg):
 
 def test_batched_runs_end_as_simulate_ends_them():
     """One member per termination: decay converges, r = 100 is singular at
-    h = 0.02, r = 3 diverges and slow decay runs out of time.  Members of
-    an unbatched system, which do not step in lockstep, end the same way."""
+    h = 0.02, r = 3 diverges and slow decay runs out of time."""
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
     points = np.array([[-1.0], [100.0], [3.0], [-1e-3]])
     sep = np.zeros(1)
-    for sys_, lockstep in ((linear_system(), True),
-                           (replace(linear_system(), batched=False), False)):
-        assert Lockstep(sys_, cfg).lockstep is lockstep
-        runs = run_lockstep(sys_, points, cfg, np.zeros((len(points), 1)))
-        assert [run.termination for run in runs] == [
-            Termination.CONVERGED_TO_SEP,
-            Termination.SOLVER_FAILURE,
-            Termination.DIVERGED,
-            Termination.MAX_TIME_REACHED,
-        ]
-        assert [run.rule for run in runs] == ["dwell", "solver", "norm", "budget"]
-        for p, run in zip(points, runs):
-            traj = simulate(sys_, p, cfg, sep)
-            assert np.array_equal(run.final_state, traj.states[-1])
-            assert run.elapsed == traj.elapsed
-            assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
-                sys_, p, cfg, sep
-            )
+    sys_ = linear_system()
+    runs = run_lockstep(sys_, points, cfg, np.zeros((len(points), 1)))
+    assert [run.termination for run in runs] == [
+        Termination.CONVERGED_TO_SEP,
+        Termination.SOLVER_FAILURE,
+        Termination.DIVERGED,
+        Termination.MAX_TIME_REACHED,
+    ]
+    assert [run.rule for run in runs] == ["dwell", "solver", "norm", "budget"]
+    for p, run in zip(points, runs):
+        traj = simulate(sys_, p, cfg, sep)
+        assert np.array_equal(run.final_state, traj.states[-1])
+        assert run.elapsed == traj.elapsed
+        assert classify_recovery(sys_, p, cfg, sep, run) == classify_recovery(
+            sys_, p, cfg, sep
+        )
 
 
 def test_member_added_later_ends_as_simulate_ends_it_alone(pendulum):
@@ -474,42 +469,44 @@ def test_dropped_members_are_never_reported():
     assert sorted(ends) == [ids[0], ids[2]]
 
 
-def test_unbatched_members_step_alone_and_are_reported_as_they_end(monkeypatch):
-    """Without lockstep each member takes the single-state step; an add
-    that raises starts no member, a dropped member is never reported, and
-    the others end as simulate ends them."""
+def test_an_add_that_raises_starts_no_member():
+    """An add whose initial conditions raise for one member starts none of
+    them, in an empty Lockstep and in one with live members; those step on
+    and end as simulate ends them."""
     cfg = IntegratorConfig(step=0.02, max_time=20.0, divergence_norm=100.0)
     sys_ = replace(
-        linear_system(),
-        batched=False,
-        initial_condition=lambda p: np.full(1, np.nan if p[0] > 50.0 else 1.0),
+        linear_system(), initial_condition=lambda p: np.where(p > 50.0, np.nan, 1.0)
     )
     lock = Lockstep(sys_, cfg)
-    assert not lock.lockstep
     with pytest.raises(NonFiniteOutput):
         lock.add(np.array([[-1.0], [100.0]]), np.zeros((2, 1)))
     assert not len(lock) and lock.step() == {} and lock.steps == 0
-
-    def no_batch(*args):
-        raise AssertionError("an unbatched member took the batched step")
-
-    monkeypatch.setattr(moi.integrator, "step_trapezoidal_batch", no_batch)
-    points = np.array([[-1.0], [3.0], [-2.0]])
-    ids = lock.add(points, np.zeros((3, 1))).tolist()
-    assert ids == [0, 1, 2] and len(lock) == 3
+    points = np.array([[-1.0], [-2.0]])
+    ids = lock.add(points, np.zeros((2, 1))).tolist()
+    assert ids == [0, 1]
     ends = lock.step()
-    assert ends == {} and lock.steps == 1
-    lock.drop([ids[1]])
-    assert len(lock) == 2
+    with pytest.raises(NonFiniteOutput):
+        lock.add(np.array([[-3.0], [100.0]]), np.zeros((2, 1)))
+    assert len(lock) == 2 and lock._f is not None
     while len(lock):
         ends.update(lock.step())
-    assert sorted(ends) == [ids[0], ids[2]]
-    for k in (ids[0], ids[2]):
-        traj = simulate(sys_, points[k], cfg, np.zeros(1))
+    assert sorted(ends) == ids
+    for k, p in zip(ids, points):
+        traj = simulate(sys_, p, cfg, np.zeros(1))
         assert ends[k].termination is traj.termination is Termination.CONVERGED_TO_SEP
         assert np.array_equal(ends[k].final_state, traj.states[-1])
         assert ends[k].elapsed == traj.elapsed
     assert lock.step() == {}
+
+
+def test_empty_add_calls_no_initial_condition():
+    def no_call(p):
+        raise AssertionError("the initial condition was called")
+
+    lock = Lockstep(replace(linear_system(), initial_condition=no_call),
+                    IntegratorConfig(step=0.02))
+    assert lock.add(np.zeros((0, 1)), np.zeros((0, 1))).tolist() == []
+    assert not len(lock) and lock.step() == {}
 
 
 def test_zero_budget_ends_every_member_without_a_step():
@@ -543,83 +540,25 @@ def test_batched_verdicts_match_on_nine_bus(nine_bus):
     assert batch_verdicts(grid, points, cfg) == expected
 
 
-def reference_bisection(threshold, param_tol, initial_step=0.1):
-    """Parameters probed by plain bisection on the gated decay system,
-    whose verdict is known in closed form (recovers iff p <= threshold),
-    and how many of them the bisection phase probed."""
-    p0 = np.array([0.0])
-    direction = np.array([1.0])
-    probed = [p0]
-    p_lo, s = p0, initial_step
-    while True:
-        p = p0 + s * direction
-        probed.append(p)
-        if p[0] > threshold:
-            p_hi = p
-            break
-        p_lo, s = p, 2.0 * s
-    expansion = len(probed)
-    while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        p_mid = p_lo + (p_hi - p_lo) / 2.0
-        if np.array_equal(p_mid, p_lo) or np.array_equal(p_mid, p_hi):
-            break
-        probed.append(p_mid)
-        if p_mid[0] <= threshold:
-            p_lo = p_mid
-        else:
-            p_hi = p_mid
-    return probed, len(probed) - expansion
-
-
 @settings(max_examples=6, deadline=None)
 @given(
     threshold=st.floats(0.05, 2.0),
     param_tol=st.sampled_from([0.0, 1e-9, 1e-4]),
-    batched=st.booleans(),
 )
-@example(threshold=0.3, param_tol=0.0, batched=True)
-def test_unbatched_search_reproduces_bisection(threshold, param_tol, batched):
-    """Systems whose probes do not step in lockstep, including a batched
-    one without an analytic Jacobian, are searched by plain bisection."""
-    sys_ = replace(gated_decay_system(threshold), batched=batched)
+@example(threshold=0.3, param_tol=0.0)
+def test_gated_decay_search_matches_round_by_round_search(threshold, param_tol):
+    """On a toy whose verdict is known in closed form (it recovers iff
+    p <= threshold) the search equals the round-by-round one probe for
+    probe, and every verdict is the closed-form one."""
+    sys_ = gated_decay_system(threshold)
     cfg = IntegratorConfig(step=0.05, max_time=60.0, divergence_norm=10.0)
     res = ray_boundary_search(sys_, [0.0], [1.0], cfg, param_tol=param_tol)
-    expected, bisection_probes = reference_bisection(threshold, param_tol)
-    assert res.iterations == bisection_probes
-    assert len(res.history) == len(expected)
-    for (p, verdict), q in zip(res.history, expected):
-        assert np.array_equal(p, q)
+    assert_same_search(res, reference_search(sys_, [0.0], [1.0], cfg, param_tol))
+    assert res.p_star[0] <= threshold < res.p_fail[0]
+    for p, verdict in res.history:
         assert verdict is (
-            Verdict.RECOVERS if q[0] <= threshold else Verdict.FAILS_TO_RECOVER
+            Verdict.RECOVERS if p[0] <= threshold else Verdict.FAILS_TO_RECOVER
         )
-
-
-def test_unbatched_search_starts_each_probe_once(monkeypatch):
-    """From a recovering origin, every member an unbatched search starts is
-    a probe in its history, started once: none is dropped."""
-    started, dropped = [], []
-    add, drop = Lockstep.add, Lockstep.drop
-
-    def counting_add(lock, p, sep):
-        ids = add(lock, p, sep)
-        started.extend(np.asarray(p, dtype=float))
-        return ids
-
-    def counting_drop(lock, ids):
-        before = len(lock)
-        drop(lock, ids)
-        dropped.append(before - len(lock))
-
-    monkeypatch.setattr(Lockstep, "add", counting_add)
-    monkeypatch.setattr(Lockstep, "drop", counting_drop)
-    cfg = IntegratorConfig(step=0.05, max_time=60.0, divergence_norm=10.0)
-    res = ray_boundary_search(
-        gated_decay_system(0.3), [0.0], [1.0], cfg, param_tol=1e-6
-    )
-    assert len(started) == len(res.history) > 2
-    for p, (q, _) in zip(started, res.history):
-        assert np.array_equal(p, q)
-    assert sum(dropped) == 0
 
 
 @settings(max_examples=3, deadline=None)
@@ -668,7 +607,6 @@ def banded_system(bands):
         field=lambda x, p: -rate[band(p)][..., None] * (x - target[band(p)][..., None]),
         jacobian=lambda x, p: -rate[band(p)][..., None, None] * np.ones(x.shape + (1,)),
         initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
-        batched=True,
     )
 
 
@@ -758,10 +696,10 @@ def test_fit_rejects_too_few_members_a_wrong_slope_and_noise():
 
 def test_degenerate_tails_place_the_round_uniformly():
     p_lo, p_hi = np.array([0.25]), np.array([0.3])
-    uniform = _round_points(p_lo, p_hi, SECTIONS)
+    uniform = _round_points(p_lo, p_hi)
 
-    def placed(points, ends, sections=SECTIONS):
-        return _next_points(p_lo, p_hi, sections, points, ends)
+    def placed(points, ends):
+        return _next_points(p_lo, p_hi, points, ends)
 
     # flat: members of one band escape after the same number of steps
     for kind in ("fail", "late"):
@@ -777,17 +715,14 @@ def test_degenerate_tails_place_the_round_uniformly():
     assert np.array_equal(placed(points[:3], ends[:3]), uniform)
     timed_out = replace(ends[2], termination=Termination.MAX_TIME_REACHED)
     assert np.array_equal(placed(points[:4], ends[:2] + [timed_out] + ends[3:4]), uniform)
-    # ends that grow away from the bracket, and bisection
+    # ends that grow away from the bracket
     assert np.array_equal(placed(points, ends[::-1]), uniform)
-    assert np.array_equal(
-        placed(points, ends, sections=2), _round_points(p_lo, p_hi, 2)
-    )
 
 
 def test_guided_round_surrounds_the_predicted_crossing():
     p_lo, p_hi = np.array([1.0]), np.array([1.5])
     points, ends = saddle_law_tail(p_lo, p_hi, np.arange(1.0, 16.0), 0.6, 56.0)
-    placed = np.array(_next_points(p_lo, p_hi, SECTIONS, points, ends))[:, 0]
+    placed = np.array(_next_points(p_lo, p_hi, points, ends))[:, 0]
     assert len(placed) == 15 and 1.25 in placed
     crossing = 1.0 + 0.5 * 0.6
     below, above = placed[placed < crossing], placed[placed > crossing]
@@ -813,7 +748,7 @@ def test_round_within_seven_ulps_of_the_crossing_takes_consecutive_doubles(sign)
         points, ends = saddle_law_tail(p_lo, p_hi, t, c, 56.0)
         fit = _fit_crossing(t, [end.tau for end in ends])
         assert 1e-3 * (1.0 - fit) * ulps == pytest.approx(1e-3 * (1.0 - c) * ulps, rel=0.06)
-        return p_hi, _next_points(p_lo, p_hi, SECTIONS, points, ends), fit
+        return p_hi, _next_points(p_lo, p_hi, points, ends), fit
 
     # rung about 5 ulps: p_lo + (i + j) ulp, j = -7..7, i the nearest to c
     p_hi, points, fit = placed(10_000, 0.5)
@@ -850,17 +785,17 @@ def test_round_points_are_ordered_inside_the_bracket(
     p_hi = p_lo + sign * ulps * np.spacing(abs(p_lo))
     t = 1.0 + stride * np.arange(members)
     points, ends = saddle_law_tail(p_lo, p_hi, t, c, b)
-    placed = _next_points(p_lo, p_hi, SECTIONS, points, ends)
+    placed = _next_points(p_lo, p_hi, points, ends)
     along = [sign * float(p[0]) for p in [p_lo] + placed + [p_hi]]
     assert len(placed) <= SECTIONS - 1
     assert all(u < v for u, v in zip(along, along[1:]))
     if _ulps(p_lo, p_hi) <= GUIDE_MIN_ULPS:
-        assert np.array_equal(placed, _round_points(p_lo, p_hi, SECTIONS))
+        assert np.array_equal(placed, _round_points(p_lo, p_hi))
 
 
-def uniform_points(p_lo, p_hi, sections, tail_points, tail_ends):
+def uniform_points(p_lo, p_hi, tail_points, tail_ends):
     """Round placement without the escape-time guide: always uniform."""
-    return _round_points(p_lo, p_hi, sections)
+    return _round_points(p_lo, p_hi)
 
 
 def reference_search(
@@ -895,7 +830,7 @@ def reference_search(
     iterations = 0
     tail_points, tail_runs = [], []
     while float(np.linalg.norm(p_hi - p_lo)) > param_tol:
-        points = place(p_lo, p_hi, SECTIONS, tail_points, tail_runs)
+        points = place(p_lo, p_hi, tail_points, tail_runs)
         if not points:
             break
         seps = []
@@ -972,10 +907,10 @@ def test_pipelined_search_matches_on_the_consecutive_doubles_round(pendulum, mon
     taus = {"pipelined": {}, "reference": {}}
 
     def recorder(side):
-        def place(p_lo, p_hi, sections, tail_points, tail_ends):
+        def place(p_lo, p_hi, tail_points, tail_ends):
             for p, end in zip(tail_points, tail_ends):
                 taus[side][float(p[0])] = end.tau
-            return _next_points(p_lo, p_hi, sections, tail_points, tail_ends)
+            return _next_points(p_lo, p_hi, tail_points, tail_ends)
         return place
 
     placed = []
@@ -1047,23 +982,21 @@ def test_provisional_key_replaced_within_the_hold_floor_starts_nothing(monkeypat
     assert [q for q in started if q not in probed] == []
 
 
-@pytest.mark.parametrize("sections", [SECTIONS, 2])
-def test_hold_is_the_shortest_that_meets_the_fraction_and_the_floor(sections):
+def test_hold_is_the_shortest_that_meets_the_fraction_and_the_floor():
     for since in range(600):
-        end = _hold_end(since, sections)
-        assert end - since >= max(end // sections, SECTIONS)
+        end = _hold_end(since)
+        assert end - since >= max(end // SECTIONS, SECTIONS)
         held = end - 1 - since
-        assert held < SECTIONS or held < (end - 1) // sections
+        assert held < SECTIONS or held < (end - 1) // SECTIONS
 
 
 @pytest.mark.parametrize(
-    "since, sections, end",
-    [(0, 16, 16), (3, 16, 19), (240, 16, 256), (241, 16, 257), (1000, 16, 1066),
-     (0, 2, 16), (3, 2, 19), (17, 2, 33), (1000, 2, 1999)],
+    "since, end",
+    [(0, 16), (3, 19), (240, 256), (241, 257), (1000, 1066)],
 )
-def test_hold_floor_applies_to_short_holds_only(since, sections, end):
-    # the floor binds up to since 240 at k = 16 and since 16 at k = 2
-    assert _hold_end(since, sections) == end
+def test_hold_floor_applies_to_short_holds_only(since, end):
+    # the floor binds up to since 240
+    assert _hold_end(since) == end
 
 
 def test_successor_on_a_final_key_waits_for_the_members_past_it(monkeypatch):

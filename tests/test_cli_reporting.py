@@ -340,9 +340,9 @@ class TestSimulateCommand:
         linear = ParameterizedSystem(
             state_dim=1,
             param_dim=1,
-            field=lambda x, p: 100.0 * x if x[0] > 0.5 else -x,
-            jacobian=lambda x, p: np.array([[100.0 if x[0] > 0.5 else -1.0]]),
-            initial_condition=lambda p: np.array([p[0]]),
+            field=lambda x, p: np.where(x > 0.5, 100.0 * x, -x),
+            jacobian=lambda x, p: np.where(x > 0.5, 100.0, -1.0)[..., None],
+            initial_condition=lambda p: np.array(p[..., :1]),
         )
         monkeypatch.setattr(
             cli, "_build_model", lambda config: (linear, 10.0, (1.0,), lambda p: None)

@@ -444,7 +444,7 @@ def test_norm_end_keeps_the_step_count():
 
 
 def drift_toy() -> ParameterizedSystem:
-    """x' = (v, 0) at p = (v, f), batched, from x0 = 0: each step moves the
+    """x' = (v, 0) at p = (v, f), from x0 = 0: each step moves the
     first coordinate by v h.  Its escape set is x[0] >= 1, and its own
     ``crossing`` says a run entered it at the fraction f of the step, the
     run's escape row."""
@@ -467,7 +467,6 @@ def drift_toy() -> ParameterizedSystem:
         jacobian=lambda x, p: np.zeros(x.shape + (2,)),
         initial_condition=lambda p: np.zeros(np.shape(p)),
         name="drift",
-        batched=True,
         escape=(lambda p, sep, cfg: p[:, 1:].copy(), crossing),
     )
 

@@ -23,6 +23,8 @@ from moi import (
 )
 from moi.integrator import Lockstep
 
+from conftest import affine_system
+
 
 class TestLastUnstableIndex:
     def test_picks_final_unstable_sample(self):
@@ -57,8 +59,8 @@ def constant_jacobian_probe(n_target: float = 2.0):
         state_dim=2,
         param_dim=1,
         field=lambda x, p: -n_target * x,
-        jacobian=lambda x, p: J,
-        initial_condition=lambda p: np.array([1.0, 1.0]),
+        jacobian=lambda x, p: np.broadcast_to(J, x.shape + (2,)),
+        initial_condition=lambda p: np.ones(p.shape[:-1] + (2,)),
     ), J
 
 
@@ -120,13 +122,7 @@ class TestAverageJacobian:
             average_jacobian(pendulum, [1.5], pend_cfg, np.zeros(shape))
 
     def test_never_unstable_propagates(self):
-        sys_ = ParameterizedSystem(
-            state_dim=1,
-            param_dim=1,
-            field=lambda x, p: -x,
-            jacobian=lambda x, p: -np.eye(1),
-            initial_condition=lambda p: np.array([1.0]),
-        )
+        sys_ = affine_system([[-1.0]], x0=[1.0])
         cfg = IntegratorConfig(step=0.1)
         with pytest.raises(NeverUnstable):
             average_jacobian(sys_, [0.0], cfg, np.zeros(1))
@@ -207,13 +203,7 @@ class TestHSweep:
 
     def test_failed_rows_keep_error_name(self, toy_cfg):
         # no recovery boundary anywhere along this ray
-        sys_ = ParameterizedSystem(
-            state_dim=1,
-            param_dim=1,
-            field=lambda x, p: -x,
-            jacobian=lambda x, p: -np.eye(1),
-            initial_condition=lambda p: np.array([0.5]),
-        )
+        sys_ = affine_system([[-1.0]], x0=[0.5])
         cfg = IntegratorConfig(step=0.1, max_time=30.0)
         rows = h_sweep(sys_, [0.0], [1.0], [0.2, 0.1], cfg, param_tol=1e-3)
         assert [r.status for r in rows] == ["NoBracket", "NoBracket"]
@@ -253,14 +243,14 @@ class TestHSweep:
         # replaced by 20, which Newton tolerates at h = 0.02 but which makes
         # the Newton matrix 1 - (h/2) 20 exactly singular at h = 0.1
         def jac(x, p):
-            return np.array([[2.0 * x[0] - 1.0 if x[0] <= 1.5 else 20.0]])
+            return np.where(x <= 1.5, 2.0 * x - 1.0, 20.0)[..., None]
 
         sys_ = ParameterizedSystem(
             state_dim=1,
             param_dim=1,
             field=lambda x, p: x * (x - 1.0),
             jacobian=jac,
-            initial_condition=lambda p: np.array([p[0]]),
+            initial_condition=lambda p: np.array(p[..., :1]),
         )
         cfg = IntegratorConfig(step=0.1, max_time=60.0, divergence_norm=10.0)
         rows = h_sweep(sys_, [0.4321], [1.0], [0.1, 0.02], cfg, param_tol=1e-3)

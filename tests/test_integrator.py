@@ -25,18 +25,19 @@ from moi import (
 from moi.integrator import _norm, _offset, _solve, _wrap_index
 from moi.spectral import DEFAULT_STABILITY_TOL
 
-from conftest import assert_escape_end, assert_recovery_end
+from conftest import affine_system, assert_escape_end, assert_recovery_end
 
 P0 = np.array([0.0])
 
 
-def scalar_system(f, jac=None, x0=None):
+def square_system(x0=None):
+    """x' = x^2, from x0 (no initial condition when None)."""
     return ParameterizedSystem(
         state_dim=1,
         param_dim=1,
-        field=f,
-        jacobian=jac,
-        initial_condition=(lambda p: np.asarray(x0, dtype=float)) if x0 is not None else None,
+        field=lambda x, p: x**2,
+        jacobian=lambda x, p: 2.0 * x[..., None],
+        initial_condition=None if x0 is None else lambda p: np.full(p.shape[:-1] + (1,), x0),
     )
 
 
@@ -77,7 +78,7 @@ class TestConfigValidation:
 
 
 def test_zero_field_is_identity():
-    sys_ = scalar_system(lambda x, p: np.zeros(1), jac=lambda x, p: np.zeros((1, 1)))
+    sys_ = affine_system([[0.0]])
     cfg = IntegratorConfig(step=0.5)
     x = np.array([1.25])
     y = step_trapezoidal(sys_, x, P0, cfg)
@@ -86,7 +87,7 @@ def test_zero_field_is_identity():
 
 def test_linear_decay_closed_form():
     """For x' = -x the trapezoidal update is x * (1 - h/2) / (1 + h/2)."""
-    sys_ = scalar_system(lambda x, p: -x, jac=lambda x, p: -np.eye(1))
+    sys_ = affine_system([[-1.0]])
     for h in (0.01, 0.1, 0.5, 1.0):
         cfg = IntegratorConfig(step=h)
         y = step_trapezoidal(sys_, np.array([2.0]), P0, cfg)
@@ -107,7 +108,7 @@ def test_a_stability_on_stiff_decay():
     here -49/51: bounded below 1 in magnitude for any step (A-stable), though
     the decay is slow because the method is not L-stable.
     """
-    sys_ = scalar_system(lambda x, p: -1000.0 * x, jac=lambda x, p: -1000.0 * np.eye(1))
+    sys_ = affine_system([[-1000.0]])
     cfg = IntegratorConfig(step=0.1)
     amp = (1.0 - 50.0) / (1.0 + 50.0)
     x = np.array([1.0])
@@ -144,18 +145,14 @@ def test_local_error_third_order(pendulum):
 
 def test_newton_divergence_when_no_real_solution():
     # x' = x^2 from x = 3 with h = 1: the implicit equation has no real root
-    sys_ = scalar_system(
-        lambda x, p: x**2, jac=lambda x, p: np.array([[2.0 * x[0]]])
-    )
+    sys_ = square_system()
     with pytest.raises(NewtonDivergence):
         step_trapezoidal(sys_, np.array([3.0]), P0, IntegratorConfig(step=1.0))
 
 
 def test_singular_newton_matrix_is_newton_divergence():
     # x' = 100 x at h = 0.02: the Newton matrix 1 - (h/2) 100 is exactly 0
-    sys_ = scalar_system(
-        lambda x, p: 100.0 * x, jac=lambda x, p: np.array([[100.0]]), x0=[1.0]
-    )
+    sys_ = affine_system([[100.0]], x0=[1.0])
     cfg = IntegratorConfig(step=0.02, max_time=1.0)
     with pytest.raises(NewtonDivergence, match="singular"):
         step_trapezoidal(sys_, np.array([1.0]), P0, cfg)
@@ -165,12 +162,7 @@ def test_singular_newton_matrix_is_newton_divergence():
 
 
 def test_sep_distance_wraps_angles():
-    wrapped = ParameterizedSystem(
-        state_dim=2,
-        param_dim=1,
-        field=lambda x, p: x,
-        wrap_indices=(0,),
-    )
+    wrapped = affine_system(np.eye(2), wrap_indices=(0,))
     sep = np.array([0.5, 0.0])
     x = np.array([0.5 + 2.0 * np.pi, 0.0])
     assert sep_distance(wrapped, x, sep) < 1e-12
@@ -212,13 +204,7 @@ class TestSimulate:
 
     def test_max_time_reached_counts_steps(self):
         # pure rotation never settles and never diverges
-        rot = ParameterizedSystem(
-            state_dim=2,
-            param_dim=1,
-            field=lambda x, p: np.array([x[1], -x[0]]),
-            jacobian=lambda x, p: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-            initial_condition=lambda p: np.array([1.0, 0.0]),
-        )
+        rot = affine_system([[0.0, 1.0], [-1.0, 0.0]], x0=[1.0, 0.0])
         cfg = IntegratorConfig(step=0.1, max_time=1.0)
         traj = simulate(rot, P0, cfg, np.array([10.0, 10.0]))
         assert traj.termination is Termination.MAX_TIME_REACHED
@@ -236,11 +222,7 @@ class TestSimulate:
         assert not traj.instability_flags[0]
 
     def test_solver_failure_keeps_partial_trajectory(self):
-        sys_ = scalar_system(
-            lambda x, p: x**2,
-            jac=lambda x, p: np.array([[2.0 * x[0]]]),
-            x0=[3.0],
-        )
+        sys_ = square_system(x0=3.0)
         cfg = IntegratorConfig(step=1.0, max_time=5.0)
         traj = simulate(sys_, P0, cfg, np.array([0.0]))
         assert traj.termination is Termination.SOLVER_FAILURE
@@ -251,11 +233,7 @@ class TestSimulate:
         # a state far past the divergence norm that happens to lie at the
         # target must still classify as diverged: the first step lands on
         # the SEP given, 10, past the norm 5
-        sys_ = scalar_system(
-            lambda x, p: np.array([10.0]),
-            jac=lambda x, p: np.zeros((1, 1)),
-            x0=[0.0],
-        )
+        sys_ = affine_system([[0.0]], b=[10.0], x0=[0.0])
         cfg = IntegratorConfig(step=1.0, max_time=10.0, divergence_norm=5.0)
         traj = simulate(sys_, P0, cfg, np.array([10.0]))
         assert traj.termination is Termination.DIVERGED

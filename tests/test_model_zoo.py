@@ -39,7 +39,9 @@ from moi import (
     simulate,
     Verdict,
 )
-from moi.model_zoo import _replay
+from moi.model_zoo import _disturbance_system, _replay, _swing_system
+
+from conftest import central_differences
 
 
 class TestPendulumEquilibria:
@@ -502,7 +504,7 @@ def test_lossless_energy_conserved(nine_bus):
     start = eq.copy()
     start[0] += 0.3
     start[4] += 0.2
-    sys_ = replace(sys_, initial_condition=lambda p: start)
+    sys_ = replace(sys_, initial_condition=lambda p: np.broadcast_to(start, p.shape[:-1] + (6,)))
     cfg = IntegratorConfig(step=0.002, max_time=3.0, divergence_norm=200.0)
     traj = simulate(sys_, [1.0], cfg, eq)
     assert traj.termination is Termination.MAX_TIME_REACHED
@@ -618,6 +620,53 @@ def test_swing_jacobian_equals_its_index_array_construction_bitwise(nine_bus, ne
     assert np.array_equal(sys_.jacobian(x[:1], p[:1])[0], sys_.jacobian(x[0], p[0]))
 
 
+def bundled_system(name: str, params: MultiMachineParams) -> ParameterizedSystem:
+    """Each system the package builds: the two models and the two systems
+    their initial conditions replay."""
+    if name == "pendulum":
+        return pendulum_system()
+    if name == "pendulum-disturbance":
+        return _disturbance_system(PendulumParams().c2)
+    if name == "multimachine":
+        return multimachine_system(params)
+    return _swing_system(
+        params, params.fault_conductance, params.fault_susceptance, name
+    )
+
+
+BUNDLED = ["pendulum", "pendulum-disturbance", "multimachine", "multimachine-fault"]
+
+
+@pytest.mark.parametrize("name", BUNDLED[1:])
+def test_bundled_jacobian_matches_central_differences(nine_bus, name):
+    """The analytic Jacobian, the only one a system has, is the derivative
+    of its field (the pendulum's has its own property test)."""
+    sys_ = bundled_system(name, nine_bus)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-3.0, 3.0, sys_.state_dim)
+        p = rng.uniform(0.3, 1.5, 1)
+        error = eval_jacobian(sys_, x, p) - central_differences(sys_, x, p)
+        assert np.max(np.abs(error)) < 1e-5
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_system_rows_equal_single_states_bitwise(nine_bus, name):
+    """Field and Jacobian of a stack give each row, bitwise, what that state
+    gives alone, and the same in any sub-stack."""
+    sys_ = bundled_system(name, nine_bus)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 3.0, (9, sys_.state_dim))
+    p = rng.uniform(0.3, 1.5, (9, 1))
+    fields, jacs = sys_.field(x, p), sys_.jacobian(x, p)
+    assert fields.shape == x.shape and jacs.shape == x.shape + (sys_.state_dim,)
+    for k in range(len(x)):
+        assert np.array_equal(fields[k], sys_.field(x[k], p[k]))
+        assert np.array_equal(jacs[k], sys_.jacobian(x[k], p[k]))
+    assert np.array_equal(sys_.field(x[1::3], p[1::3]), fields[1::3])
+    assert np.array_equal(sys_.jacobian(x[1::3], p[1::3]), jacs[1::3])
+
+
 class TestBatchedModels:
     def test_swing_model_matches_loop_reference(self, nine_bus):
         sys_ = multimachine_system(nine_bus)
@@ -655,7 +704,6 @@ class TestBatchedModels:
         rate = ParameterizedSystem(
             state_dim=1, param_dim=1, name="rate",
             field=lambda x, p: p * x, jacobian=lambda x, p: p[..., None] * np.ones(x.shape + (1,)),
-            batched=True,
         )
         x, q = np.ones((3, 1)), np.array([[-1.0], [100.0], [3.0]])
         with pytest.raises(NewtonDivergence, match=r"rate replay failed for p = \[\[100\.\]\]"):

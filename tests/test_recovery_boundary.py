@@ -36,19 +36,7 @@ from moi import (
 from moi.integrator import Lockstep
 from moi.recovery_boundary import INITIAL_STEP, MAX_DOUBLINGS
 
-from conftest import assert_recovery_end
-
-
-def affine_system(A, b, x0=None):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return ParameterizedSystem(
-        state_dim=A.shape[0],
-        param_dim=1,
-        field=lambda x, p: A @ x + b,
-        jacobian=lambda x, p: A,
-        initial_condition=(lambda p: np.asarray(x0, dtype=float)) if x0 is not None else None,
-    )
+from conftest import affine_system, assert_recovery_end
 
 
 class TestFindEquilibrium:
@@ -90,12 +78,7 @@ class TestFindSep:
             find_sep(pendulum, [1.5], x_guess=np.array([2.3, 0.0]))
 
     def test_rejects_marginal_equilibrium(self):
-        rot = ParameterizedSystem(
-            state_dim=2,
-            param_dim=1,
-            field=lambda x, p: np.array([x[1], -x[0]]),
-            jacobian=lambda x, p: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        )
+        rot = affine_system([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(NotStable):
             find_sep(rot, [0.0], x_guess=np.array([0.1, 0.1]))
 
@@ -144,15 +127,14 @@ def gated_decay_system(threshold: float):
     failing side blow through the divergence check on their way there."""
 
     def field(x, p):
-        if p[0] <= threshold:
-            return -x
-        return -(x - 100.0)
+        return np.where(p[..., :1] <= threshold, -x, -(x - 100.0))
 
     return ParameterizedSystem(
         state_dim=1,
         param_dim=1,
         field=field,
-        initial_condition=lambda p: np.array([1.0]),
+        jacobian=lambda x, p: np.full(x.shape + (1,), -1.0),
+        initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
     )
 
 
@@ -176,7 +158,7 @@ class TestRayBoundarySearch:
         sys_ = gated_decay_system(0.3)
         res = ray_boundary_search(sys_, [0.0], [1.0], self.CFG, param_tol=1e-4)
         # history holds the origin check and the expansion probes on top of
-        # the counted bisection iterations
+        # the counted refinement iterations
         assert len(res.history) > res.iterations
         assert res.history[0][1] is Verdict.RECOVERS
         assert np.array_equal(res.history[0][0], [0.0])
@@ -201,13 +183,15 @@ class TestRayBoundarySearch:
 
     def test_multi_component_parameter_ray(self):
         def field(x, p):
-            return -x if np.linalg.norm(p) <= 1.0 else -(x - 100.0)
+            inside = np.linalg.norm(p, axis=-1, keepdims=True) <= 1.0
+            return np.where(inside, -x, -(x - 100.0))
 
         sys_ = ParameterizedSystem(
             state_dim=1,
             param_dim=2,
             field=field,
-            initial_condition=lambda p: np.array([1.0]),
+            jacobian=lambda x, p: np.full(x.shape + (1,), -1.0),
+            initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
         )
         res = ray_boundary_search(sys_, [0.0, 0.0], [0.6, 0.8], self.CFG, param_tol=1e-6)
         assert np.linalg.norm(res.p_star) <= 1.0 < np.linalg.norm(res.p_fail)
@@ -284,14 +268,15 @@ class TestRayBoundarySearch:
     def test_undetermined_probe_aborts(self):
         # past the gate the decay is so slow the probe times out instead of
         # settling or diverging
-        def field(x, p):
-            return -10.0 * x if p[0] <= 0.3 else -1e-3 * x
+        def rate(p):
+            return np.where(p[..., :1] <= 0.3, -10.0, -1e-3)
 
         sys_ = ParameterizedSystem(
             state_dim=1,
             param_dim=1,
-            field=field,
-            initial_condition=lambda p: np.array([1.0]),
+            field=lambda x, p: rate(p) * x,
+            jacobian=lambda x, p: rate(p)[..., None] * np.ones(x.shape + (1,)),
+            initial_condition=lambda p: np.ones(p.shape[:-1] + (1,)),
         )
         cfg = IntegratorConfig(step=0.05, max_time=5.0, divergence_norm=10.0)
         with pytest.raises(UndeterminedAtBisection):
@@ -300,9 +285,7 @@ class TestRayBoundarySearch:
     @pytest.mark.parametrize(
         "system, start, cfg",
         [
-            # steps in lockstep
             ("pendulum", 1.5, IntegratorConfig(0.2, divergence_norm=50.0, max_time=1.0)),
-            # does not: bisection, one probe at a time
             ("tent_toy", 0.5, IntegratorConfig(0.02, divergence_norm=100.0, max_time=0.5)),
         ],
     )

@@ -227,7 +227,7 @@ def test_rounds_on_consecutive_doubles_are_counted_apart(tmp_path, monkeypatch):
     def spy_commit(search, r):
         if r.hi is not None and r.points:
             along = np.array([float(p[0]) for p in r.points])
-            uniform = rb._round_points(r.lo[0], r.hi, search.sections)
+            uniform = rb._round_points(r.lo[0], r.hi)
             if np.array_equal(np.array(uniform)[:, 0], along):
                 kinds.append("uniform")
             elif np.array_equal(np.diff(along), np.spacing(along[:-1])):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,17 +19,15 @@ from moi import (
     eval_field,
     eval_jacobian,
     initial_state,
+    pendulum_system,
 )
 
+from conftest import affine_system, central_differences
 
-def linear_system(A: np.ndarray) -> ParameterizedSystem:
-    A = np.asarray(A, dtype=float)
-    return ParameterizedSystem(
-        state_dim=A.shape[0],
-        param_dim=1,
-        field=lambda x, p: A @ x,
-        jacobian=lambda x, p: A,
-    )
+
+def test_a_system_without_a_jacobian_is_not_built():
+    with pytest.raises(TypeError, match="jacobian"):
+        ParameterizedSystem(state_dim=1, param_dim=1, field=lambda x, p: x)
 
 
 def test_pendulum_field_value(pendulum):
@@ -53,7 +54,7 @@ def test_field_wrong_param_dim(pendulum):
     ids=["shape", "non-finite"],
 )
 def test_field_output_is_checked(out, error):
-    sys_ = ParameterizedSystem(state_dim=2, param_dim=1, field=lambda x, p: out)
+    sys_ = replace(affine_system(np.eye(2)), field=lambda x, p: out)
     with pytest.raises(error):
         eval_field(sys_, np.zeros(2), np.zeros(1))
 
@@ -64,12 +65,7 @@ def test_jacobian_wrong_dims(pendulum):
 
 
 def test_analytic_jacobian_shape_is_checked():
-    bad = ParameterizedSystem(
-        state_dim=2,
-        param_dim=1,
-        field=lambda x, p: x,
-        jacobian=lambda x, p: np.zeros((2, 3)),
-    )
+    bad = replace(affine_system(np.eye(2)), jacobian=lambda x, p: np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch, match=r"jacobian returned shape \(2, 3\)"):
         eval_jacobian(bad, np.zeros(2), np.zeros(1))
 
@@ -82,74 +78,46 @@ def test_analytic_jacobian_values(pendulum):
     assert J[1, 1] == -0.5
 
 
-def test_finite_difference_fallback_matches_analytic(pendulum):
-    """Dropping the analytic jacobian falls back to central differences."""
-    from dataclasses import replace
-
-    fd_sys = replace(pendulum, jacobian=None)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.uniform(-3.0, 3.0, size=2)
-        p = np.array([rng.uniform(0.0, 1.9)])
-        J_an = eval_jacobian(pendulum, x, p)
-        J_fd = eval_jacobian(fd_sys, x, p)
-        assert np.max(np.abs(J_an - J_fd)) < 1e-5
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     x1=st.floats(-3.0, 3.0),
     x2=st.floats(-3.0, 3.0),
     torque=st.floats(0.0, 1.9),
 )
-def test_finite_difference_accuracy_property(x1, x2, torque):
-    from dataclasses import replace
-    from moi import pendulum_system
-
+def test_pendulum_jacobian_matches_central_differences(x1, x2, torque):
     sys_ = pendulum_system()
-    fd_sys = replace(sys_, jacobian=None)
-    x = np.array([x1, x2])
-    p = np.array([torque])
-    assert np.max(np.abs(eval_jacobian(sys_, x, p) - eval_jacobian(fd_sys, x, p))) < 1e-5
+    x, p = np.array([x1, x2]), np.array([torque])
+    assert np.max(np.abs(eval_jacobian(sys_, x, p) - central_differences(sys_, x, p))) < 1e-5
 
 
-def test_initial_state_checks_shape():
-    bad = ParameterizedSystem(
-        state_dim=2,
-        param_dim=1,
-        field=lambda x, p: x,
-        initial_condition=lambda p: np.array([1.0]),
+@pytest.mark.parametrize("p", [np.array([0.0]), np.zeros((3, 1))], ids=["single", "stack"])
+def test_initial_state_checks_shape(p):
+    # one component short of the state
+    bad = replace(
+        affine_system(np.eye(2)), initial_condition=lambda p: np.ones(p.shape[:-1] + (1,))
     )
     with pytest.raises(DimensionMismatch):
-        initial_state(bad, np.array([0.0]))
+        initial_state(bad, p)
 
 
-def test_initial_state_checks_parameter_shape():
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 1)])
+def test_initial_state_checks_parameter_shape(shape):
     """A parameter of the wrong shape raises before the initial condition
     sees it, which here would return a state of the right shape."""
-    sys_ = ParameterizedSystem(
-        state_dim=2,
-        param_dim=1,
-        field=lambda x, p: x,
-        initial_condition=lambda p: np.zeros(2),
-    )
-    with pytest.raises(DimensionMismatch, match=r"parameter has shape \(3,\)"):
-        initial_state(sys_, np.zeros(3))
+    sys_ = affine_system(np.eye(2), x0=np.zeros(2))
+    message = re.escape(f"parameter has shape {shape}")
+    with pytest.raises(DimensionMismatch, match=message):
+        initial_state(sys_, np.zeros(shape))
 
 
 def test_initial_state_rejects_non_finite():
-    bad = ParameterizedSystem(
-        state_dim=1,
-        param_dim=1,
-        field=lambda x, p: x,
-        initial_condition=lambda p: np.array([np.inf]),
-    )
+    bad = affine_system(-np.eye(1), x0=[np.inf])
     with pytest.raises(NonFiniteOutput):
         initial_state(bad, np.array([0.0]))
 
 
 def test_initial_state_requires_callback():
-    sys_ = linear_system(np.eye(2))
+    sys_ = affine_system(np.eye(2))
     with pytest.raises(ValueError):
         initial_state(sys_, np.array([0.0]))
 
@@ -167,7 +135,7 @@ def test_trajectory_len_and_elapsed():
 
 
 def test_state_names_default_none():
-    sys_ = linear_system(np.eye(2))
+    sys_ = affine_system(np.eye(2))
     assert sys_.state_names is None
     assert sys_.wrap_indices is None
 

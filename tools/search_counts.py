@@ -111,11 +111,11 @@ RULE_COLUMNS = {"certified": "certified", "dwell": "dwell", "escape": "escaped",
                 "norm": "beyond_norm", "budget": "budget", "solver": "solver"}
 
 
-def placement(rb, p_lo, p_hi, points: list, sections: int) -> str:
+def placement(rb, p_lo, p_hi, points: list) -> str:
     """How a refinement round of the bracket (``p_lo``, ``p_hi``) placed
     its ``points``: ``uniform``, ``contiguous`` or ``guided`` (see the
     module docstring); ``rb`` is the package's ``recovery_boundary``."""
-    uniform = rb._round_points(p_lo, p_hi, sections)
+    uniform = rb._points_at(p_lo, p_hi, [i / rb.SECTIONS for i in range(1, rb.SECTIONS)])
     if len(uniform) == len(points) and all((a == b).all() for a, b in zip(uniform, points)):
         return "uniform"
     if all((np.nextafter(a, b) == b).all() for a, b in zip(points, points[1:])):
@@ -201,7 +201,7 @@ def counting(moi, counts: Counter, searches: dict):
     def counted_commit(self, r):
         before = len(self.history)
         if r.hi is not None and r.points:
-            counts[placement(rb, r.lo[0], r.hi, r.points, self.sections)] += 1
+            counts[placement(rb, r.lo[0], r.hi, r.points)] += 1
         try:
             return commit(self, r)
         finally:
