@@ -6,7 +6,10 @@ experiment), ``boundary`` (ray search for the recovery boundary), ``mode``
 ``sweep`` (boundary + mode per step size, CSV table).  All four are set up
 by one path (``_setup``): each checks its start against the model's domain
 before any solve, and only ``sweep`` takes more than one ``--h``, building
-every step size's config before its first row runs.  Identical invocations
+every step size's config before its first row runs.  All four write by
+one path too (``_write_or_print``): the record (JSON, CSV for ``sweep``)
+to ``--out`` and a one-line summary on stdout, or without ``--out`` the
+record on stdout and the summary on stderr.  Identical invocations
 produce byte-identical outputs: floats are serialized with repr (JSON) or
 10 significant digits (CSV) and all computations are deterministic.
 """
@@ -22,13 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MoiError
-from .instability_mode import (
-    ModeResult,
-    Normalization,
-    SweepRow,
-    h_sweep,
-    mode_at_boundary,
-)
+from .instability_mode import ModeResult, SweepRow, h_sweep, mode_at_boundary
 from .integrator import IntegratorConfig, sep_distance, simulate
 from .model_zoo import (
     MULTIMACHINE_DIVERGENCE_NORM,
@@ -112,7 +109,8 @@ def _setup(args: argparse.Namespace) -> tuple:
 
 
 def _write_or_print(text: str, out: Optional[str], summary: str) -> None:
-    """File + summary on stdout when --out is given, else text on stdout."""
+    """The record to ``out`` and the summary on stdout when --out is given,
+    else the record on stdout and the summary on stderr."""
     if out is not None:
         Path(out).write_text(text)
         print(summary)
@@ -123,6 +121,10 @@ def _write_or_print(text: str, out: Optional[str], summary: str) -> None:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2) + "\n"
 
 
 def mode_json_text(result: ModeResult, state_names=None) -> str:
@@ -138,7 +140,7 @@ def mode_json_text(result: ModeResult, state_names=None) -> str:
     }
     if state_names is not None:
         record["state_names"] = list(state_names)
-    return json.dumps(record, indent=2) + "\n"
+    return _json_text(record)
 
 
 def sweep_csv_text(table: Sequence[SweepRow]) -> str:
@@ -167,89 +169,70 @@ def sweep_csv_text(table: Sequence[SweepRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers
+# subcommand drivers: from _setup's result to (record text, summary)
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
-    system, cfg, p, _ = _setup(args)
+def _run_simulate(args, system, cfg, p, _) -> tuple[str, str]:
     sep = find_sep(system, p, stability_tol=cfg.stability_tol)
     traj = simulate(system, p, cfg, sep)
     final_distance = sep_distance(system, traj.states[-1], sep)
-    print(
+    record = {
+        "termination": traj.termination.value,
+        "steps": len(traj) - 1,
+        "elapsed_time": traj.elapsed,
+        "final_distance": final_distance,
+        "h": cfg.step,
+        "p": [float(v) for v in p],
+    }
+    summary = (
         f"simulate {args.model}: {traj.termination.value} after "
         f"{len(traj) - 1} steps ({traj.elapsed:.6g} s), final distance "
         f"{final_distance:.6g}"
     )
-    if args.out is not None:
-        record = {
-            "termination": traj.termination.value,
-            "steps": len(traj) - 1,
-            "elapsed_time": traj.elapsed,
-            "final_distance": final_distance,
-            "h": cfg.step,
-            "p": [float(v) for v in p],
-        }
-        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    return _json_text(record), summary
 
 
-def _run_boundary(args: argparse.Namespace) -> int:
-    system, cfg, p0, direction = _setup(args)
+def _run_boundary(args, system, cfg, p0, direction) -> tuple[str, str]:
     res = ray_boundary_search(system, p0, direction, cfg, param_tol=args.tol)
-    print(
+    record = {
+        "p_star": [float(v) for v in res.p_star],
+        "p_fail": [float(v) for v in res.p_fail],
+        "bracket_width": res.bracket_width,
+        "iterations": res.iterations,
+        "h": cfg.step,
+        "direction": [float(v) for v in direction],
+    }
+    summary = (
         f"boundary {args.model}: p_star = {float(res.p_star[0])!r} "
         f"bracket_width = {res.bracket_width:.6g} "
         f"iterations = {res.iterations}"
     )
-    if args.out is not None:
-        record = {
-            "p_star": [float(v) for v in res.p_star],
-            "p_fail": [float(v) for v in res.p_fail],
-            "bracket_width": res.bracket_width,
-            "iterations": res.iterations,
-            "h": cfg.step,
-            "direction": [float(v) for v in direction],
-        }
-        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    return _json_text(record), summary
 
 
-def _run_mode(args: argparse.Namespace) -> int:
-    system, cfg, p0, direction = _setup(args)
-    bm = mode_at_boundary(
-        system, p0, direction, cfg, param_tol=args.tol,
-        normalization=Normalization(args.normalization),
-    )
-    text = mode_json_text(bm.mode, state_names=system.state_names)
+def _run_mode(args, system, cfg, p0, direction) -> tuple[str, str]:
+    bm = mode_at_boundary(system, p0, direction, cfg, param_tol=args.tol)
     summary = (
         f"mode {args.model}: eigenvalue = {bm.mode.eigenvalue:.6g} at "
         f"p = {float(bm.search.p_star[0])!r} "
         f"(j = {bm.mode.averaged.last_unstable_index})"
     )
-    _write_or_print(text, args.out, summary)
-    return 0
+    return mode_json_text(bm.mode, state_names=system.state_names), summary
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
-    system, cfg, p0, direction = _setup(args)
-    rows = h_sweep(
-        system, p0, direction, args.h, cfg, param_tol=args.tol,
-        normalization=Normalization(args.normalization),
-    )
+def _run_sweep(args, system, cfg, p0, direction) -> tuple[str, str]:
+    rows = h_sweep(system, p0, direction, args.h, cfg, param_tol=args.tol)
     ok = sum(1 for r in rows if r.status == "ok")
-    summary = f"sweep {args.model}: {ok}/{len(rows)} rows ok"
-    _write_or_print(sweep_csv_text(rows), args.out, summary)
-    return 0
+    return sweep_csv_text(rows), f"sweep {args.model}: {ok}/{len(rows)} rows ok"
 
 
-#: per subcommand: its driver, its help, its start flag, the default of its
-#: --tol (None: no ray, so neither --dir nor --tol) and whether it averages
-#: Jacobians (--normalization)
+#: per subcommand: its driver, its help, its start flag and the default of
+#: its --tol (None: no ray, so neither --dir nor --tol)
 _COMMANDS = {
-    "simulate": (_run_simulate, "classify one recovery experiment", "--p", None, False),
-    "boundary": (_run_boundary, "bracket the recovery boundary", "--p0", 1e-4, False),
-    "mode": (_run_mode, "instability direction at the recovery boundary", "--p", 0.0, True),
-    "sweep": (_run_sweep, "boundary + mode per step size (CSV)", "--p0", 0.0, True),
+    "simulate": (_run_simulate, "classify one recovery experiment", "--p", None),
+    "boundary": (_run_boundary, "bracket the recovery boundary", "--p0", 1e-4),
+    "mode": (_run_mode, "instability direction at the recovery boundary", "--p", 0.0),
+    "sweep": (_run_sweep, "boundary + mode per step size (CSV)", "--p0", 0.0),
 }
 
 
@@ -261,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = IntegratorConfig  # its field defaults, read as class attributes
-    for name, (_, help_text, start, tol, averages) in _COMMANDS.items():
+    for name, (_, help_text, start, tol) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--model", choices=("pendulum", "multimachine"), required=True)
         sp.add_argument(
@@ -278,10 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-time", type=float, default=defaults.max_time)
         sp.add_argument("--newton-tol", type=float, default=defaults.newton_tol)
         sp.add_argument("--stability-tol", type=float, default=defaults.stability_tol)
-        if averages:
-            sp.add_argument(
-                "--normalization", choices=("paper", "samples"), default="paper"
-            )
         sp.add_argument("--out", default=None, help="output file path")
         sp.add_argument(
             start, dest="start", metavar=start[2:].upper(), type=_csv_floats, required=True,
@@ -311,7 +290,9 @@ def run_cli(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command][0](args)
+        text, summary = _COMMANDS[args.command][0](args, *_setup(args))
+        _write_or_print(text, args.out, summary)
+        return 0
     except MoiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

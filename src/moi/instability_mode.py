@@ -42,7 +42,7 @@ class Normalization(enum.Enum):
     formula of the method.  ``SAMPLE_COUNT`` divides by j+1, a true mean
     over the sampled states.  The two differ by a factor (j+1)/j, which is
     negligible for the large j arising near the boundary but matters in
-    small synthetic tests.  The enum values double as the CLI tokens.
+    small synthetic tests.
     """
 
     FINAL_INDEX = "paper"
@@ -162,17 +162,18 @@ def mode_of_instability(
     p,
     cfg: IntegratorConfig,
     sep: np.ndarray,
-    normalization: Normalization = Normalization.FINAL_INDEX,
 ) -> ModeResult:
     """Unstable eigenpair of the averaged Jacobian at the given parameter.
 
-    This is the literal computation at ``p``; it raises
+    The average divides by j (``Normalization.FINAL_INDEX``); the
+    ``SAMPLE_COUNT`` average is that matrix times j/(j+1), with the same
+    eigenvectors.  This is the literal computation at ``p``; it raises
     ``NoUnstableEigenvalue`` / ``MultipleUnstableEigenvalues`` when ``p`` is
     not close enough to the recovery boundary for the average to have a
     single unstable direction.  Use :func:`mode_at_boundary` to refine a
     starting parameter to the boundary first.
     """
-    avg = average_jacobian(sys, p, cfg, sep, normalization)
+    avg = average_jacobian(sys, p, cfg, sep)
     pair = unstable_eigenpair(avg.matrix, cfg.stability_tol)
     return ModeResult(
         eigenvalue=float(pair.value.real),
@@ -189,7 +190,6 @@ def mode_at_boundary(
     direction,
     cfg: IntegratorConfig,
     param_tol: float = 0.0,
-    normalization: Normalization = Normalization.FINAL_INDEX,
 ) -> BoundaryMode:
     """Refine ``p0`` to the recovery boundary, then compute the mode there.
 
@@ -203,7 +203,7 @@ def mode_at_boundary(
     the default route to a mode rather than an extra step.
     """
     search = ray_boundary_search(sys, p0, direction, cfg, param_tol=param_tol)
-    mode = mode_of_instability(sys, search.p_star, cfg, search.sep_star, normalization)
+    mode = mode_of_instability(sys, search.p_star, cfg, search.sep_star)
     return BoundaryMode(mode=mode, search=search)
 
 
@@ -234,7 +234,6 @@ def h_sweep(
     h_values: Sequence[float],
     cfg: IntegratorConfig,
     param_tol: float = 0.0,
-    normalization: Normalization = Normalization.FINAL_INDEX,
 ) -> list[SweepRow]:
     """Boundary + mode per step size, with errors against the smallest h.
 
@@ -255,10 +254,7 @@ def h_sweep(
     for row_cfg in configs:
         h = row_cfg.step
         try:
-            bm = mode_at_boundary(
-                sys, p0, direction, row_cfg, param_tol=param_tol,
-                normalization=normalization,
-            )
+            bm = mode_at_boundary(sys, p0, direction, row_cfg, param_tol=param_tol)
         except MoiError as exc:
             rows.append(SweepRow(h, None, None, None, None, type(exc).__name__))
         else:

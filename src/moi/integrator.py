@@ -305,7 +305,9 @@ def step_trapezoidal(
     eye = _identity(sys.state_dim)
     fx = sys.field(x, p)
     y = x + h * fx
-    with np.errstate(invalid="ignore"):
+    # a residual whose square overflows fails the tolerance as its exact
+    # value does, and a field that overflows makes the update non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
         for it in range(NEWTON_MAX_ITER + 1):
             g = y - x - half_h * (fx + sys.field(y, p))
             residual = _norm(g)
@@ -341,15 +343,16 @@ def step_trapezoidal_batch(
     on.  A member fails where
     the single step would raise: its Newton iteration stalls, its Jacobian
     is not finite, or its Newton update is not finite (a singular Newton
-    matrix gives a nan update).  A failed member's row is meaningless, and
-    it does not hold up the other members.
+    matrix gives a nan update).  A failed member keeps its state x, as a
+    lone member whose step raises does in :class:`Lockstep`, and it does
+    not hold up the other members.
 
     ``fx`` is ``sys.field(x, p)`` if the caller has it (the carried field),
     else None and it is evaluated here.  Returns the new states y, the
     boolean mask of failed members and ``sys.field(y, p)``: the last Newton
     iterate evaluates the field on exactly the y it returns (frozen rows
-    included, unchanged), so a caller that steps on from y passes it back
-    as the next step's ``fx``.
+    included, unchanged; failed rows excepted), so a caller that steps on
+    from y passes it back as the next step's ``fx``.
     """
     h = cfg.step
     half_h = 0.5 * h
@@ -360,7 +363,8 @@ def step_trapezoidal_batch(
     y = x + h * fx
     failed = np.zeros(k, dtype=bool)
     pending = ~failed
-    with np.errstate(invalid="ignore"):
+    # an overflow decides nothing (see step_trapezoidal)
+    with np.errstate(invalid="ignore", over="ignore"):
         for it in range(NEWTON_MAX_ITER + 1):
             fy = sys.field(y, p)
             g = y - x - half_h * (fx + fy)
@@ -384,7 +388,8 @@ def step_trapezoidal_batch(
                 failed |= pending & ~np.isfinite(delta).all(axis=1)
                 pending &= ~failed
             np.subtract(y, delta, out=y, where=pending[:, None])
-    # only failed rows can be non-finite: such a residual never meets the tolerance
+    if _count_nonzero(failed):
+        y[failed] = x[failed]
     return y, failed, fy
 
 

@@ -324,9 +324,8 @@ def _pendulum_crossing(c1: float, x_prev, x, p, rows):
     if not _count_nonzero(past):
         return None
     y, r = x[past], rows[past]
-    with np.errstate(invalid="ignore"):  # the rows of failed steps
-        energy = _pendulum_energy(c1, y, p[past])
-        inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
+    energy = _pendulum_energy(c1, y, p[past])
+    inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
     if not _count_nonzero(inside):
         return None
     at = np.flatnonzero(past)[inside]

@@ -121,7 +121,6 @@ COMMON_OPTIONS = {
     "--stability-tol": (1e-9, False), "--out": (None, False),
 }
 RAY_OPTIONS = {"--dir": (None, False)}
-AVERAGING_OPTIONS = {"--normalization": ("paper", False)}
 
 
 @pytest.mark.parametrize(
@@ -129,10 +128,8 @@ AVERAGING_OPTIONS = {"--normalization": ("paper", False)}
     [
         ("simulate", {"--p": (None, True)}),
         ("boundary", {"--p0": (None, True), "--tol": (1e-4, False), **RAY_OPTIONS}),
-        ("mode", {"--p": (None, True), "--tol": (0.0, False), **RAY_OPTIONS,
-                  **AVERAGING_OPTIONS}),
-        ("sweep", {"--p0": (None, True), "--tol": (0.0, False), **RAY_OPTIONS,
-                   **AVERAGING_OPTIONS}),
+        ("mode", {"--p": (None, True), "--tol": (0.0, False), **RAY_OPTIONS}),
+        ("sweep", {"--p0": (None, True), "--tol": (0.0, False), **RAY_OPTIONS}),
     ],
 )
 def test_each_subcommand_keeps_its_options_and_defaults(command, options):
@@ -152,15 +149,12 @@ class TestExitCodes:
         assert run_cli([]) == 2
         assert run_cli(["bogus"]) == 2
         assert run_cli(["mode", "--model", "pendulum"]) == 2  # missing --p/--h
-        assert run_cli(
-            ["mode", "--model", "pendulum", "--p", "1.5", "--h", "0.02",
-             "--normalization", "mean"]
-        ) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command", ["simulate", "boundary"])
-    def test_normalization_is_offered_only_where_a_mode_is_averaged(self, capsys, command):
-        flag = "--p0" if command == "boundary" else "--p"
+    @pytest.mark.parametrize("command", ["simulate", "boundary", "mode", "sweep"])
+    def test_no_subcommand_takes_a_normalization(self, capsys, command):
+        """Modes divide by the final index j alone (``"paper"``)."""
+        flag = "--p0" if command in ("boundary", "sweep") else "--p"
         assert run_cli([command, "--model", "pendulum", flag, "1.5", "--h", "0.2",
                         "--normalization", "paper"]) == 2
         assert "unrecognized arguments: --normalization" in capsys.readouterr().err
@@ -325,13 +319,15 @@ class TestSimulateCommand:
         assert record["steps"] == len(traj) - 1
         assert record["final_distance"] == sep_distance(pendulum, traj.states[-1], sep)
         captured = capsys.readouterr()
-        assert "ConvergedToSEP" in captured.out
+        assert captured.out.startswith("simulate pendulum: ConvergedToSEP after ")
+        assert captured.err == ""
 
     def test_divergent_run_still_exits_zero(self, capsys):
         code = run_cli(["simulate", "--model", "pendulum", "--p", "1.7", "--h", "0.02"])
         assert code == 0
-        assert "Diverged" in capsys.readouterr().out
-
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["termination"] == "Diverged"
+        assert captured.err.startswith("simulate pendulum: Diverged after ")
 
     def test_singular_newton_matrix_is_a_solver_failure(self, capsys, monkeypatch):
         import moi.cli_reporting as cli
@@ -349,7 +345,9 @@ class TestSimulateCommand:
         )
         code = run_cli(["simulate", "--model", "pendulum", "--p", "1.0", "--h", "0.02"])
         assert code == 0
-        assert "SolverFailure" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["termination"] == "SolverFailure"
+        assert captured.err.startswith("simulate pendulum: SolverFailure after ")
 
     def test_stability_tol_reaches_find_sep(self, capsys, monkeypatch):
         import moi.cli_reporting as cli
@@ -415,17 +413,6 @@ class TestModeCommand:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         capsys.readouterr()
 
-    def test_sample_count_normalization_flag(self, capsys, tmp_path):
-        # start further inside: the h=0.1 boundary sits below 1.5686
-        out = tmp_path / "mode.json"
-        code = run_cli(
-            ["mode", "--model", "pendulum", "--p", "1.56", "--h", "0.1",
-             "--normalization", "samples", "--out", str(out)]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["normalization"] == "samples"
-        capsys.readouterr()
-
 
 class TestSweepCommand:
     def test_csv_written(self, capsys, tmp_path):
@@ -441,6 +428,33 @@ class TestSweepCommand:
         assert lines[1].startswith("0.2,")
         assert lines[2].endswith(",ok")
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "1.5", "--h", "0.2"],
+        ["boundary", "--p0", "1.5", "--dir", "1", "--h", "0.2", "--tol", "1e-2"],
+        ["mode", "--p", "1.5", "--h", "0.2", "--tol", "1e-2"],
+        ["sweep", "--p0", "1.5", "--dir", "1", "--h", "0.4,0.2", "--tol", "1e-2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_record_goes_to_stdout_without_out(capsys, tmp_path, argv):
+    """Every subcommand writes one way: with --out the record goes to the
+    file and the summary to stdout; without it the same record goes to
+    stdout and the same summary to stderr."""
+    argv = argv + ["--model", "pendulum"]
+    out = tmp_path / "record"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    written = capsys.readouterr()
+    assert written.err == ""
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.out == out.read_text()
+    assert printed.err == written.out
+    assert printed.err.startswith(f"{argv[0]} pendulum: ")
+    assert printed.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("torque, code", [("1.5", 0), ("2.5", 1)])

@@ -20,6 +20,7 @@ from moi import (
     mode_at_boundary,
     mode_of_instability,
     simulate,
+    unstable_eigenpair,
 )
 from moi.integrator import Lockstep
 
@@ -149,6 +150,20 @@ class TestModeOfInstability:
         k = int(np.argmax(np.abs(mode.eigenvector)))
         assert mode.eigenvector[k] > 0
 
+    def test_sample_count_eigenpair_is_the_mode_scaled(self, pendulum, pend_cfg):
+        """The mean over the j+1 sampled states has the mode's unstable
+        eigenvector and its eigenvalue times j/(j+1)."""
+        p = np.array([1.5686])
+        sep = find_sep(pendulum, p)
+        mode = mode_of_instability(pendulum, p, pend_cfg, sep)
+        by_count = average_jacobian(
+            pendulum, p, pend_cfg, sep, normalization=Normalization.SAMPLE_COUNT
+        )
+        pair = unstable_eigenpair(by_count.matrix, pend_cfg.stability_tol)
+        j = mode.averaged.last_unstable_index
+        assert pair.value.real == pytest.approx(mode.eigenvalue * j / (j + 1), abs=1e-12)
+        assert np.allclose(pair.vector, mode.eigenvector, rtol=0.0, atol=1e-12)
+
     def test_toy_matches_saddle_direction(self, tent_toy, toy_cfg, toy_saddle_eigenpair):
         lam, v = toy_saddle_eigenpair
         bm = mode_at_boundary(tent_toy, [0.5], [1.0], toy_cfg, param_tol=1e-6)
@@ -235,6 +250,7 @@ class TestHSweep:
             h_sweep(pendulum, [1.5], [1.0], [0.02, 1e-320], pend_cfg)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_newton_row_fails_alone(self):
         """A row whose Newton matrix turns singular reports the error, and
         the other rows still run."""

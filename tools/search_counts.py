@@ -115,7 +115,7 @@ def placement(rb, p_lo, p_hi, points: list) -> str:
     """How a refinement round of the bracket (``p_lo``, ``p_hi``) placed
     its ``points``: ``uniform``, ``contiguous`` or ``guided`` (see the
     module docstring); ``rb`` is the package's ``recovery_boundary``."""
-    uniform = rb._points_at(p_lo, p_hi, [i / rb.SECTIONS for i in range(1, rb.SECTIONS)])
+    uniform = rb._round_points(p_lo, p_hi)
     if len(uniform) == len(points) and all((a == b).all() for a, b in zip(uniform, points)):
         return "uniform"
     if all((np.nextafter(a, b) == b).all() for a, b in zip(points, points[1:])):
@@ -148,11 +148,10 @@ def counting(moi, counts: Counter, searches: dict):
     locks: dict = {}
     stepping = [False]
 
-    def counted_batch(sys_, x, p, cfg, *fx):
-        # fx: the carried field, where the package passes one
+    def counted_batch(sys_, x, p, cfg, fx=None):
         if stepping[0]:
             counts["member_steps"] += len(x)
-        return batch(sys_, x, p, cfg, *fx)
+        return batch(sys_, x, p, cfg, fx)
 
     def counted_scalar(*args):
         counts["scalar_steps"] += 1

@@ -17,11 +17,10 @@ Times, in CPU microseconds per call:
   escape test evaluates their energies, and the first two end in their
   escape sets;
 - the scalar ``step_trapezoidal`` on both models;
-- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), run to the
-  dwell rule so that both packages store the same states, per step it
-  stores, which adds to the scalar step the cost of recording; and the
-  same with ``record_flags=True``, which adds a Jacobian and the
-  instability flag of every stored state;
+- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), which ends
+  in its certified set, per step it stores, which adds to the scalar step
+  the cost of recording; and the same with ``record_flags=True``, which
+  adds a Jacobian and the instability flag of every stored state;
 - the certified and escape sets (``integrator._recovery_sets``) that
   ``Lockstep.add`` computes for K = 1 and 16 members on both models, per
   call; the sets themselves may differ between packages, so only which
@@ -98,21 +97,12 @@ def synthetic_network(moi, n: int, seed: int):
     return moi.multimachine_system(replace(params, mech_power=pe)), eq
 
 
-def dwell_rule(sys_):
-    """``sys_`` without its certified recovery (where the package has it),
-    so both packages' ``simulate`` runs to the dwell rule and the timed
-    states picked from its trajectory are the same."""
-    if getattr(sys_, "jacobian_lipschitz", None) is None:
-        return sys_
-    return replace(sys_, jacobian_lipschitz=None)
-
-
 def pendulum_states(moi, k: int) -> tuple:
     """K states spread over a trajectory that dwells near the saddle."""
     sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     sep = moi.find_sep(sys_, [PEND_P])
-    states = moi.simulate(dwell_rule(sys_), [PEND_P], cfg, sep).states
+    states = moi.simulate(sys_, [PEND_P], cfg, sep).states
     pick = np.linspace(0, len(states) - 1, k).astype(int)
     p = PEND_P + np.linspace(0.0, 1e-6, k)[:, None]
     return sys_, cfg, states[pick], p
@@ -122,7 +112,7 @@ def ninebus_states(moi, k: int) -> tuple:
     sys_ = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
     cfg = moi.IntegratorConfig(step=1.0 / 60.0, divergence_norm=200.0)
     p = np.array([0.48])
-    states = moi.simulate(dwell_rule(sys_), p, cfg, moi.find_sep(sys_, p)).states
+    states = moi.simulate(sys_, p, cfg, moi.find_sep(sys_, p)).states
     pick = np.linspace(0, len(states) - 1, k).astype(int)
     return sys_, cfg, states[pick], 0.48 + np.linspace(0.0, 0.02, k)[:, None]
 
@@ -142,9 +132,7 @@ def cases(moi) -> dict:
 
     def batch(case, calls):
         sys_, cfg, x, p = case
-        # the states and failure mask; a package that carries the field
-        # returns it third
-        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg)[:2], 1
+        return calls, lambda: integ.step_trapezoidal_batch(sys_, x, p, cfg), 1
 
     def scalar(case, calls):
         sys_, cfg, x, p = case
@@ -208,9 +196,9 @@ def sets_case(moi, case, calls: int):
 
 def simulate_case(moi, record_flags: bool = False):
     """(calls, fn, steps per call) for ``simulate`` of one recovering
-    pendulum run to the dwell rule; fn returns its states, and its flags
-    when they are recorded."""
-    sys_ = dwell_rule(moi.pendulum_system(moi.PendulumParams(ic_method="integrated")))
+    pendulum run; fn returns its states, and its flags when they are
+    recorded."""
+    sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     p = np.array([1.5])
     sep = moi.find_sep(sys_, p)
