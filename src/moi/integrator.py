@@ -497,10 +497,12 @@ class RunEnd:
     ``final_state`` and ``elapsed`` are those of the last stored state, i.e.
     ``traj.states[-1]`` and ``traj.elapsed`` of the matching
     :func:`simulate` trajectory.  ``tau`` is the end time in steps: the
-    step count n, except for a run that ended in its escape set, inside the
-    divergence norm, after its first step: tau = n - 1 + f in (n - 1, n],
-    with f the fraction of the last step at which the system's ``crossing``
-    places the entry (``ParameterizedSystem.escape``).  ``rule`` names the
+    step count n, except for a run that ended ``DIVERGED`` after its first
+    step: tau = n - 1 + f.  In its escape set, inside the divergence norm,
+    f in (0, 1] is the fraction of the last step at which the system's
+    ``crossing`` places the entry (``ParameterizedSystem.escape``); beyond
+    the norm R, f = (R - |x_(n-1)|) / (|x_n| - |x_(n-1)|) in [0, 1) places
+    it where the secant between the last two norms crosses R.  ``rule`` names the
     test of :meth:`Lockstep.step` that ended the run: ``"budget"``,
     ``"solver"``, ``"norm"`` (beyond the divergence norm), ``"escape"`` (in
     the escape set), ``"certified"`` (in the certified set) or ``"dwell"``.
@@ -667,10 +669,17 @@ class Lockstep:
         if not _count_nonzero(done):
             return ends
         steps = self.steps - self._start
-        tau = steps
+        tau = steps.astype(float)
+        if _count_nonzero(beyond):
+            # a norm end after the first step is timed where the secant
+            # between the last two norms crosses the divergence norm
+            timed = beyond & (steps > 1)
+            before, after = _norm(x_prev[timed]), _norm(x[timed])
+            tau[timed] = steps[timed] - 1 + (cfg.divergence_norm - before) / (after - before)
         if entered is not None:
-            # an escape inside the norm after the first step is timed in it
-            tau = np.where(diverged & ~beyond & (steps > 1), steps - 1 + entered, steps)
+            # an escape inside the norm after the first step, in its step
+            timed = diverged & ~beyond & (steps > 1)
+            tau[timed] = steps[timed] - 1 + entered[timed]
         diverged = diverged & ~failed
         # each rule overrides those set before it, which it precedes
         rule = np.full(len(done), "dwell", dtype=object)

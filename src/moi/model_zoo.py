@@ -221,11 +221,21 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
 
 
 _EPS = np.finfo(float).eps
+#: the exit cone's reach a1 over the least one whose exit clears the level
+_CONE_REACH = 1.25
+#: the cone's floor m* over the least one its proof allows
+_CONE_ROOM = 1.25
+#: theta: the test's parabola is 1 + theta times the proof's
+_CONE_SLACK = 1.0 / 64.0
 
 
 def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.ndarray:
-    """Escape rows (saddle, speed, level, gate) (K, 4) of pendulum runs at
-    the torques in ``p`` (K, 1) around the SEPs in ``sep`` (K, 2).
+    """Escape rows (saddle, speed, level, gate, low, ka, kb, ia, P, top, mp,
+    m) (K, 12) of pendulum runs at the torques in ``p`` (K, 1) around
+    the SEPs in ``sep`` (K, 2).  A state is in the escape set when it is in
+    the energy set of the first four columns or in the exit cone of the
+    others (:func:`_pendulum_cone`); no state at or before ``low`` is in
+    either.
 
     With E = w^2/2 + U(t), U(t) = -c1 cos t - p t, the saddle of the SEP
     representative t_s is t_u = t_s + pi - 2 asin(p/c1), a local maximum of
@@ -273,12 +283,13 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
     t <= gate lies in the set.
 
     A run at a torque p <= 0 or with no SEP (p >= c1), a step outside the
-    three conditions above, or a non-finite input gets saddle and gate inf:
-    no state passes them.
+    three conditions above, or a non-finite input gets all twelve columns
+    inf: no state passes them.  A run outside the conditions of the cone
+    alone gets low = gate and no cone.
     """
     torque, theta_s = p[:, 0], sep[:, 0]
     h, reach, budget = cfg.step, cfg.divergence_norm, _step_budget(cfg)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         half_gap = np.arcsin(torque / c1)
         saddle = theta_s + np.pi - 2.0 * half_gap
         energy_u = -c1 * np.cos(saddle) - torque * saddle
@@ -298,9 +309,143 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
         gate = saddle + np.maximum(width, 0.0)
         ok = (torque > 0.0) & (torque < c1) & (h * c2 < 2.0) & (k < c) & (jump > 0.0)
         ok &= np.isfinite(delta) & np.isfinite(energy_u)
-    return np.where(
-        ok[:, None], np.stack([saddle, speed, energy_u - delta, gate], axis=-1), np.inf
-    )
+        cone = _pendulum_cone(
+            c1, c2, torque, h, rho, speed, saddle, off,
+            delta + c1 * off**2 / 2.0 + 16.0 * _EPS * magnitude,
+        )
+    cone[:, 0] = np.minimum(cone[:, 0], gate)
+    energy = np.stack([saddle, speed, energy_u - delta, gate], axis=-1)
+    return np.where(ok[:, None], np.concatenate([energy, cone], axis=1), np.inf)
+
+
+def _pendulum_cone(c1, c2, torque, h, rho, speed, saddle, off, drop) -> np.ndarray:
+    """Exit-cone columns (low, ka, kb, ia, P, top, mp, m) (K, 8) of the
+    escape rows of :func:`_pendulum_escape`, for runs whose energy sets
+    hold below the level at least ``drop`` under the exact saddle's energy
+    (delta + c1 s^2 / 2 + 16 eps M, which also covers the rounding of E).
+
+    Eigen-coordinates.  With the exact saddle t* (|t_u - t*| <= s), a =
+    sqrt(c1^2 - p^2) = -c1 cos t*, S = sqrt(c2^2 + 4 a), lambda = (S - c2)/2
+    and kappa = (S + c2)/2, the Jacobian at (t*, 0) has the eigenvalues
+    lambda and -kappa, eigenvectors (1, lambda) and (1, -kappa).  A state
+    (t* + d, w) has alpha = (kappa d + w)/S along the unstable one and
+    beta = (lambda d - w)/S along the stable one (d = alpha + beta,
+    w = lambda alpha - kappa beta).  The test takes d = t - t_u,
+    alpha = ka d + ia w, beta = kb d - ia w (ka = kappa/S, kb = lambda/S,
+    ia = 1/S) and puts a state in the cone when alpha <= top and
+    phi = min(alpha - P beta^2 - mp, alpha - m) >= 0: inside the parabola
+    around the unstable eigenvector, past its floor m, short of its reach.
+
+    - Rounding and offset.  The computed alpha and beta lie within
+      eps_c = s + 32 eps (1 + kappa)(1 + 2 a1) of the exact ones: the offset
+      moves d by at most s, which kappa/S, lambda/S < 1 do not enlarge,
+      and each of the few roundings of the test is relative to |d| + |w|
+      <= (1 + kappa)(|alpha| + |beta|) or to alpha and P beta^2 <= a1.  So
+      a state that passes has exact m* <= alpha <= a1, with
+      m* = m (1 - 4 eps) - eps_c and a1 = top (1 + 4 eps) + eps_c.  The
+      test's parabola is (1 + theta) Pe: as 2 |b| eps_c <= theta b^2 +
+      eps_c^2 / theta, the exact Pe beta^2 is at most its computed
+      P beta^2 + P eps_c^2 / theta, and mp = 2 (eps_c + P eps_c^2 / theta
+      + 8 eps a1) covers that and the rounding of phi: the exact
+      Pe beta^2 <= alpha.  So the state lies in C = {m* <= alpha <= a1,
+      Pe beta^2 <= alpha}.
+    - One step.  The field is A z + (0, N(d)), A the Jacobian at the
+      saddle, N(d) = p - c1 sin(t* + d) - a d, |N(d)| <= c1 d^2 / 2.  A
+      computed step z -> z2 meets (I - hA/2) z2 = (I + hA/2) z +
+      (h/2)(0, N(d) + N(d2)) + g, |g| <= rho, that is alpha2 = G alpha + u
+      and beta2 = T beta + v with G = (1 + h lambda/2)/(1 - h lambda/2)
+      (h lambda < 2), T = (1 - h kappa/2)/(1 + h kappa/2), |u| <= U and
+      |v| <= nu U, nu = (1 - h lambda/2)/(1 + h kappa/2), where
+      U = (h c1 (d^2 + d2^2) / 4 + rho (1 + kappa)) / (S (1 - h lambda/2)).
+      From t2 - t = h w_bar + g1, the speed equation and
+      |p - c1 sin t| <= c1 |t - t*|, |d2| <= ((1 + sig) |d| + h |w|
+      + rho (1 + h / (2 eta))) / (1 - sig), eta = 1 + h c2 / 2,
+      sig = h^2 c1 / (4 eta) < 1.  In C, beta^2 <= alpha / Pe and
+      alpha^2 <= a1 alpha, so U <= e1 alpha + u0, with e1 = u2 a1 + u1
+      and u2 = c (2 + 3 ca^2 / (1 - sig)^2), u1 = c (2 + 3 cb^2 /
+      (1 - sig)^2) / Pe, u0 = 3 c rho_d^2 / (1 - sig)^2 + rho (1 + kappa) /
+      (S (1 - h lambda/2)), c = h c1 / (4 S (1 - h lambda/2)),
+      ca = 1 + sig + h lambda, cb = 1 + sig + h kappa,
+      rho_d = rho (1 + h / (2 eta)).
+    - The cone holds.  With 2 |T beta| |v| <= (1 - T^2) beta^2 +
+      T^2 v^2 / (1 - T^2), Pe beta2^2 <= Pe beta^2 + cP U^2, cP =
+      Pe nu^2 / (1 - T^2); with Pe beta^2 <= alpha, alpha2 - Pe beta2^2 >=
+      (G - 1) alpha - U - cP U^2.  As U / alpha <= p_bar = e1 + u0 / m*
+      and U^2 / alpha <= e1^2 a1 + 2 e1 u0 + u0^2 / m* for alpha >= m*, it
+      is not negative while G - 1 >= p_bar + cP (e1^2 a1 + 2 e1 u0
+      + u0^2 / m*), and then alpha2 >= (G - p_bar) alpha with G - p_bar
+      > 1.  So the run stays in C, alpha growing by G - p_bar per step,
+      until it leaves alpha <= a1 with Pe beta2^2 <= alpha2; it leaves
+      within log(a1 / m*) / log(G - p_bar) steps.
+    - The exit.  The state z2 that left has a1 < alpha2 <= a_top =
+      (G + p_bar) a1 and |beta2| <= sqrt(alpha2 / Pe) <= gamma alpha2,
+      gamma = 1 / sqrt(Pe a1).
+      With U''(t*) = -a and |U'''| <= c1, 2 (E - E(t*)) <= w^2 - a d^2
+      + c1 |d|^3 / 3 = -c2 lambda alpha^2 - 4 a alpha beta
+      + c2 kappa beta^2 + c1 |d|^3 / 3, so E(z2) - E(t*) <=
+      -c_neg alpha2^2 / 2 with c_neg = c2 lambda - 4 a gamma
+      - c2 kappa gamma^2 - c1 (1 + gamma)^3 a_top / 3.  While c_neg > 0
+      and c_neg a1^2 / 2 >= drop, E(z2) lies below the level; and
+      t2 - t_u >= (1 - gamma) a1 - s > 0 and |w2| <= (lambda + kappa
+      gamma) a_top <= B, so z2 meets the premises of the energy set's
+      proof, which covers the rest of the budget.  The run never returns
+      to its SEP.
+
+    The columns are sized so that every condition holds with room: gamma
+    solves 4 a gamma + c2 kappa gamma^2 = c2 lambda / 2; a1 is
+    _CONE_REACH times the least reach with (c2 lambda / 2) a1^2 / 2 >=
+    drop, Pe = 1 / (a1 gamma^2) and P = (1 + theta) Pe, theta =
+    _CONE_SLACK; m* is _CONE_ROOM times the least floor that meets the
+    cone's condition, top = (a1 - eps_c) (1 - 4 eps) and m = (m* + eps_c) /
+    (1 - 4 eps).  The conditions are then checked with
+    these a1 and m*; h lambda < 2 and sig < 1 follow from the energy set's
+    h sqrt(c1) < 2, as lambda < sqrt(a) <= sqrt(c1).  A run that fails a
+    condition gets no cone: low = inf (its escape row takes the gate),
+    top = -inf, mp = m = inf and the other columns 0.  Otherwise low =
+    t_u - 1.001 (1 / (4 Pe) + eps_c) - 4 eps |t_u| (the row takes it if
+    below the gate): every state of C has d = alpha + beta >= alpha -
+    sqrt(alpha / Pe) >= -1 / (4 Pe), so t >= t_u - s - 1 / (4 Pe).
+    """
+    a = np.sqrt((c1 - torque) * (c1 + torque))
+    s_ = np.sqrt(c2 * c2 + 4.0 * a)
+    lam, kap = 2.0 * a / (s_ + c2), 0.5 * (s_ + c2)
+    fall = 1.0 - 0.5 * h * lam
+    grow = (1.0 + 0.5 * h * lam) / fall
+    shrink = (1.0 - 0.5 * h * kap) / (1.0 + 0.5 * h * kap)
+    eta = 1.0 + 0.5 * h * c2
+    sig = h * h * c1 / (4.0 * eta)
+    gamma = c2 * lam / (4.0 * a + np.sqrt(16.0 * a * a + 2.0 * c2 * c2 * kap * lam))
+    reach = _CONE_REACH * np.sqrt(4.0 * drop / (c2 * lam))
+    wide = 1.0 / (reach * gamma * gamma)
+    err = off + 32.0 * _EPS * (1.0 + kap) * (1.0 + 2.0 * reach)
+    scale = h * c1 / (4.0 * s_ * fall)
+    u2 = scale * (2.0 + 3.0 * (1.0 + sig + h * lam) ** 2 / (1.0 - sig) ** 2)
+    u1 = scale * (2.0 + 3.0 * (1.0 + sig + h * kap) ** 2 / (1.0 - sig) ** 2) / wide
+    u0 = (3.0 * scale * (rho * (1.0 + h / (2.0 * eta))) ** 2 / (1.0 - sig) ** 2
+          + rho * (1.0 + kap) / (s_ * fall))
+    e1 = u2 * reach + u1
+    c_p = wide * (fall / (1.0 + 0.5 * h * kap)) ** 2 / (1.0 - shrink**2)
+    # the least floor m* with G - 1 >= p_bar + cP (e1^2 a1 + 2 e1 u0 + u0^2 / m*)
+    room = grow - 1.0 - e1 - c_p * e1 * (e1 * reach + 2.0 * u0)
+    floor = _CONE_ROOM * u0 * (1.0 + c_p * u0) / room
+    per = e1 + u0 / floor
+    a_top = (grow + per) * reach
+    c_neg = (c2 * lam - 4.0 * a * gamma - c2 * kap * gamma**2
+             - c1 * (1.0 + gamma) ** 3 * a_top / 3.0)
+    ok = (room > 0.0) & (floor < reach)
+    ok &= grow - 1.0 >= per + c_p * (e1 * e1 * reach + 2.0 * e1 * u0 + u0 * u0 / floor)
+    ok &= (c_neg > 0.0) & (c_neg * reach * reach / 2.0 >= drop)
+    ok &= ((1.0 - gamma) * reach > off) & ((lam + kap * gamma) * a_top <= speed)
+    margin = 2.0 * (err + (1.0 + _CONE_SLACK) * wide * err * err / _CONE_SLACK
+                    + 8.0 * _EPS * reach)
+    low = saddle - 1.001 * (0.25 / wide + err) - 4.0 * _EPS * np.abs(saddle)
+    columns = np.stack([
+        low, kap / s_, lam / s_, 1.0 / s_, (1.0 + _CONE_SLACK) * wide,
+        (reach - err) * (1.0 - 4.0 * _EPS),
+        margin, (floor + err) / (1.0 - 4.0 * _EPS),
+    ], axis=-1)
+    off_cone = np.array([np.inf, 0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf])
+    return np.where(ok[:, None], columns, off_cone)
 
 
 def _pendulum_energy(c1: float, x, p):
@@ -308,35 +453,72 @@ def _pendulum_energy(c1: float, x, p):
     return 0.5 * x.T[1] * x.T[1] - c1 * np.cos(x.T[0]) - p.T[0] * x.T[0]
 
 
+def _cone_excess(x, rows):
+    """phi = min(alpha - P beta^2 - mp, alpha - m) of :func:`_pendulum_cone`
+    at the states ``x`` (K, 2) for the escape ``rows`` (K, 12)."""
+    d = x[:, 0] - rows[:, 0]
+    alpha = rows[:, 5] * d + rows[:, 7] * x[:, 1]
+    beta = rows[:, 6] * d - rows[:, 7] * x[:, 1]
+    return np.minimum(alpha - rows[:, 8] * (beta * beta) - rows[:, 10], alpha - rows[:, 11])
+
+
 def _pendulum_crossing(c1: float, x_prev, x, p, rows):
     """The ``crossing`` of ``ParameterizedSystem.escape`` for K pendulum
     runs with the escape ``rows`` of :func:`_pendulum_escape`, in the step
     from ``x_prev`` to ``x`` (both (K, 2)).
 
-    A state is in its set when t > saddle, |w| <= speed and E < level.  No
-    state at or before its gate is (the gate's proof), so E is evaluated
-    only at the states past their gate, and at the previous state of a run
-    that entered its set from a state past its saddle: if that energy E_-
-    lay above the level, f = (E_- - level) / (E_- - E_n) places the
-    crossing by linear interpolation; otherwise f = 1.
+    A state is in its set when it is in the energy set (t > saddle,
+    |w| <= speed and E < level) or in the exit cone (0 < alpha <= top and
+    phi = min(alpha - P beta^2 - mp, alpha - m) >= 0).  No state at or
+    before its low end is in either, so nothing is evaluated for a step
+    with every state there.  alpha is evaluated at the states past their
+    low end, phi at those with 0 < alpha <= top (a recovering run that
+    lingers by its saddle mostly has alpha < 0), and phi once more at the
+    previous state of a run that entered the cone: if it was negative,
+    f = phi_- / (phi_- - phi_n) places the entry by linear interpolation.
+    No state at or before its gate is in the energy set (the gate's proof),
+    so E is evaluated only at the states past their gate, and at the
+    previous state of a run that entered the energy set from a state past
+    its saddle: if that energy E_- lay above the level,
+    f = (E_- - level) / (E_- - E_n).  Otherwise f = 1, and a run that
+    entered both sets takes the earlier entry.
     """
-    past = x[:, 0] > rows[:, 3]
-    if not _count_nonzero(past):
+    near = x[:, 0] > rows[:, 4]
+    if not _count_nonzero(near):
         return None
-    y, r = x[past], rows[past]
-    energy = _pendulum_energy(c1, y, p[past])
-    inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
-    if not _count_nonzero(inside):
-        return None
-    at = np.flatnonzero(past)[inside]
-    energy, (saddle, _, level, _) = energy[inside], r[inside].T
-    timed = x_prev[at, 0] > saddle
-    previous = np.full(len(at), np.nan)
-    previous[timed] = _pendulum_energy(c1, x_prev[at[timed]], p[at[timed]])
-    f = np.ones(len(at))
-    np.divide(previous - level, previous - energy, out=f, where=previous > level)
-    fraction = np.full(len(x), np.nan)
-    fraction[at] = f
+    at = np.flatnonzero(near)
+    y, r = x[at], rows[at]
+    alpha = r[:, 5] * (y[:, 0] - r[:, 0]) + r[:, 7] * y[:, 1]
+    fraction = None
+    reached = (alpha > 0.0) & (alpha <= r[:, 9])
+    if _count_nonzero(reached):
+        cone = at[reached]
+        phi = _cone_excess(x[cone], rows[cone])
+        inside = phi >= 0.0
+        if _count_nonzero(inside):
+            cone, phi = cone[inside], phi[inside]
+            before = _cone_excess(x_prev[cone], rows[cone])
+            f = np.ones(len(cone))
+            np.divide(before, before - phi, out=f, where=before < 0.0)
+            fraction = np.full(len(x), np.nan)
+            fraction[cone] = f
+    past = y[:, 0] > r[:, 3]
+    if _count_nonzero(past):
+        past = at[past]
+        y, r = x[past], rows[past]
+        energy = _pendulum_energy(c1, y, p[past])
+        inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
+        if _count_nonzero(inside):
+            entered = past[inside]
+            energy, (saddle, _, level) = energy[inside], r[inside, :3].T
+            timed = x_prev[entered, 0] > saddle
+            previous = np.full(len(entered), np.nan)
+            previous[timed] = _pendulum_energy(c1, x_prev[entered[timed]], p[entered[timed]])
+            f = np.ones(len(entered))
+            np.divide(previous - level, previous - energy, out=f, where=previous > level)
+            if fraction is None:
+                fraction = np.full(len(x), np.nan)
+            fraction[entered] = np.fmin(fraction[entered], f)
     return fraction
 
 

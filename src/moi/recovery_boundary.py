@@ -365,8 +365,9 @@ def ray_boundary_search(
     trajectory lingers by the controlling saddle for a time that
     grows like -ln|p - p*| / lambda_u, so their end times n are fitted to
     n = a - b ln(t - c), t the position in the new bracket in bracket
-    widths.  A member that ended in its escape set is timed within its last
-    step (``RunEnd.tau``), the others by their step count.  The round then
+    widths.  A member that diverged after its first step, in its escape set
+    or beyond the divergence norm, is timed within its last step
+    (``RunEnd.tau``), the others by their step count.  The round then
     probes the midpoint and c +- eps 3^j, j = 0..6, eps = 1e-3 (1 - c),
     those strictly inside the bracket; once eps is at most (k - 2) / 2
     units in the last place, it probes instead the k - 1 consecutive

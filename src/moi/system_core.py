@@ -77,9 +77,11 @@ class ParameterizedSystem:
         trajectory that enters it.
     escape
         Optional pair (rows, crossing), filled in by the model constructors
-        where the model proves escape (the pendulum, from its energy; the
-        swing network's transfer conductances admit no exact energy
-        function).  ``rows(p, sep, cfg)`` gives one row per run (K, r) for K
+        where the model proves escape (the pendulum: below its saddle's
+        energy past the saddle, or in an exit cone around the saddle's
+        unstable eigenvector from which the computed map carries it there;
+        the swing network's transfer conductances admit no exact energy
+        function, and it has no escape set).  ``rows(p, sep, cfg)`` gives one row per run (K, r) for K
         runs at the rows of p (K, m) around the stable equilibria in the
         rows of sep (K, n); the integrator keeps them and reads none of
         their columns.  ``crossing(x_prev, x, p, rows)`` takes K runs'

@@ -1,8 +1,8 @@
 """The certificates' proofs, checked term by term: each checker works out
 again, from the inputs of ``integrator.recovery_certificate`` or
-``model_zoo._pendulum_escape``, every term that its docstring proof uses,
-and asserts each of the proof's inequalities for the level or escape row
-that it returned.
+``model_zoo._pendulum_escape`` (with its exit cone, ``_pendulum_cone``),
+every term that its docstring proof uses, and asserts each of the proof's
+inequalities for the level or escape row that it returned.
 
 The boundary tests elsewhere check single states and single steps, which
 a set with the right margins passes even where a term of its proof is
@@ -34,6 +34,8 @@ EPS = np.finfo(float).eps
 PARAMS = PendulumParams()
 SYS = pendulum_system(PARAMS)
 C1, C2 = PARAMS.c1, PARAMS.c2
+#: the pendulum boundary at h = 0.02, as in tests/test_escape.py
+PEND_P_STAR = 1.5686593295631313
 
 
 def lyapunov(a: np.ndarray) -> np.ndarray:
@@ -89,10 +91,10 @@ def check_recovery_proof(jac, residual, w0, lipschitz, cfg, form, level) -> None
 
 
 def check_escape_proof(c1, c2, torque, sep, cfg, row) -> None:
-    """Every inequality of ``_pendulum_escape``'s proof for the escape row
-    (saddle, speed, level, gate) it built for a run at ``torque`` around
-    ``sep``."""
-    saddle, speed, level, gate = row
+    """Every inequality of ``_pendulum_escape``'s proof for the energy set
+    (saddle, speed, level, gate) of the escape row it built for a run at
+    ``torque`` around ``sep``."""
+    saddle, speed, level, gate = row[:4]
     theta_s = sep[0]
     h, reach = cfg.step, cfg.divergence_norm
     budget = np.floor(cfg.max_time / h + 1e-9)
@@ -132,6 +134,87 @@ def check_escape_proof(c1, c2, torque, sep, cfg, row) -> None:
     assert gate >= saddle
     if gate > saddle:
         assert c1 * (gate - saddle + off) ** 2 / 2.0 <= margin
+
+
+def check_exit_cone_proof(c1, c2, torque, sep, cfg, row) -> bool:
+    """Every inequality of ``_pendulum_cone``'s proof for the exit cone
+    (low, ka, kb, ia, P, top, mp, m) of the escape row built for a run at
+    ``torque`` around ``sep``, whose energy set ``check_escape_proof``
+    checks.  Returns whether the row has a cone; a row without one has
+    top = -inf and mp = m = inf."""
+    saddle, speed, level, gate, low, ka, kb, ia, wide, top, margin, m = row
+    if not np.isfinite(m):
+        assert top == -np.inf and margin == np.inf and low == gate
+        return False
+    h, reach = cfg.step, cfg.divergence_norm
+    # the exact saddle, and the eigenpairs of the Jacobian there
+    exact = np.pi - np.arcsin(torque / c1)
+    exact += 2.0 * np.pi * np.round((saddle - exact) / (2.0 * np.pi))
+    a = -c1 * np.cos(exact)
+    values = np.linalg.eigvals(np.array([[0.0, 1.0], [a, -c2]]))
+    lam, kap = values.real.max(), -values.real.min()
+    s_ = lam + kap
+    # the test's coordinates are those of (1, lam) and (1, -kap)
+    np.testing.assert_allclose([ka, kb, ia], [kap / s_, lam / s_, 1.0 / s_], rtol=1e-12)
+    # w^2 - a d^2 in the eigen-coordinates, at a few points
+    for alpha, beta in ((1.0, 0.0), (0.3, -0.7), (-2.0, 0.5)):
+        d, w = alpha + beta, lam * alpha - kap * beta
+        np.testing.assert_allclose(
+            w * w - a * d * d,
+            -c2 * lam * alpha**2 - 4.0 * a * alpha * beta + c2 * kap * beta**2,
+            rtol=1e-12, atol=1e-12,
+        )
+    rho = 2.0 * cfg.newton_tol + 1e-12 + 8.0 * EPS * reach
+    off = abs(saddle - exact) + 8.0 * EPS * (abs(saddle) + 4.0)
+    # the exact set C that holds every state the test passes: m* <= alpha
+    # <= a1 and Pe beta^2 <= alpha, with Pe = P / (1 + theta)
+    assert 0.0 < top
+    err = off + 32.0 * EPS * (1.0 + kap) * (1.0 + 2.0 * top)
+    a1 = top * (1.0 + 4.0 * EPS) + err
+    assert a1 <= 2.0 * top
+    m_star = m * (1.0 - 4.0 * EPS) - err
+    assert 0.0 < m_star < a1
+    theta = 1.0 / 64.0
+    pe = wide / (1.0 + theta)
+    # mp covers the shift of Pe beta^2 and the rounding of phi (twice over)
+    assert margin >= err + wide * err * err / theta + 8.0 * EPS * a1
+    # one step: alpha' = G alpha + u, beta' = T beta + v, |v| <= nu U
+    assert h * lam < 2.0
+    grow = (1.0 + h * lam / 2.0) / (1.0 - h * lam / 2.0)
+    shrink = (1.0 - h * kap / 2.0) / (1.0 + h * kap / 2.0)
+    nu = (1.0 - h * lam / 2.0) / (1.0 + h * kap / 2.0)
+    eta = 1.0 + h * c2 / 2.0
+    sig = h * h * c1 / (4.0 * eta)
+    assert sig < 1.0
+    # U <= e1 alpha + u0 in C, from |N(d)| <= c1 d^2 / 2 and the bound on |d'|
+    c = h * c1 / (4.0 * s_ * (1.0 - h * lam / 2.0))
+    ca, cb = 1.0 + sig + h * lam, 1.0 + sig + h * kap
+    u2 = c * (2.0 + 3.0 * ca**2 / (1.0 - sig) ** 2)
+    u1 = c * (2.0 + 3.0 * cb**2 / (1.0 - sig) ** 2) / pe
+    rho_d = rho * (1.0 + h / (2.0 * eta))
+    u0 = 3.0 * c * rho_d**2 / (1.0 - sig) ** 2 + rho * (1.0 + kap) / (s_ * (1.0 - h * lam / 2.0))
+    e1 = u2 * a1 + u1
+    # the cone holds, and alpha grows by G - p_bar > 1 per step
+    per = e1 + u0 / m_star
+    c_p = pe * nu**2 / (1.0 - shrink**2)
+    assert grow - 1.0 >= per + c_p * (e1 * e1 * a1 + 2.0 * e1 * u0 + u0 * u0 / m_star)
+    # the exit: a1 < alpha' <= a_top and |beta'| <= gamma alpha'
+    gamma = 1.0 / np.sqrt(pe * a1)
+    a_top = (grow + per) * a1
+    c_neg = (c2 * lam - 4.0 * a * gamma - c2 * kap * gamma**2
+             - c1 * (1.0 + gamma) ** 3 * a_top / 3.0)
+    assert c_neg > 0.0
+    # the drop below the exact saddle's energy that puts E under the level
+    magnitude = reach**2 + 2.0 * c1 + abs(torque) * (reach + abs(saddle))
+    energy_u = -c1 * np.cos(saddle) - torque * saddle
+    drop = (energy_u - level) + c1 * off**2 / 2.0 + 16.0 * EPS * magnitude
+    drop += 2.0 * np.spacing(abs(energy_u))  # the subtraction that recovers delta
+    assert c_neg * a1 * a1 / 2.0 >= drop
+    assert (1.0 - gamma) * a1 > off
+    assert (lam + kap * gamma) * a_top <= speed
+    # every state of C has t - t* >= -1 / (4 Pe): it lies past low, at most the gate
+    assert low <= saddle - off - 0.25 / pe and low <= gate
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +287,9 @@ def test_pendulum_escape_row_meets_its_proof(
                            divergence_norm=PENDULUM_DIVERGENCE_NORM)
     sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns + sep_error, 0.0]
     row = escape_row(SYS, [torque], cfg, sep)
-    assert np.isfinite(row).all()
+    assert np.isfinite(row[:4]).all()
     check_escape_proof(C1, C2, torque, sep, cfg, row)
+    check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
 
 
 @pytest.mark.parametrize(
@@ -219,5 +303,52 @@ def test_escape_row_at_the_edge_of_each_condition_meets_its_proof(params, torque
     cfg = IntegratorConfig(step=step, divergence_norm=PENDULUM_DIVERGENCE_NORM)
     sep = pendulum_sep(params, torque)
     row = escape_row(pendulum_system(params), [torque], cfg, sep)
-    assert np.isfinite(row).all()
+    assert np.isfinite(row[:4]).all()
     check_escape_proof(params.c1, params.c2, torque, sep, cfg, row)
+    check_exit_cone_proof(params.c1, params.c2, torque, sep, cfg, row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    torque=st.floats(0.05, 1.9),
+    turns=st.integers(-2, 2),
+    sep_error=st.sampled_from([0.0, 1e-9, -1e-9]),
+    step=st.sampled_from([0.02, 0.08, 0.2, 0.4]),
+    max_time=st.sampled_from([20.0, 200.0]),
+)
+def test_exit_cone_meets_its_proof(torque, turns, sep_error, step, max_time):
+    """Where the cone exists: the benchmark's Newton tolerance and budgets
+    up to its own, at the steps of the sweep inside the energy set's
+    conditions, with SEPs off the exact one."""
+    cfg = IntegratorConfig(step=step, max_time=max_time,
+                           divergence_norm=PENDULUM_DIVERGENCE_NORM)
+    sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns + sep_error, 0.0]
+    row = escape_row(SYS, [torque], cfg, sep)
+    check_escape_proof(C1, C2, torque, sep, cfg, row)
+    assert check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
+
+
+@pytest.mark.parametrize(
+    "inside, outside",
+    [({"torque": 1.9992546980815906}, {"torque": 1.9992546980815908}),
+     ({"newton_tol": 1.219991868251833e-09}, {"newton_tol": 1.2199918682518333e-09}),
+     ({"max_time": 158068.0}, {"max_time": 158069.0})],
+    ids=["floor-torque", "floor-newton", "holds-budget"],
+)
+def test_exit_cone_at_the_edge_of_each_condition_meets_its_proof(inside, outside):
+    """Just inside the conditions that bind at h = 0.02: the floor m* lies
+    below the reach a1 (at the largest torque, and at the largest Newton
+    tolerance), and a floor meets the cone's condition (at the largest
+    budget); just outside, no cone, while the energy set stays."""
+    def cone_row(torque=PEND_P_STAR, max_time=200.0, newton_tol=1e-12):
+        cfg = IntegratorConfig(step=0.02, max_time=max_time, newton_tol=newton_tol,
+                               divergence_norm=PENDULUM_DIVERGENCE_NORM)
+        sep = pendulum_sep(PARAMS, torque)
+        return torque, cfg, sep, escape_row(SYS, [torque], cfg, sep)
+
+    torque, cfg, sep, row = cone_row(**inside)
+    check_escape_proof(C1, C2, torque, sep, cfg, row)
+    assert check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
+    torque, cfg, sep, row = cone_row(**outside)
+    assert np.isfinite(row[:4]).all()
+    assert not check_exit_cone_proof(C1, C2, torque, sep, cfg, row)

@@ -57,10 +57,17 @@ def energy(x, torque):
 
 
 def row(torque, cfg, turns=0):
-    """(saddle, speed, level, gate) at the SEP representative ``turns``
-    turns on."""
+    """The SEP representative ``turns`` turns on and its escape row; its
+    first four columns (saddle, speed, level, gate) are the energy set's."""
     sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns, 0.0]
     return sep, escape_row(SYS, [torque], cfg, sep)
+
+
+def energy_only(saddle, speed, level, gate):
+    """An escape row with this energy set and no exit cone.  A made-up
+    saddle "before every state" is -1e300, not -inf, so that the cone's
+    coordinates stay finite."""
+    return [saddle, speed, level, gate, gate, 0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf]
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +75,8 @@ def row(torque, cfg, turns=0):
 def test_level_lies_just_below_the_saddle_right_of_the_sep(torque, turns, step):
     """The saddle is the equilibrium with an unstable direction next to the
     SEP on its right, and the level lies within 1e-5 below its energy."""
-    sep, (saddle, speed, level, _) = row(torque, config(step), turns)
+    sep, escape = row(torque, config(step), turns)
+    saddle, speed, level, _ = escape[:4]
     x_u = np.array([saddle, 0.0])
     assert np.abs(SYS.field(x_u, np.array([torque]))).max() < 1e-12
     assert spectral_abscissa(SYS.jacobian(x_u, np.array([torque]))) > 0.0
@@ -90,7 +98,7 @@ def test_margin_covers_the_newton_error_over_the_whole_budget(
     """delta >= N e, e >= 2 newton_tol (c1 + p + B) the energy that a step's
     Newton residual can add, N the step budget."""
     cfg = config(step, newton_tol=newton_tol, max_time=max_time)
-    _, (saddle, speed, level, _) = row(torque, cfg)
+    saddle, speed, level, _ = row(torque, cfg)[1][:4]
     budget = np.floor(max_time / step + 1e-9)
     delta = energy([saddle, 0.0], torque) - level
     assert delta >= budget * 2.0 * newton_tol * (C1 + torque + speed)
@@ -101,7 +109,7 @@ def test_margin_covers_the_newton_error_over_the_whole_budget(
 def test_speed_bound_is_kept_by_every_step(torque, step, angle, frac):
     """|w| <= B implies |w'| <= B (h c2 < 2)."""
     cfg = config(step)
-    _, (_, speed, _, _) = row(torque, cfg)
+    speed = row(torque, cfg)[1][1]
     y = step_trapezoidal(SYS, np.array([angle, frac * speed]), np.array([torque]), cfg)
     assert abs(y[1]) <= speed
 
@@ -112,7 +120,7 @@ def test_energy_falls_by_the_damping_less_the_trapezoid_error(torque, step, angl
     """E' - E <= -h w_bar^2 (c2 - c1 h^2 |w_bar| / 12), up to the Newton
     residual, for |w| <= B."""
     cfg = config(step)
-    _, (_, speed, _, _) = row(torque, cfg)
+    speed = row(torque, cfg)[1][1]
     x = np.array([angle, frac * speed])
     y = step_trapezoidal(SYS, x, np.array([torque]), cfg)
     w_bar = abs(x[1] + y[1]) / 2.0
@@ -132,7 +140,7 @@ def test_no_state_of_the_escape_set_steps_back_over_the_saddle(torque, step, gap
     level, 50 computed steps stay past the saddle, below the saddle's
     energy (h sqrt(c1) < 2 and delta's margin)."""
     cfg = config(step)
-    _, (saddle, speed, level, _) = row(torque, cfg)
+    saddle, speed, level, _ = row(torque, cfg)[1][:4]
     angle = saddle + gap
     room = level + C1 * np.cos(angle) + torque * angle
     assume(room > 0.0)
@@ -159,7 +167,7 @@ def test_no_state_of_the_escape_set_steps_back_over_the_saddle(torque, step, gap
 def test_no_certificate_for_a_step_outside_the_conditions(params, torque, inside, outside):
     sys_ = pendulum_system(params)
     sep = pendulum_sep(params, torque)
-    assert np.isfinite(escape_row(sys_, [torque], config(inside), sep)).all()
+    assert np.isfinite(escape_row(sys_, [torque], config(inside), sep)[:4]).all()
     assert np.isinf(escape_row(sys_, [torque], config(outside), sep)).all()
 
 
@@ -209,7 +217,7 @@ def test_energy_is_evaluated_only_on_states_past_the_gate(pendulum, pend_cfg, mo
     assert calls == []
     sep = find_sep(pendulum, [1.7])
     traj = simulate(pendulum, [1.7], pend_cfg, sep)
-    saddle, _, _, gate = escape_row(pendulum, [1.7], pend_cfg, sep)
+    saddle, _, _, gate = escape_row(pendulum, [1.7], pend_cfg, sep)[:4]
     assert gate > saddle
     past = [x for x in traj.states[1:] if x[0] > gate]
     # the run escapes from a state past its saddle: one timed escape
@@ -219,38 +227,95 @@ def test_energy_is_evaluated_only_on_states_past_the_gate(pendulum, pend_cfg, mo
     assert np.array_equal(evaluated, np.array(past + [traj.states[-2]]))
 
 
+def eigen_coordinates(torque, saddle, x):
+    """alpha and beta of the states ``x`` (K, 2) along the unstable and the
+    stable eigenvector of the Jacobian at (saddle, 0), each scaled to a
+    first component 1, worked out here by ``np.linalg.eig``."""
+    values, vectors = np.linalg.eig(SYS.jacobian(np.array([saddle, 0.0]), np.array([torque])))
+    vectors = vectors[:, np.argsort(-values.real)].real
+    vectors /= vectors[0]
+    alpha, beta = np.linalg.solve(vectors, (x - [saddle, 0.0]).T)
+    return alpha, beta
+
+
 @settings(max_examples=60, deadline=None)
 @given(torque=torques, step=steps, seed=st.integers(0, 2**32 - 1))
-def test_crossing_is_the_energy_set_and_its_interpolation(torque, step, seed):
-    """The pendulum's crossing puts a state in its set exactly when
-    t > saddle, |w| <= speed and E < level, and times the entry at
-    (E_- - level) / (E_- - E_n) when the previous state lay past the saddle
-    above the level, at 1 otherwise.  The rows are the real ones, gate
-    included."""
+def test_crossing_is_the_union_of_the_energy_set_and_the_cone(torque, step, seed):
+    """The pendulum's crossing puts a state in its set exactly when it is
+    in the energy set (t > saddle, |w| <= speed and E < level) or in the
+    exit cone (alpha <= top and phi = min(alpha - P beta^2 - mp,
+    alpha - m) >= 0, in eigen-coordinates worked out here; such a state
+    has alpha >= m > 0).  It times an
+    energy entry at (E_- - level) / (E_- - E_n) when the previous state lay
+    past the saddle above the level, a cone entry at phi_- / (phi_- - phi_n)
+    when the previous state had phi_- < 0, at 1 otherwise, and an entry
+    into both at the earlier of the two.  The rows are the real ones.
+    States lie around the saddle at the energy set's scale, and at the
+    cone's, from below its floor m to beyond its reach top, inside the
+    parabola and outside it."""
     cfg = config(step)
     _, escape = row(torque, cfg)
-    saddle, speed, level, _ = escape
+    saddle, speed, level, _, _, _, _, _, wide, top, margin, m = escape
     rng = np.random.default_rng(seed)
-    k = 200
+    n = 200
     # angles around the saddle, speeds around the energy's level there
     x_prev, x = (
-        np.column_stack([saddle + rng.uniform(-0.3, 0.3, k), rng.uniform(-0.8, 0.8, k)])
+        np.column_stack([saddle + rng.uniform(-0.3, 0.3, n), rng.uniform(-0.8, 0.8, n)])
         for _ in range(2)
     )
-    p = np.full((k, 1), torque)
-    rows = np.tile(escape, (k, 1))
-    entered = SYS.escape[1](x_prev, x, p, rows)
+    if np.isfinite(m):
+        values = np.linalg.eigvals(SYS.jacobian(np.array([saddle, 0.0]), np.array([torque])))
+        lam, kap = values.real.max(), -values.real.min()
+        # below the floor, between floor and reach, beyond the reach, and
+        # on the side of alpha < 0, a quarter each
+        ends = np.log([m / 30.0, m, top, 3.0 * top])
+        alpha = np.exp(np.concatenate(
+            [rng.uniform(lo, hi, n // 4) for lo, hi in zip(ends, ends[1:])]
+            + [rng.uniform(ends[1], ends[2], n // 4)]))
+        alpha[-(n // 4):] *= -1.0
+        beta = rng.uniform(-1.5, 1.5, n) * np.sqrt(np.abs(alpha) / wide)
+        a_prev, b_prev = alpha * rng.uniform(0.5, 1.1, n), beta * rng.uniform(0.9, 1.5, n)
+        x_prev = np.vstack([x_prev, np.column_stack([saddle + a_prev + b_prev,
+                                                     lam * a_prev - kap * b_prev])])
+        x = np.vstack([x, np.column_stack([saddle + alpha + beta, lam * alpha - kap * beta])])
+    k_all = len(x)
+    p = np.full((k_all, 1), torque)
+    entered = SYS.escape[1](x_prev, x, p, np.tile(escape, (k_all, 1)))
     e_prev, e = energy(x_prev, torque), energy(x, torque)
-    inside = (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (e < level)
+    in_energy = (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (e < level)
+    alpha, beta = eigen_coordinates(torque, saddle, x)
+    bowl, lift = alpha - wide * beta**2 - margin, alpha - m
+    phi = np.minimum(bowl, lift)
+    in_cone = (alpha <= top) & (phi >= 0.0)
+    # states within rounding of the cone's boundary decide nothing here
+    scale = np.abs(alpha) + wide * beta**2
+    clear = (np.abs(alpha - top) > 1e-9 * top) & (np.abs(bowl) > 1e-9 * scale)
+    clear &= np.abs(lift) > 1e-9 * scale
+    inside = in_energy | in_cone
     if not inside.any():
-        assert entered is None
+        assert entered is None or not np.isfinite(entered[clear]).any()
         return
-    assert np.array_equal(np.isfinite(entered), inside)
-    timed = inside & (x_prev[:, 0] > saddle) & (e_prev > level)
-    expected = np.ones(k)
-    expected[timed] = (e_prev[timed] - level) / (e_prev[timed] - e[timed])
-    assert np.array_equal(entered[inside], expected[inside])
-    assert ((0.0 < entered[inside]) & (entered[inside] <= 1.0)).all()
+    assert np.array_equal(np.isfinite(entered)[clear], inside[clear])
+    if np.isfinite(m):
+        # the cone is sampled inside, beyond its reach and below its floor
+        in_bowl = (bowl >= 0.0) & clear
+        assert (in_cone & clear).any() and (in_bowl & (alpha > top)).any()
+        assert (in_bowl & (lift < 0.0)).any()
+    timed = in_energy & (x_prev[:, 0] > saddle) & (e_prev > level)
+    f_energy = np.full(k_all, np.inf)
+    f_energy[in_energy] = 1.0
+    f_energy[timed] = (e_prev[timed] - level) / (e_prev[timed] - e[timed])
+    a_prev, b_prev = eigen_coordinates(torque, saddle, x_prev)
+    phi_prev = np.minimum(a_prev - wide * b_prev**2 - margin, a_prev - m)
+    f_cone = np.full(k_all, np.inf)
+    f_cone[in_cone] = np.where(phi_prev < 0.0, phi_prev / (phi_prev - phi), 1.0)[in_cone]
+    expected = np.minimum(f_energy, f_cone)
+    both = inside & clear
+    # the energy set alone is timed bit for bit, the cone to its rounding
+    alone = both & ~in_cone
+    assert np.array_equal(entered[alone], expected[alone])
+    np.testing.assert_allclose(entered[both], expected[both], rtol=1e-6)
+    assert ((0.0 < entered[both]) & (entered[both] <= 1.0)).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,11 +339,11 @@ def test_no_state_between_the_saddle_and_the_gate_is_in_the_set(
     from such a state is timed within its step."""
     cfg = config(step)
     exact = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns, 0.0]
-    saddle, _, _, gate = escape_row(SYS, [torque], cfg, exact)
+    saddle, _, _, gate = escape_row(SYS, [torque], cfg, exact)[:4]
     assert saddle < gate < saddle + 1e-3
     sep = exact + [error * (gate - saddle), 0.0]
     escape = escape_row(SYS, [torque], cfg, sep)
-    saddle, speed, level, gate = escape
+    saddle, speed, level, gate = escape[:4]
     if error == 1.5:
         assert gate == saddle
         return
@@ -290,7 +355,7 @@ def test_no_state_between_the_saddle_and_the_gate_is_in_the_set(
     e_prev = model_zoo._pendulum_energy(C1, x, p)
     assert (e_prev >= level).all()
     # the crossing with its gate opened to the saddle evaluates these states
-    opened = np.tile([saddle, speed, level, saddle], (3, 1))
+    opened = np.tile(energy_only(saddle, speed, level, saddle), (3, 1))
     assert SYS.escape[1](x, x, p, opened) is None
     # from there into the set, well past the gate: the entry is interpolated
     inside = np.column_stack([np.full(3, saddle + 0.05), np.zeros(3)])
@@ -330,6 +395,62 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, step):
         assert np.array_equal(traj.states, plain.states[: len(traj)])
         escaped += len(traj) < len(plain)
     assert (escaped > 0) == (step < 0.8)
+
+
+#: adjacent doubles bracketing the boundary of ``SYS`` (the closed-form
+#: initial condition) at each step size
+BOUNDARY = {
+    0.02: (1.5686576201652571, 1.5686576201652573),
+    0.08: (1.5685034625298035, 1.5685034625298038),
+    0.2: (1.5676427269816566, 1.5676427269816569),
+    0.4: (1.5646041249031584, 1.5646041249031586),
+}
+
+
+def in_cone(x, escape):
+    """Whether the states ``x`` (K, 2) lie in the exit cone of ``escape``."""
+    x = np.atleast_2d(x)
+    alpha = escape[5] * (x[:, 0] - escape[0]) + escape[7] * x[:, 1]
+    phi = model_zoo._cone_excess(x, np.tile(escape, (len(x), 1)))
+    return (alpha <= escape[9]) & (phi >= 0.0)
+
+
+@pytest.mark.parametrize("step", sorted(BOUNDARY))
+def test_cone_ends_continue_into_the_energy_set(step):
+    """Runs 1e-15 to 1e-3 above p*: every run that ends in its exit cone,
+    continued with ``step_trapezoidal`` for the rest of its budget, reaches
+    its energy set and, from its first state past its saddle on, never
+    returns to t <= t_u, nor near its SEP.  Runs as far below p* recover
+    and never enter their cones."""
+    cfg = config(step)
+    lo, hi = BOUNDARY[step]
+    budget = int(np.floor(cfg.max_time / step + 1e-9))
+    cone_ends = 0
+    for gap in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        below = lo * (1.0 - gap)
+        sep = find_sep(SYS, [below])
+        traj = simulate(SYS, [below], cfg, sep)
+        assert traj.termination is Termination.CONVERGED_TO_SEP
+        assert not in_cone(traj.states, escape_row(SYS, [below], cfg, sep)).any()
+        above = hi * (1.0 + gap)
+        sep = find_sep(SYS, [above])
+        traj = simulate(SYS, [above], cfg, sep)
+        escape = escape_row(SYS, [above], cfg, sep)
+        saddle, speed, level = escape[:3]
+        assert traj.termination is Termination.DIVERGED
+        if not in_cone(traj.states[-1], escape)[0]:
+            continue
+        cone_ends += 1
+        y, past, reached = traj.states[-1], traj.states[-1][0] > saddle, False
+        for _ in range(budget - (len(traj) - 1)):
+            y = step_trapezoidal(SYS, y, np.array([above]), cfg)
+            assert not past or y[0] > saddle
+            assert np.linalg.norm(y - sep) > 0.1
+            past |= y[0] > saddle
+            reached |= y[0] > saddle and abs(y[1]) <= speed and energy(y, above) < level
+        assert reached
+    # the runs that linger longest end in their cones
+    assert cone_ends >= 3
 
 
 def lockstep_ends(sys_, torques, cfg, later=()):
@@ -390,14 +511,14 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     member at 1.7 has its saddle between states m - 1 and m and its level
     between their energies; the member at 1.75 is past its saddle from the
     start and never in its set.  Each made-up gate equals its saddle, a
-    gate that holds for any set."""
+    gate that holds for any set, and no made-up row has an exit cone."""
     cfg = config(0.2)
     x, e, m = escaping_run(1.7, cfg)
     saddle = (x[m - 1, 0] + x[m, 0]) / 2.0
-    crossing = [saddle, np.inf, (e[m - 1] + e[m]) / 2.0, saddle]
+    crossing = energy_only(saddle, np.inf, (e[m - 1] + e[m]) / 2.0, saddle)
 
     def rows(p, sep, cfg_):
-        return np.where(p == 1.7, crossing, [-np.inf, np.inf, -np.inf, -np.inf])
+        return np.where(p == 1.7, crossing, energy_only(-1e300, np.inf, -np.inf, -1e300))
 
     made_up = replace(SYS, escape=(rows, SYS.escape[1]))
     (alone,) = lockstep_ends(made_up, [1.7], cfg)
@@ -407,7 +528,7 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
         assert run.elapsed == m * cfg.step and run.tau == m
     # the first step is not timed: a run in its set one step on, from an
     # initial state past its saddle above the level, ends at tau = 1
-    first = [-np.inf, np.inf, (e[0] + e[1]) / 2.0, -np.inf]
+    first = energy_only(-1e300, np.inf, (e[0] + e[1]) / 2.0, -1e300)
     assert e[1] < e[0]
     from_start = replace(
         SYS, escape=(lambda p, sep, cfg_: np.tile(first, (len(p), 1)), SYS.escape[1])
@@ -416,31 +537,38 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     assert run.elapsed == cfg.step and run.tau == 1.0
 
 
-def test_norm_end_keeps_the_step_count():
-    """A run that passes the divergence norm in the step in which it also
-    enters its escape set, from a state past its saddle above the level,
-    ends at tau = n: the norm, not the energy, ends it.  The escape row is
-    made up for the test, with the level between the energies of states
-    m - 1 and m, and the norm lies between their norms; its gate equals
-    its saddle."""
+def test_norm_end_is_timed_on_the_secant_of_the_last_two_norms():
+    """A run that passes the divergence norm R in its step m, in which it
+    also enters its escape set from a state past its saddle above the
+    level, ends by the norm at tau = m - 1 + (R - |x_(m-1)|) / (|x_m| -
+    |x_(m-1)|), exactly: the norm, not the energy, ends it, where the
+    secant between the last two norms crosses R.  The escape row is made
+    up for the test, with the level between the energies of states m - 1
+    and m and no exit cone, and R lies between their norms; its gate
+    equals its saddle."""
     x, e, m = escaping_run(1.7, config(0.2))
-    norms = np.linalg.norm(x, axis=1)
-    cfg = IntegratorConfig(step=0.2, divergence_norm=(norms[m - 1] + norms[m]) / 2.0)
+    norms = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1])
+    reach = (norms[m - 1] + norms[m]) / 2.0
+    cfg = IntegratorConfig(step=0.2, divergence_norm=reach)
     made_up = replace(
         SYS,
         escape=(
             lambda p, sep, cfg_: np.tile(
-                [-np.inf, np.inf, (e[m - 1] + e[m]) / 2.0, -np.inf], (len(p), 1)
+                energy_only(-1e300, np.inf, (e[m - 1] + e[m]) / 2.0, -1e300), (len(p), 1)
             ),
             SYS.escape[1],
         ),
     )
     (run,) = lockstep_ends(made_up, [1.7], cfg)
-    assert run.termination is Termination.DIVERGED and run.rule == "norm"
-    assert run.elapsed == m * cfg.step and run.tau == m
-    # the same run with the norm out of reach is timed within the step
+    (batch, _) = lockstep_ends(made_up, [1.7, 1.75], cfg)
+    secant = m - 1 + (reach - norms[m - 1]) / (norms[m] - norms[m - 1])
+    for end in (run, batch):
+        assert end.termination is Termination.DIVERGED and end.rule == "norm"
+        assert end.elapsed == m * cfg.step and end.tau == secant
+    assert m - 1 < secant < m
+    # the same run with the norm out of reach is timed by its energy
     (timed,) = lockstep_ends(made_up, [1.7], config(0.2))
-    assert m - 1 < timed.tau < m
+    assert timed.rule == "escape" and m - 1 < timed.tau < m and timed.tau != secant
 
 
 def drift_toy() -> ParameterizedSystem:

@@ -138,11 +138,12 @@ def test_end_steps_sum_the_certified_and_diverged_ends(tmp_path, monkeypatch):
     assert row["certified"] + row["escaped"] + row["beyond_norm"] == len(reported)
 
 
-def test_timed_escapes_are_counted_with_their_end_times(tmp_path, monkeypatch):
+def test_timed_ends_are_counted_with_their_end_times(tmp_path, monkeypatch):
     """timed counts the searches' DIVERGED ends whose tau lies below their
     step count, and tau_sum adds up their tau in the order they were
-    reported, bit for bit; at h = 0.8, where the pendulum has no escape
-    set, failing members end by the norm at whole steps and none is timed."""
+    reported, bit for bit.  At h = 0.2 failing members end in their escape
+    sets; at h = 0.8, where the pendulum has no escape set, they end by the
+    norm, and those are timed within their last step too."""
     taus = []
     step = moi.integrator.Lockstep.step
 
@@ -156,7 +157,7 @@ def test_timed_escapes_are_counted_with_their_end_times(tmp_path, monkeypatch):
 
     monkeypatch.setattr(moi.integrator.Lockstep, "step", keep)
     # a boundary search records no run, so every Lockstep is the search's
-    for h, timed in (("0.2", True), ("0.8", False)):
+    for h, rule, other in (("0.2", "escaped", "beyond_norm"), ("0.8", "beyond_norm", "escaped")):
         taus.clear()
         argv = ["boundary", "--model", "pendulum", "--p0", "1.5", "--h", h,
                 "--tol", "1e-6"]
@@ -164,10 +165,9 @@ def test_timed_escapes_are_counted_with_their_end_times(tmp_path, monkeypatch):
         total = 0.0
         for tau in taus:
             total += tau
-        assert row["timed"] == len(taus) and (len(taus) > 0) == timed
-        assert row["tau_sum"] == total and (total != round(total)) == timed
-        # every timed end is an escape, inside the norm
-        assert row["timed"] <= row["escaped"] and row["escaped"] + row["beyond_norm"] > 0
+        assert row["timed"] == len(taus) > 0
+        assert row["tau_sum"] == total != round(total)
+        assert row["timed"] <= row[rule] and row[other] == 0
 
 
 def test_every_reported_end_is_counted_under_its_rule(tmp_path, monkeypatch):

@@ -12,10 +12,14 @@ Times, in CPU microseconds per call:
   near the boundary (one step per call, every member live); unlike the
   batch-step cases, which call the stepper afresh, these steps take the
   field that the Lockstep carries from the step before;
-- ``Lockstep.step`` with 17 pendulum members straddling the boundary, over
-  steps 600 to 800, where 8 of them linger past their saddles and the
-  escape test evaluates their energies, and the first two end in their
-  escape sets;
+- ``Lockstep.step`` with 17 pendulum members 3e-5 to 1e-3 above the
+  boundary, over steps 150 to 280, where they pass their saddles and the
+  escape test evaluates their energies, and 15 of them end in their
+  energy sets, far enough from their saddles that no exit cone ends one;
+- ``Lockstep.step`` with 17 recovering pendulum members within 1e-13
+  below the boundary, over steps 500 to 700, where each lies by its
+  saddle, within its exit cone's band, so the escape test evaluates the
+  cone for all of them, and none enters it;
 - the scalar ``step_trapezoidal`` on both models;
 - ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), which ends
   in its certified set, per step it stores, which adds to the scalar step
@@ -152,8 +156,11 @@ def cases(moi) -> dict:
     out["lockstep_step.pendulum.K17"] = (100, lockstep_case(
         moi, pendulum, pend_cfg, PEND_P - np.linspace(0.0, 1e-9, 17)[:, None], 200, 2200,
     ), 1)
-    out["lockstep_step.pendulum.K17.past_saddle"] = (200, lockstep_case(
-        moi, pendulum, pend_cfg, PEND_P + np.linspace(-1e-9, 1e-9, 17)[:, None], 600, 800,
+    out["lockstep_step.pendulum.K17.past_saddle"] = (100, lockstep_case(
+        moi, pendulum, pend_cfg, PEND_P + np.geomspace(3e-5, 1e-3, 17)[:, None], 150, 280,
+    ), 1)
+    out["lockstep_step.pendulum.K17.cone_radius"] = (200, lockstep_case(
+        moi, pendulum, pend_cfg, PEND_P - np.linspace(0.0, 1e-13, 17)[:, None], 500, 700,
     ), 1)
     nine_bus = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
     out["lockstep_step.ninebus.K16"] = (50, lockstep_case(
@@ -213,7 +220,8 @@ def simulate_case(moi, record_flags: bool = False):
 def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
     """fn() stepping a Lockstep of members at the rows of ``p``, started
     from a copy of the Lockstep stepped ``warm`` times whenever it has taken
-    ``last`` steps; the copy is made once, untimed.  fn returns the live
+    ``last`` steps or has no member left (an empty Lockstep takes no
+    step); the copy is made once, untimed.  fn returns the live
     members' states and the ends of the step: id, termination, final
     state, elapsed time and tau."""
     seps = np.array([moi.find_sep(sys_, q) for q in p])
@@ -225,7 +233,7 @@ def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
 
     def step():
         lock = state.get("lock")
-        if lock is None or lock.steps >= last:
+        if lock is None or lock.steps >= last or not len(lock):
             lock = state["lock"] = copy.deepcopy(warmed)
         ends = lock.step()
         return lock._x.copy(), tuple(
