@@ -25,10 +25,13 @@ turns a quadratic Lyapunov function at the stable equilibrium into a level
 set that the iterated trapezoidal map never leaves, that it contracts to the
 equilibrium, and on which every Jacobian is stable; entering it ends the
 trajectory.  Other systems wait until the state has stayed near the
-equilibrium for a while.  Likewise a failing trajectory ends as soon as it
-is known to fail: past the norm ``divergence_norm`` or, for a system that
-describes an escape set (``ParameterizedSystem.escape``), in a set from
-which the system proves it never returns.
+equilibrium for a while.  A system that describes an energy well for a
+run (``ParameterizedSystem.escape``) ends it in the well instead, a set
+that the system proves the run never leaves and where no state is
+flagged unstable.  Likewise a failing trajectory ends as soon as it is
+known to fail: past the norm ``divergence_norm`` or, for a system that
+describes an escape set, in a set from which the system proves it never
+returns.
 """
 
 from __future__ import annotations
@@ -66,14 +69,15 @@ class IntegratorConfig:
 
     ``step`` is the only field without a default; everything else carries a
     conservative default suitable for the bundled models.  A recovering
-    trajectory ends once it enters its certified level set (see
-    :func:`recovery_certificate`, which allows for ``newton_tol`` and
-    ``step``), or, for a system without a certificate or a trajectory that
-    reaches the equilibrium without entering the set, after ``SEP_DWELL``
-    consecutive states within ``SEP_TOL`` of it.  ``stability_tol`` is the
-    margin by which a Jacobian counts as unstable (spectral abscissa above
-    it): it flags the states of the averaging window and sizes the
-    certified set.
+    trajectory ends once it enters its energy well, for a run whose system
+    describes one (``ParameterizedSystem.escape``), or else its certified
+    level set (see :func:`recovery_certificate`); both allow for
+    ``newton_tol`` and ``step``.  For a system without either, or a
+    trajectory that reaches the equilibrium without entering its set, it
+    ends after ``SEP_DWELL`` consecutive states within ``SEP_TOL`` of it.
+    ``stability_tol`` is the margin by which a Jacobian counts as unstable
+    (spectral abscissa above it): it flags the states of the averaging
+    window and sizes the certified set and the well.
     """
 
     step: float
@@ -438,34 +442,41 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     """The certified sets of K runs of ``sys``, at the rows of ``p`` (K, m)
     around the stable equilibria in the rows of ``sep`` (K, n).
 
-    Returns forms (K, n, n), levels (K,), reaches (K,) and escape rows
-    (K, r).  The set {d : d^T form d <= level} of offsets from the
+    Returns forms (K, n, n), levels (K,), reaches (K,), escape rows (K, r)
+    and wells (K,).  The set {d : d^T form d <= level} of offsets from the
     equilibrium (:func:`recovery_certificate`) lies in the ball
     ||d|| <= reach.  A run without a certificate (the system has no
-    ``jacobian_lipschitz``, or no radius passes) has level and reach -1,
-    which no offset meets.  The escape rows are those of the system's
-    ``escape`` (r = 0 without one), kept for its ``crossing`` and never
-    read here.  The Jacobians and fields at the equilibria are evaluated as
-    one batch.
+    ``jacobian_lipschitz``, no radius passes, or the run has a well) has
+    level and reach -1, which no offset meets.  The escape rows and the
+    mask of the runs with a well are those of the system's ``escape``
+    (r = 0 and no well without one), kept for its ``ends`` and never read
+    here.  The Jacobians and fields at the equilibria of the runs without
+    a well are evaluated as one batch.
     """
     k, n = len(p), sys.state_dim
-    escape = np.zeros((k, 0)) if sys.escape is None else sys.escape[0](p, sep, cfg)
-    if sys.jacobian_lipschitz is None or not k:
-        return np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0), escape
+    if sys.escape is None:
+        escape, well = np.zeros((k, 0)), np.zeros(k, dtype=bool)
+    else:
+        escape, well = sys.escape[0](p, sep, cfg)
+    form, level, reach = np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0)
+    rest = np.flatnonzero(~well)
+    if sys.jacobian_lipschitz is None or not len(rest):
+        return form, level, reach, escape, well
+    p, sep = p[rest], sep[rest]
     jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
     bounds = [sys.jacobian_lipschitz(q) for q in p]
-    form, level = recovery_certificate(
+    form[rest], level[rest] = recovery_certificate(
         jac, residual, [w for w, _ in bounds], [L for _, L in bounds], cfg
     )
     # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
     # sqrt(level / lowest); 1% wider, rounding cannot put a certified
     # offset outside it
-    reach, lowest = np.full(k, -1.0), np.linalg.eigvalsh(form)[:, 0]
+    lowest = np.linalg.eigvalsh(form)[:, 0]
     ok = level > 0.0
     reach[ok] = np.where(
         lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
     )
-    return form, level, reach, escape
+    return form, level, reach, escape, well
 
 
 def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
@@ -500,12 +511,13 @@ class RunEnd:
     step count n, except for a run that ended ``DIVERGED`` after its first
     step: tau = n - 1 + f.  In its escape set, inside the divergence norm,
     f in (0, 1] is the fraction of the last step at which the system's
-    ``crossing`` places the entry (``ParameterizedSystem.escape``); beyond
+    ``ends`` places the entry (``ParameterizedSystem.escape``); beyond
     the norm R, f = (R - |x_(n-1)|) / (|x_n| - |x_(n-1)|) in [0, 1) places
     it where the secant between the last two norms crosses R.  ``rule`` names the
     test of :meth:`Lockstep.step` that ended the run: ``"budget"``,
     ``"solver"``, ``"norm"`` (beyond the divergence norm), ``"escape"`` (in
-    the escape set), ``"certified"`` (in the certified set) or ``"dwell"``.
+    the escape set), ``"certified"`` (in the certified set or, for a run
+    with one, in the energy well) or ``"dwell"``.
     """
 
     termination: Termination
@@ -523,9 +535,10 @@ class Lockstep:
     one trapezoidal step and reports the members that ended, and
     :meth:`drop` removes members.  Each member counts its own steps
     against the budget ``floor(max_time / step)`` and is tested against
-    its own certified and escape sets (:func:`_recovery_sets`).  No states
-    are kept, so memory is O(K n^2) for K live members (a certificate's
-    form is n by n); :func:`simulate` records a one-member Lockstep.
+    its own certified and escape sets, or its escape set and its well
+    (:func:`_recovery_sets`).  No states are kept, so memory is O(K n^2)
+    for K live members (a certificate's form is n by n); :func:`simulate`
+    records a one-member Lockstep.
 
     Initial conditions are computed as one batch, and so are the steps
     while more than one member is live (:func:`step_trapezoidal_batch`); a
@@ -537,18 +550,18 @@ class Lockstep:
     step, and the next batched step then evaluates the field afresh.
     """
 
-    #: the member columns, one row per live member; the last four hold each
+    #: the member columns, one row per live member; the last five hold each
     #: member's certified set {d : d^T form d <= level}, inside the ball
     #: ||d|| <= reach (a member without a certificate has level and reach -1,
-    #: which no offset meets), and its escape row
+    #: which no offset meets), its escape row and whether it has a well
     _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
-                "_form", "_level", "_reach", "_escape")
+                "_form", "_level", "_reach", "_escape", "_well")
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
         self.sys, self.cfg = sys, cfg
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
-        self._crossing = sys.escape and sys.escape[1]
+        self._ends = sys.escape and sys.escape[1]
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
@@ -557,6 +570,7 @@ class Lockstep:
             setattr(self, name, column)
         self._deadline = np.inf
         self._f = None
+        self._count_wells()
 
     def __len__(self) -> int:
         """Members started and not reported or dropped yet."""
@@ -584,7 +598,13 @@ class Lockstep:
         self._f = None
         self._next_id += len(ids)
         self._deadline = min(self._deadline, self.steps + self.budget)
+        self._count_wells()
         return ids
+
+    def _count_wells(self) -> None:
+        """Whether every live member, and whether any, has a well."""
+        wells = _count_nonzero(self._well)
+        self._wells_only, self._any_well = wells == len(self._well), wells > 0
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
@@ -596,6 +616,7 @@ class Lockstep:
         if self._f is not None:
             self._f = self._f[keep]
         self._deadline = self._start.min() + self.budget if len(self._start) else np.inf
+        self._count_wells()
 
     def _step_alone(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:func:`step_trapezoidal` of the lone member in ``x`` (1, n), as
@@ -611,8 +632,10 @@ class Lockstep:
         """Advance the live members one step; return the ends of those that
         ended, by id.
 
-        A member ends on the first of these, tested by :func:`_end_test`;
-        its ``RunEnd.rule`` is the name in brackets:
+        A member ends on the first of these, tested by :func:`_end_test`
+        and by one call of the system's ``ends`` per step
+        (``ParameterizedSystem.escape``); its ``RunEnd.rule`` is the name in
+        brackets:
 
         - its step budget is spent [budget]: ``MAX_TIME_REACHED``, without
           a step;
@@ -621,12 +644,18 @@ class Lockstep:
           ``NonFiniteOutput`` [solver]: ``SOLVER_FAILURE``, on its last good
           state;
         - its new state's norm exceeds ``cfg.divergence_norm`` [norm] or, by
-          the system's ``crossing``, it lies in its escape set, from which it
+          the system's ``ends``, it lies in its escape set, from which it
           provably never returns [escape]: ``DIVERGED``, tested first so that
           a divergent state is never taken for a converged one;
-        - it entered its certified set [certified], or had ``SEP_DWELL``
-          consecutive states within ``SEP_TOL`` of its equilibrium [dwell]:
-          ``CONVERGED_TO_SEP``.
+        - it entered its certified set or, for a member with a well, the
+          system's ``ends`` puts it in its well [certified], or, for a
+          member without one, it had ``SEP_DWELL`` consecutive states within
+          ``SEP_TOL`` of its equilibrium [dwell]: ``CONVERGED_TO_SEP``.
+
+        A member with a well has no certified set, and its well is its
+        recovery rule.  While every live member has one, neither the
+        certified sets nor the distances to the equilibria are evaluated:
+        of :func:`_end_test`, only the divergence norm is tested.
         """
         cfg = self.cfg
         ends = {}
@@ -650,14 +679,23 @@ class Lockstep:
             self._f = None
         self.steps += 1
         self._x = x
-        beyond, certified, near = _end_test(
-            x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
-        )
-        entered = self._crossing and self._crossing(x_prev, x, self._p, self._escape)
+        if self._wells_only:
+            beyond, certified = _norm(x) > cfg.divergence_norm, False
+        else:
+            beyond, certified, near = _end_test(
+                x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
+            )
+            if self._any_well:
+                near &= ~self._well
+        entered = None
+        if self._ends:
+            entered, recovered = self._ends(x_prev, x, self._p, self._escape)
+            if recovered is not None:
+                certified = recovered | certified
         # the dwell counts consecutive states near the SEP and restarts at 0;
         # far from every SEP, as runs mostly are, there is nothing to count
         dwelt = False
-        if _count_nonzero(near) or _count_nonzero(self._consec):
+        if not self._wells_only and (_count_nonzero(near) or _count_nonzero(self._consec)):
             self._consec += 1
             self._consec *= near
             dwelt = self._consec >= SEP_DWELL
@@ -713,11 +751,12 @@ def simulate(
     records each state it stores, so the run ends as :meth:`Lockstep.step`
     ends it: ``SOLVER_FAILURE`` (the partial trajectory up to the last good
     state is returned), ``DIVERGED``, ``CONVERGED_TO_SEP`` or
-    ``MAX_TIME_REACHED``.  A run that converged entered the level set of
-    :func:`recovery_certificate` at ``sep``, from which it provably
-    converges to ``sep`` and no later state would be flagged unstable, or,
-    without a certificate, stayed within ``SEP_TOL`` of ``sep`` for
-    ``SEP_DWELL`` consecutive states.
+    ``MAX_TIME_REACHED``.  A run that converged entered its energy well,
+    where its system describes one, or the level set of
+    :func:`recovery_certificate` at ``sep``: in either it provably stays,
+    near ``sep``, and no later state would be flagged unstable.  Without
+    either it stayed within ``SEP_TOL`` of ``sep`` for ``SEP_DWELL``
+    consecutive states.
 
     With ``record_flags=True`` every stored state (including the initial one)
     gets a boolean marking whether the Jacobian there has an eigenvalue with

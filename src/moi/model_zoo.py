@@ -215,7 +215,7 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         jacobian_lipschitz=lambda p: (unit_weights, c1),
         escape=(
             lambda p, sep, cfg: _pendulum_escape(c1, c2, p, sep, cfg),
-            functools.partial(_pendulum_crossing, c1),
+            functools.partial(_pendulum_ends, c1),
         ),
     )
 
@@ -229,13 +229,15 @@ _CONE_ROOM = 1.25
 _CONE_SLACK = 1.0 / 64.0
 
 
-def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.ndarray:
-    """Escape rows (saddle, speed, level, gate, low, ka, kb, ia, P, top, mp,
-    m) (K, 12) of pendulum runs at the torques in ``p`` (K, 1) around
-    the SEPs in ``sep`` (K, 2).  A state is in the escape set when it is in
-    the energy set of the first four columns or in the exit cone of the
-    others (:func:`_pendulum_cone`); no state at or before ``low`` is in
-    either.
+def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> tuple:
+    """Rows (saddle, speed, level, gate, low, ka, kb, ia, P, top, mp, m,
+    edge, floor) (K, 14) of pendulum runs at the torques in ``p`` (K, 1)
+    around the SEPs in ``sep`` (K, 2), and the (K,) mask of the runs that
+    have an energy well.  A state is in the escape set when it is in the
+    energy set of the first four columns or in the exit cone of the next
+    eight (:func:`_pendulum_cone`); no state at or before ``low`` is in
+    either.  It is in the run's energy well when t < edge and E < floor
+    (:func:`_pendulum_well`); a run without a well has edge = floor = -inf.
 
     With E = w^2/2 + U(t), U(t) = -c1 cos t - p t, the saddle of the SEP
     representative t_s is t_u = t_s + pi - 2 asin(p/c1), a local maximum of
@@ -283,14 +285,18 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
     t <= gate lies in the set.
 
     A run at a torque p <= 0 or with no SEP (p >= c1), a step outside the
-    three conditions above, or a non-finite input gets all twelve columns
-    inf: no state passes them.  A run outside the conditions of the cone
-    alone gets low = gate and no cone.
+    three conditions above, or a non-finite input gets the first twelve
+    columns inf, except ia = 0 (so that alpha is -inf there, without an
+    invalid operation), and no well: no state passes them.  A run outside
+    the conditions of the cone alone gets low = gate and no cone; one
+    outside those of the well alone gets no well.
     """
     torque, theta_s = p[:, 0], sep[:, 0]
     h, reach, budget = cfg.step, cfg.divergence_norm, _step_budget(cfg)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         half_gap = np.arcsin(torque / c1)
+        # -c1 cos t* at the exact saddle t*
+        a = np.sqrt((c1 - torque) * (c1 + torque))
         saddle = theta_s + np.pi - 2.0 * half_gap
         energy_u = -c1 * np.cos(saddle) - torque * saddle
         rho = _NEWTON_MARGIN * cfg.newton_tol + _RESIDUAL_ROUNDING + 8.0 * _EPS * reach
@@ -310,15 +316,121 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> np.
         ok = (torque > 0.0) & (torque < c1) & (h * c2 < 2.0) & (k < c) & (jump > 0.0)
         ok &= np.isfinite(delta) & np.isfinite(energy_u)
         cone = _pendulum_cone(
-            c1, c2, torque, h, rho, speed, saddle, off,
+            c1, c2, torque, a, h, rho, speed, saddle, off,
             delta + c1 * off**2 / 2.0 + 16.0 * _EPS * magnitude,
         )
-    cone[:, 0] = np.minimum(cone[:, 0], gate)
+        cone[:, 0] = np.minimum(cone[:, 0], gate)
+        well, deep = _pendulum_well(
+            c1, c2, torque, a, cfg, rho, speed, theta_s - half_gap, half_gap, saddle, off,
+            delta, cone[:, 0],
+        )
+    deep &= ok
     energy = np.stack([saddle, speed, energy_u - delta, gate], axis=-1)
-    return np.where(ok[:, None], np.concatenate([energy, cone], axis=1), np.inf)
+    rows = np.concatenate([
+        np.where(ok[:, None], np.concatenate([energy, cone], axis=1), _NO_ESCAPE),
+        np.where(deep[:, None], well, -np.inf),
+    ], axis=1)
+    return rows, deep
 
 
-def _pendulum_cone(c1, c2, torque, h, rho, speed, saddle, off, drop) -> np.ndarray:
+#: the escape columns of a row without an escape set
+_NO_ESCAPE = np.array([np.inf] * 7 + [0.0] + [np.inf] * 4)
+#: the well's margin phi on the Jacobian's abscissa, relative to 1 + c1 + c2
+_WELL_FLAG = 2.0**-36
+
+
+def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, branch, half_gap,
+                   saddle, off, delta, low) -> tuple:
+    """Energy-well columns (edge, floor) (K, 2) of the rows of
+    :func:`_pendulum_escape` and the (K,) mask of the runs that have a
+    well, from that function's terms: ``branch`` = t_s - asin(p/c1), the
+    SEP's branch 2 pi k up to s = ``off``, ``half_gap`` = asin(p/c1),
+    ``a`` = -c1 cos t* at the exact saddle t*, rho, the speed bound
+    B = ``speed``, ``delta`` and the escape row's ``low``.
+
+    A state is flagged (its Jacobian's abscissa exceeds tol =
+    ``cfg.stability_tol``) exactly when a(t) = -c1 cos t > a_f =
+    tol^2 + c2 tol: the larger eigenvalue (-c2 + sqrt(c2^2 + 4 a)) / 2
+    exceeds tol then and only then.  On the SEP's branch the flagged
+    angles begin at t_f = 2 pi k + pi/2 + asin(a_f / c1), between the SEP
+    t_s* and the saddle t*, and U(t_f) = a_f - p t_f.  The well is
+    {t < edge, E < floor}: edge = t_s - asin(p/c1) + pi/2 + asin(a_f / c1)
+    is the computed t_f, within s_f = s + 8 eps (|edge| + 4) of it, and
+    floor = a_f - p edge - delta_w, delta_w = delta + p s_f + phi, with
+    phi = 2^-36 (1 + c1 + c2) (1 + c2 + tol)^2.  With D = U(t_f) - U(t_s*)
+    = a_f + a - p (t_f - t_s*), the well's depth above its SEP, and
+    W = sqrt(2 D), a run has a well when the three conditions of its
+    escape set hold (it uses their rise e per step, N e within delta, and
+    the speed bound) and:
+
+    - no jump: t* - t_f > h W / 2 + rho;
+    - barrier: D < 2 pi p;
+    - slow: W <= B;
+    - within the norm: (S + h B + rho)^2 + B^2 < R^2, with S = max(|t_u -
+      2 pi|, |edge|) + s + s_f, R the divergence norm;
+    - apart: edge + s_f < low and edge + s_f < t_u - s (<= t*).
+
+    The proof covers the computed map over the at most N steps left.  A
+    state that passes the test has an exact energy below U(t_f) - N e -
+    phi: p s_f covers p |edge - t_f|, and the 16 eps M of delta the
+    rounding of E and of floor.  It lies in (t* - 2 pi, t_f), by the
+    first two cases below and t < edge < t*.  Take a state z with exact
+    energy E(z) < U(t_f) - phi - n e, n the steps still left, in
+    (t* - 2 pi, t_f), so that |w| < W <= B (U >= U(t_s*) there).  Its
+    norm, and that of the state z' a step on (|t' - t| <= h B + rho,
+    |w'| <= B), lie below R, so rho bounds the step's residual, and the
+    step raises the energy by at most e (the escape set's proof):
+    E(z') < U(t_f) - phi - (n - 1) e.  Then z' lies in (t* - 2 pi, t_f)
+    too:
+
+    - not in [t_f, t*], where U >= U(t_f) (U increases from t_s* to t*);
+    - not at t <= t* - 2 pi, where U >= U(t_s*) + 2 pi p > U(t_f): as
+      U(t - 2 pi) = U(t) + 2 pi p, the least U left of the previous saddle
+      is that of the previous SEP (barrier);
+    - not past t*: there E < U(t*) gives |w'| < sqrt(c1) (t' - t*), as in
+      the escape set's no-jump lemma, and the step would cover
+      t' - t > (t* - t_f) + (t' - t*) with t' - t <= h (W + sqrt(c1)
+      (t' - t*)) / 2 + rho, which fails by the first condition while
+      h sqrt(c1) < 2.
+
+    So every later state stays in the well of its own SEP, the only
+    equilibrium there (along the exact flow E falls while w != 0, which
+    carries a run to it), never passes the norm, and is never in the
+    escape set, since t < t_f <= edge + s_f < low.  Nor is it flagged:
+    a_f - a(t) = U(t_f) - U(t) + p (t_f - t) > phi, and the larger
+    eigenvalue is concave in a with slope 1 / (c2 + 2 tol) at a_f, so the
+    exact abscissa lies below tol by more than 2^-36 (1 + c1 + c2) times
+    (1 + c2 + tol)^2 / (c2 + 2 tol).  That bounds the error of the
+    computed one: LAPACK's backward error, a few eps of |J| <= 1 + c1 + c2,
+    times the eigenvalue's condition number, at most (1 + c2 + tol)^2 /
+    (c2 + 2 tol) near a_f, where the real eigenvalues lie c2 + 2 tol apart
+    (where they lie close together their real parts are near -c2 / 2).  So
+    j, the flags and the verdict are those of the run continued to its
+    certified end.
+
+    D, W and the gap t* - t_f are computed from p, asin(p/c1) and a,
+    rounded up (D, W) or down (the gap) by a few eps of their terms.  A
+    run outside a condition gets no well, which the caller fills with
+    -inf.
+    """
+    tol, h, reach = cfg.stability_tol, cfg.step, cfg.divergence_norm
+    flat = tol * tol + c2 * tol
+    turn = math.asin(min(flat / c1, 1.0))
+    edge = branch + (0.5 * np.pi + turn)
+    slip = off + 8.0 * _EPS * (np.abs(edge) + 4.0)
+    depth = flat + a - torque * (0.5 * np.pi + turn - half_gap) + 8.0 * _EPS * (c1 + 4.0 * torque)
+    top = np.sqrt(2.0 * depth) * (1.0 + 4.0 * _EPS)
+    phi = _WELL_FLAG * (1.0 + c1 + c2) * (1.0 + c2 + tol) ** 2
+    floor = flat - torque * edge - (delta + torque * slip + phi)
+    span = np.maximum(np.abs(saddle - 2.0 * np.pi), np.abs(edge)) + off + slip
+    ok = 0.5 * np.pi - half_gap - turn - 8.0 * _EPS > 0.5 * h * top + rho
+    ok &= depth < 2.0 * np.pi * torque * (1.0 - 4.0 * _EPS)
+    ok &= (top <= speed) & ((span + h * speed + rho) ** 2 + speed**2 < reach**2)
+    ok &= (edge + slip < np.minimum(low, saddle - off)) & np.isfinite(floor)
+    return np.stack([edge, floor], axis=-1), ok
+
+
+def _pendulum_cone(c1, c2, torque, a, h, rho, speed, saddle, off, drop) -> np.ndarray:
     """Exit-cone columns (low, ka, kb, ia, P, top, mp, m) (K, 8) of the
     escape rows of :func:`_pendulum_escape`, for runs whose energy sets
     hold below the level at least ``drop`` under the exact saddle's energy
@@ -404,9 +516,9 @@ def _pendulum_cone(c1, c2, torque, h, rho, speed, saddle, off, drop) -> np.ndarr
     top = -inf, mp = m = inf and the other columns 0.  Otherwise low =
     t_u - 1.001 (1 / (4 Pe) + eps_c) - 4 eps |t_u| (the row takes it if
     below the gate): every state of C has d = alpha + beta >= alpha -
-    sqrt(alpha / Pe) >= -1 / (4 Pe), so t >= t_u - s - 1 / (4 Pe).
+    sqrt(alpha / Pe) >= -1 / (4 Pe), so t >= t_u - s - 1 / (4 Pe).  ``a``
+    is sqrt(c1^2 - p^2).
     """
-    a = np.sqrt((c1 - torque) * (c1 + torque))
     s_ = np.sqrt(c2 * c2 + 4.0 * a)
     lam, kap = 2.0 * a / (s_ + c2), 0.5 * (s_ + c2)
     fall = 1.0 - 0.5 * h * lam
@@ -450,49 +562,58 @@ def _pendulum_cone(c1, c2, torque, h, rho, speed, saddle, off, drop) -> np.ndarr
 
 def _pendulum_energy(c1: float, x, p):
     """E = w^2/2 - c1 cos t - p t at states ``x`` (K, 2), torques ``p`` (K, 1)."""
-    return 0.5 * x.T[1] * x.T[1] - c1 * np.cos(x.T[0]) - p.T[0] * x.T[0]
+    t, w = x.T
+    return 0.5 * w * w - c1 * np.cos(t) - p.T[0] * t
 
 
 def _cone_excess(x, rows):
     """phi = min(alpha - P beta^2 - mp, alpha - m) of :func:`_pendulum_cone`
-    at the states ``x`` (K, 2) for the escape ``rows`` (K, 12)."""
+    at the states ``x`` (K, 2) for the ``rows`` (K, 14)."""
     d = x[:, 0] - rows[:, 0]
     alpha = rows[:, 5] * d + rows[:, 7] * x[:, 1]
     beta = rows[:, 6] * d - rows[:, 7] * x[:, 1]
     return np.minimum(alpha - rows[:, 8] * (beta * beta) - rows[:, 10], alpha - rows[:, 11])
 
 
-def _pendulum_crossing(c1: float, x_prev, x, p, rows):
-    """The ``crossing`` of ``ParameterizedSystem.escape`` for K pendulum
-    runs with the escape ``rows`` of :func:`_pendulum_escape`, in the step
-    from ``x_prev`` to ``x`` (both (K, 2)).
+def _pendulum_ends(c1: float, x_prev, x, p, rows) -> tuple:
+    """The ``ends`` of ``ParameterizedSystem.escape`` for K pendulum runs
+    with the ``rows`` of :func:`_pendulum_escape`, in the step from
+    ``x_prev`` to ``x`` (both (K, 2)): the escape fractions, or None when
+    no run is in its escape set, and the mask of the runs in their energy
+    wells, or None when no state lies before its well's edge.
 
-    A state is in its set when it is in the energy set (t > saddle,
-    |w| <= speed and E < level) or in the exit cone (0 < alpha <= top and
-    phi = min(alpha - P beta^2 - mp, alpha - m) >= 0).  No state at or
-    before its low end is in either, so nothing is evaluated for a step
-    with every state there.  alpha is evaluated at the states past their
-    low end, phi at those with 0 < alpha <= top (a recovering run that
-    lingers by its saddle mostly has alpha < 0), and phi once more at the
-    previous state of a run that entered the cone: if it was negative,
+    A state is in its escape set when it is in the energy set (t > saddle,
+    |w| <= speed and E < level) or in the exit cone (alpha <= top and
+    phi = min(alpha - P beta^2 - mp, alpha - m) >= 0), and in its well
+    when t < edge and E < floor.  No state at or before its low end is in
+    the escape set, and none at or past its edge in its well, so nothing
+    is evaluated for a step with every state in between.  Otherwise E is
+    evaluated once, at every state, for both sets, and alpha at every
+    state when some state lies past its low end.  Index arrays are made
+    only for the states that pass a prefilter: m <= alpha <= top for the
+    cone (phi >= 0 needs alpha >= m), and t > gate and E < level for the
+    energy set (no state at or before its gate is in it, the gate's
+    proof).  phi is evaluated at the former, and once more at the previous
+    state of a run that entered the cone: if it was negative,
     f = phi_- / (phi_- - phi_n) places the entry by linear interpolation.
-    No state at or before its gate is in the energy set (the gate's proof),
-    so E is evaluated only at the states past their gate, and at the
-    previous state of a run that entered the energy set from a state past
-    its saddle: if that energy E_- lay above the level,
-    f = (E_- - level) / (E_- - E_n).  Otherwise f = 1, and a run that
-    entered both sets takes the earlier entry.
+    E is evaluated once more at the previous state of a run that entered
+    the energy set from a state past its saddle: if that energy E_- lay
+    above the level, f = (E_- - level) / (E_- - E_n).  Otherwise f = 1, and
+    a run that entered both sets takes the earlier entry.
     """
-    near = x[:, 0] > rows[:, 4]
+    t = x[:, 0]
+    well = t < rows[:, 12]
+    near = t > rows[:, 4]
     if not _count_nonzero(near):
-        return None
-    at = np.flatnonzero(near)
-    y, r = x[at], rows[at]
-    alpha = r[:, 5] * (y[:, 0] - r[:, 0]) + r[:, 7] * y[:, 1]
+        if not _count_nonzero(well):
+            return None, None
+        return None, well & (_pendulum_energy(c1, x, p) < rows[:, 13])
+    energy = _pendulum_energy(c1, x, p)
+    alpha = rows[:, 5] * (t - rows[:, 0]) + rows[:, 7] * x[:, 1]
     fraction = None
-    reached = (alpha > 0.0) & (alpha <= r[:, 9])
+    reached = (alpha >= rows[:, 11]) & (alpha <= rows[:, 9])
     if _count_nonzero(reached):
-        cone = at[reached]
+        cone = np.flatnonzero(reached)
         phi = _cone_excess(x[cone], rows[cone])
         inside = phi >= 0.0
         if _count_nonzero(inside):
@@ -502,24 +623,23 @@ def _pendulum_crossing(c1: float, x_prev, x, p, rows):
             np.divide(before, before - phi, out=f, where=before < 0.0)
             fraction = np.full(len(x), np.nan)
             fraction[cone] = f
-    past = y[:, 0] > r[:, 3]
+    past = (t > rows[:, 3]) & (energy < rows[:, 2])
     if _count_nonzero(past):
-        past = at[past]
-        y, r = x[past], rows[past]
-        energy = _pendulum_energy(c1, y, p[past])
-        inside = (np.abs(y[:, 1]) <= r[:, 1]) & (energy < r[:, 2])
+        past = np.flatnonzero(past)
+        inside = np.abs(x[past, 1]) <= rows[past, 1]
         if _count_nonzero(inside):
             entered = past[inside]
-            energy, (saddle, _, level) = energy[inside], r[inside, :3].T
+            (saddle, _, level) = rows[entered, :3].T
             timed = x_prev[entered, 0] > saddle
             previous = np.full(len(entered), np.nan)
             previous[timed] = _pendulum_energy(c1, x_prev[entered[timed]], p[entered[timed]])
             f = np.ones(len(entered))
-            np.divide(previous - level, previous - energy, out=f, where=previous > level)
+            np.divide(previous - level, previous - energy[entered], out=f,
+                      where=previous > level)
             if fraction is None:
                 fraction = np.full(len(x), np.nan)
             fraction[entered] = np.fmin(fraction[entered], f)
-    return fraction
+    return fraction, well & (energy < rows[:, 13])
 
 
 # ---------------------------------------------------------------------------

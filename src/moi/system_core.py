@@ -76,21 +76,31 @@ class ParameterizedSystem:
         (:func:`moi.integrator.recovery_certificate`), and ends a
         trajectory that enters it.
     escape
-        Optional pair (rows, crossing), filled in by the model constructors
-        where the model proves escape (the pendulum: below its saddle's
-        energy past the saddle, or in an exit cone around the saddle's
-        unstable eigenvector from which the computed map carries it there;
+        Optional pair (rows, ends), filled in by the model constructors
+        where the model proves escape, and recovery in an energy well (the
+        pendulum: below its saddle's energy past the saddle, or in an exit
+        cone around the saddle's unstable eigenvector from which the
+        computed map carries it there; recovered below the energy of its
+        first flagged angle, between the saddles on either side of its SEP;
         the swing network's transfer conductances admit no exact energy
-        function, and it has no escape set).  ``rows(p, sep, cfg)`` gives one row per run (K, r) for K
-        runs at the rows of p (K, m) around the stable equilibria in the
-        rows of sep (K, n); the integrator keeps them and reads none of
-        their columns.  ``crossing(x_prev, x, p, rows)`` takes K runs'
-        states (K, n) before and after one computed trapezoidal step.  It
-        returns None when no run is in its escape set, else a (K,) array:
-        nan outside the set and, inside it, the fraction f in (0, 1] of
-        the step at which the run entered (1 where that cannot be placed).
-        A run inside never returns to its equilibrium, and the integrator
-        ends it ``DIVERGED``.
+        function, and it has neither).  ``rows(p, sep, cfg)`` gives one row
+        per run (K, r) for K runs at the rows of p (K, m) around the stable
+        equilibria in the rows of sep (K, n), and the (K,) mask of the runs
+        that have a well; the integrator keeps both and reads none of the
+        rows' columns.  ``ends(x_prev, x, p, rows)``, called once per step,
+        takes K runs' states (K, n) before and after one computed
+        trapezoidal step and returns a pair.  Its first entry is None when
+        no run is in its escape set, else a (K,) array: nan outside the
+        set and, inside it, the fraction f in (0, 1] of the step at which
+        the run entered (1 where that cannot be placed).  A run inside
+        never returns to its equilibrium, and the integrator ends it
+        ``DIVERGED``.  Its second entry is None or a (K,) mask of the runs
+        in their wells; a run without a well is never in it.  A run in its
+        well stays there over the rest of its budget, never enters its
+        escape set, and has no later state with a flagged Jacobian, so the
+        integrator ends it ``CONVERGED_TO_SEP``.  For a run with a well
+        this is its only recovery rule: it has no certified set, and the
+        dwell rule does not apply to it.
     """
 
     state_dim: int

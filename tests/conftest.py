@@ -7,6 +7,8 @@ model) are computed once and shared across test modules.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,30 +52,45 @@ def central_differences(sys_, x, p, step=1e-6):
 
 def certificate_of(sys_, p, cfg, sep):
     """The (form, level) certificate ``simulate`` uses for ``sys_`` at
-    parameter ``p`` and equilibrium ``sep``."""
+    parameter ``p`` and equilibrium ``sep`` when the run has no energy
+    well (a run with one has no certificate)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
-    form, level, _, _ = _recovery_sets(sys_, p[None], sep[None], cfg)
+    form, level = _recovery_sets(replace(sys_, escape=None), p[None], sep[None], cfg)[:2]
     return form[0], level[0]
 
 
 def escape_row(sys_, p, cfg, sep):
     """The escape row ``simulate`` uses for ``sys_`` at parameter ``p`` and
-    equilibrium ``sep``: for the pendulum (saddle, speed, level, gate)."""
+    equilibrium ``sep``: for the pendulum (saddle, speed, level, gate),
+    the exit cone's eight columns and the well's (edge, floor)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
     return _recovery_sets(sys_, p[None], sep[None], cfg)[3][0]
 
 
+def has_well(sys_, p, cfg, sep) -> bool:
+    """Whether a run of ``sys_`` at ``p`` around ``sep`` has an energy well."""
+    p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
+    return bool(_recovery_sets(sys_, p[None], sep[None], cfg)[4][0])
+
+
+def model_ends(sys_, p, cfg, sep, states):
+    """The system's ``ends`` (escape fractions, recovered mask) of the
+    steps between consecutive ``states`` of a run at ``p`` around ``sep``."""
+    x = np.asarray(states, dtype=float)
+    k = len(x) - 1
+    rows = np.tile(escape_row(sys_, p, cfg, sep), (k, 1))
+    return sys_.escape[1](x[:-1], x[1:], np.tile(p, (k, 1)), rows)
+
+
 def assert_escape_end(sys_, p, cfg, sep, states):
     """``states`` (initial state first) end where the divergence rule ends
-    them: at the first later state that the system's ``crossing`` puts in
+    them: at the first later state that the system's ``ends`` puts in
     the escape set of ``sep``, or beyond ``cfg.divergence_norm``, whichever
     comes first."""
     x = np.asarray(states, dtype=float)
     ends = _norm(x[1:]) > cfg.divergence_norm
     if sys_.escape is not None:
-        k = len(x) - 1
-        rows = np.tile(escape_row(sys_, p, cfg, sep), (k, 1))
-        entered = sys_.escape[1](x[:-1], x[1:], np.tile(p, (k, 1)), rows)
+        entered = model_ends(sys_, p, cfg, sep, x)[0]
         if entered is not None:
             ends |= np.isfinite(entered)
     assert np.flatnonzero(ends).tolist()[:1] == [len(x) - 2]
@@ -81,10 +98,17 @@ def assert_escape_end(sys_, p, cfg, sep, states):
 
 def assert_recovery_end(sys_, p, cfg, sep, states):
     """``states`` (initial state first) end where the recovery rule ends
-    them: at the first later state inside the certified set of ``sep``, or
-    at the first one that completes ``SEP_DWELL`` consecutive states
-    within ``SEP_TOL`` of it, whichever comes first."""
-    d = _offset(np.asarray(states[1:], dtype=float), sep, _wrap_index(sys_))
+    them: for a run with an energy well, at the first later state that the
+    system's ``ends`` puts in it; otherwise at the first later state inside
+    the certified set of ``sep``, or at the first one that completes
+    ``SEP_DWELL`` consecutive states within ``SEP_TOL`` of it, whichever
+    comes first."""
+    x = np.asarray(states, dtype=float)
+    if has_well(sys_, p, cfg, sep):
+        recovered = model_ends(sys_, p, cfg, sep, x)[1]
+        assert np.flatnonzero(recovered).tolist()[:1] == [len(x) - 2]
+        return
+    d = _offset(x[1:], sep, _wrap_index(sys_))
     ends = np.zeros(len(d), dtype=bool)
     if sys_.jacobian_lipschitz is not None:
         form, level = certificate_of(sys_, p, cfg, sep)

@@ -36,7 +36,7 @@ from moi.integrator import (
 )
 from moi.spectral import DEFAULT_STABILITY_TOL
 
-from conftest import assert_recovery_end, certificate_of, make_tent_toy
+from conftest import assert_recovery_end, certificate_of, escape_row, has_well, make_tent_toy
 
 #: adjacent doubles bracketing the pendulum boundary at h = 0.02, and the
 #: 9-bus boundary found by ``moi mode`` from 1.0 at h = 1/60, tol 1e-6
@@ -243,9 +243,10 @@ def test_no_certificate_without_a_stable_finite_linearisation():
 def test_certified_end_continued_by_the_dwell_rule_converges_unflagged(
     which, pendulum, pend_cfg, grid, grid_cfg
 ):
-    """The trajectory the dwell rule alone would give (no certificate)
-    starts with the certified one, state for state and flag for flag,
-    converges, and flags no state past the certified end: j is unchanged."""
+    """The trajectory the dwell rule alone would give (no certificate and,
+    for the pendulum, no energy well) starts with the recovered one, state
+    for state and flag for flag, converges, and flags no state past the
+    recovered end: j is unchanged."""
     sys_, p, cfg = {
         "pendulum-1.5": (pendulum, np.array([1.5]), pend_cfg),
         "pendulum-star": (pendulum, np.array([PEND_P_STAR]), pend_cfg),
@@ -253,7 +254,8 @@ def test_certified_end_continued_by_the_dwell_rule_converges_unflagged(
     }[which]
     sep = find_sep(sys_, p)
     short = simulate(sys_, p, cfg, sep, record_flags=True)
-    long = simulate(replace(sys_, jacobian_lipschitz=None), p, cfg, sep, record_flags=True)
+    bare = replace(sys_, jacobian_lipschitz=None, escape=None)
+    long = simulate(bare, p, cfg, sep, record_flags=True)
     assert short.termination is long.termination is Termination.CONVERGED_TO_SEP
     n = len(short)
     assert n < len(long)
@@ -265,8 +267,9 @@ def test_certified_end_continued_by_the_dwell_rule_converges_unflagged(
 
 
 def test_lockstep_members_end_as_simulate_ends_them(pendulum, pend_cfg, grid, grid_cfg):
-    """Members that end on their certificate, fail or run out of time end
-    bitwise as simulate ends them, in pendulum and 9-bus batches."""
+    """Members that end on their certificate or in their energy well, fail
+    or run out of time end bitwise as simulate ends them, in pendulum and
+    9-bus batches."""
     for sys_, cfg, values in (
         (pendulum, pend_cfg, [1.2, 1.5, PEND_P_STAR, 1.6, 1.7]),
         (grid, grid_cfg, [0.3, NINE_BUS_P_STAR, 0.7, 1.0]),
@@ -288,24 +291,30 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, pend_cfg, grid, gr
             if traj.termination is Termination.CONVERGED_TO_SEP:
                 form, level = certificate_of(sys_, p, cfg, sep)
                 d = _offset(traj.states[-1], sep, _wrap_index(sys_))
-                in_set = _quadratic(form, d) <= level
+                in_set = has_well(sys_, p, cfg, sep) or _quadratic(form, d) <= level
                 assert ends[k].rule == ("certified" if in_set else "dwell")
+                assert_recovery_end(sys_, p, cfg, sep, traj.states)
                 certified += in_set
         assert certified >= 1
 
 
 def test_one_config_gives_one_end(pendulum, pend_cfg):
     """A stability margin of 0.1 in the config shrinks the pendulum's
-    certified set, so the run ends later; simulate, a Lockstep member and
-    classify_recovery without a run all end it at the same state and time."""
+    certified set and moves its well's edge past more angles, which are
+    no longer flagged, so the run ends sooner; simulate, a Lockstep member
+    and classify_recovery without a run all end it at the same state and
+    time."""
     p = np.array([1.5])
     sep = find_sep(pendulum, p)
     cfg = replace(pend_cfg, stability_tol=0.1)
     _, level = certificate_of(pendulum, p, cfg, sep)
     assert 0.0 < level < certificate_of(pendulum, p, pend_cfg, sep)[1]
+    edge, floor = escape_row(pendulum, p, cfg, sep)[12:]
+    default_edge, default_floor = escape_row(pendulum, p, pend_cfg, sep)[12:]
+    assert edge > default_edge and floor > default_floor
     traj = simulate(pendulum, p, cfg, sep)
     assert traj.termination is Termination.CONVERGED_TO_SEP
-    assert len(traj) > len(simulate(pendulum, p, pend_cfg, sep))
+    assert len(traj) < len(simulate(pendulum, p, pend_cfg, sep))
     assert_recovery_end(pendulum, p, cfg, sep, traj.states)
     lock = Lockstep(pendulum, cfg)
     (k,) = lock.add(p[None], sep[None]).tolist()

@@ -1,8 +1,9 @@
 """The certificates' proofs, checked term by term: each checker works out
 again, from the inputs of ``integrator.recovery_certificate`` or
-``model_zoo._pendulum_escape`` (with its exit cone, ``_pendulum_cone``),
-every term that its docstring proof uses, and asserts each of the proof's
-inequalities for the level or escape row that it returned.
+``model_zoo._pendulum_escape`` (with its exit cone, ``_pendulum_cone``, and
+its energy well, ``_pendulum_well``), every term that its docstring proof
+uses, and asserts each of the proof's inequalities for the level or row
+that it returned.
 
 The boundary tests elsewhere check single states and single steps, which
 a set with the right margins passes even where a term of its proof is
@@ -28,7 +29,7 @@ from moi import (
 )
 from moi.integrator import recovery_certificate
 
-from conftest import escape_row
+from conftest import escape_row, has_well
 
 EPS = np.finfo(float).eps
 PARAMS = PendulumParams()
@@ -142,7 +143,7 @@ def check_exit_cone_proof(c1, c2, torque, sep, cfg, row) -> bool:
     ``torque`` around ``sep``, whose energy set ``check_escape_proof``
     checks.  Returns whether the row has a cone; a row without one has
     top = -inf and mp = m = inf."""
-    saddle, speed, level, gate, low, ka, kb, ia, wide, top, margin, m = row
+    saddle, speed, level, gate, low, ka, kb, ia, wide, top, margin, m = row[:12]
     if not np.isfinite(m):
         assert top == -np.inf and margin == np.inf and low == gate
         return False
@@ -214,6 +215,99 @@ def check_exit_cone_proof(c1, c2, torque, sep, cfg, row) -> bool:
     assert (lam + kap * gamma) * a_top <= speed
     # every state of C has t - t* >= -1 / (4 Pe): it lies past low, at most the gate
     assert low <= saddle - off - 0.25 / pe and low <= gate
+    return True
+
+
+def well_angles(c1, c2, torque, sep, tol):
+    """The SEP t_s, the saddle t* and the edge t_f of the flagged angles on
+    the branch 2 pi k of the SEP ``sep``: the abscissa exceeds tol exactly
+    where -c1 cos t > a_f = tol^2 + c2 tol, between t_f and 2 pi - t_f (here
+    by arccos)."""
+    branch = 2.0 * np.pi * np.round((sep[0] - np.arcsin(torque / c1)) / (2.0 * np.pi))
+    t_f = branch + np.arccos(-(tol * tol + c2 * tol) / c1)
+    return branch + np.arcsin(torque / c1), branch + np.pi - np.arcsin(torque / c1), t_f
+
+
+def well_conditions(c1, c2, torque, sep, cfg, low) -> dict:
+    """The conditions of ``_pendulum_well``'s proof, each as (value,
+    bound), which holds when value < bound, for a run at ``torque`` around
+    ``sep`` whose escape row has the low end ``low``."""
+    h, reach = cfg.step, cfg.divergence_norm
+    t_s, t_star, t_f = well_angles(c1, c2, torque, sep, cfg.stability_tol)
+    u = lambda t: -c1 * np.cos(t) - torque * t  # noqa: E731
+    rho = 2.0 * cfg.newton_tol + 1e-12 + 8.0 * EPS * reach
+    big_b = (c1 + abs(torque) + rho / h) / c2
+    top = np.sqrt(2.0 * (u(t_f) - u(t_s)))
+    span = max(abs(t_star - 2.0 * np.pi), abs(t_f))
+    return {
+        "jump": (h * top / 2.0 + rho, t_star - t_f),
+        "barrier": (u(t_f), u(t_s) + 2.0 * np.pi * torque),
+        "slow": (top, big_b),
+        "norm": ((span + h * big_b + rho) ** 2 + big_b**2, reach**2),
+        "apart": (t_f, low),
+    }
+
+
+def check_energy_well_proof(c1, c2, torque, sep, cfg, row, well, slack=0.0) -> bool:
+    """Every inequality of ``_pendulum_well``'s proof for the energy well
+    (edge, floor) of the row built for a run at ``torque`` around ``sep``,
+    whose escape set ``check_escape_proof`` checks; ``well`` says whether
+    the run has a well.  The exact SEP, saddle and flagged edge are worked
+    out here by another route (arccos for the edge).  A run with a well
+    meets every condition; one without a well fails one of them, or meets
+    it within ``slack`` of its size, or has no escape set.  Returns
+    ``well``; a row without a well has edge = floor = -inf."""
+    saddle, speed, level, gate, low = row[:5]
+    edge, floor = row[12:]
+    if not well:
+        assert edge == floor == -np.inf
+        if not np.isfinite(saddle):
+            return False
+    h, reach, tol = cfg.step, cfg.divergence_norm, cfg.stability_tol
+    budget = np.floor(cfg.max_time / h + 1e-9)
+    t_s, t_star, t_f = well_angles(c1, c2, torque, sep, tol)
+    flat = tol * tol + c2 * tol
+    for t, above in ((t_f - 1e-6, False), (t_f + 1e-6, True)):
+        jac = np.array([[0.0, 1.0], [-c1 * np.cos(t), -c2]])
+        assert (np.linalg.eigvals(jac).real.max() > tol) == above
+    u = lambda t: -c1 * np.cos(t) - torque * t  # noqa: E731
+    # the escape set's terms: rho, B, the rise e per step, the offset s
+    rho = 2.0 * cfg.newton_tol + 1e-12 + 8.0 * EPS * reach
+    big_b = (c1 + abs(torque) + rho / h) / c2
+    c, k = c2 / h, c1 * (h * big_b + rho) / 12.0
+    rise = rho * (c1 + abs(torque) + big_b + rho * c * k / (c - k))
+    off = abs(sep[0] - t_s) + 8.0 * EPS * (max(abs(sep[0]), abs(saddle)) + 4.0)
+    magnitude = reach**2 + 2.0 * c1 + abs(torque) * (reach + abs(saddle))
+    conditions = well_conditions(c1, c2, torque, sep, cfg, low)
+    if not well:
+        assert any(value >= bound - slack * abs(bound) for value, bound in conditions.values())
+        return False
+    assert h * c2 < 2.0 and k < c and 2.0 - h * np.sqrt(c1) > 0.0
+    for name, (value, bound) in conditions.items():
+        assert value < bound, name
+    # the edge lies within s_f of t_f
+    slip = off + 8.0 * EPS * (abs(edge) + 4.0)
+    assert abs(edge - t_f) <= slip
+    assert edge + slip <= min(low, t_star)
+    # the floor lies below U(t_f) by N e, phi and the rounding of E and of
+    # the floor: every later state keeps E < U(t_f) - phi
+    phi = 2.0**-36 * (1.0 + c1 + c2) * (1.0 + c2 + tol) ** 2
+    assert u(t_f) - floor >= (budget * rise + phi + 16.0 * EPS * magnitude
+                              - 2.0 * np.spacing(abs(floor)))
+    # below t_f with E < U(t_f) - phi: a_f - a(t) = U(t_f) - U(t) + p (t_f - t)
+    # > phi, so the exact abscissa lies below tol by phi / (c2 + 2 tol),
+    # which bounds the computed one's error with room
+    lam = (-c2 + np.sqrt(c2 * c2 + 4.0 * (flat - phi))) / 2.0
+    assert tol - lam >= 0.99 * phi / (c2 + 2.0 * tol)
+    assert phi / (c2 + 2.0 * tol) >= 2.0**-36 * (1.0 + c1 + c2)
+    # the barrier: left of the previous saddle U is least at the previous
+    # SEP, U(t_s) + 2 pi p, here checked on a grid over two turns
+    left = t_star - 2.0 * np.pi - np.linspace(0.0, 4.0 * np.pi, 4001)
+    assert u(left).min() >= u(t_s) + 2.0 * np.pi * torque - 1e-9
+    assert u(t_s) + 2.0 * np.pi * torque > floor
+    # U rises from t_s to t*, so no state below U(t_f) lies in [t_f, t*]
+    inner = np.linspace(t_f, t_star, 4001)
+    assert (u(inner) >= u(t_f) - 1e-12).all()
     return True
 
 
@@ -290,6 +384,8 @@ def test_pendulum_escape_row_meets_its_proof(
     assert np.isfinite(row[:4]).all()
     check_escape_proof(C1, C2, torque, sep, cfg, row)
     check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
+    check_energy_well_proof(C1, C2, torque, sep, cfg, row, has_well(SYS, [torque], cfg, sep),
+                            slack=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -302,10 +398,13 @@ def test_escape_row_at_the_edge_of_each_condition_meets_its_proof(params, torque
     """Steps just inside each of the three conditions of the proof."""
     cfg = IntegratorConfig(step=step, divergence_norm=PENDULUM_DIVERGENCE_NORM)
     sep = pendulum_sep(params, torque)
-    row = escape_row(pendulum_system(params), [torque], cfg, sep)
+    sys_ = pendulum_system(params)
+    row = escape_row(sys_, [torque], cfg, sep)
     assert np.isfinite(row[:4]).all()
     check_escape_proof(params.c1, params.c2, torque, sep, cfg, row)
     check_exit_cone_proof(params.c1, params.c2, torque, sep, cfg, row)
+    check_energy_well_proof(params.c1, params.c2, torque, sep, cfg, row,
+                            has_well(sys_, [torque], cfg, sep), slack=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,3 +451,68 @@ def test_exit_cone_at_the_edge_of_each_condition_meets_its_proof(inside, outside
     torque, cfg, sep, row = cone_row(**outside)
     assert np.isfinite(row[:4]).all()
     assert not check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    torque=st.floats(0.1, 1.99),
+    turns=st.integers(-2, 2),
+    sep_error=st.sampled_from([0.0, 1e-9, -1e-9]),
+    step=st.sampled_from([0.02, 0.08, 0.2, 0.4]),
+    max_time=st.sampled_from([20.0, 200.0]),
+)
+@example(torque=1.99, turns=0, sep_error=1e-9, step=0.4, max_time=200.0)
+@example(torque=0.1, turns=-2, sep_error=-1e-9, step=0.02, max_time=200.0)
+def test_energy_well_meets_its_proof(torque, turns, sep_error, step, max_time):
+    """At the benchmark's Newton tolerance, budgets up to its own and the
+    steps of the sweep inside the escape set's conditions, with SEPs off
+    the exact one: every run above the barrier's torque, about 0.2567 at
+    c1 = 2, has a well, and every row meets the well's proof."""
+    cfg = IntegratorConfig(step=step, max_time=max_time,
+                           divergence_norm=PENDULUM_DIVERGENCE_NORM)
+    sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns + sep_error, 0.0]
+    row = escape_row(SYS, [torque], cfg, sep)
+    check_escape_proof(C1, C2, torque, sep, cfg, row)
+    well = has_well(SYS, [torque], cfg, sep)
+    assert check_energy_well_proof(C1, C2, torque, sep, cfg, row, well, slack=1e-9) == well
+    assert well == (torque > 0.2567491071082132)
+
+
+@pytest.mark.parametrize(
+    "name, params, torque, inside, outside",
+    [("barrier", PARAMS, None, {"torque": 0.25674910710821325},
+      {"torque": 0.2567491071082132}),
+     ("jump", PARAMS, 1.5, {"stability_tol": 0.7877029918088867, "step": 0.4},
+      {"stability_tol": 0.7877029918088868, "step": 0.4}),
+     ("slow", PendulumParams(c1=0.5, c2=3.9), None,
+      {"torque": 0.42414067330767546, "step": 0.5}, {"torque": 0.4241406733076754, "step": 0.5}),
+     ("norm", PARAMS, 1.5, {"divergence_norm": 8.127364161555917},
+      {"divergence_norm": 8.127364161555915})],
+    ids=["barrier", "jump", "slow", "norm"],
+)
+def test_energy_well_at_the_edge_of_each_condition_meets_its_proof(
+    name, params, torque, inside, outside
+):
+    """Just inside each condition of the well that binds for some run (the
+    edge stays clear of the escape set's low end wherever the jump holds):
+    a well that meets the proof; just outside, no well, while the escape
+    set stays, and the named condition fails up to the rounding of its
+    terms."""
+    sys_ = pendulum_system(params)
+
+    def well_row(torque=torque, step=0.02, **settings_):
+        settings_.setdefault("divergence_norm", PENDULUM_DIVERGENCE_NORM)
+        cfg = IntegratorConfig(step=step, **settings_)
+        sep = pendulum_sep(params, torque)
+        return torque, cfg, sep, escape_row(sys_, [torque], cfg, sep)
+
+    for case, expected in ((inside, True), (outside, False)):
+        p, cfg, sep, row = well_row(**case)
+        assert np.isfinite(row[:4]).all()
+        check_escape_proof(params.c1, params.c2, p, sep, cfg, row)
+        well = has_well(sys_, [p], cfg, sep)
+        assert well == expected
+        assert check_energy_well_proof(params.c1, params.c2, p, sep, cfg, row, well,
+                                       slack=1e-12) == well
+        value, bound = well_conditions(params.c1, params.c2, p, sep, cfg, row[4])[name]
+        assert abs(value - bound) <= 1e-12 * abs(bound)

@@ -28,9 +28,11 @@ from moi import (
     step_trapezoidal,
 )
 from moi import model_zoo
+from moi.instability_mode import average_jacobian
 from moi.integrator import Lockstep, _recovery_sets
+from moi.spectral import _eigvals
 
-from conftest import escape_row, make_tent_toy
+from conftest import escape_row, make_tent_toy, model_ends
 
 #: adjacent doubles bracketing the pendulum boundary at h = 0.02
 PEND_P_STAR = 1.5686593295631313
@@ -64,10 +66,24 @@ def row(torque, cfg, turns=0):
 
 
 def energy_only(saddle, speed, level, gate):
-    """An escape row with this energy set and no exit cone.  A made-up
+    """A row with this energy set, no exit cone and no well.  A made-up
     saddle "before every state" is -1e300, not -inf, so that the cone's
     coordinates stay finite."""
-    return [saddle, speed, level, gate, gate, 0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf]
+    return [saddle, speed, level, gate, gate, 0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf,
+            -np.inf, -np.inf]
+
+
+def rows_of(row):
+    """The ``rows`` callable of an escape hook that gives every run ``row``
+    and no well."""
+    return lambda p, sep, cfg_: (np.tile(row, (len(p), 1)), np.zeros(len(p), dtype=bool))
+
+
+def no_sets(row) -> bool:
+    """Whether ``row`` is that of a run with no escape set and no well:
+    the escape columns inf, except ia = 0, and the well's -inf."""
+    return (np.isinf(np.delete(row[:12], 7)).all() and row[7] == 0.0
+            and (row[12:] == -np.inf).all())
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +184,7 @@ def test_no_certificate_for_a_step_outside_the_conditions(params, torque, inside
     sys_ = pendulum_system(params)
     sep = pendulum_sep(params, torque)
     assert np.isfinite(escape_row(sys_, [torque], config(inside), sep)[:4]).all()
-    assert np.isinf(escape_row(sys_, [torque], config(outside), sep)).all()
+    assert no_sets(escape_row(sys_, [torque], config(outside), sep))
 
 
 @pytest.mark.parametrize(
@@ -187,7 +203,7 @@ def test_no_certificate_for_a_step_outside_the_conditions(params, torque, inside
 )
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the Lyapunov set at inf
 def test_no_certificate_for_a_torque_at_most_zero_or_a_non_finite_input(torque, sep, cfg):
-    assert np.isinf(escape_row(SYS, [torque], cfg, sep)).all()
+    assert no_sets(escape_row(SYS, [torque], cfg, sep))
 
 
 def test_models_without_an_energy_function_have_no_escape_set(nine_bus):
@@ -200,10 +216,14 @@ def test_models_without_an_energy_function_have_no_escape_set(nine_bus):
     assert _recovery_sets(grid, p, sep, cfg)[3].shape == (1, 0)
 
 
-def test_energy_is_evaluated_only_on_states_past_the_gate(pendulum, pend_cfg, monkeypatch):
-    """E is evaluated at exactly the states past their gate, and once more
-    at the previous state of each escape timed within its step (a state
-    past its saddle)."""
+def test_energy_is_evaluated_once_per_step_where_a_set_can_hold_a_state(
+    pendulum, pend_cfg, monkeypatch
+):
+    """E is evaluated once per step, at every state, on exactly the steps
+    with a state before its well's edge or past its escape set's low end,
+    and once more at the previous state of each escape timed within its
+    step (a state past its saddle): for a run that recovers in its well and
+    one that escapes."""
     calls = []
     energy_fn = model_zoo._pendulum_energy
 
@@ -212,19 +232,23 @@ def test_energy_is_evaluated_only_on_states_past_the_gate(pendulum, pend_cfg, mo
         return energy_fn(c1, x, p)
 
     monkeypatch.setattr(model_zoo, "_pendulum_energy", spy)
-    sep = find_sep(pendulum, [1.5])
-    assert simulate(pendulum, [1.5], pend_cfg, sep).termination is Termination.CONVERGED_TO_SEP
-    assert calls == []
-    sep = find_sep(pendulum, [1.7])
-    traj = simulate(pendulum, [1.7], pend_cfg, sep)
-    saddle, _, _, gate = escape_row(pendulum, [1.7], pend_cfg, sep)[:4]
-    assert gate > saddle
-    past = [x for x in traj.states[1:] if x[0] > gate]
-    # the run escapes from a state past its saddle: one timed escape
-    assert traj.termination is Termination.DIVERGED and traj.states[-2][0] > saddle
-    evaluated = np.concatenate(calls)
-    assert len(evaluated) == len(past) + 1 and len(past) > 1
-    assert np.array_equal(evaluated, np.array(past + [traj.states[-2]]))
+    for torque in (1.5, 1.7):
+        calls.clear()
+        sep = find_sep(pendulum, [torque])
+        traj = simulate(pendulum, [torque], pend_cfg, sep)
+        escape = escape_row(pendulum, [torque], pend_cfg, sep)
+        saddle, low, edge = escape[0], escape[4], escape[12]
+        assert saddle - 1e-5 < low < saddle and edge < low
+        tested = [x for x in traj.states[1:] if x[0] < edge or x[0] > low]
+        if torque == 1.5:
+            assert traj.termination is Termination.CONVERGED_TO_SEP
+            assert traj.states[-1][0] < edge
+        else:
+            # the run escapes from a state past its saddle: one timed escape
+            assert traj.termination is Termination.DIVERGED and traj.states[-2][0] > saddle
+            tested.append(traj.states[-2])
+        assert 1 < len(tested) < len(traj) - 1
+        assert np.array_equal(np.concatenate(calls), np.array(tested))
 
 
 def eigen_coordinates(torque, saddle, x):
@@ -241,7 +265,7 @@ def eigen_coordinates(torque, saddle, x):
 @settings(max_examples=60, deadline=None)
 @given(torque=torques, step=steps, seed=st.integers(0, 2**32 - 1))
 def test_crossing_is_the_union_of_the_energy_set_and_the_cone(torque, step, seed):
-    """The pendulum's crossing puts a state in its set exactly when it is
+    """The pendulum's ``ends`` puts a state in its escape set exactly when it is
     in the energy set (t > saddle, |w| <= speed and E < level) or in the
     exit cone (alpha <= top and phi = min(alpha - P beta^2 - mp,
     alpha - m) >= 0, in eigen-coordinates worked out here; such a state
@@ -249,13 +273,15 @@ def test_crossing_is_the_union_of_the_energy_set_and_the_cone(torque, step, seed
     energy entry at (E_- - level) / (E_- - E_n) when the previous state lay
     past the saddle above the level, a cone entry at phi_- / (phi_- - phi_n)
     when the previous state had phi_- < 0, at 1 otherwise, and an entry
-    into both at the earlier of the two.  The rows are the real ones.
-    States lie around the saddle at the energy set's scale, and at the
-    cone's, from below its floor m to beyond its reach top, inside the
-    parabola and outside it."""
+    into both at the earlier of the two.  The same call puts a state in its
+    energy well exactly when t < edge and E < floor.  The rows are the
+    real ones.  States lie around the saddle at the energy set's scale,
+    and at the cone's, from below its floor m to beyond its reach top,
+    inside the parabola and outside it, and across the well, from below
+    its floor to above it and on both sides of its edge."""
     cfg = config(step)
     _, escape = row(torque, cfg)
-    saddle, speed, level, _, _, _, _, _, wide, top, margin, m = escape
+    saddle, speed, level, _, _, _, _, _, wide, top, margin, m, edge, floor = escape
     rng = np.random.default_rng(seed)
     n = 200
     # angles around the saddle, speeds around the energy's level there
@@ -278,9 +304,19 @@ def test_crossing_is_the_union_of_the_energy_set_and_the_cone(torque, step, seed
         x_prev = np.vstack([x_prev, np.column_stack([saddle + a_prev + b_prev,
                                                      lam * a_prev - kap * b_prev])])
         x = np.vstack([x, np.column_stack([saddle + alpha + beta, lam * alpha - kap * beta])])
+    if np.isfinite(floor):
+        sep = pendulum_sep(PARAMS, torque)[0]
+        well = np.column_stack([rng.uniform(sep - 1.5, edge + 0.2, n), rng.uniform(-1.5, 1.5, n)])
+        x_prev, x = np.vstack([x_prev, well[::-1]]), np.vstack([x, well])
     k_all = len(x)
     p = np.full((k_all, 1), torque)
-    entered = SYS.escape[1](x_prev, x, p, np.tile(escape, (k_all, 1)))
+    entered, recovered = SYS.escape[1](x_prev, x, p, np.tile(escape, (k_all, 1)))
+    in_well = (x[:, 0] < edge) & (energy(x, torque) < floor)
+    if recovered is None:
+        assert not (x[:, 0] < edge).any()
+    else:
+        assert np.array_equal(recovered, in_well)
+    assert in_well.any() == np.isfinite(floor)
     e_prev, e = energy(x_prev, torque), energy(x, torque)
     in_energy = (x[:, 0] > saddle) & (np.abs(x[:, 1]) <= speed) & (e < level)
     alpha, beta = eigen_coordinates(torque, saddle, x)
@@ -356,12 +392,12 @@ def test_no_state_between_the_saddle_and_the_gate_is_in_the_set(
     assert (e_prev >= level).all()
     # the crossing with its gate opened to the saddle evaluates these states
     opened = np.tile(energy_only(saddle, speed, level, saddle), (3, 1))
-    assert SYS.escape[1](x, x, p, opened) is None
+    assert SYS.escape[1](x, x, p, opened)[0] is None
     # from there into the set, well past the gate: the entry is interpolated
     inside = np.column_stack([np.full(3, saddle + 0.05), np.zeros(3)])
     e_in = model_zoo._pendulum_energy(C1, inside, p)
     assert (e_in < level).all()
-    entered = SYS.escape[1](x, inside, p, np.tile(escape, (3, 1)))
+    entered = SYS.escape[1](x, inside, p, np.tile(escape, (3, 1)))[0]
     expected = np.where(e_prev > level, (e_prev - level) / (e_prev - e_in), 1.0)
     assert np.array_equal(entered, expected)
 
@@ -453,6 +489,65 @@ def test_cone_ends_continue_into_the_energy_set(step):
     assert cone_ends >= 3
 
 
+@pytest.mark.parametrize("step", sorted(BOUNDARY))
+def test_well_ends_continue_in_the_well(step):
+    """Runs at p*, p* - 1e-9 and p* - 1e-3 and from the benchmark's starts
+    1.45 to 1.5199, which all end in their wells: each run, continued with
+    ``step_trapezoidal`` over the rest of its budget, stays in its well
+    (t < edge and E < floor), flags no state and never enters its escape
+    set."""
+    cfg = config(step)
+    lo = BOUNDARY[step][0]
+    budget = int(np.floor(cfg.max_time / step + 1e-9))
+    for torque in (lo, lo - 1e-9, lo - 1e-3, 1.45, 1.4734, 1.50, 1.5199):
+        p = np.array([torque])
+        sep = find_sep(SYS, p)
+        traj = simulate(SYS, p, cfg, sep)
+        escape = escape_row(SYS, p, cfg, sep)
+        edge, floor = escape[12:]
+        assert traj.termination is Termination.CONVERGED_TO_SEP
+        y = traj.states[-1]
+        assert y[0] < edge and energy(y, torque) < floor
+        states = [y]
+        for _ in range(budget - (len(traj) - 1)):
+            y = step_trapezoidal(SYS, y, p, cfg)
+            states.append(y)
+        states = np.array(states)
+        assert (states[:, 0] < edge).all() and (energy(states, torque) < floor).all()
+        flags = _eigvals(SYS.jacobian(states, np.tile(p, (len(states), 1)))).real.max(axis=-1)
+        assert (flags <= cfg.stability_tol).all()
+        entered = model_ends(SYS, p, cfg, sep, states)[0]
+        assert entered is None or not np.isfinite(entered).any()
+
+
+def without_well(sys_):
+    """``sys_`` with its escape sets and no energy well: its runs recover
+    by the certified set."""
+    rows, ends = sys_.escape
+
+    def no_well(p, sep, cfg):
+        escape, _ = rows(p, sep, cfg)
+        escape[:, 12:] = -np.inf
+        return escape, np.zeros(len(p), dtype=bool)
+
+    return replace(sys_, escape=(no_well, ends))
+
+
+def test_averaging_at_p_star_is_that_of_the_run_to_its_certified_end(pendulum, pend_cfg):
+    """At the boundary p* (h 0.02) the run that ends in its well and the
+    same run continued to its certified end have the same last unstable
+    index j = 2176 and, bit for bit, the same Jacobian sum; the run ends
+    after 2,216 steps, not 2,502."""
+    p = np.array([1.5686593295631313])
+    sep = find_sep(pendulum, p)
+    short = average_jacobian(pendulum, p, pend_cfg, sep)
+    long = average_jacobian(without_well(pendulum), p, pend_cfg, sep)
+    assert short.last_unstable_index == long.last_unstable_index == 2176
+    assert np.array_equal(short.jacobian_sum, long.jacobian_sum)
+    assert np.array_equal(short.matrix, long.matrix)
+    assert (short.samples_total, long.samples_total) == (2217, 2503)
+
+
 def lockstep_ends(sys_, torques, cfg, later=()):
     """Run ends, in order, of ``torques`` started together in one Lockstep
     and of ``later`` started two steps after them."""
@@ -518,7 +613,8 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     crossing = energy_only(saddle, np.inf, (e[m - 1] + e[m]) / 2.0, saddle)
 
     def rows(p, sep, cfg_):
-        return np.where(p == 1.7, crossing, energy_only(-1e300, np.inf, -np.inf, -1e300))
+        return (np.where(p == 1.7, crossing, energy_only(-1e300, np.inf, -np.inf, -1e300)),
+                np.zeros(len(p), dtype=bool))
 
     made_up = replace(SYS, escape=(rows, SYS.escape[1]))
     (alone,) = lockstep_ends(made_up, [1.7], cfg)
@@ -530,9 +626,7 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     # initial state past its saddle above the level, ends at tau = 1
     first = energy_only(-1e300, np.inf, (e[0] + e[1]) / 2.0, -1e300)
     assert e[1] < e[0]
-    from_start = replace(
-        SYS, escape=(lambda p, sep, cfg_: np.tile(first, (len(p), 1)), SYS.escape[1])
-    )
+    from_start = replace(SYS, escape=(rows_of(first), SYS.escape[1]))
     (run,) = lockstep_ends(from_start, [1.7], cfg)
     assert run.elapsed == cfg.step and run.tau == 1.0
 
@@ -552,12 +646,8 @@ def test_norm_end_is_timed_on_the_secant_of_the_last_two_norms():
     cfg = IntegratorConfig(step=0.2, divergence_norm=reach)
     made_up = replace(
         SYS,
-        escape=(
-            lambda p, sep, cfg_: np.tile(
-                energy_only(-1e300, np.inf, (e[m - 1] + e[m]) / 2.0, -1e300), (len(p), 1)
-            ),
-            SYS.escape[1],
-        ),
+        escape=(rows_of(energy_only(-1e300, np.inf, (e[m - 1] + e[m]) / 2.0, -1e300)),
+                SYS.escape[1]),
     )
     (run,) = lockstep_ends(made_up, [1.7], cfg)
     (batch, _) = lockstep_ends(made_up, [1.7, 1.75], cfg)
@@ -574,19 +664,19 @@ def test_norm_end_is_timed_on_the_secant_of_the_last_two_norms():
 def drift_toy() -> ParameterizedSystem:
     """x' = (v, 0) at p = (v, f), from x0 = 0: each step moves the
     first coordinate by v h.  Its escape set is x[0] >= 1, and its own
-    ``crossing`` says a run entered it at the fraction f of the step, the
-    run's escape row."""
+    ``ends`` says a run entered it at the fraction f of the step, the
+    run's escape row; no run has a well."""
 
     def field(x, p):
         out = np.zeros(x.shape)
         out[..., 0] = p[..., 0]
         return out
 
-    def crossing(x_prev, x, p, rows):
+    def ends(x_prev, x, p, rows):
         inside = x[:, 0] >= 1.0
         if not inside.any():
-            return None
-        return np.where(inside, rows[:, 0], np.nan)
+            return None, None
+        return np.where(inside, rows[:, 0], np.nan), None
 
     return ParameterizedSystem(
         state_dim=2,
@@ -595,14 +685,15 @@ def drift_toy() -> ParameterizedSystem:
         jacobian=lambda x, p: np.zeros(x.shape + (2,)),
         initial_condition=lambda p: np.zeros(np.shape(p)),
         name="drift",
-        escape=(lambda p, sep, cfg: p[:, 1:].copy(), crossing),
+        escape=(lambda p, sep, cfg: (p[:, 1:].copy(), np.zeros(len(p), dtype=bool)), ends),
     )
 
 
-def drift_ends(points, cfg, later=()):
-    """Run ends, in order, of the drift toy at ``points`` started together
-    and of ``later`` started two steps after them."""
-    lock = Lockstep(drift_toy(), cfg)
+def toy_ends(toy, points, cfg, later=()):
+    """Run ends, in order, of the system ``toy`` at ``points`` started
+    together and of ``later`` started two steps after them, all at the
+    SEP 0."""
+    lock = Lockstep(toy, cfg)
     ids = list(lock.add(np.array(points, dtype=float), np.zeros((len(points), 2))))
     ends = {}
     for _ in range(2):
@@ -625,9 +716,9 @@ def test_engine_times_an_escape_by_the_systems_crossing_alike_in_any_batch():
     # the batch's third
     points = [(7.0, 0.25), (4.0, 1.0), (12.0, 0.3), (3.0, 0.5), (1.05, 0.75),
               (0.3, 0.125), (15.0, 0.4), (2.6, 0.0625)]
-    alone = [drift_ends([q], cfg)[0] for q in points]
-    together = drift_ends(points, cfg)
-    groups = drift_ends(points[:3], cfg, later=points[3:])
+    alone = [toy_ends(drift_toy(), [q], cfg)[0] for q in points]
+    together = toy_ends(drift_toy(), points, cfg)
+    groups = toy_ends(drift_toy(), points[:3], cfg, later=points[3:])
     first = 0
     for (v, f), run, member, grouped in zip(points, alone, together, groups):
         n = round(run.elapsed / cfg.step)
@@ -641,3 +732,48 @@ def test_engine_times_an_escape_by_the_systems_crossing_alike_in_any_batch():
             assert other.tau == run.tau and other.elapsed == run.elapsed
             assert np.array_equal(other.final_state, run.final_state)
     assert first == 2
+
+
+def well_toy() -> ParameterizedSystem:
+    """x' = (v, 0) at p = (v, w), from x0 = 0, its SEP: a run with w > 0
+    has a well, x[0] >= 1, and no escape set; one with w = 0 has neither."""
+
+    def field(x, p):
+        out = np.zeros(x.shape)
+        out[..., 0] = p[..., 0]
+        return out
+
+    def ends(x_prev, x, p, rows):
+        return None, (x[:, 0] >= 1.0) & (rows[:, 0] > 0.0)
+
+    return ParameterizedSystem(
+        state_dim=2,
+        param_dim=2,
+        field=field,
+        jacobian=lambda x, p: np.zeros(x.shape + (2,)),
+        initial_condition=lambda p: np.zeros(np.shape(p)),
+        name="well",
+        escape=(lambda p, sep, cfg: (p[:, 1:].copy(), p[:, 1] > 0.0), ends),
+    )
+
+
+def test_engine_ends_a_run_in_its_well_alike_in_any_batch():
+    """A run whose system puts it in its well ends ``certified``
+    (``CONVERGED_TO_SEP``) there; a run with a well is never ended by the
+    dwell rule, even in a batch with runs that have none, which dwell at
+    their SEP: bitwise alike alone, in one batch and started in two
+    groups."""
+    cfg = IntegratorConfig(step=0.1, max_time=2.0)
+    # (v, w): at its SEP with a well, at its SEP without, into its well
+    # after 4 steps, and away from its SEP without a well
+    points = [(0.0, 1.0), (0.0, 0.0), (3.0, 1.0), (3.0, 0.0)]
+    expected = [("budget", 20), ("dwell", 10), ("certified", 4), ("budget", 20)]
+    alone = [toy_ends(well_toy(), [q], cfg)[0] for q in points]
+    together = toy_ends(well_toy(), points, cfg)
+    groups = toy_ends(well_toy(), points[:1], cfg, later=points[1:])
+    assert [(run.rule, round(run.elapsed / cfg.step)) for run in alone] == expected
+    for run, member, grouped in zip(alone, together, groups):
+        for other in (member, grouped):
+            assert (other.rule, other.termination) == (run.rule, run.termination)
+            assert other.tau == run.tau and other.elapsed == run.elapsed
+            assert np.array_equal(other.final_state, run.final_state)

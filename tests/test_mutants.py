@@ -1,5 +1,6 @@
 """tools/mutants.py against this package: its fragments still occur once,
-two cheap mutants are killed, and a fragment that is gone is an error."""
+three mutants are killed (among them the energy well's rows filled with
++inf where a run has no well), and a fragment that is gone is an error."""
 
 from __future__ import annotations
 
@@ -16,13 +17,15 @@ def test_every_fragment_occurs_once():
         assert (mutants.PACKAGE / m.module).read_text().count(m.fragment) == 1, m.name
 
 
-def test_two_cheap_mutants_are_killed(capsys):
-    argv = ["--only", "escape-no-norm-guard", "--only", "escape-untimed"]
+def test_three_mutants_are_killed(capsys):
+    argv = ["--only", "escape-no-norm-guard", "--only", "escape-untimed",
+            "--only", "well-rows-inf"]
     assert mutants.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines[:2]] == [
-        ["escape-no-norm-guard", "killed"], ["escape-untimed", "killed"]]
-    assert lines[-1] == "2 of 2 mutants killed"
+    assert [line.split()[:2] for line in lines[:3]] == [
+        ["escape-no-norm-guard", "killed"], ["escape-untimed", "killed"],
+        ["well-rows-inf", "killed"]]
+    assert lines[-1] == "3 of 3 mutants killed"
 
 
 def test_a_fragment_that_is_gone_is_an_error():

@@ -267,3 +267,21 @@ def test_each_workload_ends_with_a_total_row(monkeypatch, capsys):
         assert f"{'tiny':22s} {'total':7s} {side:8s} {cells}" in lines
     assert total["this"]["batch_steps"] == total["against"]["batch_steps"] > 0
     assert total["changes"]["points"] > 0 and total["changes"]["verdicts_differ"] == 0
+
+
+def test_rows_without_a_well_end_as_before(capsys):
+    """At h 0.8 the pendulum has no escape set and no well: every row, at
+    torques across the sweep's range, has edge = floor = -inf, so no state
+    lies in a well, and the coarse sweep's h 0.8 rows still end their 143
+    failing members beyond the divergence norm, as before the well."""
+    cfg = moi.IntegratorConfig(step=0.8, divergence_norm=moi.PENDULUM_DIVERGENCE_NORM)
+    params = moi.PendulumParams(ic_method="integrated")
+    torques = np.linspace(1.3, 1.65, 36)[:, None]
+    seps = np.array([moi.pendulum_sep(params, p[0]) for p in torques])
+    rows, wells = moi.integrator._recovery_sets(
+        moi.pendulum_system(params), torques, seps, cfg)[3:]
+    assert not wells.any() and (rows[:, 12:] == -np.inf).all()
+    assert search_counts.main(["--workload", "pendulum-sweep-coarse"]) == 0
+    total = json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "workloads"]["pendulum-sweep-coarse"]["total"]["this"]
+    assert total["beyond_norm"] == 143 and total["budget"] == total["solver"] == 0

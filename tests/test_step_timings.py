@@ -21,6 +21,7 @@ CASES = (
     + [f"batch_step.synthetic_n{n}.K16" for n in (3, 10, 30)]
     + ["scalar_step.pendulum", "scalar_step.ninebus", "lockstep_step.pendulum.K17",
        "lockstep_step.pendulum.K17.past_saddle", "lockstep_step.pendulum.K17.cone_radius",
+       "lockstep_step.pendulum.K17.well",
        "lockstep_step.ninebus.K16",
        "simulate_step.pendulum", "simulate_step.pendulum.flags"]
     + [f"recovery_sets.{model}.K{k}" for model in ("pendulum", "ninebus") for k in (1, 16)]

@@ -1,4 +1,4 @@
-"""Mutation checks of the escape proofs: each mutant must fail its tests.
+"""Mutation checks of the escape and well proofs: each mutant must fail its tests.
 
     python tools/mutants.py
     python tools/mutants.py --only cone-floor-dropped --only escape-untimed
@@ -42,6 +42,7 @@ class Mutant:
 
 CONE_PROOF = ("tests/test_certificate_proofs.py::test_pendulum_escape_row_meets_its_proof",)
 CROSSING = ("tests/test_escape.py::test_crossing_is_the_union_of_the_energy_set_and_the_cone",)
+WELL_PROOF = ("tests/test_certificate_proofs.py::test_energy_well_meets_its_proof",)
 
 MUTANTS = (
     # the exit cone (model_zoo._pendulum_cone and its test)
@@ -59,8 +60,8 @@ MUTANTS = (
            "    alpha = rows[:, 6] * d - rows[:, 7] * x[:, 1]",
            CROSSING),
     Mutant("cone-reach-unbounded", "model_zoo.py",
-           "    reached = (alpha > 0.0) & (alpha <= r[:, 9])",
-           "    reached = alpha > 0.0",
+           "    reached = (alpha >= rows[:, 11]) & (alpha <= rows[:, 9])",
+           "    reached = alpha >= rows[:, 11]",
            CROSSING),
     Mutant("cone-entry-untimed", "model_zoo.py",
            "        np.divide(before, before - phi, out=f, where=before < 0.0)",
@@ -87,7 +88,28 @@ MUTANTS = (
     Mutant("escape-gate-without-width", "model_zoo.py",
            "        gate = saddle + np.maximum(width, 0.0)",
            "        gate = saddle + 0.0 * width",
-           ("tests/test_escape.py::test_energy_is_evaluated_only_on_states_past_the_gate",)),
+           ("tests/test_escape.py::test_no_state_between_the_saddle_and_the_gate_is_in_the_set",)),
+    # the energy well (model_zoo._pendulum_well and its rows)
+    Mutant("well-delta-dropped", "model_zoo.py",
+           "    floor = flat - torque * edge - (delta + torque * slip + phi)",
+           "    floor = flat - torque * edge - (torque * slip + phi)",
+           WELL_PROOF),
+    Mutant("well-flagged-side", "model_zoo.py",
+           "    flat = tol * tol + c2 * tol\n",
+           "    flat = tol * tol - c2 * tol\n",
+           WELL_PROOF),
+    Mutant("well-no-barrier", "model_zoo.py",
+           "    ok &= depth < 2.0 * np.pi * torque * (1.0 - 4.0 * _EPS)\n",
+           "",
+           WELL_PROOF),
+    Mutant("well-dwell-unmasked", "integrator.py",
+           "                near &= ~self._well\n",
+           "                pass\n",
+           ("tests/test_escape.py::test_engine_ends_a_run_in_its_well_alike_in_any_batch",)),
+    Mutant("well-rows-inf", "model_zoo.py",
+           "        np.where(deep[:, None], well, -np.inf),",
+           "        np.where(deep[:, None], well, np.inf),",
+           ("tests/test_search_counts.py::test_rows_without_a_well_end_as_before",)),
 )
 
 

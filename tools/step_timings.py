@@ -20,15 +20,23 @@ Times, in CPU microseconds per call:
   below the boundary, over steps 500 to 700, where each lies by its
   saddle, within its exit cone's band, so the escape test evaluates the
   cone for all of them, and none enters it;
+- ``Lockstep.step`` with 17 recovering pendulum members 1e-7 to 1e-4
+  below the boundary, over steps 520 to 900, where they go down into
+  their energy wells one after another, about 24 steps apart, and 16 of
+  them end there;
 - the scalar ``step_trapezoidal`` on both models;
-- ``simulate`` of one recovering pendulum run (p 1.5, h 0.02), which ends
-  in its certified set, per step it stores, which adds to the scalar step
-  the cost of recording; and the same with ``record_flags=True``, which
-  adds a Jacobian and the instability flag of every stored state;
-- the certified and escape sets (``integrator._recovery_sets``) that
-  ``Lockstep.add`` computes for K = 1 and 16 members on both models, per
-  call; the sets themselves may differ between packages, so only which
-  members are certified is compared;
+- ``simulate`` of one failing pendulum run (p 1.7, h 0.02), which ends
+  in its escape set after 90 steps, per step it stores, which adds to the
+  scalar step the cost of recording; and the same with
+  ``record_flags=True``, which adds a Jacobian and the instability flag of
+  every stored state (a recovering run stores other steps in a package
+  that ends it sooner in a recovered set, so its cost per step would
+  compare different steps);
+- the certified and escape sets and the wells
+  (``integrator._recovery_sets``) that ``Lockstep.add`` computes for K = 1
+  and 16 members on both models, per call; the sets themselves may differ
+  between packages, so only which members have a recovery set (a
+  certificate, or a well where the package has wells) is compared;
 - the batched swing step at K = 16 on seeded synthetic n-machine networks,
   n = 3, 10 and 30, built here (no data file);
 - ``load_network`` of the bundled 9-bus file, per call; its parameters are
@@ -40,7 +48,12 @@ another name and every round times both packages back to back, alternating
 which goes first, so a drift in host speed hits both alike.  Before timing,
 the two packages' outputs are compared bitwise on the timed inputs, over
 one round's block of calls (for the Lockstep cases, that many steps: the
-past-saddle case's block covers its window, ends included).  The
+past-saddle case's block covers its window, ends included).  A package may
+end a recovering run sooner than the other, in a recovered set of its
+model: there the Lockstep cases compare the members live in both packages
+and the ends both report, and accept an end that only one package
+reports where it is a ``certified`` end of a member the other still
+steps, or comes after that member's end in the other.  The
 last line of output is one JSON object with the medians and quartiles.
 """
 
@@ -102,11 +115,13 @@ def synthetic_network(moi, n: int, seed: int):
 
 
 def pendulum_states(moi, k: int) -> tuple:
-    """K states spread over a trajectory that dwells near the saddle."""
+    """K states spread over the first 2,000 steps of a trajectory that
+    dwells near the saddle, steps that a package which ends the run sooner
+    still takes."""
     sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     sep = moi.find_sep(sys_, [PEND_P])
-    states = moi.simulate(sys_, [PEND_P], cfg, sep).states
+    states = moi.simulate(sys_, [PEND_P], cfg, sep).states[:2001]
     pick = np.linspace(0, len(states) - 1, k).astype(int)
     p = PEND_P + np.linspace(0.0, 1e-6, k)[:, None]
     return sys_, cfg, states[pick], p
@@ -131,7 +146,7 @@ def synthetic_states(moi, n: int, k: int) -> tuple:
 
 def cases(moi) -> dict:
     """name -> (calls per round, fn() -> output compared across packages,
-    steps per call)."""
+    steps per call[, comparison of two outputs, ``same`` if absent])."""
     integ = moi.integrator
 
     def batch(case, calls):
@@ -155,13 +170,16 @@ def cases(moi) -> dict:
     pend_cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
     out["lockstep_step.pendulum.K17"] = (100, lockstep_case(
         moi, pendulum, pend_cfg, PEND_P - np.linspace(0.0, 1e-9, 17)[:, None], 200, 2200,
-    ), 1)
+    ), 1, ends_agree)
     out["lockstep_step.pendulum.K17.past_saddle"] = (100, lockstep_case(
         moi, pendulum, pend_cfg, PEND_P + np.geomspace(3e-5, 1e-3, 17)[:, None], 150, 280,
     ), 1)
     out["lockstep_step.pendulum.K17.cone_radius"] = (200, lockstep_case(
         moi, pendulum, pend_cfg, PEND_P - np.linspace(0.0, 1e-13, 17)[:, None], 500, 700,
     ), 1)
+    out["lockstep_step.pendulum.K17.well"] = (380, lockstep_case(
+        moi, pendulum, pend_cfg, PEND_P - np.geomspace(1e-7, 1e-4, 17)[:, None], 520, 900,
+    ), 1, ends_agree)
     nine_bus = moi.multimachine_system(moi.load_network(moi.bundled_network_path()))
     out["lockstep_step.ninebus.K16"] = (50, lockstep_case(
         moi, nine_bus, moi.IntegratorConfig(step=1.0 / 60.0, divergence_norm=200.0),
@@ -189,25 +207,26 @@ def network_case(moi):
 
 
 def sets_case(moi, case, calls: int):
-    """(calls, fn, 1) for the certified and escape sets of the members at
-    the parameters of ``case``, around their SEPs; fn returns which members
-    are certified."""
+    """(calls, fn, 1) for the certified and escape sets and the wells of
+    the members at the parameters of ``case``, around their SEPs; fn
+    returns which members have a certificate or a well."""
     sys_, cfg, _, p = case
     seps = np.array([moi.find_sep(sys_, q) for q in p])
 
     def run():
-        return moi.integrator._recovery_sets(sys_, p, seps, cfg)[1] > 0.0
+        sets = moi.integrator._recovery_sets(sys_, p, seps, cfg)
+        return (sets[1] > 0.0) | sets[4] if len(sets) > 4 else sets[1] > 0.0
 
     return calls, run, 1
 
 
 def simulate_case(moi, record_flags: bool = False):
-    """(calls, fn, steps per call) for ``simulate`` of one recovering
+    """(calls, fn, steps per call) for ``simulate`` of one failing
     pendulum run; fn returns its states, and its flags when they are
     recorded."""
     sys_ = moi.pendulum_system(moi.PendulumParams(ic_method="integrated"))
     cfg = moi.IntegratorConfig(step=0.02, divergence_norm=50.0)
-    p = np.array([1.5])
+    p = np.array([1.7])
     sep = moi.find_sep(sys_, p)
 
     def run():
@@ -222,8 +241,8 @@ def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
     from a copy of the Lockstep stepped ``warm`` times whenever it has taken
     ``last`` steps or has no member left (an empty Lockstep takes no
     step); the copy is made once, untimed.  fn returns the live
-    members' states and the ends of the step: id, termination, final
-    state, elapsed time and tau."""
+    members' states by id and the ends of the step by id: termination,
+    final state, elapsed time, tau and rule."""
     seps = np.array([moi.find_sep(sys_, q) for q in p])
     warmed = moi.integrator.Lockstep(sys_, cfg)
     warmed.add(p, seps)
@@ -236,15 +255,37 @@ def lockstep_case(moi, sys_, cfg, p, warm: int, last: int):
         if lock is None or lock.steps >= last or not len(lock):
             lock = state["lock"] = copy.deepcopy(warmed)
         ends = lock.step()
-        return lock._x.copy(), tuple(
-            (k, end.termination.value, end.final_state, end.elapsed, end.tau)
-            for k, end in sorted(ends.items())
-        )
+        return dict(zip(lock._ids.tolist(), lock._x.copy())), {
+            k: (end.termination.value, end.final_state, end.elapsed, end.tau, end.rule)
+            for k, end in ends.items()
+        }
 
     return step
 
 
+def ends_agree(this, other) -> bool:
+    """Whether two packages' outputs of one Lockstep step agree (see the
+    module docstring): ``same`` for the members live in both and the ends
+    both report; an end reported by one package alone is ``certified`` of
+    a member live in the other, or follows that member's end there."""
+    (live, ends), (other_live, other_ends) = this, other
+    for k in live.keys() & other_live.keys():
+        if not same(live[k], other_live[k]):
+            return False
+    for k in ends.keys() & other_ends.keys():
+        if not same(ends[k], other_ends[k]):
+            return False
+    for mine, theirs, theirs_live in ((ends, other_ends, other_live),
+                                      (other_ends, ends, live)):
+        for k in mine.keys() - theirs.keys():
+            if not (mine[k][4] == "certified" and k in theirs_live or k not in theirs_live):
+                return False
+    return True
+
+
 def same(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
     if isinstance(a, tuple):
         return len(a) == len(b) and all(same(u, v) for u, v in zip(a, b))
     if isinstance(a, np.ndarray):
@@ -284,9 +325,9 @@ def main(argv=None) -> int:
     sides = {"this": cases(moi)}
     if args.against is not None:
         sides["against"] = cases(load_package(args.against.resolve(), "moi_against"))
-        for name, (calls, fn, _) in sides["this"].items():
-            other = sides["against"][name][1]
-            if not all(same(fn(), other()) for _ in range(calls)):
+        for name, (calls, fn, *rest) in sides["this"].items():
+            other, agree = sides["against"][name][1], (rest[1:] or [same])[0]
+            if not all(agree(fn(), other()) for _ in range(calls)):
                 print(f"outputs differ: {name}", file=sys.stderr)
                 return 1
     names = list(sides["this"])
@@ -295,7 +336,7 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         for name in names:
             for side in order if r % 2 == 0 else order[::-1]:
-                calls, fn, steps = sides[side][name]
+                calls, fn, steps = sides[side][name][:3]
                 fn()
                 runs[side][name].append(time_block(fn, calls) / steps)
     result = {
