@@ -26,12 +26,12 @@ set that the iterated trapezoidal map never leaves, that it contracts to the
 equilibrium, and on which every Jacobian is stable; entering it ends the
 trajectory.  Other systems wait until the state has stayed near the
 equilibrium for a while.  A system that describes an energy well for a
-run (``ParameterizedSystem.escape``) ends it in the well instead, a set
-that the system proves the run never leaves and where no state is
-flagged unstable.  Likewise a failing trajectory ends as soon as it is
-known to fail: past the norm ``divergence_norm`` or, for a system that
-describes an escape set, in a set from which the system proves it never
-returns.
+run (``ParameterizedSystem.end_sets``) ends it in the well, a set that
+holds the certified one, that the system proves the run never leaves and
+where no state is flagged unstable.  Likewise a failing trajectory ends as
+soon as it is known to fail: past the norm ``divergence_norm`` or, for a
+system that describes an escape set, in a set from which the system
+proves it never returns.
 """
 
 from __future__ import annotations
@@ -69,12 +69,13 @@ class IntegratorConfig:
 
     ``step`` is the only field without a default; everything else carries a
     conservative default suitable for the bundled models.  A recovering
-    trajectory ends once it enters its energy well, for a run whose system
-    describes one (``ParameterizedSystem.escape``), or else its certified
-    level set (see :func:`recovery_certificate`); both allow for
-    ``newton_tol`` and ``step``.  For a system without either, or a
-    trajectory that reaches the equilibrium without entering its set, it
-    ends after ``SEP_DWELL`` consecutive states within ``SEP_TOL`` of it.
+    trajectory ends once it enters its certified level set (see
+    :func:`recovery_certificate`) or, for a run whose system describes one
+    (``ParameterizedSystem.end_sets``), its energy well, which holds that
+    set; both allow for ``newton_tol`` and ``step``.  For a system without
+    either, or a trajectory that reaches the equilibrium without entering
+    either, it ends after ``SEP_DWELL`` consecutive states within
+    ``SEP_TOL`` of it.
     ``stability_tol`` is the margin by which a Jacobian counts as unstable
     (spectral abscissa above it): it flags the states of the averaging
     window and sizes the certified set and the well.
@@ -442,59 +443,53 @@ def _recovery_sets(sys: ParameterizedSystem, p, sep, cfg: IntegratorConfig) -> t
     """The certified sets of K runs of ``sys``, at the rows of ``p`` (K, m)
     around the stable equilibria in the rows of ``sep`` (K, n).
 
-    Returns forms (K, n, n), levels (K,), reaches (K,), escape rows (K, r)
+    Returns forms (K, n, n), levels (K,), reaches (K,), end rows (K, r)
     and wells (K,).  The set {d : d^T form d <= level} of offsets from the
     equilibrium (:func:`recovery_certificate`) lies in the ball
     ||d|| <= reach.  A run without a certificate (the system has no
-    ``jacobian_lipschitz``, no radius passes, or the run has a well) has
-    level and reach -1, which no offset meets.  The escape rows and the
-    mask of the runs with a well are those of the system's ``escape``
-    (r = 0 and no well without one), kept for its ``ends`` and never read
-    here.  The Jacobians and fields at the equilibria of the runs without
-    a well are evaluated as one batch.
+    ``jacobian_lipschitz``, or no radius passes) has level and reach -1,
+    which no offset meets.  The end rows and the mask of the runs with a
+    well are those of the system's ``end_sets`` (r = 0 and no well
+    without one), whose wells hold the ball of radius max(reach,
+    ``SEP_TOL``); they are kept for its ``ends`` and never read here.  The
+    Jacobians and fields at the equilibria are evaluated as one batch.
     """
     k, n = len(p), sys.state_dim
-    if sys.escape is None:
-        escape, well = np.zeros((k, 0)), np.zeros(k, dtype=bool)
-    else:
-        escape, well = sys.escape[0](p, sep, cfg)
     form, level, reach = np.zeros((k, n, n)), np.full(k, -1.0), np.full(k, -1.0)
-    rest = np.flatnonzero(~well)
-    if sys.jacobian_lipschitz is None or not len(rest):
-        return form, level, reach, escape, well
-    p, sep = p[rest], sep[rest]
-    jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
-    bounds = [sys.jacobian_lipschitz(q) for q in p]
-    form[rest], level[rest] = recovery_certificate(
-        jac, residual, [w for w, _ in bounds], [L for _, L in bounds], cfg
-    )
-    # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
-    # sqrt(level / lowest); 1% wider, rounding cannot put a certified
-    # offset outside it
-    lowest = np.linalg.eigvalsh(form)[:, 0]
-    ok = level > 0.0
-    reach[ok] = np.where(
-        lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
-    )
-    return form, level, reach, escape, well
+    if sys.jacobian_lipschitz is not None and k:
+        jac, residual = sys.jacobian(sep, p), sys.field(sep, p)
+        bounds = [sys.jacobian_lipschitz(q) for q in p]
+        form, level = recovery_certificate(
+            jac, residual, [w for w, _ in bounds], [L for _, L in bounds], cfg
+        )
+        # V(d) >= lowest ||d||^2, so the set lies in the ball of radius
+        # sqrt(level / lowest); 1% wider, rounding cannot put a certified
+        # offset outside it
+        lowest = np.linalg.eigvalsh(form)[:, 0]
+        ok = level > 0.0
+        reach[ok] = np.where(
+            lowest[ok] > 0.0, 1.01 * np.sqrt(level[ok] / np.abs(lowest[ok])), np.inf
+        )
+    if sys.end_sets is None:
+        return form, level, reach, np.zeros((k, 0)), np.zeros(k, dtype=bool)
+    rows, well = sys.end_sets[0](p, sep, cfg, np.maximum(reach, SEP_TOL))
+    return form, level, reach, rows, well
 
 
-def _end_test(x, sep, wrap, form, level, reach, cfg: IntegratorConfig) -> tuple:
-    """Whether K runs' new states ``x`` (K, n) lie beyond the divergence
-    norm, lie in their certified sets and lie near their equilibria, as
-    three (K,) masks.
+def _end_test(x, sep, wrap, form, level, reach) -> tuple:
+    """Whether K runs' new states ``x`` (K, n) lie in their certified sets
+    and lie near their equilibria, as two (K,) masks.
 
     ``sep`` holds the equilibria and ``form``, ``level`` and ``reach`` the
     certified sets of :func:`_recovery_sets`.  Offsets are angle-aware
-    (``wrap`` from :func:`_wrap_index`).  A state is beyond when its norm
-    exceeds ``cfg.divergence_norm`` and near when its offset is at most
-    ``SEP_TOL``.  V is evaluated only when some state lies within its
-    set's reach.
+    (``wrap`` from :func:`_wrap_index`).  A state is near when its offset
+    is at most ``SEP_TOL``.  V is evaluated only when some state lies
+    within its set's reach.
     """
     d = _offset(x, sep, wrap)
     distance = _norm(d)
     certified = _count_nonzero(distance <= reach) > 0 and _quadratic(form, d) <= level
-    return _norm(x) > cfg.divergence_norm, certified, distance <= SEP_TOL
+    return certified, distance <= SEP_TOL
 
 
 def _step_budget(cfg: IntegratorConfig) -> int:
@@ -511,13 +506,13 @@ class RunEnd:
     step count n, except for a run that ended ``DIVERGED`` after its first
     step: tau = n - 1 + f.  In its escape set, inside the divergence norm,
     f in (0, 1] is the fraction of the last step at which the system's
-    ``ends`` places the entry (``ParameterizedSystem.escape``); beyond
+    ``ends`` places the entry (``ParameterizedSystem.end_sets``); beyond
     the norm R, f = (R - |x_(n-1)|) / (|x_n| - |x_(n-1)|) in [0, 1) places
     it where the secant between the last two norms crosses R.  ``rule`` names the
     test of :meth:`Lockstep.step` that ended the run: ``"budget"``,
     ``"solver"``, ``"norm"`` (beyond the divergence norm), ``"escape"`` (in
-    the escape set), ``"certified"`` (in the certified set or, for a run
-    with one, in the energy well) or ``"dwell"``.
+    the escape set), ``"certified"`` (in the certified set or the energy
+    well) or ``"dwell"``.
     """
 
     termination: Termination
@@ -535,10 +530,10 @@ class Lockstep:
     one trapezoidal step and reports the members that ended, and
     :meth:`drop` removes members.  Each member counts its own steps
     against the budget ``floor(max_time / step)`` and is tested against
-    its own certified and escape sets, or its escape set and its well
-    (:func:`_recovery_sets`).  No states are kept, so memory is O(K n^2)
-    for K live members (a certificate's form is n by n); :func:`simulate`
-    records a one-member Lockstep.
+    its own certified set and, where its system describes them, its
+    escape set and its well (:func:`_recovery_sets`).  No states are
+    kept, so memory is O(K n^2) for K live members (a certificate's form
+    is n by n); :func:`simulate` records a one-member Lockstep.
 
     Initial conditions are computed as one batch, and so are the steps
     while more than one member is live (:func:`step_trapezoidal_batch`); a
@@ -553,15 +548,16 @@ class Lockstep:
     #: the member columns, one row per live member; the last five hold each
     #: member's certified set {d : d^T form d <= level}, inside the ball
     #: ||d|| <= reach (a member without a certificate has level and reach -1,
-    #: which no offset meets), its escape row and whether it has a well
+    #: which no offset meets), its row of the system's end sets and whether
+    #: it has a well
     _COLUMNS = ("_ids", "_x", "_p", "_sep", "_consec", "_start",
-                "_form", "_level", "_reach", "_escape", "_well")
+                "_form", "_level", "_reach", "_end_rows", "_well")
 
     def __init__(self, sys: ParameterizedSystem, cfg: IntegratorConfig) -> None:
         self.sys, self.cfg = sys, cfg
         self.budget = _step_budget(cfg)
         self._wrap = _wrap_index(sys)
-        self._ends = sys.escape and sys.escape[1]
+        self._ends = sys.end_sets and sys.end_sets[1]
         #: steps the batch has taken since it was made
         self.steps = 0
         self._next_id = 0
@@ -602,9 +598,8 @@ class Lockstep:
         return ids
 
     def _count_wells(self) -> None:
-        """Whether every live member, and whether any, has a well."""
-        wells = _count_nonzero(self._well)
-        self._wells_only, self._any_well = wells == len(self._well), wells > 0
+        """Whether every live member has a well."""
+        self._wells_only = _count_nonzero(self._well) == len(self._well)
 
     def drop(self, ids) -> None:
         """Remove the given members; they are never reported."""
@@ -634,8 +629,8 @@ class Lockstep:
 
         A member ends on the first of these, tested by :func:`_end_test`
         and by one call of the system's ``ends`` per step
-        (``ParameterizedSystem.escape``); its ``RunEnd.rule`` is the name in
-        brackets:
+        (``ParameterizedSystem.end_sets``); its ``RunEnd.rule`` is the name
+        in brackets:
 
         - its step budget is spent [budget]: ``MAX_TIME_REACHED``, without
           a step;
@@ -647,15 +642,15 @@ class Lockstep:
           the system's ``ends``, it lies in its escape set, from which it
           provably never returns [escape]: ``DIVERGED``, tested first so that
           a divergent state is never taken for a converged one;
-        - it entered its certified set or, for a member with a well, the
-          system's ``ends`` puts it in its well [certified], or, for a
-          member without one, it had ``SEP_DWELL`` consecutive states within
-          ``SEP_TOL`` of its equilibrium [dwell]: ``CONVERGED_TO_SEP``.
+        - it entered its certified set or, by the system's ``ends``, its
+          well [certified], or it had ``SEP_DWELL`` consecutive states
+          within ``SEP_TOL`` of its equilibrium [dwell]:
+          ``CONVERGED_TO_SEP``.
 
-        A member with a well has no certified set, and its well is its
-        recovery rule.  While every live member has one, neither the
-        certified sets nor the distances to the equilibria are evaluated:
-        of :func:`_end_test`, only the divergence norm is tested.
+        A member's well holds its certified set and every state within
+        ``SEP_TOL`` of its equilibrium, so a member with a well enters it
+        no later than either of the other rules would end it.  While every
+        live member has one, :func:`_end_test` is not evaluated.
         """
         cfg = self.cfg
         ends = {}
@@ -679,23 +674,21 @@ class Lockstep:
             self._f = None
         self.steps += 1
         self._x = x
-        if self._wells_only:
-            beyond, certified = _norm(x) > cfg.divergence_norm, False
-        else:
-            beyond, certified, near = _end_test(
-                x, self._sep, self._wrap, self._form, self._level, self._reach, cfg
+        beyond = _norm(x) > cfg.divergence_norm
+        certified = near = False
+        if not self._wells_only:
+            certified, near = _end_test(
+                x, self._sep, self._wrap, self._form, self._level, self._reach
             )
-            if self._any_well:
-                near &= ~self._well
         entered = None
         if self._ends:
-            entered, recovered = self._ends(x_prev, x, self._p, self._escape)
+            entered, recovered = self._ends(x_prev, x, self._p, self._end_rows)
             if recovered is not None:
                 certified = recovered | certified
         # the dwell counts consecutive states near the SEP and restarts at 0;
         # far from every SEP, as runs mostly are, there is nothing to count
         dwelt = False
-        if not self._wells_only and (_count_nonzero(near) or _count_nonzero(self._consec)):
+        if near is not False and (_count_nonzero(near) or _count_nonzero(self._consec)):
             self._consec += 1
             self._consec *= near
             dwelt = self._consec >= SEP_DWELL
@@ -751,11 +744,11 @@ def simulate(
     records each state it stores, so the run ends as :meth:`Lockstep.step`
     ends it: ``SOLVER_FAILURE`` (the partial trajectory up to the last good
     state is returned), ``DIVERGED``, ``CONVERGED_TO_SEP`` or
-    ``MAX_TIME_REACHED``.  A run that converged entered its energy well,
-    where its system describes one, or the level set of
-    :func:`recovery_certificate` at ``sep``: in either it provably stays,
-    near ``sep``, and no later state would be flagged unstable.  Without
-    either it stayed within ``SEP_TOL`` of ``sep`` for ``SEP_DWELL``
+    ``MAX_TIME_REACHED``.  A run that converged entered the level set of
+    :func:`recovery_certificate` at ``sep`` or, where its system describes
+    one, its energy well, which holds that set: in either it provably
+    stays, near ``sep``, and no later state would be flagged unstable.
+    Otherwise it stayed within ``SEP_TOL`` of ``sep`` for ``SEP_DWELL``
     consecutive states.
 
     With ``record_flags=True`` every stored state (including the initial one)

@@ -213,8 +213,8 @@ def pendulum_system(params: Optional[PendulumParams] = None) -> ParameterizedSys
         name="pendulum",
         state_names=("angle", "velocity"),
         jacobian_lipschitz=lambda p: (unit_weights, c1),
-        escape=(
-            lambda p, sep, cfg: _pendulum_escape(c1, c2, p, sep, cfg),
+        end_sets=(
+            lambda p, sep, cfg, radius: _pendulum_escape(c1, c2, p, sep, cfg, radius),
             functools.partial(_pendulum_ends, c1),
         ),
     )
@@ -229,7 +229,7 @@ _CONE_ROOM = 1.25
 _CONE_SLACK = 1.0 / 64.0
 
 
-def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> tuple:
+def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig, radius) -> tuple:
     """Rows (saddle, speed, level, gate, low, ka, kb, ia, P, top, mp, m,
     edge, floor) (K, 14) of pendulum runs at the torques in ``p`` (K, 1)
     around the SEPs in ``sep`` (K, 2), and the (K,) mask of the runs that
@@ -237,7 +237,8 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> tup
     energy set of the first four columns or in the exit cone of the next
     eight (:func:`_pendulum_cone`); no state at or before ``low`` is in
     either.  It is in the run's energy well when t < edge and E < floor
-    (:func:`_pendulum_well`); a run without a well has edge = floor = -inf.
+    (:func:`_pendulum_well`), which holds every state within ``radius``
+    (K,) of its SEP; a run without a well has edge = floor = -inf.
 
     With E = w^2/2 + U(t), U(t) = -c1 cos t - p t, the saddle of the SEP
     representative t_s is t_u = t_s + pi - 2 asin(p/c1), a local maximum of
@@ -321,8 +322,8 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig) -> tup
         )
         cone[:, 0] = np.minimum(cone[:, 0], gate)
         well, deep = _pendulum_well(
-            c1, c2, torque, a, cfg, rho, speed, theta_s - half_gap, half_gap, saddle, off,
-            delta, cone[:, 0],
+            c1, c2, torque, a, cfg, rho, speed, theta_s, half_gap, saddle, off,
+            delta, cone[:, 0], radius,
         )
     deep &= ok
     energy = np.stack([saddle, speed, energy_u - delta, gate], axis=-1)
@@ -339,14 +340,15 @@ _NO_ESCAPE = np.array([np.inf] * 7 + [0.0] + [np.inf] * 4)
 _WELL_FLAG = 2.0**-36
 
 
-def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, branch, half_gap,
-                   saddle, off, delta, low) -> tuple:
+def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, theta_s, half_gap,
+                   saddle, off, delta, low, radius) -> tuple:
     """Energy-well columns (edge, floor) (K, 2) of the rows of
     :func:`_pendulum_escape` and the (K,) mask of the runs that have a
-    well, from that function's terms: ``branch`` = t_s - asin(p/c1), the
-    SEP's branch 2 pi k up to s = ``off``, ``half_gap`` = asin(p/c1),
-    ``a`` = -c1 cos t* at the exact saddle t*, rho, the speed bound
-    B = ``speed``, ``delta`` and the escape row's ``low``.
+    well, from that function's terms: the SEP t_s = ``theta_s``, within
+    s = ``off`` of the exact t_s* = 2 pi k + asin(p/c1), ``half_gap`` =
+    asin(p/c1), ``a`` = -c1 cos t* at the exact saddle t*, rho, the speed
+    bound B = ``speed``, ``delta``, the escape row's ``low`` and the
+    ``radius`` r of the ball around (t_s, 0) that the well must hold.
 
     A state is flagged (its Jacobian's abscissa exceeds tol =
     ``cfg.stability_tol``) exactly when a(t) = -c1 cos t > a_f =
@@ -368,7 +370,19 @@ def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, branch,
     - slow: W <= B;
     - within the norm: (S + h B + rho)^2 + B^2 < R^2, with S = max(|t_u -
       2 pi|, |edge|) + s + s_f, R the divergence norm;
-    - apart: edge + s_f < low and edge + s_f < t_u - s (<= t*).
+    - apart: edge + s_f < low and edge + s_f < t_u - s (<= t*);
+    - contain: t_s + r' < edge and (1 + c1) (r' + s)^2 / 2 < D - delta -
+      2 p s_f - phi, less the rounding of E and of floor, with r' = r
+      (1 + 8 eps).
+
+    The last condition puts the ball of radius r around (t_s, 0) in the
+    well: a state z there has |w| <= r' and |t - t_s*| <= r' + s, so, as
+    U'(t_s*) = 0 and |U''| <= c1, E(z) <= U(t_s*) + (1 + c1) (r' + s)^2 / 2,
+    below floor = U(t_f) - p (edge - t_f) - delta_w >= U(t_s*) + D - p s_f
+    - delta_w by more than the rounding of E and of floor.  The integrator
+    passes r at least the reach of the run's certified set and SEP_TOL, so
+    a run whose certified set or dwell rule would end it has entered its
+    well by then.
 
     The proof covers the computed map over the at most N steps left.  A
     state that passes the test has an exact energy below U(t_f) - N e -
@@ -409,24 +423,33 @@ def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, branch,
     certified end.
 
     D, W and the gap t* - t_f are computed from p, asin(p/c1) and a,
-    rounded up (D, W) or down (the gap) by a few eps of their terms.  A
-    run outside a condition gets no well, which the caller fills with
-    -inf.
+    rounded up (D, W) or down (the gap, and D in the last condition) by a
+    few eps of their terms; the rounding of E and of floor in the last
+    condition is 32 eps of 1 + r'^2 + c1 + p (|t_s| + |edge| + r') + delta,
+    which bounds the magnitude of their terms there.  A run outside a
+    condition gets no well, which the caller fills with -inf.
     """
     tol, h, reach = cfg.stability_tol, cfg.step, cfg.divergence_norm
     flat = tol * tol + c2 * tol
     turn = math.asin(min(flat / c1, 1.0))
-    edge = branch + (0.5 * np.pi + turn)
+    edge = theta_s - half_gap + (0.5 * np.pi + turn)
     slip = off + 8.0 * _EPS * (np.abs(edge) + 4.0)
-    depth = flat + a - torque * (0.5 * np.pi + turn - half_gap) + 8.0 * _EPS * (c1 + 4.0 * torque)
+    height = flat + a - torque * (0.5 * np.pi + turn - half_gap)
+    rounding = 8.0 * _EPS * (c1 + 4.0 * torque)
+    depth = height + rounding
     top = np.sqrt(2.0 * depth) * (1.0 + 4.0 * _EPS)
     phi = _WELL_FLAG * (1.0 + c1 + c2) * (1.0 + c2 + tol) ** 2
     floor = flat - torque * edge - (delta + torque * slip + phi)
     span = np.maximum(np.abs(saddle - 2.0 * np.pi), np.abs(edge)) + off + slip
+    ball = radius * (1.0 + 8.0 * _EPS)
+    size = 1.0 + ball * ball + c1 + torque * (np.abs(theta_s) + np.abs(edge) + ball) + delta
+    room = height - rounding - (delta + 2.0 * torque * slip + phi) - 32.0 * _EPS * size
     ok = 0.5 * np.pi - half_gap - turn - 8.0 * _EPS > 0.5 * h * top + rho
     ok &= depth < 2.0 * np.pi * torque * (1.0 - 4.0 * _EPS)
     ok &= (top <= speed) & ((span + h * speed + rho) ** 2 + speed**2 < reach**2)
     ok &= (edge + slip < np.minimum(low, saddle - off)) & np.isfinite(floor)
+    ok &= theta_s + ball + 8.0 * _EPS * (np.abs(theta_s) + ball + 1.0) < edge
+    ok &= 0.5 * (1.0 + c1) * (ball + off) ** 2 * (1.0 + 8.0 * _EPS) < room
     return np.stack([edge, floor], axis=-1), ok
 
 
@@ -576,7 +599,7 @@ def _cone_excess(x, rows):
 
 
 def _pendulum_ends(c1: float, x_prev, x, p, rows) -> tuple:
-    """The ``ends`` of ``ParameterizedSystem.escape`` for K pendulum runs
+    """The ``ends`` of ``ParameterizedSystem.end_sets`` for K pendulum runs
     with the ``rows`` of :func:`_pendulum_escape`, in the step from
     ``x_prev`` to ``x`` (both (K, 2)): the escape fractions, or None when
     no run is in its escape set, and the mask of the runs in their energy

@@ -75,32 +75,37 @@ class ParameterizedSystem:
         balanced at that equilibrium
         (:func:`moi.integrator.recovery_certificate`), and ends a
         trajectory that enters it.
-    escape
+    end_sets
         Optional pair (rows, ends), filled in by the model constructors
-        where the model proves escape, and recovery in an energy well (the
-        pendulum: below its saddle's energy past the saddle, or in an exit
+        where the model proves either end of a run from a set it enters:
+        escape, from which the run never returns to its equilibrium, and
+        recovery, in an energy well that it never leaves (the pendulum:
+        escape below its saddle's energy past the saddle, or in an exit
         cone around the saddle's unstable eigenvector from which the
-        computed map carries it there; recovered below the energy of its
+        computed map carries it there; recovery below the energy of its
         first flagged angle, between the saddles on either side of its SEP;
         the swing network's transfer conductances admit no exact energy
-        function, and it has neither).  ``rows(p, sep, cfg)`` gives one row
-        per run (K, r) for K runs at the rows of p (K, m) around the stable
-        equilibria in the rows of sep (K, n), and the (K,) mask of the runs
-        that have a well; the integrator keeps both and reads none of the
-        rows' columns.  ``ends(x_prev, x, p, rows)``, called once per step,
-        takes K runs' states (K, n) before and after one computed
-        trapezoidal step and returns a pair.  Its first entry is None when
-        no run is in its escape set, else a (K,) array: nan outside the
-        set and, inside it, the fraction f in (0, 1] of the step at which
-        the run entered (1 where that cannot be placed).  A run inside
-        never returns to its equilibrium, and the integrator ends it
-        ``DIVERGED``.  Its second entry is None or a (K,) mask of the runs
-        in their wells; a run without a well is never in it.  A run in its
-        well stays there over the rest of its budget, never enters its
-        escape set, and has no later state with a flagged Jacobian, so the
-        integrator ends it ``CONVERGED_TO_SEP``.  For a run with a well
-        this is its only recovery rule: it has no certified set, and the
-        dwell rule does not apply to it.
+        function, and it has neither).  ``rows(p, sep, cfg, radius)``
+        gives one row per run (K, r) for K runs at the rows of p (K, m)
+        around the stable equilibria in the rows of sep (K, n), and the
+        (K,) mask of the runs that have a well.  A run has a well only if
+        the well holds every state within ``radius`` (K,) of its
+        equilibrium; the integrator passes the larger of the reach of the
+        run's certified set and ``SEP_TOL``.  The integrator keeps rows and
+        mask and reads none of the rows' columns.  ``ends(x_prev, x, p,
+        rows)``, called once per step, takes K runs' states (K, n) before
+        and after one computed trapezoidal step and returns a pair.  Its
+        first entry is None when no run is in its escape set, else a (K,)
+        array: nan outside the set and, inside it, the fraction f in
+        (0, 1] of the step at which the run entered (1 where that cannot
+        be placed).  A run inside never returns to its equilibrium, and
+        the integrator ends it ``DIVERGED``.  Its second entry is None or
+        a (K,) mask of the runs in their wells; a run without a well is
+        never in it.  A run in its well stays there over the rest of its
+        budget, never enters its escape set, and has no later state with a
+        flagged Jacobian, so the integrator ends it ``CONVERGED_TO_SEP``.
+        As the well holds the states at which the certified set or the
+        dwell rule would end the run, the well alone decides its recovery.
     """
 
     state_dim: int
@@ -112,7 +117,7 @@ class ParameterizedSystem:
     state_names: Optional[tuple[str, ...]] = None
     wrap_indices: Optional[tuple[int, ...]] = None
     jacobian_lipschitz: Optional[Callable[[Array], tuple[Array, float]]] = None
-    escape: Optional[tuple[Callable[..., Array], Callable[..., Optional[Array]]]] = None
+    end_sets: Optional[tuple[Callable[..., Array], Callable[..., Optional[Array]]]] = None
 
 
 class Termination(enum.Enum):

@@ -55,7 +55,7 @@ def certificate_of(sys_, p, cfg, sep):
     parameter ``p`` and equilibrium ``sep`` when the run has no energy
     well (a run with one has no certificate)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
-    form, level = _recovery_sets(replace(sys_, escape=None), p[None], sep[None], cfg)[:2]
+    form, level = _recovery_sets(replace(sys_, end_sets=None), p[None], sep[None], cfg)[:2]
     return form[0], level[0]
 
 
@@ -73,13 +73,21 @@ def has_well(sys_, p, cfg, sep) -> bool:
     return bool(_recovery_sets(sys_, p[None], sep[None], cfg)[4][0])
 
 
+def well_radius(sys_, p, cfg, sep) -> float:
+    """The radius of the ball around ``sep`` that the well of a run of
+    ``sys_`` at ``p`` must hold: the larger of its certified set's reach
+    and ``SEP_TOL``."""
+    p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
+    return max(float(_recovery_sets(sys_, p[None], sep[None], cfg)[2][0]), SEP_TOL)
+
+
 def model_ends(sys_, p, cfg, sep, states):
     """The system's ``ends`` (escape fractions, recovered mask) of the
     steps between consecutive ``states`` of a run at ``p`` around ``sep``."""
     x = np.asarray(states, dtype=float)
     k = len(x) - 1
     rows = np.tile(escape_row(sys_, p, cfg, sep), (k, 1))
-    return sys_.escape[1](x[:-1], x[1:], np.tile(p, (k, 1)), rows)
+    return sys_.end_sets[1](x[:-1], x[1:], np.tile(p, (k, 1)), rows)
 
 
 def assert_escape_end(sys_, p, cfg, sep, states):
@@ -89,7 +97,7 @@ def assert_escape_end(sys_, p, cfg, sep, states):
     comes first."""
     x = np.asarray(states, dtype=float)
     ends = _norm(x[1:]) > cfg.divergence_norm
-    if sys_.escape is not None:
+    if sys_.end_sets is not None:
         entered = model_ends(sys_, p, cfg, sep, x)[0]
         if entered is not None:
             ends |= np.isfinite(entered)

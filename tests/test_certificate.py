@@ -254,7 +254,7 @@ def test_certified_end_continued_by_the_dwell_rule_converges_unflagged(
     }[which]
     sep = find_sep(sys_, p)
     short = simulate(sys_, p, cfg, sep, record_flags=True)
-    bare = replace(sys_, jacobian_lipschitz=None, escape=None)
+    bare = replace(sys_, jacobian_lipschitz=None, end_sets=None)
     long = simulate(bare, p, cfg, sep, record_flags=True)
     assert short.termination is long.termination is Termination.CONVERGED_TO_SEP
     n = len(short)

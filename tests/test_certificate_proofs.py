@@ -27,9 +27,10 @@ from moi import (
     pendulum_sep,
     pendulum_system,
 )
+from moi import model_zoo
 from moi.integrator import recovery_certificate
 
-from conftest import escape_row, has_well
+from conftest import escape_row, has_well, well_radius
 
 EPS = np.finfo(float).eps
 PARAMS = PendulumParams()
@@ -228,35 +229,66 @@ def well_angles(c1, c2, torque, sep, tol):
     return branch + np.arcsin(torque / c1), branch + np.pi - np.arcsin(torque / c1), t_f
 
 
-def well_conditions(c1, c2, torque, sep, cfg, low) -> dict:
-    """The conditions of ``_pendulum_well``'s proof, each as (value,
-    bound), which holds when value < bound, for a run at ``torque`` around
-    ``sep`` whose escape row has the low end ``low``."""
+def well_terms(c1, c2, torque, sep, cfg, saddle) -> dict:
+    """The escape set's terms that the well's proof uses, for a run at
+    ``torque`` around ``sep`` whose escape row has the saddle ``saddle``:
+    rho, B, the rise e per step, the offset s of the SEP (and of the
+    saddle's rounding), the magnitude M of E's terms, delta, and s_f
+    without the rounding of the edge."""
     h, reach = cfg.step, cfg.divergence_norm
-    t_s, t_star, t_f = well_angles(c1, c2, torque, sep, cfg.stability_tol)
-    u = lambda t: -c1 * np.cos(t) - torque * t  # noqa: E731
+    budget = np.floor(cfg.max_time / h + 1e-9)
+    t_s = well_angles(c1, c2, torque, sep, cfg.stability_tol)[0]
     rho = 2.0 * cfg.newton_tol + 1e-12 + 8.0 * EPS * reach
     big_b = (c1 + abs(torque) + rho / h) / c2
+    c, k = c2 / h, c1 * (h * big_b + rho) / 12.0
+    rise = rho * (c1 + abs(torque) + big_b + rho * c * k / (c - k))
+    off = abs(sep[0] - t_s) + 8.0 * EPS * (max(abs(sep[0]), abs(saddle)) + 4.0)
+    magnitude = reach**2 + 2.0 * c1 + abs(torque) * (reach + abs(saddle))
+    delta = (budget * rise + c1 * rho**2 / (2.0 - h * np.sqrt(c1)) ** 2
+             + c1 * off**2 / 2.0 + 16.0 * EPS * magnitude)
+    return {"rho": rho, "big_b": big_b, "budget": budget, "rise": rise, "off": off,
+            "magnitude": magnitude, "delta": delta}
+
+
+def well_conditions(c1, c2, torque, sep, cfg, row, radius) -> dict:
+    """The conditions of ``_pendulum_well``'s proof, each as (value,
+    bound), which holds when value < bound, for a run at ``torque`` around
+    ``sep`` whose escape row is ``row`` and whose well must hold the ball
+    of radius ``radius`` around ``sep``."""
+    h, reach, tol = cfg.step, cfg.divergence_norm, cfg.stability_tol
+    t_s, t_star, t_f = well_angles(c1, c2, torque, sep, tol)
+    u = lambda t: -c1 * np.cos(t) - torque * t  # noqa: E731
+    terms = well_terms(c1, c2, torque, sep, cfg, row[0])
+    rho, big_b, off = terms["rho"], terms["big_b"], terms["off"]
     top = np.sqrt(2.0 * (u(t_f) - u(t_s)))
     span = max(abs(t_star - 2.0 * np.pi), abs(t_f))
+    phi = 2.0**-36 * (1.0 + c1 + c2) * (1.0 + c2 + tol) ** 2
+    slip = off + 8.0 * EPS * (abs(t_f) + 4.0)
+    # the ball's highest energy, E <= U(t_s) + (1 + c1) (r + s)^2 / 2, lies
+    # below the floor U(t_f) - delta - p s_f - phi less p s_f for the edge
+    ball = (1.0 + c1) * (radius + abs(sep[0] - t_s)) ** 2 / 2.0
     return {
         "jump": (h * top / 2.0 + rho, t_star - t_f),
         "barrier": (u(t_f), u(t_s) + 2.0 * np.pi * torque),
         "slow": (top, big_b),
         "norm": ((span + h * big_b + rho) ** 2 + big_b**2, reach**2),
-        "apart": (t_f, low),
+        "apart": (t_f, row[4]),
+        "contain": (u(t_s) + ball + terms["delta"] + 2.0 * torque * slip + phi, u(t_f)),
+        "contain-angle": (sep[0] + radius, t_f + slip),
     }
 
 
-def check_energy_well_proof(c1, c2, torque, sep, cfg, row, well, slack=0.0) -> bool:
+def check_energy_well_proof(c1, c2, torque, sep, cfg, row, well, radius, slack=0.0) -> bool:
     """Every inequality of ``_pendulum_well``'s proof for the energy well
     (edge, floor) of the row built for a run at ``torque`` around ``sep``,
     whose escape set ``check_escape_proof`` checks; ``well`` says whether
-    the run has a well.  The exact SEP, saddle and flagged edge are worked
-    out here by another route (arccos for the edge).  A run with a well
-    meets every condition; one without a well fails one of them, or meets
-    it within ``slack`` of its size, or has no escape set.  Returns
-    ``well``; a row without a well has edge = floor = -inf."""
+    the run has a well, which must hold the ball of radius ``radius``
+    around ``sep``.  The exact SEP, saddle and flagged edge are worked out
+    here by another route (arccos for the edge).  A run with a well meets
+    every condition, and the model's own test puts states on the ball's
+    rim in the well; one without a well fails a condition, or meets it
+    within ``slack`` of its size, or has no escape set.  Returns ``well``;
+    a row without a well has edge = floor = -inf."""
     saddle, speed, level, gate, low = row[:5]
     edge, floor = row[12:]
     if not well:
@@ -272,19 +304,25 @@ def check_energy_well_proof(c1, c2, torque, sep, cfg, row, well, slack=0.0) -> b
         assert (np.linalg.eigvals(jac).real.max() > tol) == above
     u = lambda t: -c1 * np.cos(t) - torque * t  # noqa: E731
     # the escape set's terms: rho, B, the rise e per step, the offset s
-    rho = 2.0 * cfg.newton_tol + 1e-12 + 8.0 * EPS * reach
-    big_b = (c1 + abs(torque) + rho / h) / c2
+    terms = well_terms(c1, c2, torque, sep, cfg, saddle)
+    rho, big_b, rise, off = terms["rho"], terms["big_b"], terms["rise"], terms["off"]
+    magnitude = terms["magnitude"]
     c, k = c2 / h, c1 * (h * big_b + rho) / 12.0
-    rise = rho * (c1 + abs(torque) + big_b + rho * c * k / (c - k))
-    off = abs(sep[0] - t_s) + 8.0 * EPS * (max(abs(sep[0]), abs(saddle)) + 4.0)
-    magnitude = reach**2 + 2.0 * c1 + abs(torque) * (reach + abs(saddle))
-    conditions = well_conditions(c1, c2, torque, sep, cfg, low)
+    conditions = well_conditions(c1, c2, torque, sep, cfg, row, radius)
     if not well:
         assert any(value >= bound - slack * abs(bound) for value, bound in conditions.values())
         return False
     assert h * c2 < 2.0 and k < c and 2.0 - h * np.sqrt(c1) > 0.0
     for name, (value, bound) in conditions.items():
         assert value < bound, name
+    # the ball around the computed SEP lies in the well, as the model's
+    # own test sees it: t < edge for every t within the radius, and
+    # E < floor at states sampled on its rim
+    assert sep[0] + radius < edge
+    turn = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    rim = sep + radius * np.stack([np.cos(turn), np.sin(turn)], axis=-1)
+    rows = np.tile(row, (len(rim), 1))
+    assert model_zoo._pendulum_ends(c1, rim, rim, np.full((len(rim), 1), torque), rows)[1].all()
     # the edge lies within s_f of t_f
     slip = off + 8.0 * EPS * (abs(edge) + 4.0)
     assert abs(edge - t_f) <= slip
@@ -385,7 +423,7 @@ def test_pendulum_escape_row_meets_its_proof(
     check_escape_proof(C1, C2, torque, sep, cfg, row)
     check_exit_cone_proof(C1, C2, torque, sep, cfg, row)
     check_energy_well_proof(C1, C2, torque, sep, cfg, row, has_well(SYS, [torque], cfg, sep),
-                            slack=1e-6)
+                            well_radius(SYS, [torque], cfg, sep), slack=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +442,8 @@ def test_escape_row_at_the_edge_of_each_condition_meets_its_proof(params, torque
     check_escape_proof(params.c1, params.c2, torque, sep, cfg, row)
     check_exit_cone_proof(params.c1, params.c2, torque, sep, cfg, row)
     check_energy_well_proof(params.c1, params.c2, torque, sep, cfg, row,
-                            has_well(sys_, [torque], cfg, sep), slack=1e-6)
+                            has_well(sys_, [torque], cfg, sep),
+                            well_radius(sys_, [torque], cfg, sep), slack=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
@@ -466,16 +505,20 @@ def test_exit_cone_at_the_edge_of_each_condition_meets_its_proof(inside, outside
 def test_energy_well_meets_its_proof(torque, turns, sep_error, step, max_time):
     """At the benchmark's Newton tolerance, budgets up to its own and the
     steps of the sweep inside the escape set's conditions, with SEPs off
-    the exact one: every run above the barrier's torque, about 0.2567 at
-    c1 = 2, has a well, and every row meets the well's proof."""
+    the exact one: every run between the barrier's torque, about 0.2567 at
+    c1 = 2, and the torque where the well stops holding the certified set,
+    about 1.9643, has a well, and every row meets the well's proof."""
     cfg = IntegratorConfig(step=step, max_time=max_time,
                            divergence_norm=PENDULUM_DIVERGENCE_NORM)
     sep = pendulum_sep(PARAMS, torque) + [2.0 * np.pi * turns + sep_error, 0.0]
     row = escape_row(SYS, [torque], cfg, sep)
     check_escape_proof(C1, C2, torque, sep, cfg, row)
     well = has_well(SYS, [torque], cfg, sep)
-    assert check_energy_well_proof(C1, C2, torque, sep, cfg, row, well, slack=1e-9) == well
-    assert well == (torque > 0.2567491071082132)
+    radius = well_radius(SYS, [torque], cfg, sep)
+    assert check_energy_well_proof(C1, C2, torque, sep, cfg, row, well, radius,
+                                   slack=1e-9) == well
+    if not 1.9642 < torque < 1.9643:
+        assert well == (0.2567491071082132 < torque < 1.9642)
 
 
 @pytest.mark.parametrize(
@@ -487,8 +530,10 @@ def test_energy_well_meets_its_proof(torque, turns, sep_error, step, max_time):
      ("slow", PendulumParams(c1=0.5, c2=3.9), None,
       {"torque": 0.42414067330767546, "step": 0.5}, {"torque": 0.4241406733076754, "step": 0.5}),
      ("norm", PARAMS, 1.5, {"divergence_norm": 8.127364161555917},
-      {"divergence_norm": 8.127364161555915})],
-    ids=["barrier", "jump", "slow", "norm"],
+      {"divergence_norm": 8.127364161555915}),
+     ("contain", PARAMS, None, {"torque": 1.9642761401855173},
+      {"torque": 1.9642761401855175})],
+    ids=["barrier", "jump", "slow", "norm", "contain"],
 )
 def test_energy_well_at_the_edge_of_each_condition_meets_its_proof(
     name, params, torque, inside, outside
@@ -512,7 +557,8 @@ def test_energy_well_at_the_edge_of_each_condition_meets_its_proof(
         check_escape_proof(params.c1, params.c2, p, sep, cfg, row)
         well = has_well(sys_, [p], cfg, sep)
         assert well == expected
-        assert check_energy_well_proof(params.c1, params.c2, p, sep, cfg, row, well,
+        radius = well_radius(sys_, [p], cfg, sep)
+        assert check_energy_well_proof(params.c1, params.c2, p, sep, cfg, row, well, radius,
                                        slack=1e-12) == well
-        value, bound = well_conditions(params.c1, params.c2, p, sep, cfg, row[4])[name]
+        value, bound = well_conditions(params.c1, params.c2, p, sep, cfg, row, radius)[name]
         assert abs(value - bound) <= 1e-12 * abs(bound)

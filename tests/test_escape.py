@@ -29,10 +29,10 @@ from moi import (
 )
 from moi import model_zoo
 from moi.instability_mode import average_jacobian
-from moi.integrator import Lockstep, _recovery_sets
+from moi.integrator import SEP_TOL, Lockstep, _recovery_sets
 from moi.spectral import _eigvals
 
-from conftest import escape_row, make_tent_toy, model_ends
+from conftest import escape_row, has_well, make_tent_toy, model_ends
 
 #: adjacent doubles bracketing the pendulum boundary at h = 0.02
 PEND_P_STAR = 1.5686593295631313
@@ -76,7 +76,7 @@ def energy_only(saddle, speed, level, gate):
 def rows_of(row):
     """The ``rows`` callable of an escape hook that gives every run ``row``
     and no well."""
-    return lambda p, sep, cfg_: (np.tile(row, (len(p), 1)), np.zeros(len(p), dtype=bool))
+    return lambda p, sep, cfg_, radius: (np.tile(row, (len(p), 1)), np.zeros(len(p), dtype=bool))
 
 
 def no_sets(row) -> bool:
@@ -210,7 +210,7 @@ def test_models_without_an_energy_function_have_no_escape_set(nine_bus):
     """The swing network and the toys run as before: no escape set, and
     escape rows of width 0."""
     grid = multimachine_system(nine_bus)
-    assert grid.escape is None and make_tent_toy().escape is None
+    assert grid.end_sets is None and make_tent_toy().end_sets is None
     p, sep = np.array([[1.0]]), find_sep(grid, [1.0])[None]
     cfg = IntegratorConfig(step=1.0 / 60.0)
     assert _recovery_sets(grid, p, sep, cfg)[3].shape == (1, 0)
@@ -310,7 +310,7 @@ def test_crossing_is_the_union_of_the_energy_set_and_the_cone(torque, step, seed
         x_prev, x = np.vstack([x_prev, well[::-1]]), np.vstack([x, well])
     k_all = len(x)
     p = np.full((k_all, 1), torque)
-    entered, recovered = SYS.escape[1](x_prev, x, p, np.tile(escape, (k_all, 1)))
+    entered, recovered = SYS.end_sets[1](x_prev, x, p, np.tile(escape, (k_all, 1)))
     in_well = (x[:, 0] < edge) & (energy(x, torque) < floor)
     if recovered is None:
         assert not (x[:, 0] < edge).any()
@@ -392,12 +392,12 @@ def test_no_state_between_the_saddle_and_the_gate_is_in_the_set(
     assert (e_prev >= level).all()
     # the crossing with its gate opened to the saddle evaluates these states
     opened = np.tile(energy_only(saddle, speed, level, saddle), (3, 1))
-    assert SYS.escape[1](x, x, p, opened)[0] is None
+    assert SYS.end_sets[1](x, x, p, opened)[0] is None
     # from there into the set, well past the gate: the entry is interpolated
     inside = np.column_stack([np.full(3, saddle + 0.05), np.zeros(3)])
     e_in = model_zoo._pendulum_energy(C1, inside, p)
     assert (e_in < level).all()
-    entered = SYS.escape[1](x, inside, p, np.tile(escape, (3, 1)))[0]
+    entered = SYS.end_sets[1](x, inside, p, np.tile(escape, (3, 1)))[0]
     expected = np.where(e_prev > level, (e_prev - level) / (e_prev - e_in), 1.0)
     assert np.array_equal(entered, expected)
 
@@ -409,7 +409,7 @@ def test_lockstep_members_end_as_simulate_ends_them(pendulum, step):
     ``simulate`` ends them; the verdicts equal those of runs without the
     escape certificate."""
     cfg = config(step)
-    bare = replace(pendulum, escape=None)
+    bare = replace(pendulum, end_sets=None)
     torques = [1.5, PEND_P_STAR, PEND_P_FAIL, 1.5686593295641313, 1.6, 1.7, 1.9]
     seps = [find_sep(pendulum, [p]) for p in torques]
     lock = Lockstep(pendulum, cfg)
@@ -523,14 +523,62 @@ def test_well_ends_continue_in_the_well(step):
 def without_well(sys_):
     """``sys_`` with its escape sets and no energy well: its runs recover
     by the certified set."""
-    rows, ends = sys_.escape
+    rows, ends = sys_.end_sets
 
-    def no_well(p, sep, cfg):
-        escape, _ = rows(p, sep, cfg)
+    def no_well(p, sep, cfg, radius):
+        escape, _ = rows(p, sep, cfg, radius)
         escape[:, 12:] = -np.inf
         return escape, np.zeros(len(p), dtype=bool)
 
-    return replace(sys_, escape=(no_well, ends))
+    return replace(sys_, end_sets=(no_well, ends))
+
+
+@pytest.mark.parametrize(
+    "params, torque, settings_",
+    [(PendulumParams(disturbance_duration=0.0), 1.99999, {}),
+     (PARAMS, 1.4, {"newton_tol": 1e-6, "max_time": 400.0})],
+    ids=["at-its-sep-near-c1", "large-budget-rise"],
+)
+def test_a_run_whose_well_would_miss_its_sep_has_none_and_recovers(params, torque, settings_):
+    """Where the well's floor would lie below its SEP's energy (a well a
+    few 1e-8 deep at 1.99999 against delta about 2e-4; N e about 0.41
+    against a depth of 0.31 at 1.4), the run has no well and still ends
+    ``CONVERGED_TO_SEP``, exactly as with its wells taken away."""
+    sys_ = pendulum_system(params)
+    cfg = config(0.02, **settings_)
+    p = np.array([torque])
+    sep = find_sep(sys_, p)
+    assert not has_well(sys_, p, cfg, sep)
+    traj = simulate(sys_, p, cfg, sep)
+    bare = simulate(without_well(sys_), p, cfg, sep)
+    assert traj.termination is bare.termination is Termination.CONVERGED_TO_SEP
+    assert np.array_equal(traj.states, bare.states)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.4])
+@pytest.mark.parametrize("duration", [0.8, 0.0])
+def test_a_run_with_a_well_ends_no_later_than_its_certified_set_or_dwell(step, duration):
+    """A run with a well, up to the torque where the well stops holding
+    the certified set (about 1.9643), ends ``CONVERGED_TO_SEP`` in it no
+    later than the same run without its wells ends by its certified set
+    or the dwell rule, on the same states; a run started at its SEP ends
+    in its well at its first step."""
+    params = PendulumParams(disturbance_duration=duration)
+    sys_ = pendulum_system(params)
+    cfg = config(step)
+    for torque in (0.5, 1.0, 1.45, 1.5, 1.9, 1.964):
+        p = np.array([torque])
+        sep = find_sep(sys_, p)
+        traj = simulate(sys_, p, cfg, sep)
+        bare = simulate(without_well(sys_), p, cfg, sep)
+        if bare.termination is not Termination.CONVERGED_TO_SEP:
+            continue
+        assert has_well(sys_, p, cfg, sep)
+        assert traj.termination is Termination.CONVERGED_TO_SEP
+        assert len(traj) <= len(bare)
+        assert np.array_equal(traj.states, bare.states[: len(traj)])
+        if duration == 0.0:
+            assert len(traj) == 2
 
 
 def test_averaging_at_p_star_is_that_of_the_run_to_its_certified_end(pendulum, pend_cfg):
@@ -612,11 +660,11 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     saddle = (x[m - 1, 0] + x[m, 0]) / 2.0
     crossing = energy_only(saddle, np.inf, (e[m - 1] + e[m]) / 2.0, saddle)
 
-    def rows(p, sep, cfg_):
+    def rows(p, sep, cfg_, radius):
         return (np.where(p == 1.7, crossing, energy_only(-1e300, np.inf, -np.inf, -1e300)),
                 np.zeros(len(p), dtype=bool))
 
-    made_up = replace(SYS, escape=(rows, SYS.escape[1]))
+    made_up = replace(SYS, end_sets=(rows, SYS.end_sets[1]))
     (alone,) = lockstep_ends(made_up, [1.7], cfg)
     batch = lockstep_ends(made_up, [1.7, 1.75], cfg)
     for run in (alone, batch[0]):
@@ -626,7 +674,7 @@ def test_saddle_crossed_in_the_last_step_keeps_the_step_count():
     # initial state past its saddle above the level, ends at tau = 1
     first = energy_only(-1e300, np.inf, (e[0] + e[1]) / 2.0, -1e300)
     assert e[1] < e[0]
-    from_start = replace(SYS, escape=(rows_of(first), SYS.escape[1]))
+    from_start = replace(SYS, end_sets=(rows_of(first), SYS.end_sets[1]))
     (run,) = lockstep_ends(from_start, [1.7], cfg)
     assert run.elapsed == cfg.step and run.tau == 1.0
 
@@ -646,8 +694,8 @@ def test_norm_end_is_timed_on_the_secant_of_the_last_two_norms():
     cfg = IntegratorConfig(step=0.2, divergence_norm=reach)
     made_up = replace(
         SYS,
-        escape=(rows_of(energy_only(-1e300, np.inf, (e[m - 1] + e[m]) / 2.0, -1e300)),
-                SYS.escape[1]),
+        end_sets=(rows_of(energy_only(-1e300, np.inf, (e[m - 1] + e[m]) / 2.0, -1e300)),
+                SYS.end_sets[1]),
     )
     (run,) = lockstep_ends(made_up, [1.7], cfg)
     (batch, _) = lockstep_ends(made_up, [1.7, 1.75], cfg)
@@ -685,7 +733,8 @@ def drift_toy() -> ParameterizedSystem:
         jacobian=lambda x, p: np.zeros(x.shape + (2,)),
         initial_condition=lambda p: np.zeros(np.shape(p)),
         name="drift",
-        escape=(lambda p, sep, cfg: (p[:, 1:].copy(), np.zeros(len(p), dtype=bool)), ends),
+        end_sets=(lambda p, sep, cfg, radius: (p[:, 1:].copy(), np.zeros(len(p), dtype=bool)),
+                  ends),
     )
 
 
@@ -736,15 +785,21 @@ def test_engine_times_an_escape_by_the_systems_crossing_alike_in_any_batch():
 
 def well_toy() -> ParameterizedSystem:
     """x' = (v, 0) at p = (v, w), from x0 = 0, its SEP: a run with w > 0
-    has a well, x[0] >= 1, and no escape set; one with w = 0 has neither."""
+    has a well, x[0] >= 1 and the ball of the radius the integrator asks
+    for around its SEP, and no escape set; one with w = 0 has neither.
+    Its rows hold w and that radius."""
 
     def field(x, p):
         out = np.zeros(x.shape)
         out[..., 0] = p[..., 0]
         return out
 
+    def rows(p, sep, cfg, radius):
+        return np.stack([p[:, 1], radius], axis=-1), p[:, 1] > 0.0
+
     def ends(x_prev, x, p, rows):
-        return None, (x[:, 0] >= 1.0) & (rows[:, 0] > 0.0)
+        inside = (x[:, 0] >= 1.0) | (np.linalg.norm(x, axis=1) <= rows[:, 1])
+        return None, inside & (rows[:, 0] > 0.0)
 
     return ParameterizedSystem(
         state_dim=2,
@@ -753,21 +808,24 @@ def well_toy() -> ParameterizedSystem:
         jacobian=lambda x, p: np.zeros(x.shape + (2,)),
         initial_condition=lambda p: np.zeros(np.shape(p)),
         name="well",
-        escape=(lambda p, sep, cfg: (p[:, 1:].copy(), p[:, 1] > 0.0), ends),
+        end_sets=(rows, ends),
     )
 
 
 def test_engine_ends_a_run_in_its_well_alike_in_any_batch():
     """A run whose system puts it in its well ends ``certified``
-    (``CONVERGED_TO_SEP``) there; a run with a well is never ended by the
-    dwell rule, even in a batch with runs that have none, which dwell at
-    their SEP: bitwise alike alone, in one batch and started in two
-    groups."""
+    (``CONVERGED_TO_SEP``) there.  A system without a certificate is asked
+    for wells that hold the ball of radius ``SEP_TOL`` around the SEP, so a
+    run with a well at its SEP ends in it at its first step, before the
+    dwell rule would end it, while a run without one dwells: bitwise alike
+    alone, in one batch and started in two groups."""
     cfg = IntegratorConfig(step=0.1, max_time=2.0)
+    assert _recovery_sets(well_toy(), np.array([[0.0, 1.0]]), np.zeros((1, 2)), cfg)[3][0, 1] \
+        == SEP_TOL
     # (v, w): at its SEP with a well, at its SEP without, into its well
     # after 4 steps, and away from its SEP without a well
     points = [(0.0, 1.0), (0.0, 0.0), (3.0, 1.0), (3.0, 0.0)]
-    expected = [("budget", 20), ("dwell", 10), ("certified", 4), ("budget", 20)]
+    expected = [("certified", 1), ("dwell", 10), ("certified", 4), ("budget", 20)]
     alone = [toy_ends(well_toy(), [q], cfg)[0] for q in points]
     together = toy_ends(well_toy(), points, cfg)
     groups = toy_ends(well_toy(), points[:1], cfg, later=points[1:])

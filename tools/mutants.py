@@ -102,10 +102,15 @@ MUTANTS = (
            "    ok &= depth < 2.0 * np.pi * torque * (1.0 - 4.0 * _EPS)\n",
            "",
            WELL_PROOF),
-    Mutant("well-dwell-unmasked", "integrator.py",
-           "                near &= ~self._well\n",
-           "                pass\n",
-           ("tests/test_escape.py::test_engine_ends_a_run_in_its_well_alike_in_any_batch",)),
+    Mutant("well-not-contained", "model_zoo.py",
+           "    ok &= 0.5 * (1.0 + c1) * (ball + off) ** 2 * (1.0 + 8.0 * _EPS) < room\n",
+           "",
+           ("tests/test_escape.py::"
+            "test_a_run_whose_well_would_miss_its_sep_has_none_and_recovers",)),
+    Mutant("well-radius-without-reach", "integrator.py",
+           "sys.end_sets[0](p, sep, cfg, np.maximum(reach, SEP_TOL))",
+           "sys.end_sets[0](p, sep, cfg, np.full(k, SEP_TOL))",
+           WELL_PROOF),
     Mutant("well-rows-inf", "model_zoo.py",
            "        np.where(deep[:, None], well, -np.inf),",
            "        np.where(deep[:, None], well, np.inf),",

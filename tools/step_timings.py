@@ -209,13 +209,12 @@ def network_case(moi):
 def sets_case(moi, case, calls: int):
     """(calls, fn, 1) for the certified and escape sets and the wells of
     the members at the parameters of ``case``, around their SEPs; fn
-    returns which members have a certificate or a well."""
+    returns which members have a certificate."""
     sys_, cfg, _, p = case
     seps = np.array([moi.find_sep(sys_, q) for q in p])
 
     def run():
-        sets = moi.integrator._recovery_sets(sys_, p, seps, cfg)
-        return (sets[1] > 0.0) | sets[4] if len(sets) > 4 else sets[1] > 0.0
+        return moi.integrator._recovery_sets(sys_, p, seps, cfg)[1] > 0.0
 
     return calls, run, 1
 
