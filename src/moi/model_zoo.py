@@ -323,7 +323,7 @@ def _pendulum_escape(c1: float, c2: float, p, sep, cfg: IntegratorConfig, radius
         cone[:, 0] = np.minimum(cone[:, 0], gate)
         well, deep = _pendulum_well(
             c1, c2, torque, a, cfg, rho, speed, theta_s, half_gap, saddle, off,
-            delta, cone[:, 0], radius,
+            delta, cone[:, 0], radius + np.abs(sep[:, 1]),
         )
     deep &= ok
     energy = np.stack([saddle, speed, energy_u - delta, gate], axis=-1)
@@ -348,7 +348,9 @@ def _pendulum_well(c1, c2, torque, a, cfg: IntegratorConfig, rho, speed, theta_s
     s = ``off`` of the exact t_s* = 2 pi k + asin(p/c1), ``half_gap`` =
     asin(p/c1), ``a`` = -c1 cos t* at the exact saddle t*, rho, the speed
     bound B = ``speed``, ``delta``, the escape row's ``low`` and the
-    ``radius`` r of the ball around (t_s, 0) that the well must hold.
+    ``radius`` r of the ball around (t_s, 0) that the well must hold
+    (the caller adds the SEP's own speed |w_s| to the radius it is asked
+    for, so that this ball holds the one around (t_s, w_s)).
 
     A state is flagged (its Jacobian's abscissa exceeds tol =
     ``cfg.stability_tol``) exactly when a(t) = -c1 cos t > a_f =

@@ -7,8 +7,6 @@ model) are computed once and shared across test modules.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -52,10 +50,10 @@ def central_differences(sys_, x, p, step=1e-6):
 
 def certificate_of(sys_, p, cfg, sep):
     """The (form, level) certificate ``simulate`` uses for ``sys_`` at
-    parameter ``p`` and equilibrium ``sep`` when the run has no energy
-    well (a run with one has no certificate)."""
+    parameter ``p`` and equilibrium ``sep`` (where the run has an energy
+    well, the well holds its set)."""
     p, sep = np.asarray(p, dtype=float), np.asarray(sep, dtype=float)
-    form, level = _recovery_sets(replace(sys_, end_sets=None), p[None], sep[None], cfg)[:2]
+    form, level = _recovery_sets(sys_, p[None], sep[None], cfg)[:2]
     return form[0], level[0]
 
 
